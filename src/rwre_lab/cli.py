@@ -1,9 +1,9 @@
 """Experiment runner.
 
 Parses a strict JSON config, orchestrates the compute modules, and writes
-results.jsonl, optional curves.csv, and a manifest.json.  All file I/O lives
-here; compute modules never touch the filesystem.  Reruns of the same
-(config, seed) produce byte-identical results regardless of thread count.
+results.jsonl, optional curves.csv, and a manifest.json, each written
+atomically.  All file I/O lives here; compute modules never touch the
+filesystem.  Reruns of the same (config, seed) produce byte-identical results.
 
 Exit codes: 0 success, 2 configuration error, 3 insufficient data (a
 scientifically meaningful outcome, distinguishable from a crash).
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, TextIO
 
 import numpy as np
 
@@ -126,6 +126,41 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
+_REQUIRED = object()
+
+
+def _field(raw: dict, key: str, convert: Callable, default: Any = _REQUIRED):
+    """``convert(raw[key])`` for a top-level field; ``default`` when it is absent or null.
+
+    A value that does not convert is a ConfigError that names the field.
+    """
+    value = raw.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"config: missing key {key!r} in '<top>'")
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config: bad value {value!r} for {key!r}: {exc}") from exc
+
+
+def _int_tuple(value) -> tuple[int, ...]:
+    return tuple(int(x) for x in value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
+
+def _check_seed(seed: int, name: str) -> int:
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{name} must be a 64-bit unsigned integer, got {seed}")
+    return seed
+
+
 def parse_model(obj: dict, dimension: int) -> EnvironmentModel:
     if not isinstance(obj, dict):
         raise ConfigError("config: 'model' must be an object")
@@ -173,19 +208,15 @@ def load_config(path: Path) -> ExperimentConfig:
     experiment = _require(raw, "experiment", "<top>")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"config: experiment must be one of {EXPERIMENTS}, got {experiment!r}")
-    dimension = int(_require(raw, "dimension", "<top>"))
+    dimension = _field(raw, "dimension", int)
     model = parse_model(_require(raw, "model", "<top>"), dimension)
-    seed = int(_require(raw, "master_seed", "<top>"))
-    if not 0 <= seed < 2**64:
-        raise ConfigError("config: master_seed must be a 64-bit unsigned integer")
+    seed = _check_seed(_field(raw, "master_seed", int), "config: master_seed")
     thresholds = raw.get("thresholds", {})
     if not isinstance(thresholds, dict):
         raise ConfigError("config: 'thresholds' must be an object")
     _reject_unknown(thresholds, _THRESHOLD_KEYS, "thresholds")
-    cone = raw.get("cone")
-    if cone is not None:
-        _reject_unknown(cone, {"sigma", "basis", "l", "lambda", "lambda_grid", "check_direction"}, "cone")
     for block, keys in (
+        ("cone", {"sigma", "basis", "l", "lambda", "lambda_grid", "check_direction"}),
         ("slab", {"l_prime", "b", "L_list"}),
         ("zero_one", {"n_angles"}),
         ("oracle", {"region", "target_class", "n_env"}),
@@ -196,30 +227,27 @@ def load_config(path: Path) -> ExperimentConfig:
             if not isinstance(sub, dict):
                 raise ConfigError(f"config: {block!r} must be an object")
             _reject_unknown(sub, keys, block)
-    l = raw.get("l")
-    if l is not None:
-        l = tuple(int(x) for x in l)
     return ExperimentConfig(
         experiment=experiment,
         dimension=dimension,
         model=model,
         master_seed=seed,
-        n_walks=int(raw.get("n_walks", 0)),
-        horizon=int(raw.get("horizon", 0)),
-        confirm_horizon=int(raw.get("confirm_horizon", 0)),
-        l=l,
-        cone=cone,
+        n_walks=_field(raw, "n_walks", int, 0),
+        horizon=_field(raw, "horizon", int, 0),
+        confirm_horizon=_field(raw, "confirm_horizon", int, 0),
+        l=_field(raw, "l", _int_tuple, None),
+        cone=raw.get("cone"),
         thresholds=thresholds,
         slab=raw.get("slab"),
         zero_one=raw.get("zero_one"),
         oracle=raw.get("oracle"),
         identity=raw.get("identity"),
-        output=raw.get("output"),
+        output=_field(raw, "output", _text, None),
         raw=raw,
     )
 
 
-def _cone_spec_from(cfg: ExperimentConfig, threads: int) -> tuple[ConeSpec, list[dict]]:
+def _cone_spec_from(cfg: ExperimentConfig) -> tuple[ConeSpec, list[dict]]:
     """Build the cone, running the interpolation-weight scan when asked."""
     if cfg.cone is None:
         raise ConfigError("config: this experiment needs a 'cone' block")
@@ -247,7 +275,6 @@ def _cone_spec_from(cfg: ExperimentConfig, threads: int) -> tuple[ConeSpec, list
             horizon=scan_h,
             confirm_horizon=scan_ch,
             rate_floor=floor,
-            threads=threads,
             check_direction=check,
         )
         for row in result.rows:
@@ -290,7 +317,7 @@ def _jsonable(x: Any) -> Any:
     return x
 
 
-def _run_experiment(cfg: ExperimentConfig, threads: int) -> tuple[list[dict], list[dict] | None, bool]:
+def _run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict] | None, bool]:
     """Returns (result rows, curve rows or None, insufficient_data flag)."""
     rows: list[dict] = []
     curves: list[dict] | None = None
@@ -300,7 +327,7 @@ def _run_experiment(cfg: ExperimentConfig, threads: int) -> tuple[list[dict], li
     dip = thr.get("dip_allowance")
 
     if cfg.experiment == "simulate":
-        trajs = simulate_ensemble(cfg.model, cfg.master_seed, cfg.n_walks, cfg.horizon, threads)
+        trajs = simulate_ensemble(cfg.model, cfg.master_seed, cfg.n_walks, cfg.horizon)
         for i, obj in enumerate(trajectories_to_jsonl(trajs)):
             obj = {"record": "trajectory", "walker": i, **obj}
             obj["final"] = [int(c) for c in trajs[i].final_position()]
@@ -310,9 +337,9 @@ def _run_experiment(cfg: ExperimentConfig, threads: int) -> tuple[list[dict], li
     if cfg.experiment == "direction":
         if cfg.l is None:
             raise ConfigError("config: 'direction' needs a top-level 'l'")
-        spec, scan_rows = _cone_spec_from(cfg, threads)
+        spec, scan_rows = _cone_spec_from(cfg)
         rows.extend(scan_rows)
-        trajs = simulate_ensemble(cfg.model, cfg.master_seed, cfg.n_walks, cfg.horizon, threads)
+        trajs = simulate_ensemble(cfg.model, cfg.master_seed, cfg.n_walks, cfg.horizon)
         verdict = classify_transience(trajs, cfg.l, lvl, dip)
         rows.append(
             {
@@ -368,9 +395,9 @@ def _run_experiment(cfg: ExperimentConfig, threads: int) -> tuple[list[dict], li
         return rows, None, insufficient
 
     if cfg.experiment == "renewal":
-        spec, scan_rows = _cone_spec_from(cfg, threads)
+        spec, scan_rows = _cone_spec_from(cfg)
         rows.extend(scan_rows)
-        trajs = simulate_ensemble(cfg.model, cfg.master_seed, cfg.n_walks, cfg.horizon, threads)
+        trajs = simulate_ensemble(cfg.model, cfg.master_seed, cfg.n_walks, cfg.horizon)
         total = 0
         for i, t in enumerate(trajs):
             rec = detect_renewals(t, spec, cfg.confirm_horizon)
@@ -394,9 +421,9 @@ def _run_experiment(cfg: ExperimentConfig, threads: int) -> tuple[list[dict], li
         return rows, None, False
 
     if cfg.experiment == "renewal-identity":
-        spec, scan_rows = _cone_spec_from(cfg, threads)
+        spec, scan_rows = _cone_spec_from(cfg)
         rows.extend(scan_rows)
-        trajs = simulate_ensemble(cfg.model, cfg.master_seed, cfg.n_walks, cfg.horizon, threads)
+        trajs = simulate_ensemble(cfg.model, cfg.master_seed, cfg.n_walks, cfg.horizon)
         records = [detect_renewals(t, spec, cfg.confirm_horizon) for t in trajs]
         window = None
         if cfg.identity and cfg.identity.get("window") is not None:
@@ -454,9 +481,7 @@ def _run_experiment(cfg: ExperimentConfig, threads: int) -> tuple[list[dict], li
         lp = [float(x) for x in _require(cfg.slab, "l_prime", "slab")]
         b = float(_require(cfg.slab, "b", "slab"))
         L_list = [float(x) for x in _require(cfg.slab, "L_list", "slab")]
-        curve = slab_exit_decay(
-            cfg.model, cfg.master_seed, lp, b, L_list, cfg.n_walks, cfg.horizon, threads
-        )
+        curve = slab_exit_decay(cfg.model, cfg.master_seed, lp, b, L_list, cfg.n_walks, cfg.horizon)
         curves = []
         for pt in curve.points:
             row = {
@@ -481,7 +506,6 @@ def _run_experiment(cfg: ExperimentConfig, threads: int) -> tuple[list[dict], li
             n_angles,
             cfg.n_walks,
             cfg.horizon,
-            threads=threads,
             level_threshold=lvl,
             dip_allowance=dip,
             orth_band=float(thr.get("orth_band", 0.2)),
@@ -557,9 +581,7 @@ def _run_experiment(cfg: ExperimentConfig, threads: int) -> tuple[list[dict], li
             p = float(cfg.model.vector.probs[0])
             row["closed_form_right"] = gamblers_ruin(p, -int(region_obj["lo"]), int(region_obj["hi"]))
         if lp is not None and cfg.n_walks > 0 and target in ("Right", "Left"):
-            tally = run_slab_ensemble(
-                cfg.model, cfg.master_seed, cfg.n_walks, lp, b, L, cfg.horizon, threads
-            )
+            tally = run_slab_ensemble(cfg.model, cfg.master_seed, cfg.n_walks, lp, b, L, cfg.horizon)
             exits = tally.n_left + tally.n_right
             k = tally.n_right if target == "Right" else tally.n_left
             p_hat = k / exits if exits else float("nan")
@@ -576,15 +598,30 @@ def _run_experiment(cfg: ExperimentConfig, threads: int) -> tuple[list[dict], li
 
 
 def _resolve_threads(arg: int | None) -> int:
-    if arg is not None:
-        return max(1, arg)
+    """Validate ``--threads`` and $RWRE_LAB_THREADS; every run uses one thread.
+
+    Both are still accepted so existing scripts keep working.  Outputs are a
+    pure function of counter-based keys, so a thread pool could only change
+    timing, and on a 2-CPU host it measured slower at every thread count.
+    """
     envv = os.environ.get(ENV_THREADS)
-    if envv:
+    if arg is None and envv:
         try:
-            return max(1, int(envv))
+            int(envv)
         except ValueError as exc:
             raise ConfigError(f"{ENV_THREADS} must be an integer, got {envv!r}") from exc
-    return max(1, os.cpu_count() or 1)
+    return 1
+
+
+def _replace_atomically(path: Path, write: Callable[[TextIO], None], newline: str | None = None) -> None:
+    """Write ``path`` through a temporary file, so readers see the old or the new file whole."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", newline=newline) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _write_outputs(
@@ -597,21 +634,23 @@ def _write_outputs(
     started: str,
 ) -> list[str]:
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    results = out_dir / "results.jsonl"
-    with results.open("w") as fh:
+
+    def write_results(fh: TextIO) -> None:
         for row in rows:
             tagged = {"config_hash": config_hash, **_jsonable(row)}
             fh.write(json.dumps(tagged, sort_keys=True) + "\n")
-    outputs.append(results.name)
+
+    def write_curves(fh: TextIO) -> None:
+        writer = csv.DictWriter(fh, fieldnames=list(curves[0].keys()))
+        writer.writeheader()
+        for row in curves:
+            writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
+
+    _replace_atomically(out_dir / "results.jsonl", write_results)
+    outputs = ["results.jsonl"]
     if curves:
-        curve_path = out_dir / "curves.csv"
-        with curve_path.open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(curves[0].keys()))
-            writer.writeheader()
-            for row in curves:
-                writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
-        outputs.append(curve_path.name)
+        _replace_atomically(out_dir / "curves.csv", write_curves, newline="")
+        outputs.append("curves.csv")
     manifest = {
         "config_hash": config_hash,
         "master_seed": seed,
@@ -621,9 +660,8 @@ def _write_outputs(
         "parameters": _jsonable(cfg.raw),
         "outputs": outputs,
     }
-    tmp = out_dir / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, out_dir / "manifest.json")
+    manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _replace_atomically(out_dir / "manifest.json", lambda fh: fh.write(manifest_text))
     outputs.append("manifest.json")
     return outputs
 
@@ -633,12 +671,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     path = Path(args.config)
     try:
         cfg = load_config(path)
-        threads = _resolve_threads(args.threads)
+        _resolve_threads(args.threads)
         if args.seed is not None:
-            cfg.master_seed = int(args.seed)
+            cfg.master_seed = _check_seed(args.seed, "--seed")
         config_hash = hashlib.sha256(path.read_bytes()).hexdigest()
         try:
-            rows, curves, insufficient = _run_experiment(cfg, threads)
+            rows, curves, insufficient = _run_experiment(cfg)
         except _NoRenewals as exc:
             rows, curves, insufficient = [_insufficient_row("lambda-scan", str(exc))], None, True
     except ConfigError as exc:
@@ -761,7 +799,9 @@ def main(argv: list[str] | None = None) -> int:
 
     run_p = sub.add_parser("run", help="execute an experiment config")
     run_p.add_argument("--config", required=True)
-    run_p.add_argument("--threads", type=int, default=None, help=f"worker threads (or ${ENV_THREADS})")
+    run_p.add_argument(
+        "--threads", type=int, default=None, help=f"accepted for compatibility (or ${ENV_THREADS}); runs use one thread"
+    )
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument("--seed", type=int, default=None, help="override config master_seed")
     run_p.set_defaults(func=cmd_run)

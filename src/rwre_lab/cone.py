@@ -359,7 +359,6 @@ def lambda_scan(
     horizon: int = 4000,
     confirm_horizon: int = 400,
     rate_floor: float = 0.5,
-    threads: int = 1,
     check_direction: bool = True,
     trajs: list[Trajectory] | None = None,
 ) -> LambdaScanResult:
@@ -373,7 +372,7 @@ def lambda_scan(
     if not grid:
         raise ConfigError("lambda grid must be nonempty")
     if trajs is None:
-        trajs = simulate_ensemble(model, master_seed, n_walks, horizon, threads=threads)
+        trajs = simulate_ensemble(model, master_seed, n_walks, horizon)
     else:
         n_walks = len(trajs)
         horizon = len(trajs[0]) if trajs else horizon

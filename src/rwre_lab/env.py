@@ -10,8 +10,7 @@ bit-identically on any worker.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .lattice import check_dim, check_site, direction_index
 from .rng import (
     TAG_SITE,
     U64,
-    CounterStream,
     as_u64,
     derive_key,
     stream_normal,
@@ -210,8 +208,10 @@ def _gamma_mt(alpha: float, keys: np.ndarray, base) -> np.ndarray:
     return out
 
 
-def sample_dirichlet(alphas, stream: CounterStream) -> np.ndarray:
-    """Draw one Dirichlet vector per stream lane via independent gammas.
+def sample_dirichlet(alphas, keys) -> np.ndarray:
+    """Draw one Dirichlet vector per stream key via independent gammas.
+
+    Lane ``i`` owns the whole index space of the stream keyed by ``keys[i]``.
 
     Vectors with any normalized component below the ellipticity floor are
     rejected and redrawn from a fresh index block, so outputs are always
@@ -222,7 +222,7 @@ def sample_dirichlet(alphas, stream: CounterStream) -> np.ndarray:
         raise ConfigError("alphas must be a nonempty vector")
     if np.any(alphas <= 0.0):
         raise ConfigError("Dirichlet concentrations must be positive")
-    keys = stream.keys
+    keys = np.atleast_1d(as_u64(np.asarray(keys)))
     n, k = keys.shape[0], alphas.size
     out = np.empty((n, k), dtype=np.float64)
     todo = np.arange(n)
@@ -251,6 +251,13 @@ def site_stream_keys(env_seed, coords: np.ndarray) -> np.ndarray:
     return np.atleast_1d(keys)
 
 
+def constant_vector(model: EnvironmentModel) -> TransitionVector | None:
+    """The vector every site carries when the model does not vary by site, else None."""
+    if isinstance(model, (Homogeneous, PerturbedSRW)):
+        return model.vector
+    return None
+
+
 def transitions_for(model: EnvironmentModel, env_seeds, coords: np.ndarray) -> np.ndarray:
     """Transition vectors for a batch of sites, one environment seed per row.
 
@@ -262,10 +269,9 @@ def transitions_for(model: EnvironmentModel, env_seeds, coords: np.ndarray) -> n
     n = coords.shape[0]
     if coords.shape[1] != model.dim:
         raise ConfigError(f"site dimension {coords.shape[1]} does not match model d={model.dim}")
-    if isinstance(model, Homogeneous):
-        return np.broadcast_to(model.vector.probs, (n, 2 * model.dim))
-    if isinstance(model, PerturbedSRW):
-        return np.broadcast_to(model.vector.probs, (n, 2 * model.dim))
+    vec = constant_vector(model)
+    if vec is not None:
+        return np.broadcast_to(vec.probs, (n, 2 * model.dim))
     keys = site_stream_keys(env_seeds, coords)
     if keys.shape[0] == 1 and n > 1:
         keys = np.broadcast_to(keys, (n,))
@@ -275,23 +281,16 @@ def transitions_for(model: EnvironmentModel, env_seeds, coords: np.ndarray) -> n
         np.minimum(idx, len(model.atoms) - 1, out=idx)
         return model.atom_matrix()[idx]
     if isinstance(model, Dirichlet):
-        return sample_dirichlet(model.alphas, CounterStream(keys))
+        return sample_dirichlet(model.alphas, keys)
     raise ConfigError(f"unknown environment model {type(model).__name__}")
 
 
 @dataclass
 class QuenchedEnvironment:
-    """One fixed environment: a pure map (master seed, site) -> transition vector.
-
-    The optional memo cache only affects timing; cached and uncached lookups
-    return identical values because the underlying map is pure.
-    """
+    """One fixed environment: a pure map (master seed, site) -> transition vector."""
 
     model: EnvironmentModel
     master_seed: int
-    cache_size: int = 0
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -303,16 +302,4 @@ class QuenchedEnvironment:
 
     def transition_at(self, x) -> TransitionVector:
         site = check_site(x, self.dim)
-        key = tuple(int(c) for c in site)
-        if self.cache_size > 0:
-            with self._lock:
-                hit = self._cache.get(key)
-            if hit is not None:
-                return hit
-        vec = TransitionVector(self.transitions_at(site[None, :])[0])
-        if self.cache_size > 0:
-            with self._lock:
-                if len(self._cache) >= self.cache_size:
-                    self._cache.pop(next(iter(self._cache)))
-                self._cache[key] = vec
-        return vec
+        return TransitionVector(self.transitions_at(site[None, :])[0])

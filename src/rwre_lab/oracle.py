@@ -19,6 +19,7 @@ from .env import Dirichlet, EnvironmentModel, FiniteMixture, Homogeneous, Pertur
 from .errors import ConfigError, NumericError
 from .lattice import check_site, step_table
 from .rng import TAG_ENV, derive_key
+from .stats import _normal_ci
 
 DENSE_LIMIT = 2500
 SWEEP_TOL = 1e-12
@@ -320,8 +321,5 @@ def annealed_exit(
         problem = region.build(QuenchedEnvironment(model, seed), start)
         vals[i] = exact_quenched_exit(problem, target_class, method)
     mean = float(vals.mean())
-    if n_env == 1:
-        return AnnealedExit(mean, (mean, mean), 1, 0.0)
-    sd = float(vals.std(ddof=1))
-    half = 1.959963984540054 * sd / math.sqrt(n_env)
-    return AnnealedExit(mean, (mean - half, mean + half), n_env, sd)
+    sd = float(vals.std(ddof=1)) if n_env > 1 else 0.0
+    return AnnealedExit(mean, _normal_ci(mean, sd, n_env), n_env, sd)

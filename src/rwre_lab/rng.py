@@ -12,8 +12,6 @@ stream with key ``k`` is ``finalize(k + t * GOLDEN)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 U64 = np.uint64
@@ -82,20 +80,3 @@ def stream_normal(key, index):
     u2 = stream_u01(key, idx2)
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
-
-@dataclass(frozen=True)
-class CounterStream:
-    """A batch of independent counter-based streams, one per lane.
-
-    ``keys`` is a uint64 array; lane ``i`` owns the full index space of the
-    stream keyed by ``keys[i]``.  Consumers address draws by explicit index,
-    so a stream can be replayed or evaluated out of order.
-    """
-
-    keys: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "keys", np.atleast_1d(as_u64(np.asarray(self.keys))))
-
-    def __len__(self) -> int:
-        return self.keys.shape[0]

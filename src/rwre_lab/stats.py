@@ -72,6 +72,15 @@ def _binom_ci(k: int, n: int) -> tuple[float, float]:
     return (max(0.0, p - half), min(1.0, p + half))
 
 
+def _verdict(p_plus: float, p_minus: float) -> Verdict:
+    """Transient one way when at least 99% of walks go that way and at most 1% the other."""
+    if p_plus >= 0.99 and p_minus <= 0.01:
+        return Verdict.TRANSIENT_PLUS
+    if p_minus >= 0.99 and p_plus <= 0.01:
+        return Verdict.TRANSIENT_MINUS
+    return Verdict.UNDECIDED
+
+
 def default_level_threshold(horizon: int) -> float:
     return 2.0 * math.sqrt(max(horizon, 1))
 
@@ -130,14 +139,8 @@ def classify_transience(
             n_minus += 1
     n = len(trajs)
     p_plus, p_minus = n_plus / n, n_minus / n
-    if p_plus >= 0.99 and p_minus <= 0.01:
-        verdict = Verdict.TRANSIENT_PLUS
-    elif p_minus >= 0.99 and p_plus <= 0.01:
-        verdict = Verdict.TRANSIENT_MINUS
-    else:
-        verdict = Verdict.UNDECIDED
     return TransienceVerdict(
-        tuple(float(x) for x in lv), verdict, p_plus, p_minus, thr, dip, n
+        tuple(float(x) for x in lv), _verdict(p_plus, p_minus), p_plus, p_minus, thr, dip, n
     )
 
 
@@ -564,7 +567,6 @@ def slab_exit_decay(
     L_list: Sequence[float],
     n_walks: int,
     horizon: int,
-    threads: int = 1,
 ) -> SlabDecayCurve:
     """Left-exit probability across slab widths, with a log-linear slope.
 
@@ -580,9 +582,7 @@ def slab_exit_decay(
         raise ConfigError("b must be positive")
     points = []
     for L in Ls:
-        tally = run_slab_ensemble(
-            model, master_seed, n_walks, l_prime, b, L, horizon, threads=threads
-        )
+        tally = run_slab_ensemble(model, master_seed, n_walks, l_prime, b, L, horizon)
         exits = tally.n_left + tally.n_right
         p = tally.n_left / exits if exits else float("nan")
         points.append(
@@ -613,7 +613,6 @@ def zero_one_scan(
     n_angles: int,
     n_walks: int,
     horizon: int,
-    threads: int = 1,
     level_threshold: float | None = None,
     dip_allowance: float | None = None,
     orth_band: float = 0.2,
@@ -631,7 +630,7 @@ def zero_one_scan(
     if n_angles < 4:
         raise ConfigError("need at least 4 angles")
     if trajs is None:
-        trajs = simulate_ensemble(model, master_seed, n_walks, horizon, threads=threads)
+        trajs = simulate_ensemble(model, master_seed, n_walks, horizon)
     angles = np.arange(n_angles) * (2.0 * np.pi / n_angles)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     thr, dip = _resolve_thresholds(len(trajs[0]) if trajs else horizon, level_threshold, dip_allowance)
@@ -647,14 +646,7 @@ def zero_one_scan(
     n = max(len(trajs), 1)
     p_plus = counts[:, 0] / n
     p_minus = counts[:, 1] / n
-    verdicts = []
-    for a in range(n_angles):
-        if p_plus[a] >= 0.99 and p_minus[a] <= 0.01:
-            verdicts.append(Verdict.TRANSIENT_PLUS)
-        elif p_minus[a] >= 0.99 and p_plus[a] <= 0.01:
-            verdicts.append(Verdict.TRANSIENT_MINUS)
-        else:
-            verdicts.append(Verdict.UNDECIDED)
+    verdicts = [_verdict(p_plus[a], p_minus[a]) for a in range(n_angles)]
     plus_idx = [a for a, v in enumerate(verdicts) if v is Verdict.TRANSIENT_PLUS]
     minus_idx = [a for a, v in enumerate(verdicts) if v is Verdict.TRANSIENT_MINUS]
     if not plus_idx and not minus_idx:

@@ -2,27 +2,27 @@
 
 Walkers advance in lockstep as numpy batches.  The step taken by walker ``w``
 at time ``t`` depends only on (walker seed, t) and on the environment at the
-current site, so ensembles are reproducible and independent of batch layout,
-thread count, and scheduling order.  Stopping times on finite paths return an
-explicit not-by-horizon marker instead of a large sentinel; downstream
-estimators must treat that as censoring.
+current site, so ensembles are reproducible and independent of batch layout.
+One step kernel, ``_step``, serves both the full-path and the slab-exit
+simulations.  Stopping times on finite paths return an explicit
+not-by-horizon marker instead of a large sentinel; downstream estimators must
+treat that as censoring.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .env import EnvironmentModel, QuenchedEnvironment, transitions_for
+from .env import EnvironmentModel, QuenchedEnvironment, constant_vector, transitions_for
 from .errors import ConfigError
 from .lattice import decode_signed_axis, encode_signed_axis, step_table
 from .rng import TAG_ENV, TAG_STEP, TAG_WALKER, derive_key, stream_u01
 
-DEFAULT_CHUNK = 1024  # fixed batch width; must not depend on thread count
+DEFAULT_CHUNK = 1024  # fixed batch width
 
 
 def _u64_array(values) -> np.ndarray:
@@ -120,29 +120,49 @@ def env_seed_for(master_seed: int, walker_id: int) -> int:
     return int(derive_key(master_seed, TAG_ENV, walker_id))
 
 
+def _constant_cum(model: EnvironmentModel) -> np.ndarray | None:
+    """Cumulative step law shared by every site, or None when sites differ."""
+    vec = constant_vector(model)
+    return None if vec is None else np.cumsum(vec.probs)
+
+
+def _step(
+    model: EnvironmentModel,
+    const_cum: np.ndarray | None,
+    step_keys: np.ndarray,
+    env_keys: np.ndarray,
+    pos: np.ndarray,
+    t: int,
+) -> np.ndarray:
+    """Lockstep kernel: every walker takes its step ``t``; ``pos`` moves in place.
+
+    Returns the direction indices taken.  ``const_cum`` is ``_constant_cum(model)``;
+    when it is None the step law is read from the environment at ``pos``.
+    """
+    u = stream_u01(step_keys, t)
+    if const_cum is None:
+        w = transitions_for(model, env_keys, pos)
+        j = (np.cumsum(w, axis=1) <= u[:, None]).sum(axis=1)
+    else:
+        j = np.searchsorted(const_cum, u, side="right")
+    j = np.minimum(j, 2 * model.dim - 1)
+    pos += step_table(model.dim)[j]
+    return j
+
+
 def _simulate_block(
     model: EnvironmentModel,
     env_seeds: np.ndarray,
     walker_seeds: np.ndarray,
     horizon: int,
 ) -> np.ndarray:
-    """Lockstep kernel: returns the (n, horizon) int8 matrix of direction indices."""
-    d = model.dim
-    table = step_table(d)
+    """The (n, horizon) int8 matrix of direction indices of n walkers."""
     step_keys = derive_key(walker_seeds, TAG_STEP)
-    pos = np.zeros((walker_seeds.shape[0], d), dtype=np.int64)
+    pos = np.zeros((walker_seeds.shape[0], model.dim), dtype=np.int64)
     steps = np.empty((walker_seeds.shape[0], horizon), dtype=np.int8)
-    const_cum = np.cumsum(model.vector.probs) if hasattr(model, "vector") else None
+    const_cum = _constant_cum(model)
     for t in range(horizon):
-        u = stream_u01(step_keys, t)
-        if const_cum is not None:
-            j = np.searchsorted(const_cum, u, side="right")
-        else:
-            w = transitions_for(model, env_seeds, pos)
-            j = (np.cumsum(w, axis=1) <= u[:, None]).sum(axis=1)
-        j = np.minimum(j, 2 * d - 1)
-        steps[:, t] = j
-        pos += table[j]
+        steps[:, t] = _step(model, const_cum, step_keys, env_seeds, pos, t)
     return steps
 
 
@@ -167,14 +187,6 @@ def _chunk_bounds(n: int, chunk: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
-def _map_chunks(fn: Callable, bounds: list[tuple[int, int]], threads: int) -> list:
-    """Apply ``fn(lo, hi)`` over fixed chunks; results come back in chunk order."""
-    if threads <= 1 or len(bounds) <= 1:
-        return [fn(lo, hi) for lo, hi in bounds]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return [f.result() for f in [pool.submit(fn, lo, hi) for lo, hi in bounds]]
-
-
 def ensemble_seeds(master_seed: int, n_walks: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-walker (environment seed, walker seed) arrays, derived from the master."""
     ids = np.arange(n_walks, dtype=np.int64)
@@ -186,25 +198,19 @@ def simulate_ensemble(
     master_seed: int,
     n_walks: int,
     horizon: int,
-    threads: int = 1,
     chunk: int = DEFAULT_CHUNK,
 ) -> list[Trajectory]:
     """Annealed ensemble: walker ``i`` gets its own environment and walk stream.
 
     Both streams derive from (master_seed, i), so the ensemble is reproducible
-    walker by walker regardless of chunking or thread count.
+    walker by walker regardless of chunking.
     """
     if horizon < 0 or n_walks < 0:
         raise ConfigError("n_walks and horizon must be nonnegative")
     env_seeds, walk_seeds = ensemble_seeds(master_seed, n_walks)
-    bounds = _chunk_bounds(n_walks, chunk)
-
-    def run(lo: int, hi: int) -> np.ndarray:
-        return _simulate_block(model, env_seeds[lo:hi], walk_seeds[lo:hi], horizon)
-
-    blocks = _map_chunks(run, bounds, threads)
     out: list[Trajectory] = []
-    for (lo, hi), block in zip(bounds, blocks):
+    for lo, hi in _chunk_bounds(n_walks, chunk):
+        block = _simulate_block(model, env_seeds[lo:hi], walk_seeds[lo:hi], horizon)
         for i in range(lo, hi):
             out.append(
                 Trajectory(block[i - lo], model.dim, int(walk_seeds[i]), env_seed=int(env_seeds[i]))
@@ -310,24 +316,15 @@ def _slab_block(
     L: float,
     horizon: int,
 ) -> tuple[int, int, int]:
-    d = model.dim
-    table = step_table(d)
+    """(right exits, left exits, censored) of n walkers; exited walkers stop."""
     step_keys = derive_key(walker_seeds, TAG_STEP)
-    env_keys = env_seeds.copy()
-    pos = np.zeros((walker_seeds.shape[0], d), dtype=np.int64)
-    const_cum = np.cumsum(model.vector.probs) if hasattr(model, "vector") else None
+    pos = np.zeros((walker_seeds.shape[0], model.dim), dtype=np.int64)
+    const_cum = _constant_cum(model)
     n_right = n_left = 0
     for t in range(horizon):
         if step_keys.shape[0] == 0:
             break
-        u = stream_u01(step_keys, t)
-        if const_cum is not None:
-            j = np.searchsorted(const_cum, u, side="right")
-        else:
-            w = transitions_for(model, env_keys, pos)
-            j = (np.cumsum(w, axis=1) <= u[:, None]).sum(axis=1)
-        j = np.minimum(j, 2 * d - 1)
-        pos += table[j]
+        _step(model, const_cum, step_keys, env_seeds, pos, t)
         proj = pos @ l_prime
         right = proj >= L
         left = proj <= -b * L
@@ -338,7 +335,7 @@ def _slab_block(
             keep = ~done
             pos = pos[keep]
             step_keys = step_keys[keep]
-            env_keys = env_keys[keep]
+            env_seeds = env_seeds[keep]
     return n_right, n_left, int(step_keys.shape[0])
 
 
@@ -350,7 +347,6 @@ def run_slab_ensemble(
     b: float,
     L: float,
     horizon: int,
-    threads: int = 1,
     chunk: int = DEFAULT_CHUNK * 8,
 ) -> SlabTally:
     """Annealed slab-exit tally with early stopping per walker."""
@@ -360,15 +356,11 @@ def run_slab_ensemble(
     if lp.shape != (model.dim,):
         raise ConfigError("l_prime dimension mismatch")
     env_seeds, walk_seeds = ensemble_seeds(master_seed, n_walks)
-    bounds = _chunk_bounds(n_walks, chunk)
-
-    def run(lo: int, hi: int):
-        return _slab_block(model, env_seeds[lo:hi], walk_seeds[lo:hi], lp, b, L, horizon)
-
-    parts = _map_chunks(run, bounds, threads)
-    n_right = sum(p[0] for p in parts)
-    n_left = sum(p[1] for p in parts)
-    n_censored = sum(p[2] for p in parts)
+    parts = [
+        _slab_block(model, env_seeds[lo:hi], walk_seeds[lo:hi], lp, b, L, horizon)
+        for lo, hi in _chunk_bounds(n_walks, chunk)
+    ]
+    n_right, n_left, n_censored = (sum(p[k] for p in parts) for k in range(3))
     return SlabTally(n_right, n_left, n_censored, n_walks)
 
 

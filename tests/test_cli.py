@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from rwre_lab.cli import main
+from rwre_lab.cli import _write_outputs, load_config, main
 
 
 def write_config(tmp_path: Path, name: str, cfg: dict) -> Path:
@@ -89,6 +89,39 @@ class TestRun:
         cfg = write_config(tmp_path, "bad.json", bad)
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
         assert "probz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("n_walks", "ten"), ("l", 5)])
+    def test_malformed_top_level_value_exits_2(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, "bad.json", simulate_config(**{field: value}))
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert repr(field) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64 + 5])
+    def test_seed_out_of_range_exits_2(self, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path, "sim.json", simulate_config())
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o", "--seed", seed) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_write_keeps_previous_outputs(self, tmp_path):
+        cfg_path = write_config(tmp_path, "sim.json", simulate_config())
+        cfg = load_config(cfg_path)
+        out = tmp_path / "out"
+        good_curves = [{"L": 1.0, "p_left": 0.5}]
+        _write_outputs(out, [{"record": "first"}], good_curves, cfg, "h", 1, "t")
+        names = ["curves.csv", "manifest.json", "results.jsonl"]
+        before = {name: (out / name).read_bytes() for name in names}
+        # the second row cannot be serialised, so the write fails after the first
+        with pytest.raises(TypeError):
+            _write_outputs(out, [{"record": "ok"}, {"record": object()}], good_curves, cfg, "h", 1, "t")
+        assert sorted(p.name for p in out.iterdir()) == names
+        assert {name: (out / name).read_bytes() for name in names} == before
+        # the second curve row has a key the header lacks, so that write fails after the first
+        bad_curves = [{"L": 2.0, "p_left": 0.25}, {"x": 1}]
+        with pytest.raises(ValueError):
+            _write_outputs(out, [{"record": "first"}], bad_curves, cfg, "h", 1, "t")
+        assert sorted(p.name for p in out.iterdir()) == names
+        assert (out / "curves.csv").read_bytes() == before["curves.csv"]
 
     def test_invalid_json_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

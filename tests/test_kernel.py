@@ -1,0 +1,124 @@
+"""The shared step kernel against the two kernels it replaced.
+
+``ref_simulate_block`` and ``ref_slab_block`` are the full-path and the
+slab-exit kernels as they were before their steps were merged into one, kept
+as oracles.  The ensembles built on the shared kernel must reproduce their
+step matrices and slab tallies exactly, chunk by chunk.
+"""
+
+import numpy as np
+import pytest
+
+from rwre_lab import Dirichlet, FiniteMixture, Homogeneous, PerturbedSRW, TransitionVector
+from rwre_lab.env import transitions_for
+from rwre_lab.lattice import step_table
+from rwre_lab.rng import TAG_STEP, derive_key, stream_u01
+from rwre_lab.walk import ensemble_seeds, run_slab_ensemble, simulate_ensemble
+
+
+def ref_simulate_block(model, env_seeds, walker_seeds, horizon):
+    d = model.dim
+    table = step_table(d)
+    step_keys = derive_key(walker_seeds, TAG_STEP)
+    pos = np.zeros((walker_seeds.shape[0], d), dtype=np.int64)
+    steps = np.empty((walker_seeds.shape[0], horizon), dtype=np.int8)
+    const_cum = np.cumsum(model.vector.probs) if hasattr(model, "vector") else None
+    for t in range(horizon):
+        u = stream_u01(step_keys, t)
+        if const_cum is not None:
+            j = np.searchsorted(const_cum, u, side="right")
+        else:
+            w = transitions_for(model, env_seeds, pos)
+            j = (np.cumsum(w, axis=1) <= u[:, None]).sum(axis=1)
+        j = np.minimum(j, 2 * d - 1)
+        steps[:, t] = j
+        pos += table[j]
+    return steps
+
+
+def ref_slab_block(model, env_seeds, walker_seeds, l_prime, b, L, horizon):
+    d = model.dim
+    table = step_table(d)
+    step_keys = derive_key(walker_seeds, TAG_STEP)
+    env_keys = env_seeds.copy()
+    pos = np.zeros((walker_seeds.shape[0], d), dtype=np.int64)
+    const_cum = np.cumsum(model.vector.probs) if hasattr(model, "vector") else None
+    n_right = n_left = 0
+    for t in range(horizon):
+        if step_keys.shape[0] == 0:
+            break
+        u = stream_u01(step_keys, t)
+        if const_cum is not None:
+            j = np.searchsorted(const_cum, u, side="right")
+        else:
+            w = transitions_for(model, env_keys, pos)
+            j = (np.cumsum(w, axis=1) <= u[:, None]).sum(axis=1)
+        j = np.minimum(j, 2 * d - 1)
+        pos += table[j]
+        proj = pos @ l_prime
+        right = proj >= L
+        left = proj <= -b * L
+        done = right | left
+        if done.any():
+            n_right += int(right.sum())
+            n_left += int(left.sum())
+            keep = ~done
+            pos = pos[keep]
+            step_keys = step_keys[keep]
+            env_keys = env_keys[keep]
+    return n_right, n_left, int(step_keys.shape[0])
+
+
+def tv(*p):
+    return TransitionVector(list(p))
+
+
+MODELS = {
+    "homogeneous-1d": Homogeneous(tv(0.6, 0.4)),
+    "perturbed-srw-1d": PerturbedSRW(0.1, -1, 1),
+    "mixture-1d": FiniteMixture((tv(0.7, 0.3), tv(0.35, 0.65)), (0.6, 0.4)),
+    "dirichlet-1d": Dirichlet((1.5, 1.0)),
+    "homogeneous-2d": Homogeneous(tv(0.4, 0.1, 0.25, 0.25)),
+    "perturbed-srw-2d": PerturbedSRW(0.1, 2, 2),
+    "mixture-2d": FiniteMixture((tv(0.4, 0.1, 0.25, 0.25), tv(0.1, 0.4, 0.25, 0.25)), (0.6, 0.4)),
+    "dirichlet-2d": Dirichlet((1.5, 1.2, 1.35, 1.35)),
+}
+
+# (n_walks, horizon, chunk): empty ensemble, empty paths, and chunks of 3
+# that do not divide 7 walkers next to one chunk holding them all
+SHAPES = [(0, 30, 3), (7, 0, 3), (7, 30, 3), (7, 30, 1024)]
+
+
+def chunks(n, chunk):
+    return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "n%d-h%d-c%d" % s)
+@pytest.mark.parametrize("name", list(MODELS))
+def test_step_matrices_match_old_kernel(name, shape):
+    model, (n, horizon, chunk) = MODELS[name], shape
+    env_seeds, walk_seeds = ensemble_seeds(71, n)
+    want = np.zeros((n, horizon), dtype=np.int8)
+    for lo, hi in chunks(n, chunk):
+        want[lo:hi] = ref_simulate_block(model, env_seeds[lo:hi], walk_seeds[lo:hi], horizon)
+    trajs = simulate_ensemble(model, 71, n, horizon, chunk=chunk)
+    got = np.asarray([t.steps for t in trajs], dtype=np.int8).reshape(n, horizon)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "n%d-h%d-c%d" % s)
+@pytest.mark.parametrize("name", list(MODELS))
+def test_slab_tallies_match_old_kernel(name, shape):
+    model, (n, horizon, chunk) = MODELS[name], shape
+    lp = np.zeros(model.dim)
+    lp[0] = 1.0
+    b, L = 1.0, 3.0
+    env_seeds, walk_seeds = ensemble_seeds(72, n)
+    parts = [
+        ref_slab_block(model, env_seeds[lo:hi], walk_seeds[lo:hi], lp, b, L, horizon)
+        for lo, hi in chunks(n, chunk)
+    ]
+    want = tuple(sum(p[k] for p in parts) for k in range(3))
+    tally = run_slab_ensemble(model, 72, n, lp, b, L, horizon, chunk=chunk)
+    assert (tally.n_right, tally.n_left, tally.n_censored) == want
+    assert tally.n_walks == n
