@@ -129,24 +129,48 @@ def _require(obj: dict, key: str, path: str):
 _REQUIRED = object()
 
 
-def _field(raw: dict, key: str, convert: Callable, default: Any = _REQUIRED):
-    """``convert(raw[key])`` for a top-level field; ``default`` when it is absent or null.
+def _field(raw: dict, key: str, convert: Callable, default: Any = _REQUIRED, path: str = "<top>"):
+    """``convert(raw[key])`` for a field of the block at ``path``; ``default`` when it is absent or null.
 
     A value that does not convert is a ConfigError that names the field.
     """
     value = raw.get(key)
     if value is None:
         if default is _REQUIRED:
-            raise ConfigError(f"config: missing key {key!r} in '<top>'")
+            raise ConfigError(f"config: missing key {key!r} in {path!r}")
         return default
+    name = key if path == "<top>" else f"{path}.{key}"
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config: bad value {value!r} for {key!r}: {exc}") from exc
+        raise ConfigError(f"config: bad value {value!r} for {name!r}: {exc}") from exc
+
+
+def _items(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError("expected a list")
+    return value
 
 
 def _int_tuple(value) -> tuple[int, ...]:
-    return tuple(int(x) for x in value)
+    return tuple(int(x) for x in _items(value))
+
+
+def _float_tuple(value) -> tuple[float, ...]:
+    return tuple(float(x) for x in _items(value))
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("expected an object")
+    return value
+
+
+def _classes(value) -> str | list[str]:
+    """A boundary class name, or a list of them."""
+    if isinstance(value, str) or (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        return value
+    raise TypeError("expected a class name or a list of class names")
 
 
 def _text(value) -> str:
@@ -478,9 +502,9 @@ def _run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict] | Non
     if cfg.experiment == "slab":
         if cfg.slab is None:
             raise ConfigError("config: 'slab' experiment needs a 'slab' block")
-        lp = [float(x) for x in _require(cfg.slab, "l_prime", "slab")]
-        b = float(_require(cfg.slab, "b", "slab"))
-        L_list = [float(x) for x in _require(cfg.slab, "L_list", "slab")]
+        lp = _field(cfg.slab, "l_prime", _float_tuple, path="slab")
+        b = _field(cfg.slab, "b", float, path="slab")
+        L_list = _field(cfg.slab, "L_list", _float_tuple, path="slab")
         curve = slab_exit_decay(cfg.model, cfg.master_seed, lp, b, L_list, cfg.n_walks, cfg.horizon)
         curves = []
         for pt in curve.points:
@@ -539,32 +563,29 @@ def _run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict] | Non
     if cfg.experiment == "oracle-compare":
         if cfg.oracle is None:
             raise ConfigError("config: 'oracle-compare' needs an 'oracle' block")
-        region_obj = _require(cfg.oracle, "region", "oracle")
-        target = _require(cfg.oracle, "target_class", "oracle")
-        n_env = int(cfg.oracle.get("n_env", 1))
-        kind = _require(region_obj, "kind", "oracle.region")
+        region_obj = _field(cfg.oracle, "region", _object, path="oracle")
+        target = _field(cfg.oracle, "target_class", _classes, path="oracle")
+        n_env = _field(cfg.oracle, "n_env", int, 1, path="oracle")
+        at = "oracle.region"
+        kind = _require(region_obj, "kind", at)
         if kind == "interval":
-            _reject_unknown(region_obj, {"kind", "lo", "hi"}, "oracle.region")
-            region = IntervalRegion(int(region_obj["lo"]), int(region_obj["hi"]))
-            lp = [1.0]
-            b = abs(float(region_obj["lo"])) / float(region_obj["hi"])
-            L = float(region_obj["hi"])
+            _reject_unknown(region_obj, {"kind", "lo", "hi"}, at)
+            lo = _field(region_obj, "lo", int, path=at)
+            hi = _field(region_obj, "hi", int, path=at)
+            if not lo < 0 < hi:
+                raise ConfigError(f"config: {at!r} interval must contain the start site, lo < 0 < hi")
+            region = IntervalRegion(lo, hi)
+            lp, b, L = [1.0], -lo / hi, float(hi)
         elif kind == "slab":
-            _reject_unknown(region_obj, {"kind", "l_prime", "b", "L", "bound_width"}, "oracle.region")
-            region = SlabRegion(
-                tuple(float(x) for x in region_obj["l_prime"]),
-                float(region_obj["b"]),
-                float(region_obj["L"]),
-                int(region_obj["bound_width"]),
-            )
-            lp = [float(x) for x in region_obj["l_prime"]]
-            b = float(region_obj["b"])
-            L = float(region_obj["L"])
+            _reject_unknown(region_obj, {"kind", "l_prime", "b", "L", "bound_width"}, at)
+            lp = _field(region_obj, "l_prime", _float_tuple, path=at)
+            b = _field(region_obj, "b", float, path=at)
+            L = _field(region_obj, "L", float, path=at)
+            region = SlabRegion(lp, b, L, _field(region_obj, "bound_width", int, path=at))
         elif kind == "box":
-            _reject_unknown(region_obj, {"kind", "lo", "hi"}, "oracle.region")
-            region = BoxRegion(
-                tuple(int(x) for x in region_obj["lo"]), tuple(int(x) for x in region_obj["hi"])
-            )
+            _reject_unknown(region_obj, {"kind", "lo", "hi"}, at)
+            lo = _field(region_obj, "lo", _int_tuple, path=at)
+            region = BoxRegion(lo, _field(region_obj, "hi", _int_tuple, path=at))
             lp = None
         else:
             raise ConfigError(f"config: unknown region kind {kind!r}")
@@ -579,7 +600,7 @@ def _run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict] | Non
         }
         if isinstance(cfg.model, Homogeneous) and cfg.dimension == 1 and kind == "interval":
             p = float(cfg.model.vector.probs[0])
-            row["closed_form_right"] = gamblers_ruin(p, -int(region_obj["lo"]), int(region_obj["hi"]))
+            row["closed_form_right"] = gamblers_ruin(p, -lo, hi)
         if lp is not None and cfg.n_walks > 0 and target in ("Right", "Left"):
             tally = run_slab_ensemble(cfg.model, cfg.master_seed, cfg.n_walks, lp, b, L, cfg.horizon)
             exits = tally.n_left + tally.n_right

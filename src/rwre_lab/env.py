@@ -183,7 +183,10 @@ def _gamma_mt(alpha: float, keys: np.ndarray, base) -> np.ndarray:
     out = np.empty(keys.shape[0], dtype=np.float64)
     pending = np.arange(keys.shape[0])
     base = as_u64(base)
-    for attempt in range(_GAMMA_MAX_ATTEMPTS):
+    attempt = 0
+    while pending.size:
+        if attempt == _GAMMA_MAX_ATTEMPTS:
+            raise NumericError("gamma sampler failed to accept within the attempt budget")
         with np.errstate(over="ignore"):
             idx = base + U64(4 * attempt)
         k = keys[pending]
@@ -194,13 +197,9 @@ def _gamma_mt(alpha: float, keys: np.ndarray, base) -> np.ndarray:
         ok = v > 0.0
         logv = np.log(np.where(ok, v, 1.0))
         accept = ok & (np.log(u) < 0.5 * x * x + d - d * v + d * logv)
-        if accept.any():
-            out[pending[accept]] = d * v[accept]
-            pending = pending[~accept]
-            if pending.size == 0:
-                break
-    else:
-        raise NumericError("gamma sampler failed to accept within the attempt budget")
+        out[pending[accept]] = d * v[accept]
+        pending = pending[~accept]
+        attempt += 1
     if boost:
         with np.errstate(over="ignore"):
             ub = stream_u01_open(keys, base + U64(4 * _GAMMA_MAX_ATTEMPTS))

@@ -1,10 +1,16 @@
 """Exact ground truth on finite regions.
 
 Quenched exit probabilities solve the harmonic system h(x) = sum_e w(x,e)
-h(x+e) with h pinned to 1 on the target boundary class and 0 on the others.
-Small systems go through a dense direct solve, large ones through damped-free
-Jacobi sweeps; both paths must agree to 1e-9, which is part of the test
-contract, so solver choice is unobservable.
+h(x+e) with h pinned to 1 on the target boundary class and 0 on the others,
+that is (I - P_int) h = b.  With nearest-neighbour steps, grouping the sites
+into layers by one coordinate makes I - P_int block-tridiagonal: a step along
+that axis reaches the next layer, every other step stays in its layer.  The
+solve eliminates whole layers from both ends toward the start site's layer,
+one dense ``np.linalg.solve`` per layer, and then solves that layer.  I - P_int
+is a nonsingular M-matrix and so are its Schur complements, so no pivoting
+across layers is needed.  The layer axis is the one that minimises
+sum_k n_k^3 over the layer sizes n_k, which is the cost of the solve; memory
+is a few dense n_k x n_k blocks.
 """
 
 from __future__ import annotations
@@ -16,15 +22,14 @@ from enum import Enum
 import numpy as np
 
 from .env import Dirichlet, EnvironmentModel, FiniteMixture, Homogeneous, PerturbedSRW, QuenchedEnvironment
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .lattice import check_site, step_table
 from .rng import TAG_ENV, derive_key
 from .stats import _normal_ci
 
-DENSE_LIMIT = 2500
-SWEEP_TOL = 1e-12
-MAX_SWEEPS = 200_000
 MAX_REGION_SITES = 200_000
+# The solve holds a few dense layer-by-layer blocks; at 2,048 sites each is 32 MB.
+MAX_LAYER_SITES = 2048
 
 
 @dataclass(eq=False)
@@ -41,86 +46,104 @@ class FiniteRegionProblem:
         d = self.env.dim
         if self.sites.shape[1] != d:
             raise ConfigError("region sites do not match environment dimension")
-        if self.sites.shape[0] > MAX_REGION_SITES:
+        m = self.sites.shape[0]
+        if m > MAX_REGION_SITES:
             raise ConfigError(f"region exceeds {MAX_REGION_SITES} sites")
         self.start = tuple(int(c) for c in check_site(self.start, d))
-        index = {tuple(int(c) for c in row): i for i, row in enumerate(self.sites)}
-        if len(index) != self.sites.shape[0]:
+        self._labels = sorted(set(self.boundary.values()))
+        code = {label: i for i, label in enumerate(self._labels)}
+        outside = np.array(list(self.boundary), dtype=np.int64).reshape(-1, d)
+        # rows viewed as opaque bytes: sorted, searched and compared in memory linear in the rows
+        key = np.dtype((np.void, 8 * d))
+        rows = np.concatenate([self.sites, outside, [self.start]])
+        known, ids = np.unique(rows.view(key).ravel(), return_inverse=True)
+        site_of = np.full(known.size + 1, -1, dtype=np.int64)  # the extra slot maps index -1 to -1
+        site_of[ids[:m]] = np.arange(m)
+        if np.count_nonzero(site_of >= 0) != m:
             raise ConfigError("region sites must be unique")
-        if self.start not in index:
+        self._start = int(site_of[ids[-1]])
+        if self._start < 0:
             raise ConfigError("start site must lie inside the region")
-        table = step_table(d)
-        for site in index:
-            for step in table:
-                nb = tuple(int(c) for c in (np.asarray(site) + step))
-                if nb not in index and nb not in self.boundary:
-                    raise ConfigError(f"neighbor {nb} of interior site {site} is unlabeled")
-        self._index = index
+        class_of = np.full(known.size + 1, -1, dtype=np.int64)
+        class_of[ids[m:-1]] = [code[v] for v in self.boundary.values()]
+        nbs = (self.sites[:, None, :] + step_table(d)).reshape(-1, d)
+        wanted = nbs.view(key).ravel()
+        pos = np.searchsorted(known, wanted).clip(max=known.size - 1)
+        pos[known[pos] != wanted] = -1
+        # per (site, direction): the interior neighbour's index, else the exit class's code
+        self._nb = site_of[pos].reshape(m, 2 * d)
+        self._exit = np.where(self._nb < 0, class_of[pos].reshape(m, 2 * d), -1)
+        unlabeled = np.flatnonzero((self._nb < 0) & (self._exit < 0))
+        if unlabeled.size:
+            nb, site = tuple(nbs[unlabeled[0]].tolist()), tuple(self.sites[unlabeled[0] // (2 * d)].tolist())
+            raise ConfigError(f"neighbor {nb} of interior site {site} is unlabeled")
 
     @property
     def classes(self) -> set[str]:
-        return set(self.boundary.values())
+        return set(self._labels)
 
 
-def _solve_system(problem: FiniteRegionProblem, targets: set[str], method: str) -> np.ndarray:
-    env = problem.env
+def _exit_probabilities(problem: FiniteRegionProblem, targets: list[set[str]]) -> np.ndarray:
+    """h(start) for each set of target classes, from one layer elimination."""
     sites = problem.sites
     m, d = sites.shape
-    table = step_table(d)
-    W = env.transitions_at(sites)
-    nb_idx = np.full((m, 2 * d), -1, dtype=np.int64)
-    b = np.zeros(m)
-    for e in range(2 * d):
-        nbs = sites + table[e]
-        for i in range(m):
-            key = tuple(int(c) for c in nbs[i])
-            j = problem._index.get(key)
-            if j is not None:
-                nb_idx[i, e] = j
-            elif problem.boundary[key] in targets:
-                b[i] += W[i, e]
-    if method == "dense" or (method == "auto" and m <= DENSE_LIMIT):
-        A = np.eye(m)
-        for e in range(2 * d):
-            mask = nb_idx[:, e] >= 0
-            rows = np.flatnonzero(mask)
-            A[rows, nb_idx[rows, e]] -= W[rows, e]
-        h = np.linalg.solve(A, b)
-        return h
-    # Jacobi sweeps; the absorbing structure guarantees geometric convergence
-    Wint = np.where(nb_idx >= 0, W, 0.0)
-    nb_clip = np.maximum(nb_idx, 0)
-    h = b.copy()
-    for sweep in range(MAX_SWEEPS):
-        h_new = b + (Wint * h[nb_clip]).sum(axis=1)
-        resid = float(np.max(np.abs(h_new - h)))
-        h = h_new
-        if resid < SWEEP_TOL:
-            return h
-    raise NumericError(f"exit solve did not reach residual {SWEEP_TOL}; last residual {resid:.3e}")
+    layers = [np.unique(sites[:, k], return_inverse=True, return_counts=True)[1:] for k in range(d)]
+    a = min(range(d), key=lambda k: int((layers[k][1] ** 3).sum()))
+    layer, counts = layers[a]
+    if counts.max() > MAX_LAYER_SITES:
+        raise ConfigError(f"region layers reach {counts.max()} sites; the solver takes at most {MAX_LAYER_SITES}")
+    rows = np.split(np.argsort(layer, kind="stable"), np.cumsum(counts)[:-1])  # each layer's sites
+    local = np.empty(m, dtype=np.int64)  # each site's position in its layer
+    for r in rows:
+        local[r] = np.arange(r.size)
+    W = problem.env.transitions_at(sites)
+    codes = [[problem._labels.index(t) for t in ts] for ts in targets]
+    B = np.stack([(W * np.isin(problem._exit, c)).sum(axis=1) for c in codes], axis=1)
+    in_layer = np.array([e for e in range(2 * d) if e // 2 != a], dtype=np.intp)
+
+    def block(k: int, j: int, dirs) -> np.ndarray:
+        """Transition probabilities from layer k's sites to layer j's by the steps ``dirs``."""
+        out = np.zeros((counts[k], counts[j]))
+        nb = problem._nb[rows[k]][:, dirs]
+        i, e = np.nonzero(nb >= 0)
+        out[i, local[nb[i, e]]] = W[rows[k][i], dirs[e]]
+        return out
+
+    def own(k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Layer k's diagonal block of I - P_int and its right-hand side."""
+        return np.eye(counts[k]) - block(k, k, in_layer), B[rows[k]]
+
+    def fold(j: int, S: np.ndarray, c: np.ndarray, k: int, Sk: np.ndarray, ck: np.ndarray):
+        """Eliminate layer j (Schur complement S, right side c) into layer k; a gap leaves k as is."""
+        step = np.array([2 * a if k > j else 2 * a + 1], dtype=np.intp)
+        X = np.linalg.solve(S, np.hstack([block(j, k, step), c]))
+        P = block(k, j, step ^ 1)
+        return Sk - P @ X[:, : counts[k]], ck + P @ X[:, counts[k] :]
+
+    s = int(layer[problem._start])
+    S, c = own(s)
+    for path in (range(0, s), range(counts.size - 1, s, -1)):
+        if path:
+            Sj, cj = own(path[0])
+            for j, k in zip(path, path[1:]):
+                Sj, cj = fold(j, Sj, cj, k, *own(k))
+            S, c = fold(path[-1], Sj, cj, s, S, c)
+    return np.linalg.solve(S, c)[local[problem._start]]
 
 
-def exact_quenched_exit(
-    problem: FiniteRegionProblem,
-    target_class: str | set[str],
-    method: str = "auto",
-) -> float:
+def exact_quenched_exit(problem: FiniteRegionProblem, target_class: str | set[str]) -> float:
     """Probability the quenched walk leaves through the target class first."""
     targets = {target_class} if isinstance(target_class, str) else set(target_class)
     unknown = targets - problem.classes
     if unknown:
         raise ConfigError(f"unknown boundary classes {sorted(unknown)}")
-    if method not in ("auto", "dense", "sweep"):
-        raise ConfigError(f"unknown solver method {method!r}")
-    h = _solve_system(problem, targets, method)
-    return float(h[problem._index[problem.start]])
+    return float(_exit_probabilities(problem, [targets])[0])
 
 
-def exit_distribution(problem: FiniteRegionProblem, method: str = "auto") -> dict[str, float]:
+def exit_distribution(problem: FiniteRegionProblem) -> dict[str, float]:
     """Exit probability of every boundary class; values sum to 1 within 1e-9."""
-    return {
-        label: exact_quenched_exit(problem, label, method) for label in sorted(problem.classes)
-    }
+    labels = sorted(problem.classes)
+    return dict(zip(labels, _exit_probabilities(problem, [{label} for label in labels]).tolist()))
 
 
 @dataclass(frozen=True)
@@ -137,6 +160,8 @@ class IntervalRegion:
     def build(self, env: QuenchedEnvironment, start=(0,)) -> FiniteRegionProblem:
         if env.dim != 1:
             raise ConfigError("interval regions are one-dimensional")
+        if self.hi - self.lo - 1 > MAX_REGION_SITES:
+            raise ConfigError(f"interval has {self.hi - self.lo - 1} sites, more than {MAX_REGION_SITES}")
         sites = np.arange(self.lo + 1, self.hi, dtype=np.int64)[:, None]
         boundary = {(int(self.lo),): "Left", (int(self.hi),): "Right"}
         return FiniteRegionProblem(sites, boundary, env, start)
@@ -155,20 +180,17 @@ class BoxRegion:
         hi = np.asarray(self.hi, dtype=np.int64)
         if lo.shape != (d,) or hi.shape != (d,) or np.any(hi < lo):
             raise ConfigError("box bounds must be d-vectors with hi >= lo")
+        n_sites = math.prod(int(h) - int(l) + 1 for l, h in zip(lo, hi))
+        if n_sites > MAX_REGION_SITES:
+            raise ConfigError(f"box region has {n_sites} sites, more than {MAX_REGION_SITES}")
         axes = [np.arange(lo[k], hi[k] + 1) for k in range(d)]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        if grid.shape[0] > MAX_REGION_SITES:
-            raise ConfigError("box region too large")
         table = step_table(d)
         boundary: dict[tuple[int, ...], str] = {}
-        for row in grid:
-            for e in range(2 * d):
-                nb = row + table[e]
-                k = e // 2
-                if nb[k] < lo[k]:
-                    boundary[tuple(int(c) for c in nb)] = f"low{k}"
-                elif nb[k] > hi[k]:
-                    boundary[tuple(int(c) for c in nb)] = f"high{k}"
+        for k in range(d):
+            for face, step, label in ((lo[k], table[2 * k + 1], f"low{k}"), (hi[k], table[2 * k], f"high{k}")):
+                outside = grid[grid[:, k] == face] + step
+                boundary.update(dict.fromkeys(map(tuple, outside.tolist()), label))
         if start is None:
             start = tuple(int(c) for c in (lo + hi) // 2)
         return FiniteRegionProblem(grid, boundary, env, start)
@@ -205,29 +227,24 @@ class SlabRegion:
         if lp.shape != (d,):
             raise ConfigError("l_prime dimension mismatch")
         w = int(self.bound_width)
+        # the slab's sites can only be counted on the grid, so the grid's size is what is bounded
+        if (2 * w + 1) ** d > MAX_REGION_SITES:
+            raise ConfigError(f"slab bounding box exceeds {MAX_REGION_SITES} sites; lower bound_width")
         axes = [np.arange(-w, w + 1)] * d
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        sites = grid[self._inside(grid)]
+        inside = self._inside(grid)
+        sites = grid[inside]
         if sites.shape[0] == 0:
             raise ConfigError("slab region contains no lattice sites")
-        if sites.shape[0] > MAX_REGION_SITES:
-            raise ConfigError("slab region too large")
-        table = step_table(d)
-        boundary: dict[tuple[int, ...], str] = {}
-        site_set = {tuple(int(c) for c in row) for row in sites}
-        for row in sites:
-            for e in range(2 * d):
-                nb = row + table[e]
-                key = tuple(int(c) for c in nb)
-                if key in site_set:
-                    continue
-                proj = float(nb @ lp)
-                if proj >= self.L:
-                    boundary[key] = "Right"
-                elif proj <= -self.b * self.L:
-                    boundary[key] = "Left"
-                else:
-                    boundary[key] = "Side"
+        # the lattice points next to the slab's sites but not among them, on the grid padded by one
+        pad = np.pad(inside.reshape((2 * w + 1,) * d), 1)
+        near = np.zeros_like(pad)
+        for k in range(d):
+            near |= np.roll(pad, 1, axis=k) | np.roll(pad, -1, axis=k)
+        outside = np.argwhere(near & ~pad) - (w + 1)
+        proj = outside @ lp
+        labels = np.where(proj >= self.L, "Right", np.where(proj <= -self.b * self.L, "Left", "Side"))
+        boundary = dict(zip(map(tuple, outside.tolist()), labels.tolist()))
         if start is None:
             start = (0,) * d
         return FiniteRegionProblem(sites, boundary, env, start)
@@ -310,7 +327,6 @@ def annealed_exit(
     target_class: str | set[str],
     n_env: int,
     master_seed: int,
-    method: str = "auto",
 ) -> AnnealedExit:
     """Exact-in-omega, sampled-in-P estimate of the annealed exit probability."""
     if n_env < 1:
@@ -319,7 +335,7 @@ def annealed_exit(
     for i in range(n_env):
         seed = int(derive_key(master_seed, TAG_ENV, i))
         problem = region.build(QuenchedEnvironment(model, seed), start)
-        vals[i] = exact_quenched_exit(problem, target_class, method)
+        vals[i] = exact_quenched_exit(problem, target_class)
     mean = float(vals.mean())
     sd = float(vals.std(ddof=1)) if n_env > 1 else 0.0
     return AnnealedExit(mean, _normal_ci(mean, sd, n_env), n_env, sd)

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rwre_lab
 from rwre_lab.cli import _write_outputs, load_config, main
 
 
@@ -27,6 +30,29 @@ def simulate_config(**overrides) -> dict:
         "model": {"kind": "homogeneous", "probs": [0.4, 0.1, 0.25, 0.25]},
     }
     cfg.update(overrides)
+    return cfg
+
+
+def oracle_config(**region) -> dict:
+    """A small oracle-compare run on a 2D Dirichlet slab; ``region`` overrides region fields."""
+    return {
+        "experiment": "oracle-compare",
+        "dimension": 2,
+        "master_seed": 3,
+        "n_walks": 10,
+        "horizon": 200,
+        "model": {"kind": "dirichlet", "alphas": [1.5, 1.2, 1.35, 1.35]},
+        "oracle": {
+            "region": {"kind": "slab", "l_prime": [1, 0], "b": 1, "L": 4, "bound_width": 6, **region},
+            "target_class": "Left",
+            "n_env": 2,
+        },
+    }
+
+
+def with_oracle(**fields) -> dict:
+    cfg = oracle_config()
+    cfg["oracle"].update(fields)
     return cfg
 
 
@@ -95,6 +121,51 @@ class TestRun:
         cfg = write_config(tmp_path, "bad.json", simulate_config(**{field: value}))
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
         assert repr(field) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cfg, name",
+        [
+            pytest.param(with_oracle(n_env="x"), "'oracle.n_env'", id="n_env"),
+            pytest.param(with_oracle(target_class=5), "'oracle.target_class'", id="target_class"),
+            pytest.param(with_oracle(region="x"), "'oracle.region'", id="region"),
+            pytest.param(oracle_config(bound_width="x"), "'oracle.region.bound_width'", id="bound_width"),
+            pytest.param(oracle_config(b="x"), "'oracle.region.b'", id="region_b"),
+            pytest.param(oracle_config(bound_width=1_000_000), "bound_width", id="huge_slab"),
+            pytest.param(
+                with_oracle(region={"kind": "box", "lo": [-(10**6)] * 2, "hi": [10**6] * 2}), "box", id="huge_box"
+            ),
+            pytest.param(
+                {**simulate_config(experiment="slab"), "slab": {"l_prime": [1, 0], "b": "x", "L_list": [2]}},
+                "'slab.b'",
+                id="slab_b",
+            ),
+        ],
+    )
+    def test_malformed_block_value_exits_2(self, tmp_path, capsys, cfg, name):
+        cfg = write_config(tmp_path, "bad.json", cfg)
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert name in capsys.readouterr().err
+
+    def test_interval_without_start_exits_2(self, tmp_path, capsys):
+        cfg = simulate_config(experiment="oracle-compare", dimension=1, model={"kind": "homogeneous", "probs": [0.6, 0.4]})
+        cfg["oracle"] = {"region": {"kind": "interval", "lo": -2, "hi": 0}, "target_class": "Right"}
+        assert run_cli("run", "--config", write_config(tmp_path, "bad.json", cfg), "--out", tmp_path / "o") == 2
+        assert "lo < 0 < hi" in capsys.readouterr().err
+
+    def test_oracle_run_imports_no_scipy(self, tmp_path):
+        # importing scipy.sparse alone costs a run about 0.3 s and 26 MB of peak RSS
+        cfg = write_config(tmp_path, "oracle.json", oracle_config())
+        code = (
+            "import sys\n"
+            "from rwre_lab.cli import main\n"
+            f"rc = main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+            "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+        )
+        src = str(Path(rwre_lab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["0", "[]"]
 
     @pytest.mark.parametrize("seed", [-1, 2**64 + 5])
     def test_seed_out_of_range_exits_2(self, tmp_path, capsys, seed):

@@ -138,6 +138,9 @@ class TestDirichletSampling:
         with pytest.raises(ConfigError):
             sample_dirichlet([1.0, 0.0], np.arange(3))
 
+    def test_empty_batch(self):
+        assert sample_dirichlet([1.0, 1.0], np.array([], dtype=np.uint64)).shape == (0, 2)
+
     def test_small_alpha_boost_path(self):
         keys = derive_key(31, np.arange(20_000))
         draws = sample_dirichlet([0.3, 0.5], keys)

@@ -18,11 +18,50 @@ from rwre_lab import (
     gamblers_ruin,
     solomon_1d,
 )
-from rwre_lab.oracle import SolomonVerdict
+from rwre_lab.lattice import step_table
+from rwre_lab.oracle import MAX_LAYER_SITES, SolomonVerdict
 
 
 def hom_env(probs, seed=0):
     return QuenchedEnvironment(Homogeneous(TransitionVector(probs)), seed)
+
+
+def dense_exit(problem, targets: set[str]) -> float:
+    """Reference: assemble I - P_int site by site and solve it densely."""
+    sites = problem.sites
+    m, d = sites.shape
+    index = {tuple(int(c) for c in row): i for i, row in enumerate(sites)}
+    table = step_table(d)
+    W = problem.env.transitions_at(sites)
+    nb_idx = np.full((m, 2 * d), -1, dtype=np.int64)
+    b = np.zeros(m)
+    for e in range(2 * d):
+        nbs = sites + table[e]
+        for i in range(m):
+            key = tuple(int(c) for c in nbs[i])
+            j = index.get(key)
+            if j is not None:
+                nb_idx[i, e] = j
+            elif problem.boundary[key] in targets:
+                b[i] += W[i, e]
+    A = np.eye(m)
+    for e in range(2 * d):
+        rows = np.flatnonzero(nb_idx[:, e] >= 0)
+        A[rows, nb_idx[rows, e]] -= W[rows, e]
+    return float(np.linalg.solve(A, b)[index[problem.start]])
+
+
+def gapped_region(start) -> FiniteRegionProblem:
+    """Sites 0..10 x 0..2 without the column x = 5, whose sites are boundary class Gap."""
+    env = QuenchedEnvironment(Dirichlet((1.2, 0.8, 1.0, 1.0)), 5)
+    sites = [(x, y) for x in range(11) if x != 5 for y in range(3)]
+    site_set = set(sites)
+    boundary = {}
+    for x, y in sites:
+        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if nb not in site_set:
+                boundary[nb] = "Left" if nb[0] < 0 else "Right" if nb[0] > 10 else "Gap" if nb[0] == 5 else "Side"
+    return FiniteRegionProblem(np.asarray(sites), boundary, env, start)
 
 
 class TestGamblersRuin:
@@ -60,11 +99,57 @@ class TestExactQuenchedExit:
         assert abs(sum(dist.values()) - 1.0) < 1e-9
 
     def test_solver_paths_agree(self):
+        env2 = QuenchedEnvironment(Dirichlet((1.0, 1.0, 1.0, 1.0)), 7)
+        env3 = QuenchedEnvironment(Dirichlet((1.0, 0.8, 1.2, 1.0, 0.9, 1.1)), 3)
+        box = BoxRegion((-4, -4), (4, 4))
+        cases = [
+            (box.build(env2, (0, 0)), "high0"),
+            # start in the first and the last layer, whichever axis is layered
+            *[(box.build(env2, s), {"low1", "high0"}) for s in [(-4, 1), (4, -2), (1, -4), (-2, 4)]],
+            # 6,889 sites, past the 6,561 at which a Jacobi sweep drifted 1.36e-9 from dense
+            (BoxRegion((-41, -41), (41, 41)).build(env2, (3, -5)), "high0"),
+            (BoxRegion((-4, -4, -4), (4, 4, 4)).build(env3), {"high2", "low0"}),
+            (IntervalRegion(-5, 7).build(QuenchedEnvironment(Dirichlet((1.0, 1.0)), 3), (2,)), "Right"),
+            *[(gapped_region(s), {"Right", "Gap"}) for s in [(0, 1), (4, 0), (6, 2), (10, 1)]],
+        ]
+        for problem, target in cases:
+            targets = {target} if isinstance(target, str) else target
+            assert abs(exact_quenched_exit(problem, target) - dense_exit(problem, targets)) < 1e-12
+
+    def test_large_box_distribution_sums_to_one(self):
         env = QuenchedEnvironment(Dirichlet((1.0, 1.0, 1.0, 1.0)), 7)
-        problem = BoxRegion((-4, -4), (4, 4)).build(env, (0, 0))
-        dense = exact_quenched_exit(problem, "high0", method="dense")
-        sweep = exact_quenched_exit(problem, "high0", method="sweep")
-        assert abs(dense - sweep) < 1e-9
+        problem = BoxRegion((-41, -41), (41, 41)).build(env, (3, -5))
+        assert problem.sites.shape[0] == 6889
+        assert abs(sum(exit_distribution(problem).values()) - 1.0) < 1e-9
+
+    def test_gap_decouples_the_far_side(self):
+        assert exact_quenched_exit(gapped_region((2, 1)), "Right") == 0.0
+        assert exact_quenched_exit(gapped_region((8, 1)), "Left") == 0.0
+
+    @pytest.mark.parametrize(
+        "region,dim",
+        [
+            (SlabRegion((1.0, 0.0), 1.0, 3.0, 1_000_000), 2),
+            (BoxRegion((-1_000_000, -1_000_000), (1_000_000, 1_000_000)), 2),
+            (IntervalRegion(-10**12, 10**12), 1),
+        ],
+    )
+    def test_oversized_region_rejected_before_allocating(self, region, dim):
+        env = QuenchedEnvironment(Dirichlet((1.0,) * (2 * dim)), 1)
+        with pytest.raises(ConfigError, match="200000"):
+            region.build(env)
+
+    def test_oversized_layer_rejected(self):
+        # 46^3 sites: every axis gives layers of 2,116 sites
+        env = QuenchedEnvironment(Dirichlet((1.0,) * 6), 1)
+        problem = BoxRegion((0, 0, 0), (45, 45, 45)).build(env)
+        with pytest.raises(ConfigError, match=str(MAX_LAYER_SITES)):
+            exact_quenched_exit(problem, "high0")
+
+    def test_duplicate_sites_rejected(self):
+        env = hom_env([0.7, 0.3])
+        with pytest.raises(ConfigError, match="unique"):
+            FiniteRegionProblem(np.asarray([[0], [1], [0]]), {(-1,): "Left", (2,): "Right"}, env, (0,))
 
     def test_target_monotonicity(self):
         env = QuenchedEnvironment(Dirichlet((1.0, 1.0, 1.0, 1.0)), 11)
@@ -81,12 +166,12 @@ class TestExactQuenchedExit:
     def test_unlabeled_neighbor_rejected(self):
         env = hom_env([0.7, 0.3])
         sites = np.asarray([[0], [1]])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"neighbor \(2,\) of interior site \(1,\) is unlabeled"):
             FiniteRegionProblem(sites, {(-1,): "Left"}, env, (0,))
 
     def test_start_outside_rejected(self):
         env = hom_env([0.7, 0.3])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="start site"):
             IntervalRegion(-2, 2).build(env, (5,))
 
 
