@@ -5,8 +5,15 @@ results.jsonl, optional curves.csv, and a manifest.json, each written
 atomically.  All file I/O lives here; compute modules never touch the
 filesystem.  Reruns of the same (config, seed) produce byte-identical results.
 
-Exit codes: 0 success, 2 configuration error, 3 insufficient data (a
-scientifically meaningful outcome, distinguishable from a crash).
+Every config field is declared once, in ``_FIELDS``.  ``load_config`` walks
+that table before anything runs, so an unknown key, a missing field, a value
+of the wrong type or length, or one out of range is a configuration error
+that names the field; ``rwre-lab schema`` prints the same table.
+
+Exit codes: 0 success, 1 compare found differences, 2 configuration or usage
+error, 3 insufficient data (a scientifically meaningful outcome,
+distinguishable from a crash), 4 a numeric procedure failed its accuracy
+contract (no output is written).
 """
 
 from __future__ import annotations
@@ -21,12 +28,12 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, TextIO
+from typing import Any, Callable, NamedTuple, TextIO
 
 import numpy as np
 
 from . import __version__
-from .cone import ConeSpec, detect_renewals, lambda_scan
+from .cone import DEFAULT_LAMBDA_GRID, ConeSpec, detect_renewals, lambda_scan
 from .env import (
     Dirichlet,
     EnvironmentModel,
@@ -35,7 +42,7 @@ from .env import (
     PerturbedSRW,
     TransitionVector,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .oracle import BoxRegion, IntervalRegion, SlabRegion, annealed_exit, gamblers_ruin
 from .rng import TAG_STAT, derive_key
 from .stats import (
@@ -54,247 +61,89 @@ from .stats import (
 )
 from .walk import run_slab_ensemble, simulate_ensemble, trajectories_to_jsonl
 
-EXPERIMENTS = (
-    "simulate",
-    "direction",
-    "renewal",
-    "renewal-identity",
-    "slab",
-    "zero-one-scan",
-    "oracle-compare",
-)
-
-_TOP_KEYS = {
-    "experiment",
-    "dimension",
-    "model",
-    "master_seed",
-    "n_walks",
-    "horizon",
-    "confirm_horizon",
-    "l",
-    "cone",
-    "thresholds",
-    "slab",
-    "zero_one",
-    "oracle",
-    "identity",
-    "output",
-}
-
-_THRESHOLD_KEYS = {
-    "level_threshold",
-    "dip_allowance",
-    "renewal_rate_floor",
-    "theta_tol",
-    "orth_band",
-    "bootstrap_samples",
-}
-
 ENV_THREADS = "RWRE_LAB_THREADS"
 
 
 @dataclass
 class ExperimentConfig:
-    experiment: str
-    dimension: int
+    """A loaded config: every field typed and defaulted, keyed by its dotted path.
+
+    Fields of an absent optional block, and of another ``kind`` of a block,
+    are not in ``fields``.
+    """
+
+    fields: dict[str, Any]
     model: EnvironmentModel
-    master_seed: int
-    n_walks: int
-    horizon: int
-    confirm_horizon: int
-    l: tuple[int, ...] | None
-    cone: dict | None
-    thresholds: dict
-    slab: dict | None
-    zero_one: dict | None
-    oracle: dict | None
-    identity: dict | None
-    output: str | None
     raw: dict
 
-
-def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"config: unknown key(s) {sorted(unknown)} in {path!r}")
+    def __getitem__(self, path: str) -> Any:
+        return self.fields[path]
 
 
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise ConfigError(f"config: missing key {key!r} in {path!r}")
-    return obj[key]
+# --- experiments: each takes a loaded config and returns (rows, curve rows or None, insufficient)
 
 
-_REQUIRED = object()
+class _NoRenewals(Exception):
+    """Raised internally when the scan finds no workable cone; maps to exit 3."""
 
 
-def _field(raw: dict, key: str, convert: Callable, default: Any = _REQUIRED, path: str = "<top>"):
-    """``convert(raw[key])`` for a field of the block at ``path``; ``default`` when it is absent or null.
+def _insufficient_row(kind: str, reason: str) -> dict:
+    return {"record": kind, "insufficient_data": True, "reason": reason}
 
-    A value that does not convert is a ConfigError that names the field.
+
+def _attrs(obj: Any, *names: str) -> dict:
+    """The named attributes of an estimator's result, as row fields (``_write_outputs`` makes them JSON)."""
+    return {name: getattr(obj, name) for name in names}
+
+
+def _report(rows: list[dict], row: dict, result: Any, *names: str) -> bool:
+    """Append ``row`` with ``result``'s named fields, or an insufficient-data row when ``result`` is one.
+
+    Returns True for the latter.
     """
-    value = raw.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise ConfigError(f"config: missing key {key!r} in {path!r}")
-        return default
-    name = key if path == "<top>" else f"{path}.{key}"
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config: bad value {value!r} for {name!r}: {exc}") from exc
+    if isinstance(result, InsufficientData):
+        rows.append(_insufficient_row(row["record"], result.reason))
+        return True
+    rows.append({**row, **_attrs(result, *names)})
+    return False
 
 
-def _items(value) -> list:
-    if not isinstance(value, list):
-        raise TypeError("expected a list")
-    return value
+def _jsonable(x: Any) -> Any:
+    if isinstance(x, (np.floating, np.integer)):
+        return x.item()
+    if isinstance(x, np.ndarray):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, Fraction):
+        return str(x)
+    return x
 
 
-def _int_tuple(value) -> tuple[int, ...]:
-    return tuple(int(x) for x in _items(value))
-
-
-def _float_tuple(value) -> tuple[float, ...]:
-    return tuple(float(x) for x in _items(value))
-
-
-def _object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError("expected an object")
-    return value
-
-
-def _classes(value) -> str | list[str]:
-    """A boundary class name, or a list of them."""
-    if isinstance(value, str) or (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        return value
-    raise TypeError("expected a class name or a list of class names")
-
-
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError("expected a string")
-    return value
-
-
-def _check_seed(seed: int, name: str) -> int:
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"{name} must be a 64-bit unsigned integer, got {seed}")
-    return seed
-
-
-def parse_model(obj: dict, dimension: int) -> EnvironmentModel:
-    if not isinstance(obj, dict):
-        raise ConfigError("config: 'model' must be an object")
-    kind = _require(obj, "kind", "model")
-    if kind == "homogeneous":
-        _reject_unknown(obj, {"kind", "probs"}, "model")
-        model = Homogeneous(TransitionVector(np.asarray(_require(obj, "probs", "model"), float)))
-    elif kind == "mixture":
-        _reject_unknown(obj, {"kind", "atoms", "weights"}, "model")
-        atoms = tuple(
-            TransitionVector(np.asarray(a, float)) for a in _require(obj, "atoms", "model")
-        )
-        model = FiniteMixture(atoms, tuple(float(w) for w in _require(obj, "weights", "model")))
-    elif kind == "dirichlet":
-        _reject_unknown(obj, {"kind", "alphas"}, "model")
-        model = Dirichlet(tuple(float(a) for a in _require(obj, "alphas", "model")))
-    elif kind == "perturbed_srw":
-        _reject_unknown(obj, {"kind", "epsilon", "drift_dir"}, "model")
-        model = PerturbedSRW(
-            float(_require(obj, "epsilon", "model")),
-            int(_require(obj, "drift_dir", "model")),
-            dimension,
-        )
-    else:
-        raise ConfigError(f"config: unknown model kind {kind!r}")
-    if model.dim != dimension:
-        raise ConfigError(
-            f"config: model dimension {model.dim} does not match 'dimension' {dimension}"
-        )
-    return model
-
-
-def load_config(path: Path) -> ExperimentConfig:
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
-    if not isinstance(raw, dict):
-        raise ConfigError("config: top level must be an object")
-    _reject_unknown(raw, _TOP_KEYS, "<top>")
-    experiment = _require(raw, "experiment", "<top>")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"config: experiment must be one of {EXPERIMENTS}, got {experiment!r}")
-    dimension = _field(raw, "dimension", int)
-    model = parse_model(_require(raw, "model", "<top>"), dimension)
-    seed = _check_seed(_field(raw, "master_seed", int), "config: master_seed")
-    thresholds = raw.get("thresholds", {})
-    if not isinstance(thresholds, dict):
-        raise ConfigError("config: 'thresholds' must be an object")
-    _reject_unknown(thresholds, _THRESHOLD_KEYS, "thresholds")
-    for block, keys in (
-        ("cone", {"sigma", "basis", "l", "lambda", "lambda_grid", "check_direction"}),
-        ("slab", {"l_prime", "b", "L_list"}),
-        ("zero_one", {"n_angles"}),
-        ("oracle", {"region", "target_class", "n_env"}),
-        ("identity", {"window"}),
-    ):
-        sub = raw.get(block)
-        if sub is not None:
-            if not isinstance(sub, dict):
-                raise ConfigError(f"config: {block!r} must be an object")
-            _reject_unknown(sub, keys, block)
-    return ExperimentConfig(
-        experiment=experiment,
-        dimension=dimension,
-        model=model,
-        master_seed=seed,
-        n_walks=_field(raw, "n_walks", int, 0),
-        horizon=_field(raw, "horizon", int, 0),
-        confirm_horizon=_field(raw, "confirm_horizon", int, 0),
-        l=_field(raw, "l", _int_tuple, None),
-        cone=raw.get("cone"),
-        thresholds=thresholds,
-        slab=raw.get("slab"),
-        zero_one=raw.get("zero_one"),
-        oracle=raw.get("oracle"),
-        identity=raw.get("identity"),
-        output=_field(raw, "output", _text, None),
-        raw=raw,
-    )
+def _ensemble(cfg: ExperimentConfig) -> list:
+    return simulate_ensemble(cfg.model, cfg["master_seed"], cfg["n_walks"], cfg["horizon"])
 
 
 def _cone_spec_from(cfg: ExperimentConfig) -> tuple[ConeSpec, list[dict]]:
-    """Build the cone, running the interpolation-weight scan when asked."""
-    if cfg.cone is None:
-        raise ConfigError("config: this experiment needs a 'cone' block")
-    c = cfg.cone
-    sigma = tuple(int(s) for s in _require(c, "sigma", "cone"))
-    basis = tuple(tuple(int(x) for x in row) for row in _require(c, "basis", "cone"))
-    l = tuple(int(x) for x in _require(c, "l", "cone"))
-    check = bool(c.get("check_direction", True))
-    lam_raw = _require(c, "lambda", "cone")
+    """Build the cone, running the interpolation-weight scan when asked; also returns the scan's rows."""
+    sigma, basis, l = cfg["cone.sigma"], cfg["cone.basis"], cfg["cone.l"]
+    check = cfg["cone.check_direction"]
+    lam = cfg["cone.lambda"]
     scan_rows: list[dict] = []
-    if lam_raw == "scan":
-        grid = [Fraction(str(x)) for x in c.get("lambda_grid", ["1", "1/2", "1/4", "1/8"])]
-        floor = float(cfg.thresholds.get("renewal_rate_floor", 0.5))
-        scan_n = min(cfg.n_walks, 200) or 200
-        scan_h = min(cfg.horizon, 4000) or 4000
-        scan_ch = min(cfg.confirm_horizon or 400, max(1, scan_h // 4))
+    if lam == "scan":
+        floor = cfg["thresholds.renewal_rate_floor"]
+        scan_n = min(cfg["n_walks"], 200) or 200
+        scan_h = min(cfg["horizon"], 4000) or 4000
+        scan_ch = min(cfg["confirm_horizon"] or 400, max(1, scan_h // 4))
         result = lambda_scan(
             cfg.model,
-            cfg.master_seed,
+            cfg["master_seed"],
             sigma,
             basis,
             l,
-            lambdas=grid,
+            lambdas=cfg["cone.lambda_grid"],
             n_walks=scan_n,
             horizon=scan_h,
             confirm_horizon=scan_ch,
@@ -314,308 +163,448 @@ def _cone_spec_from(cfg: ExperimentConfig) -> tuple[ConeSpec, list[dict]]:
         if not result.found:
             raise _NoRenewals("no lambda on the grid met the renewal-rate floor")
         lam = result.chosen
-    else:
-        lam = Fraction(str(lam_raw))
     return ConeSpec(sigma, basis, lam, l, check), scan_rows
 
 
-class _NoRenewals(Exception):
-    """Raised internally when the scan finds no workable cone; maps to exit 3."""
+def _simulate(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
+    trajs = _ensemble(cfg)
+    rows = []
+    for i, obj in enumerate(trajectories_to_jsonl(trajs)):
+        obj = {"record": "trajectory", "walker": i, **obj}
+        obj["final"] = [int(c) for c in trajs[i].final_position()]
+        rows.append(obj)
+    return rows, None, False
 
 
-def _insufficient_row(kind: str, reason: str) -> dict:
-    return {"record": kind, "insufficient_data": True, "reason": reason}
+def _direction(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
+    spec, rows = _cone_spec_from(cfg)
+    trajs = _ensemble(cfg)
+    l, lvl, dip = cfg["l"], cfg["thresholds.level_threshold"], cfg["thresholds.dip_allowance"]
+    verdict = classify_transience(trajs, l, lvl, dip)
+    rows.append(
+        {
+            "record": "transience",
+            "l": l,
+            "verdict": verdict.verdict.value,
+            **_attrs(verdict, "p_hat_plus", "p_hat_minus", "level_threshold", "dip_allowance"),
+        }
+    )
+    speed = estimate_speed(trajs, l, lvl, dip)
+    rows.append(
+        {"record": "speed", "l": l, **_attrs(speed, "mean", "ci", "n_plus", "n_minus", "mean_plus", "mean_minus")}
+    )
+    records = [detect_renewals(t, spec, cfg["confirm_horizon"]) for t in trajs]
+    insufficient = False
+    for route, est in (
+        (ROUTE_RAW, estimate_direction(trajs=trajs, route=ROUTE_RAW, level_threshold=lvl)),
+        (ROUTE_RENEWAL, estimate_direction(records=records, route=ROUTE_RENEWAL)),
+    ):
+        insufficient |= _report(rows, {"record": f"direction-{route}"}, est, "nu_hat", "dispersion", "n_samples")
+    cluster = antipodal_clustering(trajs, cfg["thresholds.theta_tol"])
+    rows.append({"record": "clusters", **_attrs(cluster, "n_clusters", "centers", "max_angular_dev", "reason")})
+    return rows, None, insufficient
 
 
-def _jsonable(x: Any) -> Any:
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, Fraction):
-        return str(x)
+def _renewal(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
+    spec, rows = _cone_spec_from(cfg)
+    total = 0
+    for i, t in enumerate(_ensemble(cfg)):
+        rec = detect_renewals(t, spec, cfg["confirm_horizon"])
+        total += rec.n_confirmed
+        rows.append(
+            {"record": "renewals", "walker": i, **_attrs(rec, "n_confirmed", "censored_tail"), **rec.to_json_obj()}
+        )
+    rate = 1000.0 * total / max(1, cfg["n_walks"] * cfg["horizon"])
+    rows.append({"record": "renewal-rate", "lambda": spec.lam, "rate_per_1k": rate})
+    return rows, None, False
+
+
+def _renewal_identity(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
+    spec, rows = _cone_spec_from(cfg)
+    trajs = _ensemble(cfg)
+    records = [detect_renewals(t, spec, cfg["confirm_horizon"]) for t in trajs]
+    report = renewal_mean_identity(
+        trajs,
+        records,
+        spec,
+        window=cfg["identity.window"],
+        level_threshold=cfg["thresholds.level_threshold"],
+        dip_allowance=cfg["thresholds.dip_allowance"],
+        n_boot=cfg["thresholds.bootstrap_samples"],
+        boot_seed=int(derive_key(cfg["master_seed"], TAG_STAT)) & 0x7FFFFFFF,
+    )
+    insufficient = _report(
+        rows,
+        {"record": "renewal-identity", "lambda": spec.lam},
+        report,
+        *("lhs", "lhs_ci", "p_cone", "p_cone_ci", "hit_level_prob", "rhs", "ratio", "ratio_ci", "window"),
+        "n_increments",
+    )
+    independence = independence_test(pooled_increments(records))
+    insufficient |= _report(rows, {"record": "independence"}, independence, "lag1", "ci_low", "ci_high", "passed")
+    return rows, None, insufficient
+
+
+def _slab(cfg: ExperimentConfig) -> tuple[list[dict], list[dict], bool]:
+    lp, b, L_list = cfg["slab.l_prime"], cfg["slab.b"], cfg["slab.L_list"]
+    curve = slab_exit_decay(cfg.model, cfg["master_seed"], lp, b, L_list, cfg["n_walks"], cfg["horizon"])
+    rows, curves = [], []
+    for pt in curve.points:
+        rows.append({"record": "slab-point", **_attrs(pt, "L", "p_left", "ci", "n_left", "n_exits", "n_censored")})
+        curves.append({"L": pt.L, "p_left": pt.p_left, "ci_low": pt.ci[0], "ci_high": pt.ci[1]})
+    rows.append({"record": "slab-slope", "log_slope": curve.log_slope, "n_fit": curve.n_fit})
+    return rows, curves, False
+
+
+def _zero_one_scan(cfg: ExperimentConfig) -> tuple[list[dict], list[dict], bool]:
+    n_angles = cfg["zero_one.n_angles"]
+    scan = zero_one_scan(
+        cfg.model,
+        cfg["master_seed"],
+        n_angles,
+        cfg["n_walks"],
+        cfg["horizon"],
+        level_threshold=cfg["thresholds.level_threshold"],
+        dip_allowance=cfg["thresholds.dip_allowance"],
+        orth_band=cfg["thresholds.orth_band"],
+    )
+    rows, curves = [], []
+    for a in range(n_angles):
+        point = {
+            "angle": float(scan.angles[a]),
+            "p_hat_plus": float(scan.p_plus[a]),
+            "p_hat_minus": float(scan.p_minus[a]),
+        }
+        rows.append({"record": "angle", **point, "verdict": scan.verdicts[a].value})
+        curves.append(point)
+    rows.append({"record": "pattern", "pattern": scan.pattern.value, "nu_hat": scan.nu_hat})
+    return rows, curves, False
+
+
+def _region(cfg: ExperimentConfig) -> tuple[Any, tuple | None]:
+    """The oracle's region, and the slab (l_prime, b, L) a Monte Carlo cross-check can run on, if any."""
+    kind = cfg["oracle.region.kind"]
+    if kind == "interval":
+        lo, hi = cfg["oracle.region.lo"], cfg["oracle.region.hi"]
+        if not lo < 0 < hi:
+            raise ConfigError("config: 'oracle.region' interval must contain the start site, lo < 0 < hi")
+        return IntervalRegion(lo, hi), ([1.0], -lo / hi, float(hi))
+    if kind == "slab":
+        lp, b, L = cfg["oracle.region.l_prime"], cfg["oracle.region.b"], cfg["oracle.region.L"]
+        return SlabRegion(lp, b, L, cfg["oracle.region.bound_width"]), (lp, b, L)
+    return BoxRegion(cfg["oracle.region.lo"], cfg["oracle.region.hi"]), None
+
+
+def _oracle_compare(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
+    region, slab = _region(cfg)
+    target, n_walks = cfg["oracle.target_class"], cfg["n_walks"]
+    exact = annealed_exit(cfg.model, region, (0,) * cfg["dimension"], target, cfg["oracle.n_env"], cfg["master_seed"])
+    row = {
+        "record": "oracle-compare",
+        "target_class": target,
+        "exact_mean": exact.mean,
+        "exact_ci": exact.ci,
+        "n_env": exact.n_env,
+    }
+    if isinstance(cfg.model, Homogeneous) and isinstance(region, IntervalRegion):
+        row["closed_form_right"] = gamblers_ruin(float(cfg.model.vector.probs[0]), -region.lo, region.hi)
+    if slab is not None and n_walks > 0 and target in ("Right", "Left"):
+        tally = run_slab_ensemble(cfg.model, cfg["master_seed"], n_walks, *slab, cfg["horizon"])
+        exits = tally.n_left + tally.n_right
+        k = tally.n_right if target == "Right" else tally.n_left
+        p_hat = k / exits if exits else float("nan")
+        se = float(np.sqrt(p_hat * (1 - p_hat) / exits)) if exits else float("nan")
+        row.update(mc_p=p_hat, mc_se=se, mc_n_exits=exits, mc_n_censored=tally.n_censored)
+        row["agree_3sigma"] = bool(exits and abs(p_hat - exact.mean) <= 3 * se) if exits else False
+    return [row], None, False
+
+
+_RUNNERS: dict[str, Callable[[ExperimentConfig], tuple[list[dict], list[dict] | None, bool]]] = {
+    "simulate": _simulate,
+    "direction": _direction,
+    "renewal": _renewal,
+    "renewal-identity": _renewal_identity,
+    "slab": _slab,
+    "zero-one-scan": _zero_one_scan,
+    "oracle-compare": _oracle_compare,
+}
+EXPERIMENTS = tuple(_RUNNERS)
+
+_MODELS: dict[str, Callable[[dict], EnvironmentModel]] = {
+    "homogeneous": lambda v: Homogeneous(TransitionVector(np.asarray(v["model.probs"], float))),
+    "mixture": lambda v: FiniteMixture(
+        tuple(TransitionVector(np.asarray(a, float)) for a in v["model.atoms"]), v["model.weights"]
+    ),
+    "dirichlet": lambda v: Dirichlet(v["model.alphas"]),
+    "perturbed_srw": lambda v: PerturbedSRW(v["model.epsilon"], v["model.drift_dir"], v["dimension"]),
+}
+
+
+# --- the config schema: value types, the field table, and the walker that reads a config by it
+
+_BAD_VALUE = (TypeError, ValueError, OverflowError, ZeroDivisionError)
+
+
+class _Type(NamedTuple):
+    """How a JSON value is read: ``read(value, d)`` returns it typed or raises; ``d`` is the dimension."""
+
+    name: str
+    read: Callable[[Any, int], Any]
+
+
+def _read_int(x: Any, _d: int) -> int:
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError("expected an integer")
     return x
 
 
-def _run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict] | None, bool]:
-    """Returns (result rows, curve rows or None, insufficient_data flag)."""
-    rows: list[dict] = []
-    curves: list[dict] | None = None
-    insufficient = False
-    thr = cfg.thresholds
-    lvl = thr.get("level_threshold")
-    dip = thr.get("dip_allowance")
+def _read_float(x: Any, _d: int) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError("expected a number")
+    value = float(x)
+    if not np.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
 
-    if cfg.experiment == "simulate":
-        trajs = simulate_ensemble(cfg.model, cfg.master_seed, cfg.n_walks, cfg.horizon)
-        for i, obj in enumerate(trajectories_to_jsonl(trajs)):
-            obj = {"record": "trajectory", "walker": i, **obj}
-            obj["final"] = [int(c) for c in trajs[i].final_position()]
-            rows.append(obj)
-        return rows, None, False
 
-    if cfg.experiment == "direction":
-        if cfg.l is None:
-            raise ConfigError("config: 'direction' needs a top-level 'l'")
-        spec, scan_rows = _cone_spec_from(cfg)
-        rows.extend(scan_rows)
-        trajs = simulate_ensemble(cfg.model, cfg.master_seed, cfg.n_walks, cfg.horizon)
-        verdict = classify_transience(trajs, cfg.l, lvl, dip)
-        rows.append(
-            {
-                "record": "transience",
-                "l": list(cfg.l),
-                "verdict": verdict.verdict.value,
-                "p_hat_plus": verdict.p_hat_plus,
-                "p_hat_minus": verdict.p_hat_minus,
-                "level_threshold": verdict.level_threshold,
-                "dip_allowance": verdict.dip_allowance,
-            }
-        )
-        speed = estimate_speed(trajs, cfg.l, lvl, dip)
-        rows.append(
-            {
-                "record": "speed",
-                "l": list(cfg.l),
-                "mean": speed.mean,
-                "ci": list(speed.ci),
-                "n_plus": speed.n_plus,
-                "n_minus": speed.n_minus,
-                "mean_plus": speed.mean_plus,
-                "mean_minus": speed.mean_minus,
-            }
-        )
-        records = [detect_renewals(t, spec, cfg.confirm_horizon) for t in trajs]
-        for route, est in (
-            (ROUTE_RAW, estimate_direction(trajs=trajs, route=ROUTE_RAW, level_threshold=lvl)),
-            (ROUTE_RENEWAL, estimate_direction(records=records, route=ROUTE_RENEWAL)),
-        ):
-            if isinstance(est, InsufficientData):
-                rows.append(_insufficient_row(f"direction-{route}", est.reason))
-                insufficient = True
-            else:
-                rows.append(
-                    {
-                        "record": f"direction-{route}",
-                        "nu_hat": _jsonable(est.nu_hat),
-                        "dispersion": est.dispersion,
-                        "n_samples": est.n_samples,
-                    }
-                )
-        cluster = antipodal_clustering(trajs, float(thr.get("theta_tol", 0.3)))
-        rows.append(
-            {
-                "record": "clusters",
-                "n_clusters": cluster.n_clusters,
-                "centers": [_jsonable(c) for c in cluster.centers],
-                "max_angular_dev": cluster.max_angular_dev,
-                "reason": cluster.reason,
-            }
-        )
-        return rows, None, insufficient
+def _read_rational(x: Any, _d: int) -> Fraction:
+    """A rational string like '1/2', or a JSON number read by its decimal text (0.1 is 1/10)."""
+    if isinstance(x, bool) or not isinstance(x, (str, int, float)):
+        raise TypeError("expected a rational such as '1/2' or a number")
+    return Fraction(str(x))
 
-    if cfg.experiment == "renewal":
-        spec, scan_rows = _cone_spec_from(cfg)
-        rows.extend(scan_rows)
-        trajs = simulate_ensemble(cfg.model, cfg.master_seed, cfg.n_walks, cfg.horizon)
-        total = 0
-        for i, t in enumerate(trajs):
-            rec = detect_renewals(t, spec, cfg.confirm_horizon)
-            total += rec.n_confirmed
-            rows.append(
-                {
-                    "record": "renewals",
-                    "walker": i,
-                    "n_confirmed": rec.n_confirmed,
-                    "censored_tail": rec.censored_tail,
-                    **rec.to_json_obj(),
-                }
-            )
-        rows.append(
-            {
-                "record": "renewal-rate",
-                "lambda": str(spec.lam),
-                "rate_per_1k": 1000.0 * total / max(1, cfg.n_walks * cfg.horizon),
-            }
-        )
-        return rows, None, False
 
-    if cfg.experiment == "renewal-identity":
-        spec, scan_rows = _cone_spec_from(cfg)
-        rows.extend(scan_rows)
-        trajs = simulate_ensemble(cfg.model, cfg.master_seed, cfg.n_walks, cfg.horizon)
-        records = [detect_renewals(t, spec, cfg.confirm_horizon) for t in trajs]
-        window = None
-        if cfg.identity and cfg.identity.get("window") is not None:
-            w = cfg.identity["window"]
-            window = (int(w[0]), int(w[1]))
-        report = renewal_mean_identity(
-            trajs,
-            records,
-            spec,
-            window=window,
-            level_threshold=lvl,
-            dip_allowance=dip,
-            n_boot=int(thr.get("bootstrap_samples", 1000)),
-            boot_seed=int(derive_key(cfg.master_seed, TAG_STAT)) & 0x7FFFFFFF,
-        )
-        if isinstance(report, InsufficientData):
-            rows.append(_insufficient_row("renewal-identity", report.reason))
-            insufficient = True
+def _read_classes(x: Any, _d: int) -> str | list[str]:
+    if isinstance(x, str) or (isinstance(x, list) and x and all(isinstance(v, str) for v in x)):
+        return x
+    raise TypeError("expected a class name or a nonempty list of class names")
+
+
+def _instance(name: str, cls: type, expected: str) -> _Type:
+    def read(x: Any, _d: int) -> Any:
+        if not isinstance(x, cls):
+            raise TypeError(f"expected {expected}")
+        return x
+
+    return _Type(name, read)
+
+
+_INT = _Type("int", _read_int)
+_FLOAT = _Type("float", _read_float)
+_RATIONAL = _Type("rational", _read_rational)
+_BOOL = _instance("bool", bool, "true or false")
+_STR = _instance("string", str, "a string")
+_OBJECT = _instance("object", dict, "an object")
+
+
+def _choice(*options: str) -> _Type:
+    def read(x: Any, _d: int) -> str:
+        if x not in options:
+            raise ValueError(f"expected one of {list(options)}")
+        return x
+
+    return _Type(" | ".join(options), read)
+
+
+def _list(item: _Type, length: int | str | None = None) -> _Type:
+    """A JSON list of ``item``, as a tuple; ``length`` is a count, or "d" for the config's dimension."""
+
+    def read(x: Any, d: int) -> tuple:
+        if not isinstance(x, list):
+            raise TypeError("expected a list")
+        n = d if length == "d" else length
+        if n is not None and len(x) != n:
+            raise ValueError(f"expected {n} entries{' (the dimension)' if length == 'd' else ''}, got {len(x)}")
+        out = []
+        for i, v in enumerate(x):
+            try:
+                out.append(item.read(v, d))
+            except _BAD_VALUE as exc:
+                raise ValueError(f"entry {i}: {exc}") from exc
+        return tuple(out)
+
+    if item.name.startswith("["):
+        return _Type(f"[{item.name}, ...]", read)
+    return _Type(f"[{'' if length is None else f'{length} '}{item.name}s]", read)
+
+
+_REQUIRED = object()
+_SEED_RANGE = (0, 2**64 - 1)
+
+
+class _Field(NamedTuple):
+    path: str  # dotted; a block's fields sit under its path, and a block's own type is _OBJECT
+    type: _Type
+    doc: str = ""
+    default: Any = _REQUIRED  # taken when the key is absent or null; a block's default is walked too
+    range: tuple[int, int | None] | None = None  # inclusive bounds on an int; None above is unbounded
+    when: str | None = None  # the field exists only when its block's "kind" is this
+    needed_by: tuple[str, ...] = ()  # experiments that refuse the field's absence
+
+
+_FIELDS: tuple[_Field, ...] = (
+    _Field("experiment", _choice(*EXPERIMENTS)),
+    _Field("dimension", _INT, range=(1, 4)),
+    _Field("master_seed", _INT, "unsigned 64-bit (CLI --seed overrides)", range=_SEED_RANGE),
+    _Field("n_walks", _INT, "walkers in the ensemble", 0, (0, None)),
+    _Field("horizon", _INT, "steps per walk", 0, (0, None)),
+    _Field("confirm_horizon", _INT, "probationary renewal window", 0, (0, None)),
+    _Field("model", _OBJECT),
+    _Field("model.kind", _choice(*_MODELS)),
+    _Field("model.probs", _list(_FLOAT), "2d transition probabilities", when="homogeneous"),
+    _Field("model.atoms", _list(_list(_FLOAT)), "atoms of 2d probabilities", when="mixture"),
+    _Field("model.weights", _list(_FLOAT), "one per atom, summing to 1", when="mixture"),
+    _Field("model.alphas", _list(_FLOAT), "2d positive concentrations", when="dirichlet"),
+    _Field("model.epsilon", _FLOAT, "in (0, 1/(2d))", when="perturbed_srw"),
+    _Field("model.drift_dir", _INT, "signed axis, e.g. 1 = +e1, -2 = -e2", when="perturbed_srw"),
+    _Field("l", _list(_INT, "d"), "direction for transience/speed experiments", None, needed_by=("direction",)),
+    _Field("cone", _OBJECT, default=None, needed_by=("direction", "renewal", "renewal-identity")),
+    _Field("cone.sigma", _list(_INT, "d"), "entries of +-1"),
+    _Field("cone.basis", _list(_list(_INT, "d")), "d rows"),
+    _Field("cone.l", _list(_INT, "d"), "gcd 1"),
+    _Field(
+        "cone.lambda",
+        _Type("rational | scan", lambda x, d: x if x == "scan" else _read_rational(x, d)),
+        "in (0, 1], e.g. '1/2'; 'scan' picks the largest grid weight whose renewal rate clears the floor",
+    ),
+    _Field("cone.lambda_grid", _list(_RATIONAL), "weights a scan tries", DEFAULT_LAMBDA_GRID),
+    _Field("cone.check_direction", _BOOL, "require l strictly inside the dual of the signed basis", True),
+    _Field("thresholds", _OBJECT, default={}),
+    _Field("thresholds.level_threshold", _FLOAT, "absent means 2*sqrt(horizon)", None),
+    _Field("thresholds.dip_allowance", _FLOAT, "absent means level_threshold/2", None),
+    _Field("thresholds.renewal_rate_floor", _FLOAT, "confirmed renewals per 1000 steps", 0.5),
+    _Field("thresholds.theta_tol", _FLOAT, "radians", 0.3),
+    _Field("thresholds.orth_band", _FLOAT, "radians around the axis a scan may leave undecided", 0.2),
+    _Field("thresholds.bootstrap_samples", _INT, "", 1000, (1, None)),
+    _Field("slab", _OBJECT, default=None, needed_by=("slab",)),
+    _Field("slab.l_prime", _list(_FLOAT, "d")),
+    _Field("slab.b", _FLOAT, "> 0"),
+    _Field("slab.L_list", _list(_FLOAT), "increasing"),
+    _Field("zero_one", _OBJECT, default=None, needed_by=("zero-one-scan",)),
+    _Field("zero_one.n_angles", _INT, range=(4, None)),
+    _Field("oracle", _OBJECT, default=None, needed_by=("oracle-compare",)),
+    _Field("oracle.region", _OBJECT),
+    _Field("oracle.region.kind", _choice("interval", "slab", "box")),
+    _Field("oracle.region.lo", _INT, "lo < 0", when="interval"),
+    _Field("oracle.region.hi", _INT, "0 < hi", when="interval"),
+    _Field("oracle.region.l_prime", _list(_FLOAT, "d"), when="slab"),
+    _Field("oracle.region.b", _FLOAT, "> 0", when="slab"),
+    _Field("oracle.region.L", _FLOAT, "> 0", when="slab"),
+    _Field("oracle.region.bound_width", _INT, range=(1, None), when="slab"),
+    _Field("oracle.region.lo", _list(_INT, "d"), when="box"),
+    _Field("oracle.region.hi", _list(_INT, "d"), "hi >= lo", when="box"),
+    _Field("oracle.target_class", _Type("class | [classes]", _read_classes), "boundary class, e.g. Right"),
+    _Field("oracle.n_env", _INT, "environments averaged", 1, (1, None)),
+    _Field("identity", _OBJECT, default={}),
+    _Field("identity.window", _list(_INT, 2), "[i_min, i_max]; absent means the upper half of reached levels", None),
+    _Field("output", _STR, "output directory (CLI --out overrides)", None),
+)
+
+
+def _children(path: str) -> list[_Field]:
+    return [f for f in _FIELDS if f.path.rpartition(".")[0] == path]
+
+
+def _range_text(lo: int, hi: int | None) -> str:
+    return f"in {lo}..{hi}" if hi is not None else f">= {lo}"
+
+
+def _check_range(name: str, value: int, lo: int, hi: int | None) -> int:
+    if value < lo or (hi is not None and value > hi):
+        raise ConfigError(f"{name} must be {_range_text(lo, hi)}, got {value}")
+    return value
+
+
+def _read_block(obj: dict, path: str, fields: dict[str, Any]) -> None:
+    """Read block ``path`` (``""`` for the top level) from ``obj`` into ``fields``, keyed by dotted path."""
+    prefix = f"{path}." if path else ""
+    block = _children(path)
+    if block[0].path == prefix + "kind":  # the kind decides which other keys the block may hold
+        _read_field(block[0], obj, fields)
+    kind = fields.get(prefix + "kind")
+    block = [f for f in block if f.when in (None, kind)]
+    unknown = set(obj) - {f.path[len(prefix):] for f in block}
+    if unknown:
+        raise ConfigError(f"config: unknown key(s) {sorted(prefix + k for k in unknown)}")
+    for f in block:
+        if f.path not in fields:
+            _read_field(f, obj, fields)
+
+
+def _read_field(f: _Field, obj: dict, fields: dict[str, Any]) -> None:
+    key = f.path.rpartition(".")[2]
+    value = obj.get(key)
+    if value is None:
+        if f.default is _REQUIRED:
+            raise ConfigError(f"config: missing key {f.path!r}")
+        if fields.get("experiment") in f.needed_by:
+            raise ConfigError(f"config: experiment {fields['experiment']!r} needs {f.path!r}")
+        value = f.default
+    else:
+        try:
+            value = f.type.read(value, fields.get("dimension"))
+        except _BAD_VALUE as exc:
+            raise ConfigError(f"config: bad value {json.dumps(value)} for {f.path!r}: {exc}") from exc
+        if f.range is not None:
+            _check_range(f"config: {f.path!r}", value, *f.range)
+    if f.type is not _OBJECT:
+        fields[f.path] = value
+    elif value is not None:
+        _read_block(value, f.path, fields)
+
+
+def load_config(path: Path) -> ExperimentConfig:
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read {path}: {exc}") from exc
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    if not isinstance(raw, dict):
+        raise ConfigError("config: top level must be an object")
+    fields: dict[str, Any] = {}
+    _read_block(raw, "", fields)
+    model = _MODELS[fields["model.kind"]](fields)
+    if model.dim != fields["dimension"]:
+        raise ConfigError(f"config: model dimension {model.dim} does not match 'dimension' {fields['dimension']}")
+    return ExperimentConfig(fields, model, raw)
+
+
+def _describe(f: _Field) -> str:
+    """One line on a field: its type, range, kind, whether it is required, and its doc."""
+    text = f.type.name
+    if f.range is not None:
+        text += f" {_range_text(*f.range)}"
+    if f.when is not None:
+        text += f" ({f.when})"
+    if f.needed_by:
+        text += f", needed by {' and '.join(f.needed_by)}"
+    elif f.default is None:
+        text += ", optional"
+    elif f.default is not _REQUIRED:
+        text += f", default {json.dumps(_jsonable(f.default))}"
+    return f"{text}: {f.doc}" if f.doc else text
+
+
+def _schema(path: str = "") -> dict[str, Any]:
+    """The field table as nested JSON; a block inside a block is one line, since its kinds reuse keys."""
+    out: dict[str, Any] = {}
+    for f in _children(path):
+        key = f.path.rpartition(".")[2]
+        if f.type is not _OBJECT:
+            out[key] = _describe(f)
+        elif not path:
+            out[key] = _schema(f.path)
         else:
-            rows.append(
-                {
-                    "record": "renewal-identity",
-                    "lambda": str(spec.lam),
-                    "lhs": report.lhs,
-                    "lhs_ci": list(report.lhs_ci),
-                    "p_cone": report.p_cone,
-                    "p_cone_ci": list(report.p_cone_ci),
-                    "hit_level_prob": report.hit_level_prob,
-                    "rhs": report.rhs,
-                    "ratio": report.ratio,
-                    "ratio_ci": list(report.ratio_ci),
-                    "window": list(report.window),
-                    "n_increments": report.n_increments,
-                }
-            )
-        indep = independence_test(pooled_increments(records))
-        if isinstance(indep, InsufficientData):
-            rows.append(_insufficient_row("independence", indep.reason))
-            insufficient = True
-        else:
-            rows.append(
-                {
-                    "record": "independence",
-                    "lag1": _jsonable(indep.lag1),
-                    "ci_low": _jsonable(indep.ci_low),
-                    "ci_high": _jsonable(indep.ci_high),
-                    "passed": indep.passed,
-                }
-            )
-        return rows, None, insufficient
+            out[key] = "{" + "; ".join(f"{c.path.rpartition('.')[2]}: {_describe(c)}" for c in _children(f.path)) + "}"
+    return out
 
-    if cfg.experiment == "slab":
-        if cfg.slab is None:
-            raise ConfigError("config: 'slab' experiment needs a 'slab' block")
-        lp = _field(cfg.slab, "l_prime", _float_tuple, path="slab")
-        b = _field(cfg.slab, "b", float, path="slab")
-        L_list = _field(cfg.slab, "L_list", _float_tuple, path="slab")
-        curve = slab_exit_decay(cfg.model, cfg.master_seed, lp, b, L_list, cfg.n_walks, cfg.horizon)
-        curves = []
-        for pt in curve.points:
-            row = {
-                "record": "slab-point",
-                "L": pt.L,
-                "p_left": pt.p_left,
-                "ci": list(pt.ci),
-                "n_left": pt.n_left,
-                "n_exits": pt.n_exits,
-                "n_censored": pt.n_censored,
-            }
-            rows.append(row)
-            curves.append({"L": pt.L, "p_left": pt.p_left, "ci_low": pt.ci[0], "ci_high": pt.ci[1]})
-        rows.append({"record": "slab-slope", "log_slope": curve.log_slope, "n_fit": curve.n_fit})
-        return rows, curves, False
 
-    if cfg.experiment == "zero-one-scan":
-        n_angles = int(_require(cfg.zero_one or {}, "n_angles", "zero_one"))
-        scan = zero_one_scan(
-            cfg.model,
-            cfg.master_seed,
-            n_angles,
-            cfg.n_walks,
-            cfg.horizon,
-            level_threshold=lvl,
-            dip_allowance=dip,
-            orth_band=float(thr.get("orth_band", 0.2)),
-        )
-        curves = []
-        for a in range(n_angles):
-            row = {
-                "record": "angle",
-                "angle": float(scan.angles[a]),
-                "p_hat_plus": float(scan.p_plus[a]),
-                "p_hat_minus": float(scan.p_minus[a]),
-                "verdict": scan.verdicts[a].value,
-            }
-            rows.append(row)
-            curves.append(
-                {
-                    "angle": float(scan.angles[a]),
-                    "p_hat_plus": float(scan.p_plus[a]),
-                    "p_hat_minus": float(scan.p_minus[a]),
-                }
-            )
-        rows.append(
-            {
-                "record": "pattern",
-                "pattern": scan.pattern.value,
-                "nu_hat": _jsonable(scan.nu_hat) if scan.nu_hat is not None else None,
-            }
-        )
-        return rows, curves, False
-
-    if cfg.experiment == "oracle-compare":
-        if cfg.oracle is None:
-            raise ConfigError("config: 'oracle-compare' needs an 'oracle' block")
-        region_obj = _field(cfg.oracle, "region", _object, path="oracle")
-        target = _field(cfg.oracle, "target_class", _classes, path="oracle")
-        n_env = _field(cfg.oracle, "n_env", int, 1, path="oracle")
-        at = "oracle.region"
-        kind = _require(region_obj, "kind", at)
-        if kind == "interval":
-            _reject_unknown(region_obj, {"kind", "lo", "hi"}, at)
-            lo = _field(region_obj, "lo", int, path=at)
-            hi = _field(region_obj, "hi", int, path=at)
-            if not lo < 0 < hi:
-                raise ConfigError(f"config: {at!r} interval must contain the start site, lo < 0 < hi")
-            region = IntervalRegion(lo, hi)
-            lp, b, L = [1.0], -lo / hi, float(hi)
-        elif kind == "slab":
-            _reject_unknown(region_obj, {"kind", "l_prime", "b", "L", "bound_width"}, at)
-            lp = _field(region_obj, "l_prime", _float_tuple, path=at)
-            b = _field(region_obj, "b", float, path=at)
-            L = _field(region_obj, "L", float, path=at)
-            region = SlabRegion(lp, b, L, _field(region_obj, "bound_width", int, path=at))
-        elif kind == "box":
-            _reject_unknown(region_obj, {"kind", "lo", "hi"}, at)
-            lo = _field(region_obj, "lo", _int_tuple, path=at)
-            region = BoxRegion(lo, _field(region_obj, "hi", _int_tuple, path=at))
-            lp = None
-        else:
-            raise ConfigError(f"config: unknown region kind {kind!r}")
-        start = (0,) * cfg.dimension
-        exact = annealed_exit(cfg.model, region, start, target, n_env, cfg.master_seed)
-        row = {
-            "record": "oracle-compare",
-            "target_class": target,
-            "exact_mean": exact.mean,
-            "exact_ci": list(exact.ci),
-            "n_env": exact.n_env,
-        }
-        if isinstance(cfg.model, Homogeneous) and cfg.dimension == 1 and kind == "interval":
-            p = float(cfg.model.vector.probs[0])
-            row["closed_form_right"] = gamblers_ruin(p, -lo, hi)
-        if lp is not None and cfg.n_walks > 0 and target in ("Right", "Left"):
-            tally = run_slab_ensemble(cfg.model, cfg.master_seed, cfg.n_walks, lp, b, L, cfg.horizon)
-            exits = tally.n_left + tally.n_right
-            k = tally.n_right if target == "Right" else tally.n_left
-            p_hat = k / exits if exits else float("nan")
-            se = float(np.sqrt(p_hat * (1 - p_hat) / exits)) if exits else float("nan")
-            row["mc_p"] = p_hat
-            row["mc_se"] = se
-            row["mc_n_exits"] = exits
-            row["mc_n_censored"] = tally.n_censored
-            row["agree_3sigma"] = bool(exits and abs(p_hat - exact.mean) <= 3 * se) if exits else False
-        rows.append(row)
-        return rows, None, False
-
-    raise ConfigError(f"config: unhandled experiment {cfg.experiment!r}")
+# --- commands
 
 
 def _resolve_threads(arg: int | None) -> int:
@@ -694,27 +683,51 @@ def cmd_run(args: argparse.Namespace) -> int:
         cfg = load_config(path)
         _resolve_threads(args.threads)
         if args.seed is not None:
-            cfg.master_seed = _check_seed(args.seed, "--seed")
+            cfg.fields["master_seed"] = _check_range("--seed", args.seed, *_SEED_RANGE)
         config_hash = hashlib.sha256(path.read_bytes()).hexdigest()
         try:
-            rows, curves, insufficient = _run_experiment(cfg)
+            rows, curves, insufficient = _RUNNERS[cfg["experiment"]](cfg)
         except _NoRenewals as exc:
             rows, curves, insufficient = [_insufficient_row("lambda-scan", str(exc))], None, True
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out) if args.out else Path(cfg.output or "out")
-    _write_outputs(out_dir, rows, curves, cfg, config_hash, cfg.master_seed, started)
+    except NumericError as exc:
+        print(f"error: numeric failure: {exc}", file=sys.stderr)
+        return 4
+    out_dir = Path(args.out) if args.out else Path(cfg["output"] or "out")
+    _write_outputs(out_dir, rows, curves, cfg, config_hash, cfg["master_seed"], started)
     return 3 if insufficient else 0
 
 
-def _numeric_diff(a, b, tol: float) -> bool:
-    return not (abs(float(a) - float(b)) <= tol)
+def _tolerance(value: Any, flag: str) -> float:
+    try:
+        tol = float(value)
+    except ValueError:
+        tol = float("nan")
+    if not tol >= 0:
+        raise ConfigError(f"{flag} needs a tolerance >= 0, got {value!r}")
+    return tol
+
+
+def _read_rows(name: str) -> list[dict]:
+    rows = []
+    for n, line in enumerate(Path(name).read_text().splitlines(), 1):
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{name} line {n}: invalid JSON: {exc}") from exc
+        if not isinstance(row, dict):
+            raise ConfigError(f"{name} line {n} (row {len(rows)}): expected a JSON object, got {line!r}")
+        rows.append(row)
+    return rows
 
 
 def _compare_values(a, b, tol: float, path: str, diffs: list[str]) -> None:
     if isinstance(a, (int, float)) and isinstance(b, (int, float)) and not isinstance(a, bool):
-        if _numeric_diff(a, b, tol):
+        if not abs(float(a) - float(b)) <= tol:
             diffs.append(f"{path}: {a!r} != {b!r} (tol {tol})")
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
@@ -732,31 +745,24 @@ def _compare_values(a, b, tol: float, path: str, diffs: list[str]) -> None:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    tol_map: dict[str, float] = {}
-    for spec in args.tol or []:
-        if "=" not in spec:
-            print(f"error: bad --tol {spec!r}, expected FIELD=VALUE", file=sys.stderr)
-            return 2
-        field, val = spec.split("=", 1)
-        tol_map[field] = float(val)
-    try:
-        rows_a = [json.loads(line) for line in Path(args.file_a).read_text().splitlines() if line]
-        rows_b = [json.loads(line) for line in Path(args.file_b).read_text().splitlines() if line]
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if len(rows_a) != len(rows_b):
-        print(f"error: row count {len(rows_a)} != {len(rows_b)}", file=sys.stderr)
-        return 2
     diffs: list[str] = []
     try:
+        atol = _tolerance(args.atol, "--atol")
+        tol_map: dict[str, float] = {}
+        for spec in args.tol or []:
+            field, sep, val = spec.partition("=")
+            if not sep:
+                raise ConfigError(f"bad --tol {spec!r}, expected FIELD=VALUE")
+            tol_map[field] = _tolerance(val, f"--tol {field}")
+        rows_a, rows_b = _read_rows(args.file_a), _read_rows(args.file_b)
+        if len(rows_a) != len(rows_b):
+            raise ConfigError(f"row count {len(rows_a)} != {len(rows_b)}")
         for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
             if set(ra) != set(rb):
                 raise ConfigError(f"schema mismatch in row {i}: keys {sorted(set(ra) ^ set(rb))}")
             for key in sorted(ra):
-                tol = tol_map.get(key, args.atol)
-                _compare_values(ra[key], rb[key], tol, f"row[{i}].{key}", diffs)
-    except ConfigError as exc:
+                _compare_values(ra[key], rb[key], tol_map.get(key, atol), f"row[{i}].{key}", diffs)
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for d in diffs:
@@ -764,53 +770,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 1 if diffs else 0
 
 
-CONFIG_SCHEMA = {
-    "experiment": f"one of {list(EXPERIMENTS)}",
-    "dimension": "int in 1..4",
-    "master_seed": "unsigned 64-bit int (CLI --seed overrides)",
-    "n_walks": "int, walkers in the ensemble",
-    "horizon": "int, steps per walk",
-    "confirm_horizon": "int, probationary renewal window",
-    "model": {
-        "kind": "homogeneous | mixture | dirichlet | perturbed_srw",
-        "probs": "[2d floats] (homogeneous)",
-        "atoms": "[[2d floats], ...] (mixture)",
-        "weights": "[floats summing to 1] (mixture)",
-        "alphas": "[2d positive floats] (dirichlet)",
-        "epsilon": "float in (0, 1/(2d)) (perturbed_srw)",
-        "drift_dir": "signed axis, e.g. 1 = +e1, -2 = -e2 (perturbed_srw)",
-    },
-    "l": "[d ints], direction for transience/speed experiments",
-    "cone": {
-        "sigma": "[d entries of +-1]",
-        "basis": "[[d ints], ...] (d rows)",
-        "l": "[d ints, gcd 1]",
-        "lambda": "rational string like '1/2', or 'scan'",
-        "lambda_grid": "optional [rational strings] for scan",
-        "check_direction": "optional bool (default true)",
-    },
-    "thresholds": {
-        "level_threshold": "float (default 2*sqrt(horizon))",
-        "dip_allowance": "float (default level_threshold/2)",
-        "renewal_rate_floor": "float per 1000 steps (default 0.5)",
-        "theta_tol": "float radians (default 0.3)",
-        "orth_band": "float (default 0.2)",
-        "bootstrap_samples": "int (default 1000)",
-    },
-    "slab": {"l_prime": "[d floats]", "b": "float > 0", "L_list": "[increasing floats]"},
-    "zero_one": {"n_angles": "int >= 4"},
-    "oracle": {
-        "region": "{kind: interval|box|slab, ...}",
-        "target_class": "boundary class name, e.g. Right",
-        "n_env": "int >= 1",
-    },
-    "identity": {"window": "[i_min, i_max] or null"},
-    "output": "optional output directory (CLI --out overrides)",
-}
-
-
 def cmd_schema(_args: argparse.Namespace) -> int:
-    print(json.dumps(CONFIG_SCHEMA, indent=2))
+    print(json.dumps(_schema(), indent=2))
     return 0
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,21 @@ def with_oracle(**fields) -> dict:
     cfg = oracle_config()
     cfg["oracle"].update(fields)
     return cfg
+
+
+def direction_config(**cone) -> dict:
+    """A small direction run on a drifted 2D walk; ``cone`` overrides cone fields."""
+    return simulate_config(
+        experiment="direction",
+        confirm_horizon=10,
+        l=[1, 0],
+        cone={"sigma": [1, 1], "basis": [[1, 1], [1, -1]], "l": [1, 0], "lambda": "1/2", **cone},
+    )
+
+
+def with_block(cfg: dict, block: str, **fields) -> dict:
+    """``cfg`` with ``fields`` set in its ``block``."""
+    return {**cfg, block: {**cfg.get(block, {}), **fields}}
 
 
 class TestRun:
@@ -116,7 +132,9 @@ class TestRun:
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
         assert "probz" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field, value", [("n_walks", "ten"), ("l", 5)])
+    @pytest.mark.parametrize(
+        "field, value", [("n_walks", "ten"), ("l", 5), ("n_walks", 2.7), ("horizon", True), ("master_seed", 1.5)]
+    )
     def test_malformed_top_level_value_exits_2(self, tmp_path, capsys, field, value):
         cfg = write_config(tmp_path, "bad.json", simulate_config(**{field: value}))
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
@@ -127,6 +145,7 @@ class TestRun:
         [
             pytest.param(with_oracle(n_env="x"), "'oracle.n_env'", id="n_env"),
             pytest.param(with_oracle(target_class=5), "'oracle.target_class'", id="target_class"),
+            pytest.param(with_oracle(target_class=[]), "'oracle.target_class'", id="target_class_empty"),
             pytest.param(with_oracle(region="x"), "'oracle.region'", id="region"),
             pytest.param(oracle_config(bound_width="x"), "'oracle.region.bound_width'", id="bound_width"),
             pytest.param(oracle_config(b="x"), "'oracle.region.b'", id="region_b"),
@@ -139,12 +158,128 @@ class TestRun:
                 "'slab.b'",
                 id="slab_b",
             ),
+            pytest.param(
+                with_block(simulate_config(experiment="zero-one-scan"), "zero_one", n_angles="x"),
+                "'zero_one.n_angles'",
+                id="n_angles",
+            ),
+            pytest.param(direction_config(sigma="ab"), "'cone.sigma'", id="cone_sigma"),
+            pytest.param(direction_config(**{"lambda": "abc"}), "'cone.lambda'", id="cone_lambda"),
+            pytest.param(direction_config(**{"lambda": "1/0"}), "'cone.lambda'", id="cone_lambda_zero_div"),
+            pytest.param(direction_config(lambda_grid=5), "'cone.lambda_grid'", id="lambda_grid"),
+            pytest.param(direction_config(check_direction="no"), "'cone.check_direction'", id="check_direction"),
+            pytest.param(
+                with_block({**direction_config(), "experiment": "renewal-identity"}, "identity", window=3),
+                "'identity.window'",
+                id="identity_window",
+            ),
+            pytest.param(
+                with_block(direction_config(), "thresholds", theta_tol="x"), "'thresholds.theta_tol'", id="theta_tol"
+            ),
+            pytest.param(
+                with_block(direction_config(), "thresholds", bootstrap_samples="many"),
+                "'thresholds.bootstrap_samples'",
+                id="bootstrap_samples",
+            ),
+            pytest.param(simulate_config(model={"kind": "homogeneous", "probs": "x"}), "'model.probs'", id="probs"),
+            pytest.param(
+                simulate_config(model={"kind": "mixture", "atoms": 3, "weights": [1.0]}), "'model.atoms'", id="atoms"
+            ),
+            pytest.param(
+                simulate_config(model={"kind": "perturbed_srw", "epsilon": "x", "drift_dir": 1}),
+                "'model.epsilon'",
+                id="epsilon",
+            ),
+            pytest.param(simulate_config(model={"kind": "levy"}), "'model.kind'", id="model_kind"),
+            pytest.param(oracle_config(kind="sphere"), "'oracle.region.kind'", id="region_kind"),
         ],
     )
     def test_malformed_block_value_exits_2(self, tmp_path, capsys, cfg, name):
         cfg = write_config(tmp_path, "bad.json", cfg)
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cfg, name",
+        [
+            pytest.param({**direction_config(), "l": [1, 0, 0]}, "'l'", id="l"),
+            pytest.param(direction_config(sigma=[1, 1, 1]), "'cone.sigma'", id="cone_sigma"),
+            pytest.param(direction_config(l=[1]), "'cone.l'", id="cone_l"),
+            pytest.param(direction_config(basis=[[1, 1], [1, -1, 0]]), "'cone.basis'", id="cone_basis_row"),
+            pytest.param(
+                {**simulate_config(experiment="slab"), "slab": {"l_prime": [1.0], "b": 1.0, "L_list": [2.0]}},
+                "'slab.l_prime'",
+                id="slab_l_prime",
+            ),
+            pytest.param(oracle_config(l_prime=[1, 0, 0]), "'oracle.region.l_prime'", id="region_l_prime"),
+        ],
+    )
+    def test_vector_length_must_match_dimension(self, tmp_path, capsys, cfg, name):
+        cfg = write_config(tmp_path, "bad.json", cfg)
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert name in err and "dimension" in err
+
+    @pytest.mark.parametrize(
+        "cfg, name",
+        [
+            pytest.param(simulate_config(dimension=5), "'dimension'", id="dimension"),
+            pytest.param(simulate_config(master_seed=-1), "'master_seed'", id="master_seed"),
+            pytest.param(simulate_config(n_walks=-1), "'n_walks'", id="n_walks"),
+            pytest.param(
+                with_block(direction_config(), "thresholds", bootstrap_samples=0),
+                "'thresholds.bootstrap_samples'",
+                id="bootstrap_samples",
+            ),
+            pytest.param(
+                with_block(simulate_config(experiment="zero-one-scan"), "zero_one", n_angles=2),
+                "'zero_one.n_angles'",
+                id="n_angles",
+            ),
+            pytest.param(with_oracle(n_env=0), "'oracle.n_env'", id="n_env"),
+        ],
+    )
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, cfg, name):
+        cfg = write_config(tmp_path, "bad.json", cfg)
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, name",
+        [
+            ("direction", "'cone'"),
+            ("renewal", "'cone'"),
+            ("renewal-identity", "'cone'"),
+            ("slab", "'slab'"),
+            ("zero-one-scan", "'zero_one'"),
+            ("oracle-compare", "'oracle'"),
+        ],
+    )
+    def test_missing_block_exits_2(self, tmp_path, capsys, experiment, name):
+        cfg = write_config(tmp_path, "bad.json", simulate_config(experiment=experiment, l=[1, 0]))
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert f"{experiment!r} needs {name}" in capsys.readouterr().err
+
+    def test_config_values_read_strictly(self, tmp_path):
+        # float fields take JSON ints, int fields take integral floats, and lambda takes a number or a string
+        cfg = direction_config(**{"lambda": 0.25})
+        cfg.update(n_walks=10.0, slab={"l_prime": [1, 0], "b": 1, "L_list": [2, 4]})
+        loaded = load_config(write_config(tmp_path, "cfg.json", cfg))
+        assert loaded["n_walks"] == 10 and isinstance(loaded["n_walks"], int)
+        assert loaded["slab.b"] == 1.0 and isinstance(loaded["slab.b"], float)
+        assert loaded["slab.L_list"] == (2.0, 4.0) and all(isinstance(x, float) for x in loaded["slab.L_list"])
+        assert loaded["cone.lambda"] == Fraction(1, 4)
+        assert loaded["cone.check_direction"] is True
+        assert loaded["thresholds.bootstrap_samples"] == 1000
+
+    def test_numeric_failure_exits_4_without_outputs(self, tmp_path, capsys):
+        # Dirichlet draws at these concentrations keep falling under the ellipticity floor
+        model = {"kind": "dirichlet", "alphas": [0.01, 0.01, 0.01, 0.01]}
+        cfg = write_config(tmp_path, "sub.json", simulate_config(n_walks=4, horizon=50, model=model))
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_interval_without_start_exits_2(self, tmp_path, capsys):
         cfg = simulate_config(experiment="oracle-compare", dimension=1, model={"kind": "homogeneous", "probs": [0.6, 0.4]})
@@ -304,6 +439,29 @@ class TestCompare:
         assert run_cli("compare", res, other) == 2
         assert "schema mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--tol", "final=abc"], "--tol final"),
+            (["--tol", "final=-1"], "--tol final"),
+            (["--tol", "final"], "--tol"),
+            (["--atol", "nan"], "--atol"),
+            (["--atol", "-0.5"], "--atol"),
+        ],
+    )
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, flags, name):
+        res = self.make_results(tmp_path)
+        assert run_cli("compare", res, res, *flags) == 2
+        assert name in capsys.readouterr().err
+
+    def test_row_not_an_object_exits_2(self, tmp_path, capsys):
+        res = self.make_results(tmp_path)
+        other = tmp_path / "list.jsonl"
+        lines = res.read_text().splitlines()
+        other.write_text("\n".join(lines[:2] + ["[1]"] + lines[3:]) + "\n")
+        assert run_cli("compare", res, other) == 2
+        assert "line 3 (row 2)" in capsys.readouterr().err
+
 
 class TestSeedStability:
     def test_direction_agrees_across_seeds(self, tmp_path):
@@ -340,6 +498,37 @@ class TestMisc:
         assert run_cli("schema") == 0
         schema = json.loads(capsys.readouterr().out)
         assert "experiment" in schema
+
+    def test_schema_key_set(self, capsys):
+        assert run_cli("schema") == 0
+        schema = json.loads(capsys.readouterr().out)
+        blocks = {
+            "model": {"kind", "probs", "atoms", "weights", "alphas", "epsilon", "drift_dir"},
+            "cone": {"sigma", "basis", "l", "lambda", "lambda_grid", "check_direction"},
+            "thresholds": {
+                "level_threshold",
+                "dip_allowance",
+                "renewal_rate_floor",
+                "theta_tol",
+                "orth_band",
+                "bootstrap_samples",
+            },
+            "slab": {"l_prime", "b", "L_list"},
+            "zero_one": {"n_angles"},
+            "oracle": {"region", "target_class", "n_env"},
+            "identity": {"window"},
+        }
+        top = {"experiment", "dimension", "master_seed", "n_walks", "horizon", "confirm_horizon", "l", "output"}
+        assert set(schema) == top | set(blocks)
+        assert {key: set(schema[key]) for key in blocks} == blocks
+        assert all(isinstance(schema[key], str) for key in top)
+        assert all(isinstance(doc, str) for key in blocks for doc in schema[key].values())
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = load_config(write_config(tmp_path, "readme.json", json.loads(example)))
+        assert cfg["experiment"] == "direction" and cfg["cone.lambda"] == "scan"
 
     def test_env_var_threads(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RWRE_LAB_THREADS", "2")
