@@ -136,7 +136,7 @@ def _cone_spec_from(cfg: ExperimentConfig) -> tuple[ConeSpec, list[dict]]:
         floor = cfg["thresholds.renewal_rate_floor"]
         scan_n = min(cfg["n_walks"], 200) or 200
         scan_h = min(cfg["horizon"], 4000) or 4000
-        scan_ch = min(cfg["confirm_horizon"] or 400, max(1, scan_h // 4))
+        scan_ch = min(cfg["confirm_horizon"], max(1, scan_h // 4))
         result = lambda_scan(
             cfg.model,
             cfg["master_seed"],
@@ -391,9 +391,22 @@ def _instance(name: str, cls: type, expected: str) -> _Type:
     return _Type(name, read)
 
 
+def _checked(t: _Type, ok: Callable[[Any], bool], expected: str) -> _Type:
+    """``t``, also refusing a value that ``ok`` rejects; ``expected`` says what ``ok`` wants."""
+
+    def read(x: Any, d: int) -> Any:
+        value = t.read(x, d)
+        if not ok(value):
+            raise ValueError(f"expected {expected}")
+        return value
+
+    return _Type(t.name, read)
+
+
 _INT = _Type("int", _read_int)
 _FLOAT = _Type("float", _read_float)
 _RATIONAL = _Type("rational", _read_rational)
+_WEIGHT = _checked(_RATIONAL, lambda w: 0 < w <= 1, "a rational in (0, 1]")
 _BOOL = _instance("bool", bool, "true or false")
 _STR = _instance("string", str, "a string")
 _OBJECT = _instance("object", dict, "an object")
@@ -442,15 +455,23 @@ class _Field(NamedTuple):
     range: tuple[int, int | None] | None = None  # inclusive bounds on an int; None above is unbounded
     when: str | None = None  # the field exists only when its block's "kind" is this
     needed_by: tuple[str, ...] = ()  # experiments that refuse the field's absence
+    floor: tuple[int, tuple[str, ...]] | None = None  # (lo, experiments): they refuse an int below lo
 
 
 _FIELDS: tuple[_Field, ...] = (
     _Field("experiment", _choice(*EXPERIMENTS)),
     _Field("dimension", _INT, range=(1, 4)),
     _Field("master_seed", _INT, "unsigned 64-bit (CLI --seed overrides)", range=_SEED_RANGE),
-    _Field("n_walks", _INT, "walkers in the ensemble", 0, (0, None)),
+    _Field("n_walks", _INT, "walkers in the ensemble", 0, (0, None), floor=(1, ("direction",))),
     _Field("horizon", _INT, "steps per walk", 0, (0, None)),
-    _Field("confirm_horizon", _INT, "probationary renewal window", 0, (0, None)),
+    _Field(
+        "confirm_horizon",
+        _INT,
+        "probationary renewal window",
+        0,
+        (0, None),
+        floor=(1, ("direction", "renewal", "renewal-identity")),
+    ),
     _Field("model", _OBJECT),
     _Field("model.kind", _choice(*_MODELS)),
     _Field("model.probs", _list(_FLOAT), "2d transition probabilities", when="homogeneous"),
@@ -466,10 +487,15 @@ _FIELDS: tuple[_Field, ...] = (
     _Field("cone.l", _list(_INT, "d"), "gcd 1"),
     _Field(
         "cone.lambda",
-        _Type("rational | scan", lambda x, d: x if x == "scan" else _read_rational(x, d)),
+        _Type("rational | scan", lambda x, d: x if x == "scan" else _WEIGHT.read(x, d)),
         "in (0, 1], e.g. '1/2'; 'scan' picks the largest grid weight whose renewal rate clears the floor",
     ),
-    _Field("cone.lambda_grid", _list(_RATIONAL), "weights a scan tries", DEFAULT_LAMBDA_GRID),
+    _Field(
+        "cone.lambda_grid",
+        _checked(_list(_WEIGHT), len, "at least one weight"),
+        "weights in (0, 1] a scan tries",
+        DEFAULT_LAMBDA_GRID,
+    ),
     _Field("cone.check_direction", _BOOL, "require l strictly inside the dual of the signed basis", True),
     _Field("thresholds", _OBJECT, default={}),
     _Field("thresholds.level_threshold", _FLOAT, "absent means 2*sqrt(horizon)", None),
@@ -498,7 +524,12 @@ _FIELDS: tuple[_Field, ...] = (
     _Field("oracle.target_class", _Type("class | [classes]", _read_classes), "boundary class, e.g. Right"),
     _Field("oracle.n_env", _INT, "environments averaged", 1, (1, None)),
     _Field("identity", _OBJECT, default={}),
-    _Field("identity.window", _list(_INT, 2), "[i_min, i_max]; absent means the upper half of reached levels", None),
+    _Field(
+        "identity.window",
+        _checked(_list(_INT, 2), lambda w: 1 <= w[0] <= w[1], "1 <= i_min <= i_max"),
+        "[i_min, i_max], 1 <= i_min <= i_max; absent means the upper half of reached levels",
+        None,
+    ),
     _Field("output", _STR, "output directory (CLI --out overrides)", None),
 )
 
@@ -568,6 +599,11 @@ def load_config(path: Path) -> ExperimentConfig:
         raise ConfigError("config: top level must be an object")
     fields: dict[str, Any] = {}
     _read_block(raw, "", fields)
+    experiment = fields["experiment"]
+    for f in _FIELDS:
+        if f.floor is not None and experiment in f.floor[1] and fields[f.path] < f.floor[0]:
+            value = fields[f.path]
+            raise ConfigError(f"config: experiment {experiment!r} needs {f.path!r} >= {f.floor[0]}, got {value}")
     model = _MODELS[fields["model.kind"]](fields)
     if model.dim != fields["dimension"]:
         raise ConfigError(f"config: model dimension {model.dim} does not match 'dimension' {fields['dimension']}")
@@ -581,6 +617,8 @@ def _describe(f: _Field) -> str:
         text += f" {_range_text(*f.range)}"
     if f.when is not None:
         text += f" ({f.when})"
+    if f.floor is not None:
+        text += f", >= {f.floor[0]} for {' and '.join(f.floor[1])}"
     if f.needed_by:
         text += f", needed by {' and '.join(f.needed_by)}"
     elif f.default is None:

@@ -7,12 +7,17 @@ candidate recursion over fresh maxima of the projected path, confirming a
 candidate when the path stays inside the shifted cone for a probationary
 window; windows cut short by the end of the trajectory are flagged as
 censored rather than silently confirmed.
+
+One rule answers every question the recursion asks of a candidate c: when
+does the path first leave the cone rooted at X_c?  ``_first_exit`` answers it
+for all candidates at once from a sparse table of range minima over each face
+functional, at O(N log min(H, N)) time per face and a transient
+L x (N + 2^L) int64 values per face, L = min(H, N + 1).bit_length().
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -145,6 +150,11 @@ def cone_contains(spec: ConeSpec, apex, x) -> bool:
     return bool((spec.matrix @ (pt - a) >= 0).all())
 
 
+def _fresh(s: np.ndarray) -> np.ndarray:
+    """The times n >= 1 with s[n] > max(s[:n]), in increasing order."""
+    return np.flatnonzero(s[1:] > np.maximum.accumulate(s)[:-1]) + 1
+
+
 def fresh_maxima(traj: Trajectory, l) -> np.ndarray:
     """Times n with X_n . l strictly above every earlier value (and above 0)."""
     lv = np.asarray(l, dtype=np.int64)
@@ -152,9 +162,7 @@ def fresh_maxima(traj: Trajectory, l) -> np.ndarray:
         raise ConfigError("direction l must be a nonzero integer vector")
     if math.gcd(*[abs(int(x)) for x in lv]) != 1:
         raise ConfigError("the coordinates of l must have gcd 1")
-    s = traj.positions() @ lv
-    run = np.maximum.accumulate(s)
-    return np.flatnonzero(s[1:] > run[:-1]) + 1
+    return _fresh(traj.positions() @ lv)
 
 
 @dataclass(eq=False)
@@ -201,64 +209,42 @@ class RenewalRecord:
         }
 
 
-def _trailing_window_min(a: np.ndarray, w: int) -> np.ndarray:
-    """out[i] = min(a[i+1 : i+1+w]), padding past the end with +inf."""
-    n = a.shape[0]
-    need = n + w - 1
-    nb = (need + w - 1) // w
-    buf = np.full(nb * w, np.inf)
-    buf[: n - 1] = a[1:]
-    blocks = buf.reshape(nb, w)
-    pref = np.minimum.accumulate(blocks, axis=1).ravel()
-    suff = np.minimum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    i = np.arange(n)
-    return np.minimum(suff[i], pref[i + w - 1])
+_NEVER = np.iinfo(np.int64).max  # pads the face table past the end of the path: no exit there
 
 
-def _first_cone_exit(F: np.ndarray, c: int, hi: int, start: int | None = None) -> int:
-    """First m in (c, hi] with some face value below its value at c."""
-    base = F[c]
-    m = c + 1 if start is None else start
-    blk = 64
-    while m <= hi:
-        end = min(m + blk, hi + 1)
-        viol = (F[m:end] < base).any(axis=1)
-        w = np.flatnonzero(viol)
-        if w.size:
-            return m + int(w[0])
-        m = end
-        blk = min(blk * 4, 1 << 20)
-    raise AssertionError("caller guaranteed an exit inside the window")
+def _first_exit(F: np.ndarray, cands: np.ndarray, H: int) -> np.ndarray:
+    """For each candidate c, the first m > c with F[m, k] < F[c, k] for some face k.
 
-
-_NEAR_EXIT_RANGE = 16
-
-
-def _near_exit_offsets(F: np.ndarray) -> np.ndarray:
-    """off[c] = least j <= 16 with an exit of the c-rooted cone at c + j, else 0.
-
-    Most failed renewal candidates exit within a step or two, so this table
-    turns the common case of the recursion's exit search into a lookup.
+    When no such m is within c + H, the value returned is past c + H.  Each
+    face gets a sparse table of range minima, ``table[j][k, i]`` the minimum
+    of ``F[i : i + 2**j, k]`` for levels j = 0..L-1 with
+    L = min(H, len(F)).bit_length(), which is descended greedily from its top
+    level for all candidates at once.
     """
-    n = F.shape[0]
-    off = np.zeros(n, dtype=np.int64)
-    cols = [np.ascontiguousarray(F[:, k]) for k in range(F.shape[1])]
-    for j in range(min(_NEAR_EXIT_RANGE, n - 1), 0, -1):
-        mask = cols[0][j:] < cols[0][:-j]
-        for col in cols[1:]:
-            mask |= col[j:] < col[:-j]
-        off[: n - j][mask] = j
-    return off
+    L = min(H, F.shape[0]).bit_length()
+    table = [np.concatenate([F.T, np.full((F.shape[1], (1 << L) - 1), _NEVER)], axis=1)]
+    for j in range(1, L):
+        half = 1 << (j - 1)
+        table.append(np.minimum(table[-1][:, :-half], table[-1][:, half:]))
+    base = F[cands].T
+    pos = cands + 1
+    for j in range(L - 1, -1, -1):
+        stays = (table[j].take(pos, axis=1) >= base).all(axis=0)
+        pos += stays << j
+    return pos
 
 
 def detect_renewals(traj: Trajectory, spec: ConeSpec, confirm_horizon: int) -> RenewalRecord:
     """Run the renewal recursion with windowed confirmation.
 
     Candidates are fresh maxima in direction l.  A candidate at time c is
-    confirmed when the path stays in X_c + cone through min(c + H, N); on
-    failure at exit time r the recursion skips to the first time the level
-    exceeds the running maximum up to r, and after a confirmation it restarts
-    from the next fresh maximum (the shifted path's first positive level).
+    confirmed when the path stays in X_c + cone through min(c + H, N), that
+    is when its first cone exit comes later.  After a confirmation the
+    recursion goes on to the next fresh maximum (the shifted path's first
+    positive level); on failure at exit time r it skips to the first time the
+    level exceeds the running maximum up to r, which is the first fresh
+    maximum after r.  Both successors are precomputed for every candidate, so
+    the recursion is a pointer chase.
     """
     if confirm_horizon < 1:
         raise ConfigError("confirm_horizon must be at least 1")
@@ -267,54 +253,23 @@ def detect_renewals(traj: Trajectory, spec: ConeSpec, confirm_horizon: int) -> R
     H = int(confirm_horizon)
     P = traj.positions()
     N = len(traj)
-    s = P @ np.asarray(spec.l, dtype=np.int64)
-    F = P @ spec.matrix.T
-    runmax = np.maximum.accumulate(s)
-    fresh = np.flatnonzero(s[1:] > runmax[:-1]) + 1
-    d_cols = F.shape[1]
-    empty = RenewalRecord(
-        np.zeros(0, dtype=np.int64), np.zeros((0, traj.dim), dtype=np.int64), H, False
-    )
-    if fresh.size == 0:
-        return empty
-    Ff = F.astype(np.float64)
-    wm = np.stack([_trailing_window_min(Ff[:, k], H) for k in range(d_cols)], axis=1)
-    ok = (wm[fresh] >= Ff[fresh]).all(axis=1)
+    fresh = _fresh(P @ np.asarray(spec.l, dtype=np.int64))
     nf = fresh.size
-    # next_bad[j] = first index >= j whose candidate fails, else nf
-    tmp = np.where(~ok, np.arange(nf), nf)
-    next_bad = np.minimum.accumulate(tmp[::-1])[::-1]
-    cens_start = int(np.searchsorted(fresh, N - H, side="right"))
-    near_exit = _near_exit_offsets(F).tolist()
-    ok_l = ok.tolist()
-    next_bad_l = next_bad.tolist()
-    fresh_l = fresh.tolist()
-    fresh_lv_l = (s[fresh]).tolist()
-    runmax_l = runmax.tolist()
-    pieces: list[np.ndarray] = []
-    censored = False
+    exit_at = _first_exit(P @ spec.matrix.T, fresh, H) if nf else fresh
+    w = min(H, N + 1)  # a window reaching past the end of the path is cut off there
+    ok = exit_at > np.minimum(fresh + w, N)
+    censored = ok & (fresh + w > N)
+    succ = np.where(ok, np.arange(1, nf + 1), np.searchsorted(fresh, exit_at, side="right"))
+    succ[censored] = nf  # a window cut off by the end of the path ends the recursion
+    ok_l, succ_l = ok.tolist(), succ.tolist()
+    kept = []
     j = 0
     while j < nf:
         if ok_l[j]:
-            if j >= cens_start:
-                pieces.append(fresh[j : j + 1])
-                censored = True
-                break
-            run_end = min(next_bad_l[j], cens_start)
-            pieces.append(fresh[j:run_end])
-            j = run_end
-        else:
-            c = fresh_l[j]
-            off = near_exit[c]
-            if off:
-                r = c + off
-            else:
-                r = _first_cone_exit(F, c, min(c + H, N), start=c + _NEAR_EXIT_RANGE + 1)
-            j = bisect_right(fresh_lv_l, runmax_l[r])
-    if not pieces:
-        return empty
-    t_arr = np.concatenate(pieces)
-    return RenewalRecord(t_arr, P[t_arr], H, censored)
+            kept.append(j)
+        j = succ_l[j]
+    times = fresh[kept]
+    return RenewalRecord(times, P[times], H, bool(kept) and bool(censored[kept[-1]]))
 
 
 @dataclass(frozen=True)

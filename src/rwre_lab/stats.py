@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cone import ConeSpec, RenewalRecord
+from .cone import ConeSpec, RenewalRecord, _fresh
 from .errors import ConfigError
 from .walk import Trajectory, run_slab_ensemble, simulate_ensemble
 
@@ -233,10 +233,9 @@ def estimate_direction(
     elif route == ROUTE_RENEWAL:
         if not records:
             return InsufficientData("no renewal records supplied")
-        chunks = [r.increments() for r in records if r.increments().shape[0] >= 1]
-        if not chunks:
+        samples = pooled_increments(records).astype(np.float64)
+        if not samples.shape[0]:
             return InsufficientData("no walk produced two confirmed renewals")
-        samples = np.vstack(chunks).astype(np.float64)
     else:
         raise ConfigError(f"unknown route {route!r}")
     mean = samples.mean(axis=0)
@@ -251,7 +250,7 @@ def estimate_direction(
 
 def pooled_increments(records: Sequence[RenewalRecord]) -> np.ndarray:
     """Confirmed renewal increments concatenated in walker order."""
-    chunks = [r.increments() for r in records if r.increments().shape[0]]
+    chunks = [inc for inc in (r.increments() for r in records) if inc.shape[0]]
     if not chunks:
         return np.zeros((0, 0), dtype=np.int64)
     return np.vstack(chunks)
@@ -364,18 +363,6 @@ class RenewalIdentityReport:
     n_walks: int
 
 
-def _level_hits(s: np.ndarray, i_min: int, i_max: int) -> np.ndarray:
-    """hits[i - i_min] = 1 if the first passage over i-1 lands exactly at i."""
-    run = np.maximum.accumulate(s)
-    levels = np.arange(i_min, i_max + 1, dtype=np.int64)
-    t = np.searchsorted(run, levels)  # first n with run[n] >= i
-    reached = t < s.shape[0]
-    out = np.zeros(levels.shape[0], dtype=np.float64)
-    idx = np.flatnonzero(reached)
-    out[idx] = s[t[idx]] == levels[idx]
-    return out
-
-
 def renewal_mean_identity(
     trajs: Sequence[Trajectory],
     records: Sequence[RenewalRecord],
@@ -407,11 +394,11 @@ def renewal_mean_identity(
     is_plus = np.zeros(n, dtype=bool)
     stays = np.zeros(n, dtype=bool)
     max_lv = np.zeros(n, dtype=np.int64)
-    all_s = []
+    fresh_levels = []  # per walk, the sorted levels that are fresh maxima
     for i, (t, rec) in enumerate(zip(trajs, records)):
         pos = t.positions()
         s = pos @ lv
-        all_s.append(s)
+        fresh_levels.append(s[_fresh(s)])
         max_lv[i] = s.max()
         is_plus[i] = _classify_levels(s.astype(np.float64), thr, dip) > 0
         stays[i] = bool(((pos @ spec.matrix.T) >= 0).all())
@@ -428,10 +415,11 @@ def renewal_mean_identity(
     i_min, i_max = int(window[0]), int(window[1])
     if i_min < 1 or i_max < i_min:
         raise ConfigError("level window must satisfy 1 <= i_min <= i_max")
+    # the first passage over i - 1 lands exactly on level i >= 1 iff i is a fresh maximum's level
     width = i_max - i_min + 1
-    hit_frac = np.empty(n)
-    for i, s in enumerate(all_s):
-        hit_frac[i] = _level_hits(s, i_min, i_max).mean()
+    hit_frac = np.asarray(
+        [(np.searchsorted(v, i_max, "right") - np.searchsorted(v, i_min)) / width for v in fresh_levels]
+    )
     total_inc = int(inc_cnt.sum())
     n_plus = int(is_plus.sum())
     if total_inc < 10:
@@ -466,12 +454,7 @@ def renewal_mean_identity(
         return InsufficientData("bootstrap produced too few valid resamples")
     ratio_ci = (float(np.percentile(ratios, 2.5)), float(np.percentile(ratios, 97.5)))
     # increment-level CI for the lhs
-    pool = []
-    for rec in records:
-        inc = rec.increments()
-        if inc.shape[0]:
-            pool.append(inc @ lv)
-    proj = np.concatenate(pool).astype(np.float64)
+    proj = (pooled_increments(records) @ lv).astype(np.float64)
     lhs_ci = _normal_ci(float(proj.mean()), float(proj.std(ddof=1)), proj.size)
     return RenewalIdentityReport(
         lhs,

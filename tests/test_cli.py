@@ -9,6 +9,7 @@ import pytest
 
 import rwre_lab
 from rwre_lab.cli import _write_outputs, load_config, main
+from rwre_lab.errors import ConfigError
 
 
 def write_config(tmp_path: Path, name: str, cfg: dict) -> Path:
@@ -70,6 +71,41 @@ def direction_config(**cone) -> dict:
 def with_block(cfg: dict, block: str, **fields) -> dict:
     """``cfg`` with ``fields`` set in its ``block``."""
     return {**cfg, block: {**cfg.get(block, {}), **fields}}
+
+
+def cone_run(experiment: str, **top) -> dict:
+    """``direction_config()`` run as ``experiment``; ``top`` sets top-level fields, and a None value drops one."""
+    cfg = {**direction_config(), "experiment": experiment, **top}
+    return {k: v for k, v in cfg.items() if v is not None}
+
+
+# Ranges of a rational, of a window or of one experiment, now checked at load.
+# Each of these configs used to simulate first, end in a traceback, or run.
+WEIGHT_AND_WINDOW_CASES = [
+    pytest.param(direction_config(**{"lambda": "2"}), "'cone.lambda'", id="cone_lambda_above_1"),
+    pytest.param(direction_config(**{"lambda": 0}), "'cone.lambda'", id="cone_lambda_zero"),
+    pytest.param(direction_config(lambda_grid=["1", "2"]), "'cone.lambda_grid'", id="lambda_grid_above_1"),
+    pytest.param(
+        direction_config(**{"lambda": "scan"}, lambda_grid=["-1/2"]), "'cone.lambda_grid'", id="lambda_grid_scan"
+    ),
+    pytest.param(direction_config(lambda_grid=[]), "'cone.lambda_grid'", id="lambda_grid_empty"),
+    pytest.param(with_block(cone_run("renewal-identity"), "identity", window=[0, 5]), "'identity.window'", id="window_0"),
+    pytest.param(
+        with_block(cone_run("renewal-identity"), "identity", window=[9, 3]), "'identity.window'", id="window_reversed"
+    ),
+]
+EXPERIMENT_FLOOR_CASES = [
+    pytest.param(cone_run("direction", confirm_horizon=0), "'confirm_horizon'", id="confirm_horizon_direction"),
+    pytest.param(cone_run("renewal", confirm_horizon=None), "'confirm_horizon'", id="confirm_horizon_renewal"),
+    pytest.param(
+        cone_run("renewal", confirm_horizon=0, n_walks=0), "'confirm_horizon'", id="confirm_horizon_renewal_no_walks"
+    ),
+    pytest.param(
+        cone_run("renewal-identity", confirm_horizon=0, n_walks=0), "'confirm_horizon'", id="confirm_horizon_identity"
+    ),
+    # n_walks defaults to 0, and a direction run without walkers ended in a ValueError traceback, exit 1
+    pytest.param(cone_run("direction", n_walks=None), "'n_walks'", id="n_walks_direction"),
+]
 
 
 class TestRun:
@@ -192,6 +228,7 @@ class TestRun:
             ),
             pytest.param(simulate_config(model={"kind": "levy"}), "'model.kind'", id="model_kind"),
             pytest.param(oracle_config(kind="sphere"), "'oracle.region.kind'", id="region_kind"),
+            *WEIGHT_AND_WINDOW_CASES,
         ],
     )
     def test_malformed_block_value_exits_2(self, tmp_path, capsys, cfg, name):
@@ -237,12 +274,19 @@ class TestRun:
                 id="n_angles",
             ),
             pytest.param(with_oracle(n_env=0), "'oracle.n_env'", id="n_env"),
+            *EXPERIMENT_FLOOR_CASES,
         ],
     )
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, cfg, name):
         cfg = write_config(tmp_path, "bad.json", cfg)
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, name", WEIGHT_AND_WINDOW_CASES + EXPERIMENT_FLOOR_CASES)
+    def test_range_refused_at_load(self, tmp_path, cfg, name):
+        # load_config simulates nothing, so these are refused before any walk runs
+        with pytest.raises(ConfigError, match=name):
+            load_config(write_config(tmp_path, "bad.json", cfg))
 
     @pytest.mark.parametrize(
         "experiment, name",

@@ -1,0 +1,325 @@
+"""The range-min renewal scan and the fresh-maximum level hits against the code they replaced.
+
+``ref_detect_renewals`` is the renewal scan as it was before one first-exit
+rule replaced its three exit searches (a block window minimum, a 16-step
+near-exit table and a block-doubling far-exit scan), and ``ref_level_hits``
+and ``ref_renewal_mean_identity`` are the level-hit rule and the identity
+estimator that kept every walk's full level array.  They are kept as
+oracles: the scan must reproduce their records and reports exactly.
+"""
+
+from bisect import bisect_right
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rwre_lab import ConeSpec, Homogeneous, Trajectory, TransitionVector, detect_renewals
+from rwre_lab.cone import DEFAULT_LAMBDA_GRID, RenewalRecord
+from rwre_lab.errors import ConfigError
+from rwre_lab.stats import (
+    InsufficientData,
+    RenewalIdentityReport,
+    _binom_ci,
+    _classify_levels,
+    _normal_ci,
+    _resolve_thresholds,
+    renewal_mean_identity,
+)
+from rwre_lab.walk import simulate_ensemble
+
+# ---------------------------------------------------------------- oracles
+
+
+def _trailing_window_min(a, w):
+    n = a.shape[0]
+    need = n + w - 1
+    nb = (need + w - 1) // w
+    buf = np.full(nb * w, np.inf)
+    buf[: n - 1] = a[1:]
+    blocks = buf.reshape(nb, w)
+    pref = np.minimum.accumulate(blocks, axis=1).ravel()
+    suff = np.minimum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    i = np.arange(n)
+    return np.minimum(suff[i], pref[i + w - 1])
+
+
+def _first_cone_exit(F, c, hi, start=None):
+    base = F[c]
+    m = c + 1 if start is None else start
+    blk = 64
+    while m <= hi:
+        end = min(m + blk, hi + 1)
+        w = np.flatnonzero((F[m:end] < base).any(axis=1))
+        if w.size:
+            return m + int(w[0])
+        m = end
+        blk = min(blk * 4, 1 << 20)
+    raise AssertionError("caller guaranteed an exit inside the window")
+
+
+_NEAR_EXIT_RANGE = 16
+
+
+def _near_exit_offsets(F):
+    n = F.shape[0]
+    off = np.zeros(n, dtype=np.int64)
+    cols = [np.ascontiguousarray(F[:, k]) for k in range(F.shape[1])]
+    for j in range(min(_NEAR_EXIT_RANGE, n - 1), 0, -1):
+        mask = cols[0][j:] < cols[0][:-j]
+        for col in cols[1:]:
+            mask |= col[j:] < col[:-j]
+        off[: n - j][mask] = j
+    return off
+
+
+def ref_detect_renewals(traj, spec, confirm_horizon):
+    if confirm_horizon < 1:
+        raise ConfigError("confirm_horizon must be at least 1")
+    H = int(confirm_horizon)
+    P = traj.positions()
+    N = len(traj)
+    s = P @ np.asarray(spec.l, dtype=np.int64)
+    F = P @ spec.matrix.T
+    runmax = np.maximum.accumulate(s)
+    fresh = np.flatnonzero(s[1:] > runmax[:-1]) + 1
+    empty = RenewalRecord(np.zeros(0, dtype=np.int64), np.zeros((0, traj.dim), dtype=np.int64), H, False)
+    if fresh.size == 0:
+        return empty
+    Ff = F.astype(np.float64)
+    wm = np.stack([_trailing_window_min(Ff[:, k], H) for k in range(F.shape[1])], axis=1)
+    ok = (wm[fresh] >= Ff[fresh]).all(axis=1)
+    nf = fresh.size
+    tmp = np.where(~ok, np.arange(nf), nf)
+    next_bad = np.minimum.accumulate(tmp[::-1])[::-1]
+    cens_start = int(np.searchsorted(fresh, N - H, side="right"))
+    near_exit = _near_exit_offsets(F).tolist()
+    ok_l, next_bad_l, fresh_l = ok.tolist(), next_bad.tolist(), fresh.tolist()
+    fresh_lv_l, runmax_l = s[fresh].tolist(), runmax.tolist()
+    pieces = []
+    censored = False
+    j = 0
+    while j < nf:
+        if ok_l[j]:
+            if j >= cens_start:
+                pieces.append(fresh[j : j + 1])
+                censored = True
+                break
+            run_end = min(next_bad_l[j], cens_start)
+            pieces.append(fresh[j:run_end])
+            j = run_end
+        else:
+            c = fresh_l[j]
+            off = near_exit[c]
+            r = c + off if off else _first_cone_exit(F, c, min(c + H, N), start=c + _NEAR_EXIT_RANGE + 1)
+            j = bisect_right(fresh_lv_l, runmax_l[r])
+    if not pieces:
+        return empty
+    t_arr = np.concatenate(pieces)
+    return RenewalRecord(t_arr, P[t_arr], H, censored)
+
+
+def ref_level_hits(s, i_min, i_max):
+    run = np.maximum.accumulate(s)
+    levels = np.arange(i_min, i_max + 1, dtype=np.int64)
+    t = np.searchsorted(run, levels)
+    reached = t < s.shape[0]
+    out = np.zeros(levels.shape[0], dtype=np.float64)
+    idx = np.flatnonzero(reached)
+    out[idx] = s[t[idx]] == levels[idx]
+    return out
+
+
+def ref_renewal_mean_identity(trajs, records, spec, window=None, n_boot=1000, boot_seed=12345):
+    lv = np.asarray(spec.l, dtype=np.int64)
+    thr, dip = _resolve_thresholds(len(trajs[0]), None, None)
+    n = len(trajs)
+    inc_sum, inc_cnt = np.zeros(n), np.zeros(n)
+    is_plus, stays = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    max_lv = np.zeros(n, dtype=np.int64)
+    all_s = []
+    for i, (t, rec) in enumerate(zip(trajs, records)):
+        pos = t.positions()
+        s = pos @ lv
+        all_s.append(s)
+        max_lv[i] = s.max()
+        is_plus[i] = _classify_levels(s.astype(np.float64), thr, dip) > 0
+        stays[i] = bool(((pos @ spec.matrix.T) >= 0).all())
+        inc = rec.increments()
+        if inc.shape[0]:
+            inc_sum[i] = float((inc @ lv).sum())
+            inc_cnt[i] = inc.shape[0]
+    if window is None:
+        top = int(max_lv.min())
+        if top < 1:
+            return InsufficientData("some walk reached no positive level")
+        window = (max(1, top // 2), top)
+    i_min, i_max = int(window[0]), int(window[1])
+    hit_frac = np.asarray([ref_level_hits(s, i_min, i_max).mean() for s in all_s])
+    total_inc = int(inc_cnt.sum())
+    n_plus = int(is_plus.sum())
+    if total_inc < 10:
+        return InsufficientData(f"only {total_inc} confirmed increments")
+    if n_plus == 0:
+        return InsufficientData("no walk classified forward transient")
+    if hit_frac.mean() == 0.0:
+        return InsufficientData("no level hits inside the window")
+
+    def estimates(sel):
+        cnt = inc_cnt[sel].sum()
+        plus = is_plus[sel].sum()
+        lhs = inc_sum[sel].sum() / cnt if cnt else float("nan")
+        pc = (is_plus[sel] & stays[sel]).sum() / plus if plus else float("nan")
+        return lhs, pc, hit_frac[sel].mean()
+
+    lhs, p_cone, hit = estimates(np.arange(n))
+    if p_cone == 0.0:
+        return InsufficientData("no transient walk stayed in the origin cone")
+    rhs = 1.0 / (p_cone * hit)
+    rng = np.random.default_rng(boot_seed)
+    ratios = np.empty(n_boot)
+    for bidx in range(n_boot):
+        bl, bp, bh = estimates(rng.integers(0, n, size=n))
+        ratios[bidx] = bl * bp * bh if bp and bh else float("nan")
+    ratios = ratios[np.isfinite(ratios)]
+    if ratios.size < max(10, n_boot // 10):
+        return InsufficientData("bootstrap produced too few valid resamples")
+    ratio_ci = (float(np.percentile(ratios, 2.5)), float(np.percentile(ratios, 97.5)))
+    proj = np.concatenate([rec.increments() @ lv for rec in records if rec.increments().shape[0]]).astype(np.float64)
+    lhs_ci = _normal_ci(float(proj.mean()), float(proj.std(ddof=1)), proj.size)
+    return RenewalIdentityReport(
+        lhs, lhs_ci, p_cone, _binom_ci(int((is_plus & stays).sum()), n_plus), hit, rhs, lhs / rhs,
+        ratio_ci, (i_min, i_max), total_inc, n,
+    )
+
+
+# ---------------------------------------------------------------- cases
+
+
+def assert_same_record(got: RenewalRecord, want: RenewalRecord) -> None:
+    for name in ("times", "positions"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+    assert got.confirm_horizon == want.confirm_horizon
+    assert got.censored_tail is want.censored_tail
+
+
+# Per dimension, cones whose direction passes the check.  The d = 2 skew cone
+# has faces that fall on a step that raises the level, so a candidate can
+# leave its cone at a fresh maximum.
+CONES = {
+    1: [((1,), ((1,),), (1,))],
+    2: [((1, 1), ((1, 1), (1, -1)), (1, 0)), ((1, 1), ((3, -2), (-2, 3)), (1, 1))],
+    3: [((1, 1, 1), ((1, 1, 0), (1, -1, 1), (1, 0, -1)), (1, 0, 0))],
+}
+
+
+def drift_probs(l, bias):
+    """Step probabilities leaning toward +l: each +e_a gets extra weight ``bias * l_a``."""
+    d = len(l)
+    p = np.full(2 * d, 1.0)
+    for a, la in enumerate(l):
+        p[2 * a] += bias * max(la, 0)
+        p[2 * a + 1] += bias * max(-la, 0)
+    return p / p.sum()
+
+
+def paths(d, l, seed):
+    """N = 0, a straight run up the first axis, a path whose every candidate fails, and random walks."""
+    rng = np.random.default_rng(seed)
+    out = [np.zeros(0, np.int8), np.zeros(40, np.int8)]
+    if d > 1:
+        out.append(np.asarray([0, 2] * 30, np.int8))  # +e1 then +e2: each fresh maximum leaves at once
+    else:
+        out.append(np.asarray([0, 1] * 30, np.int8))
+    for n, bias in ((1, 1.0), (7, 1.0), (65, 2.0), (300, 1.0), (300, 4.0), (300, 0.3)):
+        out.append(rng.choice(2 * d, size=n, p=drift_probs(l, bias)).astype(np.int8))
+    return out
+
+
+def horizons(N):
+    """1, 2^k - 1, 2^k, 2^k + 1, N, N + 1 and more than N."""
+    hs = {1, N, N + 1, N + 7, 3 * N + 1}
+    for k in (1, 2, 3, 4, 6, 8):
+        hs |= {(1 << k) - 1, 1 << k, (1 << k) + 1}
+    return sorted(h for h in hs if h >= 1)
+
+
+@pytest.mark.parametrize("lam", DEFAULT_LAMBDA_GRID, ids=str)
+@pytest.mark.parametrize("d", sorted(CONES))
+def test_records_match_old_scan(d, lam):
+    for ci, (sigma, basis, l) in enumerate(CONES[d]):
+        spec = ConeSpec(sigma, basis, lam, l)
+        for steps in paths(d, l, 100 * d + ci):
+            traj = Trajectory(steps, d, 0)
+            for H in horizons(len(traj)):
+                assert_same_record(detect_renewals(traj, spec, H), ref_detect_renewals(traj, spec, H))
+
+
+def test_special_paths_cover_their_cases():
+    """The hand-made paths give an empty record, a censored tail, and candidates that all fail."""
+    spec = ConeSpec((1, 1), ((1, 1), (1, -1)), Fraction(1, 2), (1, 0))
+    empty, straight, failing = (Trajectory(p, 2, 0) for p in paths(2, (1, 0), 0)[:3])
+    assert detect_renewals(empty, spec, 5).times.size == 0
+    rec = detect_renewals(straight, spec, 8)
+    assert rec.censored_tail and rec.n_confirmed == 40 - 8
+    assert detect_renewals(failing, spec, 3).times.size == 0
+
+
+def test_skew_cone_exits_at_fresh_maxima():
+    """A failed candidate whose exit is itself a fresh maximum skips past it, as the old scan did."""
+    spec = ConeSpec((1, 1), ((3, -2), (-2, 3)), Fraction(1), (1, 1))
+    steps = np.asarray([2, 2, 0, 2, 0, 0, 2, 2, 0, 0, 0, 2, 2, 2] * 4, np.int8)
+    traj = Trajectory(steps, 2, 0)
+    F = traj.positions() @ spec.matrix.T
+    s = traj.positions() @ np.asarray(spec.l)
+    leaves = (F[1:] < F[:-1]).any(axis=1) & (s[1:] > np.maximum.accumulate(s)[:-1])
+    assert leaves.any()
+    for H in (1, 2, 3, 4, 5, 8, 16, len(traj) + 1):
+        assert_same_record(detect_renewals(traj, spec, H), ref_detect_renewals(traj, spec, H))
+
+
+@st.composite
+def scan_cases(draw):
+    d = draw(st.integers(1, 3))
+    sigma = tuple(draw(st.sampled_from([-1, 1])) for _ in range(d))
+    basis = tuple(tuple(draw(st.integers(-3, 3)) for _ in range(d)) for _ in range(d))
+    l = tuple(draw(st.integers(-2, 2)) for _ in range(d))
+    q = draw(st.integers(1, 8))
+    lam = Fraction(draw(st.integers(1, q)), q)
+    try:
+        spec = ConeSpec(sigma, basis, lam, l, check_direction=False)
+    except ConfigError:  # a degenerate draw falls back to the orthant, with l = e1
+        spec = ConeSpec((1,) * d, np.eye(d, dtype=int).tolist(), lam, (1,) + (0,) * (d - 1), check_direction=False)
+    steps = draw(st.lists(st.integers(0, 2 * d - 1), max_size=120))
+    H = draw(st.integers(1, len(steps) + 3))
+    return Trajectory(np.asarray(steps, np.int8), d, 0), spec, H
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases())
+def test_random_steps_and_cones_match_old_scan(case):
+    traj, spec, H = case
+    assert_same_record(detect_renewals(traj, spec, H), ref_detect_renewals(traj, spec, H))
+
+
+# ---------------------------------------------------------------- level hits
+
+
+@pytest.mark.parametrize("window", [None, (3, 40), (1, 1), (50, 10**4)], ids=str)
+@pytest.mark.parametrize("d", [1, 2])
+def test_identity_report_matches_old_level_hits(d, window):
+    l = (1,) + (0,) * (d - 1)
+    spec = ConeSpec(*CONES[d][0][:2], Fraction(1, 2) if d > 1 else Fraction(1), l)
+    model = Homogeneous(TransitionVector(drift_probs(l, 1.5)))
+    trajs = simulate_ensemble(model, 81 + d, 60, 1500)
+    records = [detect_renewals(t, spec, 150) for t in trajs]
+    got = renewal_mean_identity(trajs, records, spec, window=window, n_boot=200)
+    want = ref_renewal_mean_identity(trajs, records, spec, window=window, n_boot=200)
+    assert type(got) is type(want)
+    assert vars(got) == vars(want)
+    assert isinstance(got, RenewalIdentityReport)
+
