@@ -24,7 +24,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +33,7 @@ from typing import Any, Callable, NamedTuple, TextIO
 import numpy as np
 
 from . import __version__
-from .cone import DEFAULT_LAMBDA_GRID, ConeSpec, detect_renewals, lambda_scan
+from .cone import DEFAULT_LAMBDA_GRID, ConeSpec, detect_renewals, lambda_scan, renewal_rate
 from .env import (
     Dirichlet,
     EnvironmentModel,
@@ -43,12 +43,13 @@ from .env import (
     TransitionVector,
 )
 from .errors import ConfigError, NumericError
-from .oracle import BoxRegion, IntervalRegion, SlabRegion, annealed_exit, gamblers_ruin
+from .oracle import BoxRegion, IntervalRegion, RegionDescriptor, SlabRegion, annealed_exit, gamblers_ruin
 from .rng import TAG_STAT, derive_key
 from .stats import (
     InsufficientData,
     ROUTE_RAW,
     ROUTE_RENEWAL,
+    _binom_se,
     antipodal_clustering,
     classify_transience,
     estimate_direction,
@@ -75,6 +76,7 @@ class ExperimentConfig:
     fields: dict[str, Any]
     model: EnvironmentModel
     raw: dict
+    cones: dict[Fraction, ConeSpec] = field(default_factory=dict)  # by weight: the fixed one, or every grid one
 
     def __getitem__(self, path: str) -> Any:
         return self.fields[path]
@@ -127,7 +129,7 @@ def _ensemble(cfg: ExperimentConfig) -> list:
 
 
 def _cone_spec_from(cfg: ExperimentConfig) -> tuple[ConeSpec, list[dict]]:
-    """Build the cone, running the interpolation-weight scan when asked; also returns the scan's rows."""
+    """The loaded cone, its weight picked by the interpolation-weight scan when asked; also returns the scan's rows."""
     sigma, basis, l = cfg["cone.sigma"], cfg["cone.basis"], cfg["cone.l"]
     check = cfg["cone.check_direction"]
     lam = cfg["cone.lambda"]
@@ -163,7 +165,7 @@ def _cone_spec_from(cfg: ExperimentConfig) -> tuple[ConeSpec, list[dict]]:
         if not result.found:
             raise _NoRenewals("no lambda on the grid met the renewal-rate floor")
         lam = result.chosen
-    return ConeSpec(sigma, basis, lam, l, check), scan_rows
+    return cfg.cones[lam], scan_rows
 
 
 def _simulate(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
@@ -214,7 +216,7 @@ def _renewal(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
         rows.append(
             {"record": "renewals", "walker": i, **_attrs(rec, "n_confirmed", "censored_tail"), **rec.to_json_obj()}
         )
-    rate = 1000.0 * total / max(1, cfg["n_walks"] * cfg["horizon"])
+    rate = renewal_rate(total, cfg["n_walks"], cfg["horizon"])
     rows.append({"record": "renewal-rate", "lambda": spec.lam, "rate_per_1k": rate})
     return rows, None, False
 
@@ -281,22 +283,21 @@ def _zero_one_scan(cfg: ExperimentConfig) -> tuple[list[dict], list[dict], bool]
     return rows, curves, False
 
 
-def _region(cfg: ExperimentConfig) -> tuple[Any, tuple | None]:
-    """The oracle's region, and the slab (l_prime, b, L) a Monte Carlo cross-check can run on, if any."""
+def _region(cfg: ExperimentConfig) -> RegionDescriptor:
     kind = cfg["oracle.region.kind"]
     if kind == "interval":
         lo, hi = cfg["oracle.region.lo"], cfg["oracle.region.hi"]
         if not lo < 0 < hi:
             raise ConfigError("config: 'oracle.region' interval must contain the start site, lo < 0 < hi")
-        return IntervalRegion(lo, hi), ([1.0], -lo / hi, float(hi))
+        return IntervalRegion(lo, hi)
     if kind == "slab":
         lp, b, L = cfg["oracle.region.l_prime"], cfg["oracle.region.b"], cfg["oracle.region.L"]
-        return SlabRegion(lp, b, L, cfg["oracle.region.bound_width"]), (lp, b, L)
-    return BoxRegion(cfg["oracle.region.lo"], cfg["oracle.region.hi"]), None
+        return SlabRegion(lp, b, L, cfg["oracle.region.bound_width"])
+    return BoxRegion(cfg["oracle.region.lo"], cfg["oracle.region.hi"])
 
 
 def _oracle_compare(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
-    region, slab = _region(cfg)
+    region = _region(cfg)
     target, n_walks = cfg["oracle.target_class"], cfg["n_walks"]
     exact = annealed_exit(cfg.model, region, (0,) * cfg["dimension"], target, cfg["oracle.n_env"], cfg["master_seed"])
     row = {
@@ -308,14 +309,13 @@ def _oracle_compare(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
     }
     if isinstance(cfg.model, Homogeneous) and isinstance(region, IntervalRegion):
         row["closed_form_right"] = gamblers_ruin(float(cfg.model.vector.probs[0]), -region.lo, region.hi)
+    slab = region.mc_slab()
     if slab is not None and n_walks > 0 and target in ("Right", "Left"):
         tally = run_slab_ensemble(cfg.model, cfg["master_seed"], n_walks, *slab, cfg["horizon"])
-        exits = tally.n_left + tally.n_right
-        k = tally.n_right if target == "Right" else tally.n_left
-        p_hat = k / exits if exits else float("nan")
-        se = float(np.sqrt(p_hat * (1 - p_hat) / exits)) if exits else float("nan")
-        row.update(mc_p=p_hat, mc_se=se, mc_n_exits=exits, mc_n_censored=tally.n_censored)
-        row["agree_3sigma"] = bool(exits and abs(p_hat - exact.mean) <= 3 * se) if exits else False
+        p_hat = tally.p_right if target == "Right" else tally.p_left
+        se = _binom_se(p_hat, tally.n_exits)
+        row.update(mc_p=p_hat, mc_se=se, mc_n_exits=tally.n_exits, mc_n_censored=tally.n_censored)
+        row["agree_3sigma"] = abs(p_hat - exact.mean) <= 3 * se  # False when nothing exited: se is NaN
     return [row], None, False
 
 
@@ -407,6 +407,7 @@ _INT = _Type("int", _read_int)
 _FLOAT = _Type("float", _read_float)
 _RATIONAL = _Type("rational", _read_rational)
 _WEIGHT = _checked(_RATIONAL, lambda w: 0 < w <= 1, "a rational in (0, 1]")
+_POSITIVE = _checked(_FLOAT, lambda v: v > 0, "a number > 0")
 _BOOL = _instance("bool", bool, "true or false")
 _STR = _instance("string", str, "a string")
 _OBJECT = _instance("object", dict, "an object")
@@ -462,7 +463,9 @@ _FIELDS: tuple[_Field, ...] = (
     _Field("experiment", _choice(*EXPERIMENTS)),
     _Field("dimension", _INT, range=(1, 4)),
     _Field("master_seed", _INT, "unsigned 64-bit (CLI --seed overrides)", range=_SEED_RANGE),
-    _Field("n_walks", _INT, "walkers in the ensemble", 0, (0, None), floor=(1, ("direction",))),
+    _Field(
+        "n_walks", _INT, "walkers in the ensemble", 0, (0, None), floor=(1, ("direction", "slab", "zero-one-scan"))
+    ),
     _Field("horizon", _INT, "steps per walk", 0, (0, None)),
     _Field(
         "confirm_horizon",
@@ -505,9 +508,13 @@ _FIELDS: tuple[_Field, ...] = (
     _Field("thresholds.orth_band", _FLOAT, "radians around the axis a scan may leave undecided", 0.2),
     _Field("thresholds.bootstrap_samples", _INT, "", 1000, (1, None)),
     _Field("slab", _OBJECT, default=None, needed_by=("slab",)),
-    _Field("slab.l_prime", _list(_FLOAT, "d")),
-    _Field("slab.b", _FLOAT, "> 0"),
-    _Field("slab.L_list", _list(_FLOAT), "increasing"),
+    _Field("slab.l_prime", _checked(_list(_FLOAT, "d"), any, "a nonzero vector"), "nonzero"),
+    _Field("slab.b", _POSITIVE, "> 0"),
+    _Field(
+        "slab.L_list",
+        _checked(_list(_POSITIVE), lambda v: v and all(a < b for a, b in zip(v, v[1:])), "a nonempty increasing list"),
+        "nonempty, each > 0, strictly increasing",
+    ),
     _Field("zero_one", _OBJECT, default=None, needed_by=("zero-one-scan",)),
     _Field("zero_one.n_angles", _INT, range=(4, None)),
     _Field("oracle", _OBJECT, default=None, needed_by=("oracle-compare",)),
@@ -515,9 +522,9 @@ _FIELDS: tuple[_Field, ...] = (
     _Field("oracle.region.kind", _choice("interval", "slab", "box")),
     _Field("oracle.region.lo", _INT, "lo < 0", when="interval"),
     _Field("oracle.region.hi", _INT, "0 < hi", when="interval"),
-    _Field("oracle.region.l_prime", _list(_FLOAT, "d"), when="slab"),
-    _Field("oracle.region.b", _FLOAT, "> 0", when="slab"),
-    _Field("oracle.region.L", _FLOAT, "> 0", when="slab"),
+    _Field("oracle.region.l_prime", _checked(_list(_FLOAT, "d"), any, "a nonzero vector"), "nonzero", when="slab"),
+    _Field("oracle.region.b", _POSITIVE, "> 0", when="slab"),
+    _Field("oracle.region.L", _POSITIVE, "> 0", when="slab"),
     _Field("oracle.region.bound_width", _INT, range=(1, None), when="slab"),
     _Field("oracle.region.lo", _list(_INT, "d"), when="box"),
     _Field("oracle.region.hi", _list(_INT, "d"), "hi >= lo", when="box"),
@@ -607,7 +614,23 @@ def load_config(path: Path) -> ExperimentConfig:
     model = _MODELS[fields["model.kind"]](fields)
     if model.dim != fields["dimension"]:
         raise ConfigError(f"config: model dimension {model.dim} does not match 'dimension' {fields['dimension']}")
-    return ExperimentConfig(fields, model, raw)
+    return ExperimentConfig(fields, model, raw, _cones(fields))
+
+
+def _cones(fields: dict[str, Any]) -> dict[Fraction, ConeSpec]:
+    """The cone block's ``ConeSpec`` for its fixed weight or for every grid weight; none without the block."""
+    if "cone.l" not in fields:
+        return {}
+    lam = fields["cone.lambda"]
+    cones = {}
+    for w in fields["cone.lambda_grid"] if lam == "scan" else (lam,):
+        try:
+            cones[w] = ConeSpec(
+                fields["cone.sigma"], fields["cone.basis"], w, fields["cone.l"], fields["cone.check_direction"]
+            )
+        except ConfigError as exc:
+            raise ConfigError(f"config: 'cone' at lambda {w}: {exc}") from exc
+    return cones
 
 
 def _describe(f: _Field) -> str:

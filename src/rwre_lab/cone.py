@@ -78,6 +78,7 @@ class ConeSpec:
     l: tuple[int, ...]
     check_direction: bool = True
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    _dual: list = field(init=False, repr=False, compare=False)  # inverse of the signed basis
 
     def __post_init__(self):
         sigma = tuple(int(s) for s in self.sigma)
@@ -104,9 +105,8 @@ class ConeSpec:
         ]
         if _int_det(rows) == 0:
             raise ConfigError("interpolated face vectors are linearly dependent; the cone is degenerate")
+        dual = _fraction_inverse([[sigma[k] * basis[k][i] for i in range(d)] for k in range(d)])
         if self.check_direction:
-            signed = [[sigma[k] * basis[k][i] for i in range(d)] for k in range(d)]
-            dual = _fraction_inverse(signed)
             for j in range(d):
                 ray_dot = sum(Fraction(l[i]) * dual[i][j] for i in range(d))
                 if ray_dot <= 0:
@@ -121,6 +121,7 @@ class ConeSpec:
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_dual", dual)
 
     @property
     def dim(self) -> int:
@@ -129,16 +130,18 @@ class ConeSpec:
     def extreme_rays(self) -> list[tuple[int, ...]]:
         """Integer extreme rays of the signed-basis cone (lambda = 1 geometry)."""
         d = self.dim
-        signed = [[self.sigma[k] * self.basis[k][i] for i in range(d)] for k in range(d)]
-        dual = _fraction_inverse(signed)
         rays = []
         for j in range(d):
-            col = [dual[i][j] for i in range(d)]
+            col = [self._dual[i][j] for i in range(d)]
             scale = math.lcm(*[f.denominator for f in col])
             ray = [int(f * scale) for f in col]
             g = math.gcd(*[abs(x) for x in ray]) or 1
             rays.append(tuple(x // g for x in ray))
         return rays
+
+    def contains(self, apex, pts) -> np.ndarray:
+        """Exact membership of each point (the last axis holds coordinates) in apex + cone."""
+        return ((np.asarray(pts, dtype=np.int64) - apex) @ self.matrix.T >= 0).all(axis=-1)
 
 
 def cone_contains(spec: ConeSpec, apex, x) -> bool:
@@ -147,7 +150,7 @@ def cone_contains(spec: ConeSpec, apex, x) -> bool:
     pt = np.asarray(x, dtype=np.int64)
     if a.shape != (spec.dim,) or pt.shape != (spec.dim,):
         raise ConfigError("apex and x must match the cone dimension")
-    return bool((spec.matrix @ (pt - a) >= 0).all())
+    return bool(spec.contains(a, pt))
 
 
 def _fresh(s: np.ndarray) -> np.ndarray:
@@ -303,6 +306,11 @@ class LambdaScanResult:
 DEFAULT_LAMBDA_GRID = (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
 
 
+def renewal_rate(confirmed: int, n_walks: int, horizon: int) -> float:
+    """Confirmed renewals per walk per 1000 steps, pooled over the ensemble."""
+    return 1000.0 * confirmed / max(1, n_walks * horizon)
+
+
 def lambda_scan(
     model,
     master_seed: int,
@@ -319,9 +327,9 @@ def lambda_scan(
 ) -> LambdaScanResult:
     """Measure confirmed-renewal rates over a grid of interpolation weights.
 
-    The rate is confirmed renewals per walk per 1000 steps, pooled over the
-    ensemble.  One ensemble is simulated and reused for every grid value; a
-    pre-simulated ensemble can be passed in through ``trajs``.
+    The rate is ``renewal_rate``.  One ensemble is simulated and reused for
+    every grid value; a pre-simulated ensemble can be passed in through
+    ``trajs``.
     """
     grid = sorted({Fraction(x) for x in lambdas}, reverse=True)
     if not grid:
@@ -333,11 +341,10 @@ def lambda_scan(
         horizon = len(trajs[0]) if trajs else horizon
     rows = []
     chosen = None
-    total_steps = max(1, n_walks * horizon)
     for lam in grid:
         spec = ConeSpec(tuple(sigma), tuple(tuple(r) for r in basis), lam, tuple(l), check_direction)
         confirmed = sum(detect_renewals(t, spec, confirm_horizon).n_confirmed for t in trajs)
-        rate = 1000.0 * confirmed / total_steps
+        rate = renewal_rate(confirmed, n_walks, horizon)
         rows.append(LambdaScanRow(lam, rate, confirmed))
         if chosen is None and rate > rate_floor:
             chosen = lam

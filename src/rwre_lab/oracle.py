@@ -21,11 +21,12 @@ from enum import Enum
 
 import numpy as np
 
-from .env import Dirichlet, EnvironmentModel, FiniteMixture, Homogeneous, PerturbedSRW, QuenchedEnvironment
+from .env import Dirichlet, EnvironmentModel, FiniteMixture, QuenchedEnvironment, constant_vector
 from .errors import ConfigError
 from .lattice import check_site, step_table
 from .rng import TAG_ENV, derive_key
 from .stats import _normal_ci
+from .walk import _check_slab, _slab_exits
 
 MAX_REGION_SITES = 200_000
 # The solve holds a few dense layer-by-layer blocks; at 2,048 sites each is 32 MB.
@@ -157,6 +158,11 @@ class IntervalRegion:
         if self.hi - self.lo < 2:
             raise ConfigError("interval must contain at least one interior site")
 
+    def mc_slab(self) -> tuple[tuple[float, ...], float, float]:
+        """The slab (l_prime, b, L) standing in for this region in Monte Carlo: faces half a step inside lo and hi."""
+        L = self.hi - 0.5
+        return (1.0,), (-self.lo - 0.5) / L, L
+
     def build(self, env: QuenchedEnvironment, start=(0,)) -> FiniteRegionProblem:
         if env.dim != 1:
             raise ConfigError("interval regions are one-dimensional")
@@ -173,6 +179,10 @@ class BoxRegion:
 
     lo: tuple[int, ...]
     hi: tuple[int, ...]
+
+    def mc_slab(self) -> None:
+        """No slab stands in for a box in Monte Carlo."""
+        return None
 
     def build(self, env: QuenchedEnvironment, start=None) -> FiniteRegionProblem:
         d = env.dim
@@ -210,41 +220,32 @@ class SlabRegion:
     bound_width: int
 
     def __post_init__(self):
-        if self.b <= 0 or self.L <= 0:
-            raise ConfigError("slab parameters b and L must be positive")
+        _check_slab(self.l_prime, self.b, self.L)
         if self.bound_width < 1:
             raise ConfigError("bound_width must be at least 1")
 
-    def _inside(self, pts: np.ndarray) -> np.ndarray:
-        lp = np.asarray(self.l_prime, dtype=np.float64)
-        proj = pts @ lp
-        box = (np.abs(pts) <= self.bound_width).all(axis=1)
-        return (proj > -self.b * self.L) & (proj < self.L) & box
+    def mc_slab(self) -> tuple[tuple[float, ...], float, float]:
+        """The slab (l_prime, b, L) standing in for this region in Monte Carlo: itself."""
+        return self.l_prime, self.b, self.L
 
     def build(self, env: QuenchedEnvironment, start=None) -> FiniteRegionProblem:
         d = env.dim
-        lp = np.asarray(self.l_prime, dtype=np.float64)
-        if lp.shape != (d,):
-            raise ConfigError("l_prime dimension mismatch")
+        lp = _check_slab(self.l_prime, self.b, self.L, d)
         w = int(self.bound_width)
         # the slab's sites can only be counted on the grid, so the grid's size is what is bounded
         if (2 * w + 1) ** d > MAX_REGION_SITES:
             raise ConfigError(f"slab bounding box exceeds {MAX_REGION_SITES} sites; lower bound_width")
         axes = [np.arange(-w, w + 1)] * d
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        inside = self._inside(grid)
-        sites = grid[inside]
+        sites = grid[~np.logical_or(*_slab_exits(grid @ lp, self.b, self.L))]
         if sites.shape[0] == 0:
             raise ConfigError("slab region contains no lattice sites")
-        # the lattice points next to the slab's sites but not among them, on the grid padded by one
-        pad = np.pad(inside.reshape((2 * w + 1,) * d), 1)
-        near = np.zeros_like(pad)
-        for k in range(d):
-            near |= np.roll(pad, 1, axis=k) | np.roll(pad, -1, axis=k)
-        outside = np.argwhere(near & ~pad) - (w + 1)
-        proj = outside @ lp
-        labels = np.where(proj >= self.L, "Right", np.where(proj <= -self.b * self.L, "Left", "Side"))
-        boundary = dict(zip(map(tuple, outside.tolist()), labels.tolist()))
+        # the neighbours of the sites that are not sites: past a face, or off the box (Side)
+        near = (sites[:, None, :] + step_table(d)).reshape(-1, d)
+        right, left = _slab_exits(near @ lp, self.b, self.L)
+        out = right | left | (np.abs(near) > w).any(axis=1)
+        labels = np.where(right[out], "Right", np.where(left[out], "Left", "Side"))
+        boundary = dict(zip(map(tuple, near[out].tolist()), labels.tolist()))
         if start is None:
             start = (0,) * d
         return FiniteRegionProblem(sites, boundary, env, start)
@@ -291,8 +292,9 @@ def solomon_1d(model: EnvironmentModel) -> SolomonResult:
         raise ConfigError("Dirichlet environments have no closed-form ratio moments here")
     if model.dim != 1:
         raise ConfigError("this criterion is one-dimensional")
-    if isinstance(model, (Homogeneous, PerturbedSRW)):
-        atoms = [model.vector.probs]
+    vec = constant_vector(model)
+    if vec is not None:
+        atoms = [vec.probs]
         weights = [1.0]
     elif isinstance(model, FiniteMixture):
         atoms = [a.probs for a in model.atoms]

@@ -64,11 +64,16 @@ def _normal_ci(mean: float, sd: float, n: int) -> tuple[float, float]:
     return (mean - half, mean + half)
 
 
+def _binom_se(p: float, n: int) -> float:
+    """Standard error of a proportion ``p`` of ``n`` trials; NaN when there are none."""
+    return math.sqrt(max(p * (1.0 - p), 0.0) / n) if n else float("nan")
+
+
 def _binom_ci(k: int, n: int) -> tuple[float, float]:
     if n == 0:
         return (float("nan"), float("nan"))
     p = k / n
-    half = Z95 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
+    half = Z95 * _binom_se(p, n)
     return (max(0.0, p - half), min(1.0, p + half))
 
 
@@ -216,11 +221,7 @@ def estimate_direction(
     if route == ROUTE_RAW:
         if not trajs:
             return InsufficientData("no trajectories supplied")
-        thr = (
-            default_level_threshold(len(trajs[0]))
-            if level_threshold is None
-            else float(level_threshold)
-        )
+        thr = _resolve_thresholds(len(trajs[0]), level_threshold, None)[0]
         dirs = []
         for t in trajs:
             x = t.final_position().astype(np.float64)
@@ -401,7 +402,7 @@ def renewal_mean_identity(
         fresh_levels.append(s[_fresh(s)])
         max_lv[i] = s.max()
         is_plus[i] = _classify_levels(s.astype(np.float64), thr, dip) > 0
-        stays[i] = bool(((pos @ spec.matrix.T) >= 0).all())
+        stays[i] = bool(spec.contains(pos[0], pos).all())
         inc = rec.increments()
         if inc.shape[0]:
             proj = inc @ lv
@@ -561,16 +562,10 @@ def slab_exit_decay(
     Ls = [float(x) for x in L_list]
     if any(b2 <= a for a, b2 in zip(Ls, Ls[1:])):
         raise ConfigError("L_list must be strictly increasing")
-    if b <= 0:
-        raise ConfigError("b must be positive")
     points = []
     for L in Ls:
-        tally = run_slab_ensemble(model, master_seed, n_walks, l_prime, b, L, horizon)
-        exits = tally.n_left + tally.n_right
-        p = tally.n_left / exits if exits else float("nan")
-        points.append(
-            DecayPoint(L, p, _binom_ci(tally.n_left, exits), tally.n_left, exits, tally.n_censored)
-        )
+        t = run_slab_ensemble(model, master_seed, n_walks, l_prime, b, L, horizon)
+        points.append(DecayPoint(L, t.p_left, _binom_ci(t.n_left, t.n_exits), t.n_left, t.n_exits, t.n_censored))
     fit = [(pt.L, pt.p_left) for pt in points if pt.n_left > 0 and np.isfinite(pt.p_left)]
     slope = None
     if len(fit) >= 2:

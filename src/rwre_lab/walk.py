@@ -20,15 +20,9 @@ import numpy as np
 from .env import EnvironmentModel, QuenchedEnvironment, constant_vector, transitions_for
 from .errors import ConfigError
 from .lattice import decode_signed_axis, encode_signed_axis, step_table
-from .rng import TAG_ENV, TAG_STEP, TAG_WALKER, derive_key, stream_u01
+from .rng import TAG_ENV, TAG_STEP, TAG_WALKER, as_u64, derive_key, stream_u01
 
 DEFAULT_CHUNK = 1024  # fixed batch width
-
-
-def _u64_array(values) -> np.ndarray:
-    return np.asarray(
-        [int(v) & 0xFFFFFFFFFFFFFFFF for v in values], dtype=np.uint64
-    )
 
 
 @dataclass(eq=False)
@@ -112,6 +106,21 @@ def _check_l(l) -> np.ndarray:
     return arr
 
 
+def _check_slab(l_prime, b: float, L: float, d: int | None = None) -> np.ndarray:
+    """l_prime as a float vector, once it is checked nonzero with ``d`` entries and b and L positive."""
+    lp = _check_l(np.asarray(l_prime, dtype=np.float64))
+    if d is not None and lp.shape != (d,):
+        raise ConfigError("l_prime dimension mismatch")
+    if b <= 0 or L <= 0:
+        raise ConfigError("slab parameters b and L must be positive")
+    return lp
+
+
+def _slab_exits(proj: np.ndarray, b: float, L: float) -> tuple[np.ndarray, np.ndarray]:
+    """(right, left) exit masks of projections onto l'; boundary sites count as exits."""
+    return proj >= L, proj <= -b * L
+
+
 def walker_seed_for(master_seed: int, walker_id: int) -> int:
     return int(derive_key(master_seed, TAG_WALKER, walker_id))
 
@@ -176,8 +185,8 @@ def simulate(env: QuenchedEnvironment, walker_seed: int, horizon: int) -> Trajec
         raise ConfigError("horizon must be nonnegative")
     steps = _simulate_block(
         env.model,
-        _u64_array([env.master_seed]),
-        _u64_array([walker_seed]),
+        np.atleast_1d(as_u64(env.master_seed)),
+        np.atleast_1d(as_u64(walker_seed)),
         horizon,
     )
     return Trajectory(steps[0], env.dim, int(walker_seed), env_seed=env.master_seed)
@@ -262,24 +271,18 @@ def half_space(l, level: float = 0.0) -> Callable[[np.ndarray], np.ndarray]:
 
 def slab_region(l_prime, b: float, L: float) -> Callable[[np.ndarray], np.ndarray]:
     """Open slab {x : -bL < x . l' < L}."""
-    lp = np.asarray(l_prime, dtype=np.float64)
-    return lambda pts: (pts @ lp > -b * L) & (pts @ lp < L)
+    lp = _check_slab(l_prime, b, L)
+    return lambda pts: ~np.logical_or(*_slab_exits(pts @ lp, b, L))
 
 
 def shifted_cone_region(spec, apex) -> Callable[[np.ndarray], np.ndarray]:
     """Region apex + cone, exact integer arithmetic via the cone's matrix."""
-    a = np.asarray(apex, dtype=np.int64)
-    mat = spec.matrix
-    return lambda pts: ((pts - a) @ mat.T >= 0).all(axis=1)
+    return lambda pts: spec.contains(apex, pts)
 
 
 def slab_exit_side(traj: Trajectory, l_prime, b: float, L: float) -> SlabExit:
     """Which side of the slab the path exits first; boundary sites count as exits."""
-    if b <= 0 or L <= 0:
-        raise ConfigError("slab parameters b and L must be positive")
-    proj = traj.positions() @ np.asarray(l_prime, dtype=np.float64)
-    right = proj >= L
-    left = proj <= -b * L
+    right, left = _slab_exits(traj.positions() @ _check_slab(l_prime, b, L, traj.dim), b, L)
     out = right | left
     if not out.any():
         return SlabExit(None, None)
@@ -297,14 +300,16 @@ class SlabTally:
     n_walks: int
 
     @property
+    def n_exits(self) -> int:
+        return self.n_right + self.n_left
+
+    @property
     def p_right(self) -> float:
-        exits = self.n_right + self.n_left
-        return self.n_right / exits if exits else float("nan")
+        return self.n_right / self.n_exits if self.n_exits else float("nan")
 
     @property
     def p_left(self) -> float:
-        exits = self.n_right + self.n_left
-        return self.n_left / exits if exits else float("nan")
+        return self.n_left / self.n_exits if self.n_exits else float("nan")
 
 
 def _slab_block(
@@ -325,9 +330,7 @@ def _slab_block(
         if step_keys.shape[0] == 0:
             break
         _step(model, const_cum, step_keys, env_seeds, pos, t)
-        proj = pos @ l_prime
-        right = proj >= L
-        left = proj <= -b * L
+        right, left = _slab_exits(pos @ l_prime, b, L)
         done = right | left
         if done.any():
             n_right += int(right.sum())
@@ -350,11 +353,7 @@ def run_slab_ensemble(
     chunk: int = DEFAULT_CHUNK * 8,
 ) -> SlabTally:
     """Annealed slab-exit tally with early stopping per walker."""
-    if b <= 0 or L <= 0:
-        raise ConfigError("slab parameters b and L must be positive")
-    lp = np.asarray(l_prime, dtype=np.float64)
-    if lp.shape != (model.dim,):
-        raise ConfigError("l_prime dimension mismatch")
+    lp = _check_slab(l_prime, b, L, model.dim)
     env_seeds, walk_seeds = ensemble_seeds(master_seed, n_walks)
     parts = [
         _slab_block(model, env_seeds[lo:hi], walk_seeds[lo:hi], lp, b, L, horizon)

@@ -73,6 +73,21 @@ def with_block(cfg: dict, block: str, **fields) -> dict:
     return {**cfg, block: {**cfg.get(block, {}), **fields}}
 
 
+def slab_config(**slab) -> dict:
+    """A small slab run on a drifted 2D walk; ``slab`` overrides slab fields."""
+    return {**simulate_config(experiment="slab"), "slab": {"l_prime": [1, 0], "b": 1, "L_list": [2], **slab}}
+
+
+def without(cfg: dict, key: str) -> dict:
+    """``cfg`` with its top-level ``key`` left out."""
+    return {k: v for k, v in cfg.items() if k != key}
+
+
+def one_dimensional(cfg: dict) -> dict:
+    """``cfg`` on a drifted 1D walk, so that a 1-vector is the right length."""
+    return {**cfg, "dimension": 1, "model": {"kind": "homogeneous", "probs": [0.6, 0.4]}}
+
+
 def cone_run(experiment: str, **top) -> dict:
     """``direction_config()`` run as ``experiment``; ``top`` sets top-level fields, and a None value drops one."""
     cfg = {**direction_config(), "experiment": experiment, **top}
@@ -105,6 +120,20 @@ EXPERIMENT_FLOOR_CASES = [
     ),
     # n_walks defaults to 0, and a direction run without walkers ended in a ValueError traceback, exit 1
     pytest.param(cone_run("direction", n_walks=None), "'n_walks'", id="n_walks_direction"),
+    # these two ran with no walkers and exited 0: an "all-zero" pattern, and NaN exit proportions
+    pytest.param(
+        without(with_block(simulate_config(experiment="zero-one-scan"), "zero_one", n_angles=8), "n_walks"),
+        "'n_walks'",
+        id="n_walks_zero_one_scan",
+    ),
+    pytest.param(without(slab_config(), "n_walks"), "'n_walks'", id="n_walks_slab"),
+]
+# Cones that ConeSpec refuses, now built at load for the fixed weight or for every grid weight.
+# Under "scan" they used to be refused only after the scan's ensemble was simulated; neither named the field.
+CONE_BUILD_CASES = [
+    pytest.param(direction_config(**{"lambda": lam}, **cone), "'cone'", id=f"{name}_{lam_id}")
+    for name, cone in (("cone_l_gcd_2", {"l": [2, 0]}), ("cone_dual_misses_l", {"basis": [[1, 0], [0, 1]]}))
+    for lam_id, lam in (("fixed", "1/2"), ("scan", "scan"))
 ]
 
 
@@ -228,7 +257,14 @@ class TestRun:
             ),
             pytest.param(simulate_config(model={"kind": "levy"}), "'model.kind'", id="model_kind"),
             pytest.param(oracle_config(kind="sphere"), "'oracle.region.kind'", id="region_kind"),
+            pytest.param(slab_config(L_list=[4, 2]), "'slab.L_list'", id="slab_L_list_decreasing"),
+            pytest.param(slab_config(L_list=[]), "'slab.L_list'", id="slab_L_list_empty"),
+            pytest.param(one_dimensional(slab_config(l_prime=[0])), "'slab.l_prime'", id="slab_l_prime_zero"),
+            pytest.param(
+                one_dimensional(oracle_config(l_prime=[0])), "'oracle.region.l_prime'", id="region_l_prime_zero"
+            ),
             *WEIGHT_AND_WINDOW_CASES,
+            *CONE_BUILD_CASES,
         ],
     )
     def test_malformed_block_value_exits_2(self, tmp_path, capsys, cfg, name):
@@ -274,6 +310,10 @@ class TestRun:
                 id="n_angles",
             ),
             pytest.param(with_oracle(n_env=0), "'oracle.n_env'", id="n_env"),
+            pytest.param(slab_config(b=-1), "'slab.b'", id="slab_b_negative"),
+            pytest.param(slab_config(L_list=[-2, 4]), "'slab.L_list'", id="slab_L_list_negative"),
+            pytest.param(oracle_config(b=-1), "'oracle.region.b'", id="region_b_negative"),
+            pytest.param(oracle_config(L=0), "'oracle.region.L'", id="region_L_zero"),
             *EXPERIMENT_FLOOR_CASES,
         ],
     )
@@ -282,7 +322,7 @@ class TestRun:
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
         assert name in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cfg, name", WEIGHT_AND_WINDOW_CASES + EXPERIMENT_FLOOR_CASES)
+    @pytest.mark.parametrize("cfg, name", WEIGHT_AND_WINDOW_CASES + EXPERIMENT_FLOOR_CASES + CONE_BUILD_CASES)
     def test_range_refused_at_load(self, tmp_path, cfg, name):
         # load_config simulates nothing, so these are refused before any walk runs
         with pytest.raises(ConfigError, match=name):
