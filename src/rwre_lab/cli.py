@@ -137,7 +137,7 @@ def _cone_spec_from(cfg: ExperimentConfig) -> tuple[ConeSpec, list[dict]]:
     if lam == "scan":
         floor = cfg["thresholds.renewal_rate_floor"]
         scan_n = min(cfg["n_walks"], 200) or 200
-        scan_h = min(cfg["horizon"], 4000) or 4000
+        scan_h = min(cfg["horizon"], 4000)
         scan_ch = min(cfg["confirm_horizon"], max(1, scan_h // 4))
         result = lambda_scan(
             cfg.model,
@@ -299,6 +299,10 @@ def _region(cfg: ExperimentConfig) -> RegionDescriptor:
 def _oracle_compare(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
     region = _region(cfg)
     target, n_walks = cfg["oracle.target_class"], cfg["n_walks"]
+    slab = region.mc_slab()
+    monte_carlo = slab is not None and n_walks > 0 and target in ("Right", "Left")
+    if monte_carlo and cfg["horizon"] < 1:
+        raise ConfigError("config: experiment 'oracle-compare' needs 'horizon' >= 1 for its Monte Carlo check, got 0")
     exact = annealed_exit(cfg.model, region, (0,) * cfg["dimension"], target, cfg["oracle.n_env"], cfg["master_seed"])
     row = {
         "record": "oracle-compare",
@@ -309,8 +313,7 @@ def _oracle_compare(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
     }
     if isinstance(cfg.model, Homogeneous) and isinstance(region, IntervalRegion):
         row["closed_form_right"] = gamblers_ruin(float(cfg.model.vector.probs[0]), -region.lo, region.hi)
-    slab = region.mc_slab()
-    if slab is not None and n_walks > 0 and target in ("Right", "Left"):
+    if monte_carlo:
         tally = run_slab_ensemble(cfg.model, cfg["master_seed"], n_walks, *slab, cfg["horizon"])
         p_hat = tally.p_right if target == "Right" else tally.p_left
         se = _binom_se(p_hat, tally.n_exits)
@@ -408,6 +411,7 @@ _FLOAT = _Type("float", _read_float)
 _RATIONAL = _Type("rational", _read_rational)
 _WEIGHT = _checked(_RATIONAL, lambda w: 0 < w <= 1, "a rational in (0, 1]")
 _POSITIVE = _checked(_FLOAT, lambda v: v > 0, "a number > 0")
+_NONNEGATIVE = _checked(_FLOAT, lambda v: v >= 0, "a number >= 0")
 _BOOL = _instance("bool", bool, "true or false")
 _STR = _instance("string", str, "a string")
 _OBJECT = _instance("object", dict, "an object")
@@ -466,7 +470,14 @@ _FIELDS: tuple[_Field, ...] = (
     _Field(
         "n_walks", _INT, "walkers in the ensemble", 0, (0, None), floor=(1, ("direction", "slab", "zero-one-scan"))
     ),
-    _Field("horizon", _INT, "steps per walk", 0, (0, None)),
+    _Field(
+        "horizon",
+        _INT,
+        "steps per walk",
+        0,
+        (0, None),
+        floor=(1, ("direction", "renewal", "renewal-identity", "slab", "zero-one-scan")),
+    ),
     _Field(
         "confirm_horizon",
         _INT,
@@ -501,8 +512,8 @@ _FIELDS: tuple[_Field, ...] = (
     ),
     _Field("cone.check_direction", _BOOL, "require l strictly inside the dual of the signed basis", True),
     _Field("thresholds", _OBJECT, default={}),
-    _Field("thresholds.level_threshold", _FLOAT, "absent means 2*sqrt(horizon)", None),
-    _Field("thresholds.dip_allowance", _FLOAT, "absent means level_threshold/2", None),
+    _Field("thresholds.level_threshold", _POSITIVE, "> 0; absent means 2*sqrt(horizon)", None),
+    _Field("thresholds.dip_allowance", _NONNEGATIVE, ">= 0; absent means level_threshold/2", None),
     _Field("thresholds.renewal_rate_floor", _FLOAT, "confirmed renewals per 1000 steps", 0.5),
     _Field("thresholds.theta_tol", _FLOAT, "radians", 0.3),
     _Field("thresholds.orth_band", _FLOAT, "radians around the axis a scan may leave undecided", 0.2),

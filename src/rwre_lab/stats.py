@@ -93,6 +93,10 @@ def default_level_threshold(horizon: int) -> float:
 def _resolve_thresholds(horizon: int, level_threshold, dip_allowance) -> tuple[float, float]:
     thr = default_level_threshold(horizon) if level_threshold is None else float(level_threshold)
     dip = thr / 2.0 if dip_allowance is None else float(dip_allowance)
+    if not thr > 0:
+        raise ConfigError(f"level_threshold must be > 0, got {thr}")
+    if not dip >= 0:
+        raise ConfigError(f"dip_allowance must be >= 0, got {dip}")
     return thr, dip
 
 
@@ -111,6 +115,25 @@ def _classify_levels(s: np.ndarray, thr: float, dip: float) -> int:
     if final <= -thr and (final - tail.min()) <= dip:
         return -1
     return 0
+
+
+def _walk_classes(
+    trajs: Sequence[Trajectory], dirs: np.ndarray, thr: float, dip: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each walk's transience class and final level along each row of ``dirs``: two (walks, rows) arrays.
+
+    Every path is built once.  Each direction gets its own ``pos @ d``
+    product, because one product against all rows rounds levels differently.
+    """
+    cls = np.zeros((len(trajs), len(dirs)), dtype=np.int64)
+    final = np.zeros((len(trajs), len(dirs)))
+    for i, t in enumerate(trajs):
+        pos = t.positions().astype(np.float64)
+        for a, d in enumerate(dirs):
+            s = pos @ d
+            cls[i, a] = _classify_levels(s, thr, dip)
+            final[i, a] = s[-1]
+    return cls, final
 
 
 @dataclass(frozen=True)
@@ -135,15 +158,9 @@ def classify_transience(
         raise ValueError("classify_transience needs a nonempty ensemble")
     lv = np.asarray(l, dtype=np.float64)
     thr, dip = _resolve_thresholds(len(trajs[0]), level_threshold, dip_allowance)
-    n_plus = n_minus = 0
-    for t in trajs:
-        c = _classify_levels(t.positions() @ lv, thr, dip)
-        if c > 0:
-            n_plus += 1
-        elif c < 0:
-            n_minus += 1
+    cls = _walk_classes(trajs, lv[None, :], thr, dip)[0]
     n = len(trajs)
-    p_plus, p_minus = n_plus / n, n_minus / n
+    p_plus, p_minus = int((cls > 0).sum()) / n, int((cls < 0).sum()) / n
     return TransienceVerdict(
         tuple(float(x) for x in lv), _verdict(p_plus, p_minus), p_plus, p_minus, thr, dip, n
     )
@@ -171,13 +188,9 @@ def estimate_speed(
         raise ValueError("estimate_speed needs a nonempty ensemble")
     lv = np.asarray(l, dtype=np.float64)
     thr, dip = _resolve_thresholds(len(trajs[0]), level_threshold, dip_allowance)
-    vals = np.empty(len(trajs))
-    cls = np.empty(len(trajs), dtype=np.int64)
-    for i, t in enumerate(trajs):
-        s = t.positions() @ lv
-        n = max(len(t), 1)
-        vals[i] = s[-1] / n
-        cls[i] = _classify_levels(s, thr, dip)
+    cls, final = _walk_classes(trajs, lv[None, :], thr, dip)
+    cls = cls[:, 0]
+    vals = final[:, 0] / np.maximum([len(t) for t in trajs], 1)
     mean = float(vals.mean())
     sd = float(vals.std(ddof=1)) if len(trajs) > 1 else 0.0
     plus = vals[cls > 0]
@@ -222,15 +235,11 @@ def estimate_direction(
         if not trajs:
             return InsufficientData("no trajectories supplied")
         thr = _resolve_thresholds(len(trajs[0]), level_threshold, None)[0]
-        dirs = []
-        for t in trajs:
-            x = t.final_position().astype(np.float64)
-            r = _stable_norm(x)
-            if r >= thr:
-                dirs.append(x / r)
-        if not dirs:
+        x, r = _final_radii(trajs)
+        far = r >= thr
+        if not far.any():
             return InsufficientData("no walk reached the radius threshold")
-        samples = np.asarray(dirs)
+        samples = x[far] / r[far, None]
     elif route == ROUTE_RENEWAL:
         if not records:
             return InsufficientData("no renewal records supplied")
@@ -247,6 +256,13 @@ def estimate_direction(
     unit = samples / np.linalg.norm(samples, axis=1, keepdims=True)
     angles = np.arccos(np.clip(unit @ nu, -1.0, 1.0))
     return DirectionEstimate(nu, float(angles.mean()), samples.shape[0], route)
+
+
+def _final_radii(trajs: Sequence[Trajectory]) -> tuple[np.ndarray, np.ndarray]:
+    """Final positions as floats, (walks, d), and their radii, each equal to ``_stable_norm`` of its row."""
+    d = trajs[0].dim if trajs else 0
+    x = np.array([t.final_position() for t in trajs], dtype=np.float64).reshape(len(trajs), d)
+    return x, np.sqrt(np.sort(x**2, axis=1).sum(axis=1))
 
 
 def pooled_increments(records: Sequence[RenewalRecord]) -> np.ndarray:
@@ -396,6 +412,7 @@ def renewal_mean_identity(
     stays = np.zeros(n, dtype=bool)
     max_lv = np.zeros(n, dtype=np.int64)
     fresh_levels = []  # per walk, the sorted levels that are fresh maxima
+    projs = []  # per walk with increments, their projections on l
     for i, (t, rec) in enumerate(zip(trajs, records)):
         pos = t.positions()
         s = pos @ lv
@@ -405,8 +422,8 @@ def renewal_mean_identity(
         stays[i] = bool(spec.contains(pos[0], pos).all())
         inc = rec.increments()
         if inc.shape[0]:
-            proj = inc @ lv
-            inc_sum[i] = float(proj.sum())
+            projs.append(inc @ lv)
+            inc_sum[i] = float(projs[-1].sum())
             inc_cnt[i] = inc.shape[0]
     if window is None:
         top = int(max_lv.min())
@@ -455,7 +472,7 @@ def renewal_mean_identity(
         return InsufficientData("bootstrap produced too few valid resamples")
     ratio_ci = (float(np.percentile(ratios, 2.5)), float(np.percentile(ratios, 97.5)))
     # increment-level CI for the lhs
-    proj = (pooled_increments(records) @ lv).astype(np.float64)
+    proj = np.concatenate(projs).astype(np.float64)
     lhs_ci = _normal_ci(float(proj.mean()), float(proj.std(ddof=1)), proj.size)
     return RenewalIdentityReport(
         lhs,
@@ -490,15 +507,11 @@ def antipodal_clustering(
     antipodal_tol: float = 0.05,
 ) -> ClusterResult:
     """Split final directions by the leading principal axis and test tightness."""
-    dirs = []
-    for t in trajs:
-        x = t.final_position().astype(np.float64)
-        r = _stable_norm(x)
-        if r > 0:
-            dirs.append(x / r)
-    if not dirs:
+    x, r = _final_radii(trajs)
+    moved = r > 0
+    if not moved.any():
         return ClusterResult(0, [], None, None, "all walks ended at the origin")
-    u = np.asarray(dirs)
+    u = x[moved] / r[moved, None]
     second = u.T @ u / u.shape[0]
     eigvals, eigvecs = np.linalg.eigh(second)
     axis = eigvecs[:, -1]
@@ -594,7 +607,6 @@ def zero_one_scan(
     level_threshold: float | None = None,
     dip_allowance: float | None = None,
     orth_band: float = 0.2,
-    trajs: Sequence[Trajectory] | None = None,
 ) -> ZeroOneScanResult:
     """Transience verdicts over an angular grid, labeled by global pattern.
 
@@ -607,23 +619,14 @@ def zero_one_scan(
         raise ConfigError("the angular scan is two-dimensional")
     if n_angles < 4:
         raise ConfigError("need at least 4 angles")
-    if trajs is None:
-        trajs = simulate_ensemble(model, master_seed, n_walks, horizon)
+    trajs = simulate_ensemble(model, master_seed, n_walks, horizon)
     angles = np.arange(n_angles) * (2.0 * np.pi / n_angles)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     thr, dip = _resolve_thresholds(len(trajs[0]) if trajs else horizon, level_threshold, dip_allowance)
-    counts = np.zeros((n_angles, 2), dtype=np.int64)
-    for t in trajs:
-        pos = t.positions().astype(np.float64)
-        for a in range(n_angles):
-            c = _classify_levels(pos @ dirs[a], thr, dip)
-            if c > 0:
-                counts[a, 0] += 1
-            elif c < 0:
-                counts[a, 1] += 1
+    cls = _walk_classes(trajs, dirs, thr, dip)[0]
     n = max(len(trajs), 1)
-    p_plus = counts[:, 0] / n
-    p_minus = counts[:, 1] / n
+    p_plus = (cls > 0).sum(axis=0) / n
+    p_minus = (cls < 0).sum(axis=0) / n
     verdicts = [_verdict(p_plus[a], p_minus[a]) for a in range(n_angles)]
     plus_idx = [a for a, v in enumerate(verdicts) if v is Verdict.TRANSIENT_PLUS]
     minus_idx = [a for a, v in enumerate(verdicts) if v is Verdict.TRANSIENT_MINUS]

@@ -53,7 +53,8 @@ class Trajectory:
         return out
 
     def final_position(self) -> np.ndarray:
-        return self.positions()[-1]
+        """X_N from the step counts, without building the path."""
+        return step_counts(self) @ step_table(self.dim)
 
     def to_json_obj(self) -> dict:
         return {
@@ -86,6 +87,11 @@ class StopResult:
     @classmethod
     def not_by_horizon(cls) -> "StopResult":
         return cls(None)
+
+    @classmethod
+    def first(cls, mask: np.ndarray) -> "StopResult":
+        """The first index where ``mask`` holds, else not-by-horizon."""
+        return cls.at(np.argmax(mask)) if mask.any() else cls.not_by_horizon()
 
 
 class Side(Enum):
@@ -229,20 +235,13 @@ def simulate_ensemble(
 
 def first_passage(traj: Trajectory, l, s: float) -> StopResult:
     """Least n with X_n . l > s (strict), else not-by-horizon."""
-    lv = traj.positions() @ _check_l(l)
-    mask = lv > s
-    if not mask.any():
-        return StopResult.not_by_horizon()
-    return StopResult.at(int(np.argmax(mask)))
+    return StopResult.first(traj.positions() @ _check_l(l) > s)
 
 
 def backtrack_time(traj: Trajectory, l) -> StopResult:
     """Least n >= 1 with X_n . l < X_0 . l, else not-by-horizon."""
     lv = traj.positions() @ _check_l(l)
-    mask = lv[1:] < lv[0]
-    if not mask.any():
-        return StopResult.not_by_horizon()
-    return StopResult.at(int(np.argmax(mask)) + 1)
+    return StopResult.first(lv < lv[0])
 
 
 def region_exit_time(traj: Trajectory, region: Callable[[np.ndarray], np.ndarray]) -> StopResult:
@@ -257,10 +256,7 @@ def region_exit_time(traj: Trajectory, region: Callable[[np.ndarray], np.ndarray
         raise ConfigError("region predicate must return one boolean per site")
     if not inside[0]:
         raise ValueError("region must contain the starting site")
-    outside = ~inside
-    if not outside.any():
-        return StopResult.not_by_horizon()
-    return StopResult.at(int(np.argmax(outside)))
+    return StopResult.first(~inside)
 
 
 def half_space(l, level: float = 0.0) -> Callable[[np.ndarray], np.ndarray]:
@@ -283,10 +279,9 @@ def shifted_cone_region(spec, apex) -> Callable[[np.ndarray], np.ndarray]:
 def slab_exit_side(traj: Trajectory, l_prime, b: float, L: float) -> SlabExit:
     """Which side of the slab the path exits first; boundary sites count as exits."""
     right, left = _slab_exits(traj.positions() @ _check_slab(l_prime, b, L, traj.dim), b, L)
-    out = right | left
-    if not out.any():
+    t = StopResult.first(right | left).time
+    if t is None:
         return SlabExit(None, None)
-    t = int(np.argmax(out))
     return SlabExit(Side.RIGHT if right[t] else Side.LEFT, t)
 
 

@@ -127,6 +127,18 @@ EXPERIMENT_FLOOR_CASES = [
         id="n_walks_zero_one_scan",
     ),
     pytest.param(without(slab_config(), "n_walks"), "'n_walks'", id="n_walks_slab"),
+    # horizon defaults to 0: direction and renewal-identity exited 3 on verdicts read off zero-step paths,
+    # and the others exited 0 with NaN exit proportions, an "all-zero" pattern or no renewals
+    *(
+        pytest.param(cone_run(experiment, horizon=None), "'horizon'", id=f"horizon_{experiment}")
+        for experiment in ("direction", "renewal", "renewal-identity")
+    ),
+    pytest.param(without(slab_config(), "horizon"), "'horizon'", id="horizon_slab"),
+    pytest.param(
+        without(with_block(simulate_config(experiment="zero-one-scan"), "zero_one", n_angles=8), "horizon"),
+        "'horizon'",
+        id="horizon_zero_one_scan",
+    ),
 ]
 # Cones that ConeSpec refuses, now built at load for the fixed weight or for every grid weight.
 # Under "scan" they used to be refused only after the scan's ensemble was simulated; neither named the field.
@@ -314,6 +326,23 @@ class TestRun:
             pytest.param(slab_config(L_list=[-2, 4]), "'slab.L_list'", id="slab_L_list_negative"),
             pytest.param(oracle_config(b=-1), "'oracle.region.b'", id="region_b_negative"),
             pytest.param(oracle_config(L=0), "'oracle.region.L'", id="region_L_zero"),
+            # its Monte Carlo check ran zero-step walks and wrote mc_p NaN, exit 0
+            pytest.param(without(oracle_config(), "horizon"), "'horizon'", id="horizon_oracle_compare"),
+            # a threshold <= 0 let walks ending at the origin into the raw direction, dividing by r = 0
+            *(
+                pytest.param(
+                    with_block(direction_config(), "thresholds", level_threshold=v),
+                    "'thresholds.level_threshold'",
+                    id=f"level_threshold_{v}",
+                )
+                for v in (0, -1)
+            ),
+            # a negative dip allowance left every verdict undecided
+            pytest.param(
+                with_block(direction_config(), "thresholds", dip_allowance=-1),
+                "'thresholds.dip_allowance'",
+                id="dip_allowance_negative",
+            ),
             *EXPERIMENT_FLOOR_CASES,
         ],
     )
@@ -364,6 +393,23 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            pytest.param(
+                with_oracle(region={"kind": "box", "lo": [-2, -2], "hi": [2, 2]}, target_class="high0"), id="box"
+            ),
+            pytest.param(without(oracle_config(), "n_walks"), id="no_walks"),
+            pytest.param(with_oracle(target_class="Side"), id="side_target"),
+        ],
+    )
+    def test_exact_only_oracle_compare_needs_no_horizon(self, tmp_path, cfg):
+        cfg = write_config(tmp_path, "exact.json", without(cfg, "horizon"))
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", cfg, "--out", out) == 0
+        (row,) = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
+        assert "exact_mean" in row and "mc_p" not in row
 
     def test_interval_without_start_exits_2(self, tmp_path, capsys):
         cfg = simulate_config(experiment="oracle-compare", dimension=1, model={"kind": "homogeneous", "probs": [0.6, 0.4]})

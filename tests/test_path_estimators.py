@@ -1,0 +1,386 @@
+"""The path estimators against the per-estimator loops they replaced.
+
+``ref_classify_transience``, ``ref_estimate_speed``, ``ref_zero_one_scan``,
+``ref_raw_direction`` and ``ref_antipodal_clustering`` are those estimators as
+they were when each read every walk in its own loop, ``ref_final_position``
+built the whole path to take its last point, and ``ref_lhs_ci`` is the
+renewal identity's increment CI built from a second pass over the records.
+They are kept as oracles: the one class pass and the one final-position rule
+must reproduce their results exactly, float for float.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from rwre_lab import ConeSpec, Dirichlet, FiniteMixture, Homogeneous, Trajectory, TransitionVector, detect_renewals
+from rwre_lab.errors import ConfigError
+from rwre_lab.stats import (
+    ROUTE_RAW,
+    ClusterResult,
+    DirectionEstimate,
+    InsufficientData,
+    SpeedEstimate,
+    TransiencePattern,
+    TransienceVerdict,
+    Verdict,
+    ZeroOneScanResult,
+    _angle,
+    _classify_levels,
+    _normal_ci,
+    _resolve_thresholds,
+    _stable_norm,
+    _verdict,
+    _walk_classes,
+    antipodal_clustering,
+    classify_transience,
+    estimate_direction,
+    estimate_speed,
+    pooled_increments,
+    renewal_mean_identity,
+    zero_one_scan,
+)
+from rwre_lab.walk import simulate_ensemble
+
+# ---------------------------------------------------------------- oracles
+
+
+def ref_final_position(t):
+    return t.positions()[-1]
+
+
+def ref_classify_transience(trajs, l, level_threshold=None, dip_allowance=None):
+    if not trajs:
+        raise ValueError("classify_transience needs a nonempty ensemble")
+    lv = np.asarray(l, dtype=np.float64)
+    thr, dip = _resolve_thresholds(len(trajs[0]), level_threshold, dip_allowance)
+    n_plus = n_minus = 0
+    for t in trajs:
+        c = _classify_levels(t.positions() @ lv, thr, dip)
+        if c > 0:
+            n_plus += 1
+        elif c < 0:
+            n_minus += 1
+    n = len(trajs)
+    p_plus, p_minus = n_plus / n, n_minus / n
+    return TransienceVerdict(
+        tuple(float(x) for x in lv), _verdict(p_plus, p_minus), p_plus, p_minus, thr, dip, n
+    )
+
+
+def ref_estimate_speed(trajs, l, level_threshold=None, dip_allowance=None):
+    if not trajs:
+        raise ValueError("estimate_speed needs a nonempty ensemble")
+    lv = np.asarray(l, dtype=np.float64)
+    thr, dip = _resolve_thresholds(len(trajs[0]), level_threshold, dip_allowance)
+    vals = np.empty(len(trajs))
+    cls = np.empty(len(trajs), dtype=np.int64)
+    for i, t in enumerate(trajs):
+        s = t.positions() @ lv
+        n = max(len(t), 1)
+        vals[i] = s[-1] / n
+        cls[i] = _classify_levels(s, thr, dip)
+    mean = float(vals.mean())
+    sd = float(vals.std(ddof=1)) if len(trajs) > 1 else 0.0
+    plus = vals[cls > 0]
+    minus = vals[cls < 0]
+    return SpeedEstimate(
+        mean,
+        _normal_ci(mean, sd, len(trajs)),
+        len(trajs),
+        float(plus.mean()) if plus.size else None,
+        int(plus.size),
+        float(minus.mean()) if minus.size else None,
+        int(minus.size),
+    )
+
+
+def ref_raw_direction(trajs, level_threshold=None):
+    """``estimate_direction``'s raw route."""
+    if not trajs:
+        return InsufficientData("no trajectories supplied")
+    thr = _resolve_thresholds(len(trajs[0]), level_threshold, None)[0]
+    dirs = []
+    for t in trajs:
+        x = ref_final_position(t).astype(np.float64)
+        r = _stable_norm(x)
+        if r >= thr:
+            dirs.append(x / r)
+    if not dirs:
+        return InsufficientData("no walk reached the radius threshold")
+    samples = np.asarray(dirs)
+    mean = samples.mean(axis=0)
+    norm = _stable_norm(mean)
+    if norm == 0.0:
+        return InsufficientData("mean displacement is zero")
+    nu = mean / norm
+    unit = samples / np.linalg.norm(samples, axis=1, keepdims=True)
+    angles = np.arccos(np.clip(unit @ nu, -1.0, 1.0))
+    return DirectionEstimate(nu, float(angles.mean()), samples.shape[0], ROUTE_RAW)
+
+
+def ref_antipodal_clustering(trajs, theta_tol=0.3, antipodal_tol=0.05):
+    dirs = []
+    for t in trajs:
+        x = ref_final_position(t).astype(np.float64)
+        r = _stable_norm(x)
+        if r > 0:
+            dirs.append(x / r)
+    if not dirs:
+        return ClusterResult(0, [], None, None, "all walks ended at the origin")
+    u = np.asarray(dirs)
+    second = u.T @ u / u.shape[0]
+    eigvals, eigvecs = np.linalg.eigh(second)
+    axis = eigvecs[:, -1]
+    side = u @ axis >= 0.0
+    centers = []
+    devs = []
+    for mask in (side, ~side):
+        if not mask.any():
+            continue
+        m = u[mask].mean(axis=0)
+        norm = _stable_norm(m)
+        if norm == 0.0:
+            return ClusterResult(0, [], None, None, "a cluster has no mean direction")
+        c = m / norm
+        centers.append(c)
+        devs.append(float(np.arccos(np.clip(u[mask] @ c, -1.0, 1.0)).max()))
+    max_dev = max(devs)
+    if max_dev > theta_tol:
+        return ClusterResult(0, [], max_dev, None, "angular dispersion exceeds tolerance")
+    if len(centers) == 1:
+        return ClusterResult(1, centers, max_dev, None)
+    anti = _angle(centers[0], -centers[1])
+    if anti > antipodal_tol:
+        return ClusterResult(0, centers, max_dev, anti, "cluster centers are not antipodal")
+    return ClusterResult(2, centers, max_dev, anti)
+
+
+def ref_zero_one_scan(
+    model, master_seed, n_angles, n_walks, horizon, level_threshold=None, dip_allowance=None, orth_band=0.2, trajs=None
+):
+    if model.dim != 2:
+        raise ConfigError("the angular scan is two-dimensional")
+    if n_angles < 4:
+        raise ConfigError("need at least 4 angles")
+    if trajs is None:
+        trajs = simulate_ensemble(model, master_seed, n_walks, horizon)
+    angles = np.arange(n_angles) * (2.0 * np.pi / n_angles)
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    thr, dip = _resolve_thresholds(len(trajs[0]) if trajs else horizon, level_threshold, dip_allowance)
+    counts = np.zeros((n_angles, 2), dtype=np.int64)
+    for t in trajs:
+        pos = t.positions().astype(np.float64)
+        for a in range(n_angles):
+            c = _classify_levels(pos @ dirs[a], thr, dip)
+            if c > 0:
+                counts[a, 0] += 1
+            elif c < 0:
+                counts[a, 1] += 1
+    n = max(len(trajs), 1)
+    p_plus = counts[:, 0] / n
+    p_minus = counts[:, 1] / n
+    verdicts = [_verdict(p_plus[a], p_minus[a]) for a in range(n_angles)]
+    plus_idx = [a for a, v in enumerate(verdicts) if v is Verdict.TRANSIENT_PLUS]
+    minus_idx = [a for a, v in enumerate(verdicts) if v is Verdict.TRANSIENT_MINUS]
+    if not plus_idx and not minus_idx:
+        return ZeroOneScanResult(angles, p_plus, p_minus, verdicts, TransiencePattern.ALL_ZERO, None)
+    acc = np.zeros(2)
+    for a in plus_idx:
+        acc += dirs[a]
+    for a in minus_idx:
+        acc -= dirs[a]
+    norm = _stable_norm(acc)
+    if norm == 0.0:
+        return ZeroOneScanResult(
+            angles, p_plus, p_minus, verdicts, TransiencePattern.INCONSISTENT, None
+        )
+    nu = acc / norm
+    consistent = True
+    for a in range(n_angles):
+        dot = float(dirs[a] @ nu)
+        v = verdicts[a]
+        if dot > orth_band and v is not Verdict.TRANSIENT_PLUS:
+            consistent = False
+        elif dot < -orth_band and v is not Verdict.TRANSIENT_MINUS:
+            consistent = False
+        elif abs(dot) <= orth_band and v is not Verdict.UNDECIDED:
+            if (v is Verdict.TRANSIENT_PLUS) != (dot > 0):
+                consistent = False
+    if not consistent:
+        return ZeroOneScanResult(
+            angles, p_plus, p_minus, verdicts, TransiencePattern.INCONSISTENT, nu
+        )
+    if plus_idx and minus_idx:
+        pattern = TransiencePattern.OPEN_HALF_SPACE
+    elif len(plus_idx) + len(minus_idx) == 1:
+        pattern = TransiencePattern.SINGLE_DIRECTION
+    else:
+        pattern = TransiencePattern.INCONSISTENT
+    return ZeroOneScanResult(angles, p_plus, p_minus, verdicts, pattern, nu)
+
+
+def ref_lhs_ci(records, spec):
+    """``renewal_mean_identity``'s increment-level CI for the lhs."""
+    lv = np.asarray(spec.l, dtype=np.int64)
+    proj = (pooled_increments(records) @ lv).astype(np.float64)
+    return _normal_ci(float(proj.mean()), float(proj.std(ddof=1)), proj.size)
+
+
+# ---------------------------------------------------------------- cases
+
+
+def assert_same(got, want, path="result"):
+    """Field by field: ``==`` on scalars, ``np.array_equal`` and equal dtypes on arrays."""
+    assert type(got) is type(want), path
+    if dataclasses.is_dataclass(got):
+        for f in dataclasses.fields(got):
+            assert_same(getattr(got, f.name), getattr(want, f.name), f"{path}.{f.name}")
+    elif isinstance(got, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want), path
+    elif isinstance(got, (list, tuple)):
+        assert len(got) == len(want), path
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_same(a, b, f"{path}[{i}]")
+    else:
+        assert got == want, path
+
+
+def _drift(d):
+    p = np.full(2 * d, 1.0)
+    p[0] += 1.5
+    return p / p.sum()
+
+
+def model_of(kind, d):
+    if kind == "homogeneous":
+        return Homogeneous(TransitionVector(_drift(d)))
+    if kind == "mixture":
+        mirrored = _drift(d).reshape(d, 2)[:, ::-1].ravel()
+        return FiniteMixture((TransitionVector(_drift(d)), TransitionVector(mirrored)), (0.7, 0.3))
+    alphas = np.full(2 * d, 1.5)
+    alphas[0] = 3.0
+    return Dirichlet(tuple(alphas))
+
+
+MODELS = [(kind, d) for kind in ("homogeneous", "mixture", "dirichlet") for d in (1, 2, 3)]
+HORIZON = {"homogeneous": 600, "mixture": 400, "dirichlet": 150}
+
+
+def ensemble(kind, d, seed=7):
+    """Simulated walks, plus walks that end at the origin."""
+    trajs = simulate_ensemble(model_of(kind, d), seed + 10 * d, 40, HORIZON[kind])
+    back = np.asarray([0, 1] * (HORIZON[kind] // 2), np.int8)  # +e1, -e1, ...: ends where it started
+    return trajs + [Trajectory(back, d, 0), Trajectory(back[::-1].copy(), d, 1)]
+
+
+def directions(d):
+    """Integer directions and non-integer float ones."""
+    e1 = (1,) + (0,) * (d - 1)
+    if d == 1:
+        return [e1, (-2,), (0.7,), (-1.3,)]
+    return [e1, (1,) * d, (2, -1) + (0,) * (d - 2), (0.7, -0.3) + (0.45,) * (d - 2), (-0.25, 1.1) + (0.0,) * (d - 2)]
+
+
+THRESHOLDS = [(None, None), (5.0, 1.5), (3.0, 0.0), (12.5, None)]
+
+
+@pytest.mark.parametrize("kind, d", MODELS)
+def test_final_position_is_the_path_end(kind, d):
+    trajs = ensemble(kind, d) + [Trajectory(np.zeros(0, np.int8), d, 0)]
+    for t in trajs:
+        got, want = t.final_position(), ref_final_position(t)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("thr, dip", THRESHOLDS)
+@pytest.mark.parametrize("kind, d", MODELS)
+def test_transience_and_speed_match_per_walk_loops(kind, d, thr, dip):
+    trajs = ensemble(kind, d)
+    for l in directions(d):
+        assert_same(classify_transience(trajs, l, thr, dip), ref_classify_transience(trajs, l, thr, dip))
+        assert_same(estimate_speed(trajs, l, thr, dip), ref_estimate_speed(trajs, l, thr, dip))
+
+
+@pytest.mark.parametrize("kind, d", MODELS)
+def test_speed_divides_each_walk_by_its_own_length(kind, d):
+    full = ensemble(kind, d)
+    rng = np.random.default_rng(d)
+    cuts = rng.integers(0, len(full[0]) + 1, size=len(full))
+    trajs = [Trajectory(t.steps[:k], d, t.walker_seed) for t, k in zip(full, cuts)]
+    trajs.append(Trajectory(np.zeros(0, np.int8), d, 0))
+    assert len({len(t) for t in trajs}) > 10
+    for l in directions(d):
+        for thr, dip in THRESHOLDS:
+            assert_same(estimate_speed(trajs, l, thr, dip), ref_estimate_speed(trajs, l, thr, dip))
+
+
+@pytest.mark.parametrize("thr", [None, 1.0, 8.0, 25.0, 1e9])
+@pytest.mark.parametrize("kind, d", MODELS)
+def test_raw_direction_and_clusters_match_per_walk_loops(kind, d, thr):
+    trajs = ensemble(kind, d)
+    assert_same(estimate_direction(trajs=trajs, route=ROUTE_RAW, level_threshold=thr), ref_raw_direction(trajs, thr))
+    for theta_tol in (0.3, 3.2):
+        assert_same(antipodal_clustering(trajs, theta_tol), ref_antipodal_clustering(trajs, theta_tol))
+
+
+def test_walks_at_the_origin_are_left_out_of_both_direction_estimates():
+    """Half the walks end at the origin; a radius-1 threshold keeps exactly the others."""
+    away = [Trajectory(np.asarray([j], np.int8), 2, 0) for j in (0, 0, 1, 2)]
+    home = [Trajectory(np.asarray([j, j ^ 1], np.int8), 2, 0) for j in range(4)]
+    trajs = [t for pair in zip(away, home) for t in pair]
+    for thr in (0.5, 1.0, 1.5):
+        got = estimate_direction(trajs=trajs, route=ROUTE_RAW, level_threshold=thr)
+        assert_same(got, ref_raw_direction(trajs, thr))
+    assert estimate_direction(trajs=trajs, route=ROUTE_RAW, level_threshold=1.0).n_samples == 4
+    for theta_tol in (0.3, 3.2):
+        assert_same(antipodal_clustering(trajs, theta_tol), ref_antipodal_clustering(trajs, theta_tol))
+    assert_same(antipodal_clustering(home), ref_antipodal_clustering(home))
+
+
+def test_empty_ensemble_keeps_its_result():
+    with pytest.raises(ValueError, match="classify_transience needs a nonempty ensemble"):
+        classify_transience([], (1, 0))
+    with pytest.raises(ValueError, match="estimate_speed needs a nonempty ensemble"):
+        estimate_speed([], (1, 0))
+    assert_same(estimate_direction(trajs=[], route=ROUTE_RAW), ref_raw_direction([]))
+    assert_same(antipodal_clustering([]), ref_antipodal_clustering([]))
+    model = model_of("homogeneous", 2)
+    assert_same(zero_one_scan(model, 5, 8, 0, 100), ref_zero_one_scan(model, 5, 8, 0, 100))
+
+
+@pytest.mark.parametrize("n_angles", [4, 7, 16, 33])
+@pytest.mark.parametrize("kind", ["homogeneous", "mixture", "dirichlet", "srw"])
+def test_zero_one_scan_matches_per_walk_loop(kind, n_angles):
+    model = Homogeneous(TransitionVector([0.25] * 4)) if kind == "srw" else model_of(kind, 2)
+    horizon = HORIZON.get(kind, 600)
+    for thr, dip in THRESHOLDS:
+        got = zero_one_scan(model, 31, n_angles, 30, horizon, thr, dip)
+        assert_same(got, ref_zero_one_scan(model, 31, n_angles, 30, horizon, thr, dip))
+
+
+@pytest.mark.parametrize("kind, d", MODELS)
+def test_walk_classes_read_each_direction_column(kind, d):
+    trajs = ensemble(kind, d)
+    dirs = np.asarray(directions(d), dtype=np.float64)
+    for thr, dip in ((5.0, 1.5), (12.5, 6.25)):
+        cls, final = _walk_classes(trajs, dirs, thr, dip)
+        assert cls.shape == final.shape == (len(trajs), len(dirs))
+        for a, lv in enumerate(dirs):
+            levels = [t.positions() @ lv for t in trajs]
+            assert np.array_equal(cls[:, a], [_classify_levels(s, thr, dip) for s in levels])
+            assert np.array_equal(final[:, a], [s[-1] for s in levels])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_identity_lhs_ci_matches_pooled_increments(d):
+    l = (1,) + (0,) * (d - 1)
+    spec = ConeSpec((1,) * d, ((1,),) if d == 1 else ((1, 1), (1, -1)), Fraction(1, 2) if d > 1 else Fraction(1), l)
+    trajs = simulate_ensemble(model_of("homogeneous", d), 90 + d, 40, 1500)
+    records = [detect_renewals(t, spec, 150) for t in trajs]
+    report = renewal_mean_identity(trajs, records, spec, n_boot=100)
+    assert not isinstance(report, InsufficientData)
+    assert report.lhs_ci == ref_lhs_ci(records, spec)

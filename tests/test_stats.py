@@ -5,6 +5,7 @@ import pytest
 
 from rwre_lab import ConeSpec, Homogeneous, Trajectory, TransitionVector, detect_renewals
 from rwre_lab.cone import RenewalRecord
+from rwre_lab.errors import ConfigError
 from rwre_lab.stats import (
     InsufficientData,
     ROUTE_RAW,
@@ -129,6 +130,17 @@ class TestEstimateDirection:
         est = estimate_direction(records=records, route=ROUTE_RENEWAL)
         assert abs(np.arctan2(est.nu_hat[1], est.nu_hat[0])) < 0.05
         assert est.n_samples == 30 * 80
+
+    @pytest.mark.parametrize("thr", [0, -1.0])
+    def test_threshold_not_positive_raises(self, thr):
+        # walks ending at the origin passed the radius filter r >= thr and were divided by r = 0
+        trajs = [straight_traj(0, 3, 2), Trajectory(np.asarray([0, 1], np.int8), 2, 0)]
+        with pytest.raises(ConfigError, match="level_threshold"):
+            estimate_direction(trajs=trajs, route=ROUTE_RAW, level_threshold=thr)
+
+    def test_negative_dip_allowance_raises(self):
+        with pytest.raises(ConfigError, match="dip_allowance"):
+            classify_transience([straight_traj(0, 3, 2)], (1, 0), dip_allowance=-1.0)
 
     def test_insufficient_data_paths(self):
         assert isinstance(estimate_direction(trajs=[], route=ROUTE_RAW), InsufficientData)
