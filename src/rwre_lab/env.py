@@ -30,6 +30,11 @@ ELLIPTICITY_FLOOR = 1e-9
 _SUM_TOL = 1e-12
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class TransitionVector:
     """Exit probabilities at one site, indexed by signed unit direction.
@@ -100,16 +105,18 @@ class FiniteMixture:
         w = w / w.sum()
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
+        object.__setattr__(self, "_atom_matrix", _read_only(np.stack([a.probs for a in atoms])))
+        object.__setattr__(self, "_cum_weights", _read_only(np.cumsum(np.asarray(self.weights))))
 
     @property
     def dim(self) -> int:
         return self.atoms[0].dim
 
     def atom_matrix(self) -> np.ndarray:
-        return np.stack([a.probs for a in self.atoms])
+        return self._atom_matrix
 
     def cum_weights(self) -> np.ndarray:
-        return np.cumsum(np.asarray(self.weights))
+        return self._cum_weights
 
 
 @dataclass(frozen=True)
@@ -151,14 +158,15 @@ class PerturbedSRW:
             raise ConfigError(f"drift_dir {self.drift_dir!r} out of range for d={self.dim}")
         if not 0.0 < self.epsilon < 1.0 / (2 * self.dim):
             raise ConfigError("epsilon must lie in (0, 1/(2d))")
-
-    @property
-    def vector(self) -> TransitionVector:
         base = np.full(2 * self.dim, 1.0 / (2 * self.dim))
         j = direction_index(abs(self.drift_dir) - 1, 1 if self.drift_dir > 0 else -1)
         base[j] += self.epsilon
         base[j ^ 1] -= self.epsilon
-        return TransitionVector(base)
+        object.__setattr__(self, "_vector", TransitionVector(base))
+
+    @property
+    def vector(self) -> TransitionVector:
+        return self._vector
 
 
 EnvironmentModel = Homogeneous | FiniteMixture | Dirichlet | PerturbedSRW
@@ -278,7 +286,7 @@ def transitions_for(model: EnvironmentModel, env_seeds, coords: np.ndarray) -> n
         u = stream_u01(keys, 0)
         idx = np.searchsorted(model.cum_weights(), u, side="right")
         np.minimum(idx, len(model.atoms) - 1, out=idx)
-        return model.atom_matrix()[idx]
+        return np.take(model.atom_matrix(), idx, axis=0)
     if isinstance(model, Dirichlet):
         return sample_dirichlet(model.alphas, keys)
     raise ConfigError(f"unknown environment model {type(model).__name__}")

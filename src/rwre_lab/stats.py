@@ -567,18 +567,17 @@ def slab_exit_decay(
 ) -> SlabDecayCurve:
     """Left-exit probability across slab widths, with a log-linear slope.
 
-    The same walker streams are reused at every width, so the estimates are
+    One pass of the same walkers tallies every width, so the estimates are
     coupled and the expected monotone decay is not blurred by resampling
     noise.  The slope of log p against L is the diagnostic for exponential
     (gamma = 1) decay; zero-hit widths are reported but excluded from the fit.
     """
     Ls = [float(x) for x in L_list]
-    if any(b2 <= a for a, b2 in zip(Ls, Ls[1:])):
-        raise ConfigError("L_list must be strictly increasing")
-    points = []
-    for L in Ls:
-        t = run_slab_ensemble(model, master_seed, n_walks, l_prime, b, L, horizon)
-        points.append(DecayPoint(L, t.p_left, _binom_ci(t.n_left, t.n_exits), t.n_left, t.n_exits, t.n_censored))
+    tallies = run_slab_ensemble(model, master_seed, n_walks, l_prime, b, Ls, horizon)
+    points = [
+        DecayPoint(L, t.p_left, _binom_ci(t.n_left, t.n_exits), t.n_left, t.n_exits, t.n_censored)
+        for L, t in zip(Ls, tallies)
+    ]
     fit = [(pt.L, pt.p_left) for pt in points if pt.n_left > 0 and np.isfinite(pt.p_left)]
     slope = None
     if len(fit) >= 2:

@@ -117,7 +117,7 @@ def _check_slab(l_prime, b: float, L: float, d: int | None = None) -> np.ndarray
     lp = _check_l(np.asarray(l_prime, dtype=np.float64))
     if d is not None and lp.shape != (d,):
         raise ConfigError("l_prime dimension mismatch")
-    if b <= 0 or L <= 0:
+    if not (b > 0 and L > 0):  # NaN fails too: no walker reaches a NaN face, so all would be censored
         raise ConfigError("slab parameters b and L must be positive")
     return lp
 
@@ -136,9 +136,25 @@ def env_seed_for(master_seed: int, walker_id: int) -> int:
 
 
 def _constant_cum(model: EnvironmentModel) -> np.ndarray | None:
-    """Cumulative step law shared by every site, or None when sites differ."""
+    """First 2d-1 cumulative probabilities of the step law every site shares, or None when sites differ."""
     vec = constant_vector(model)
-    return None if vec is None else np.cumsum(vec.probs)
+    return None if vec is None else np.cumsum(vec.probs)[:-1]
+
+
+def _step_index(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, how many of the first 2d-1 cumulative sums of ``w`` are <= ``u``.
+
+    The sums run column by column in ``np.cumsum``'s order, so they are
+    bit-equal to it.  They never decrease, so the count is the first direction
+    whose sum exceeds ``u``, or the last direction when none of the first
+    2d-1 does, as when a row's sums round below 1.
+    """
+    c = w[:, 0].copy()
+    j = (c <= u).astype(np.intp)
+    for k in range(1, w.shape[1] - 1):
+        c += w[:, k]
+        j += c <= u
+    return j
 
 
 def _step(
@@ -156,12 +172,10 @@ def _step(
     """
     u = stream_u01(step_keys, t)
     if const_cum is None:
-        w = transitions_for(model, env_keys, pos)
-        j = (np.cumsum(w, axis=1) <= u[:, None]).sum(axis=1)
+        j = _step_index(transitions_for(model, env_keys, pos), u)
     else:
         j = np.searchsorted(const_cum, u, side="right")
-    j = np.minimum(j, 2 * model.dim - 1)
-    pos += step_table(model.dim)[j]
+    pos += np.take(step_table(model.dim), j, axis=0)
     return j
 
 
@@ -199,6 +213,8 @@ def simulate(env: QuenchedEnvironment, walker_seed: int, horizon: int) -> Trajec
 
 
 def _chunk_bounds(n: int, chunk: int) -> list[tuple[int, int]]:
+    if chunk < 1:
+        raise ConfigError(f"chunk must be at least 1, got {chunk}")
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
@@ -313,28 +329,40 @@ def _slab_block(
     walker_seeds: np.ndarray,
     l_prime: np.ndarray,
     b: float,
-    L: float,
+    Ls: Sequence[float],
     horizon: int,
-) -> tuple[int, int, int]:
-    """(right exits, left exits, censored) of n walkers; exited walkers stop."""
+) -> np.ndarray:
+    """(right exits, left exits, censored) of n walkers at each increasing width, one row per width.
+
+    The slabs are nested, so one pass serves every width: a walker is tallied
+    at each width when it first leaves that slab, and stops once it leaves the
+    widest, by which time it has left all the others.
+    """
     step_keys = derive_key(walker_seeds, TAG_STEP)
     pos = np.zeros((walker_seeds.shape[0], model.dim), dtype=np.int64)
+    inside = np.ones((len(Ls), walker_seeds.shape[0]), dtype=bool)
     const_cum = _constant_cum(model)
-    n_right = n_left = 0
+    tally = np.zeros((len(Ls), 3), dtype=np.int64)
     for t in range(horizon):
         if step_keys.shape[0] == 0:
             break
         _step(model, const_cum, step_keys, env_seeds, pos, t)
-        right, left = _slab_exits(pos @ l_prime, b, L)
-        done = right | left
-        if done.any():
-            n_right += int(right.sum())
-            n_left += int(left.sum())
-            keep = ~done
+        proj = pos @ l_prime
+        for k, L in enumerate(Ls):
+            right, left = _slab_exits(proj, b, L)
+            right &= inside[k]
+            left &= inside[k]
+            tally[k, 0] += np.count_nonzero(right)
+            tally[k, 1] += np.count_nonzero(left)
+            inside[k] &= ~(right | left)
+        keep = inside[-1]
+        if not keep.all():
             pos = pos[keep]
             step_keys = step_keys[keep]
             env_seeds = env_seeds[keep]
-    return n_right, n_left, int(step_keys.shape[0])
+            inside = inside[:, keep]
+    tally[:, 2] = inside.sum(axis=1)
+    return tally
 
 
 def run_slab_ensemble(
@@ -343,19 +371,29 @@ def run_slab_ensemble(
     n_walks: int,
     l_prime,
     b: float,
-    L: float,
+    L: float | Sequence[float],
     horizon: int,
     chunk: int = DEFAULT_CHUNK * 8,
-) -> SlabTally:
-    """Annealed slab-exit tally with early stopping per walker."""
-    lp = _check_slab(l_prime, b, L, model.dim)
+) -> SlabTally | list[SlabTally]:
+    """Annealed slab-exit tally with early stopping per walker.
+
+    ``L`` is one width, giving one tally, or a strictly increasing sequence of
+    widths, giving one tally per width from a single pass over the walkers.
+    """
+    if n_walks < 0 or horizon < 0:
+        raise ConfigError("n_walks and horizon must be nonnegative")
+    single = np.ndim(L) == 0
+    Ls = [L] if single else list(L)
+    if not Ls or any(hi <= lo for lo, hi in zip(Ls, Ls[1:])):
+        raise ConfigError("slab widths L must be a nonempty, strictly increasing sequence")
+    for width in Ls:
+        lp = _check_slab(l_prime, b, width, model.dim)
     env_seeds, walk_seeds = ensemble_seeds(master_seed, n_walks)
-    parts = [
-        _slab_block(model, env_seeds[lo:hi], walk_seeds[lo:hi], lp, b, L, horizon)
-        for lo, hi in _chunk_bounds(n_walks, chunk)
-    ]
-    n_right, n_left, n_censored = (sum(p[k] for p in parts) for k in range(3))
-    return SlabTally(n_right, n_left, n_censored, n_walks)
+    total = np.zeros((len(Ls), 3), dtype=np.int64)
+    for lo, hi in _chunk_bounds(n_walks, chunk):
+        total += _slab_block(model, env_seeds[lo:hi], walk_seeds[lo:hi], lp, b, Ls, horizon)
+    tallies = [SlabTally(*map(int, row), n_walks) for row in total]
+    return tallies[0] if single else tallies
 
 
 def step_counts(traj: Trajectory) -> np.ndarray:

@@ -44,6 +44,16 @@ class TestModels:
         model_down = PerturbedSRW(0.05, -2, 2)
         assert np.allclose(model_down.vector.probs, [0.25, 0.25, 0.2, 0.3])
 
+    def test_step_law_constants_built_once(self):
+        mix = FiniteMixture((TransitionVector([0.6, 0.4]), TransitionVector([0.8, 0.2])), (0.3, 0.7))
+        srw = PerturbedSRW(0.1, 1, 2)
+        for get in (mix.atom_matrix, mix.cum_weights, lambda: srw.vector):
+            assert get() is get()
+        assert np.array_equal(mix.atom_matrix(), [[0.6, 0.4], [0.8, 0.2]])
+        assert np.array_equal(mix.cum_weights(), np.cumsum([0.3, 0.7]))
+        for arr in (mix.atom_matrix(), mix.cum_weights(), srw.vector.probs):
+            assert not arr.flags.writeable
+
     def test_perturbed_srw_bounds(self):
         with pytest.raises(ConfigError):
             PerturbedSRW(0.25, 1, 2)  # epsilon = 1/(2d)

@@ -3,17 +3,23 @@
 ``ref_simulate_block`` and ``ref_slab_block`` are the full-path and the
 slab-exit kernels as they were before their steps were merged into one, kept
 as oracles.  The ensembles built on the shared kernel must reproduce their
-step matrices and slab tallies exactly, chunk by chunk.
+step matrices and slab tallies exactly, chunk by chunk; one multi-width slab
+pass must reproduce ``ref_slab_block`` run once per width.  The counting rule
+that picks a step from a site's law must equal the cumsum-and-clip
+expression those kernels used.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rwre_lab import Dirichlet, FiniteMixture, Homogeneous, PerturbedSRW, TransitionVector
 from rwre_lab.env import transitions_for
 from rwre_lab.lattice import step_table
 from rwre_lab.rng import TAG_STEP, derive_key, stream_u01
-from rwre_lab.walk import ensemble_seeds, run_slab_ensemble, simulate_ensemble
+from rwre_lab.walk import _step_index, ensemble_seeds, run_slab_ensemble, simulate_ensemble
 
 
 def ref_simulate_block(model, env_seeds, walker_seeds, horizon):
@@ -122,3 +128,84 @@ def test_slab_tallies_match_old_kernel(name, shape):
     tally = run_slab_ensemble(model, 72, n, lp, b, L, horizon, chunk=chunk)
     assert (tally.n_right, tally.n_left, tally.n_censored) == want
     assert tally.n_walks == n
+
+
+def ref_slab_tallies(model, seed, n, lp, b, Ls, horizon, chunk):
+    out = []
+    env_seeds, walk_seeds = ensemble_seeds(seed, n)
+    for L in Ls:
+        parts = [
+            ref_slab_block(model, env_seeds[lo:hi], walk_seeds[lo:hi], lp, b, L, horizon)
+            for lo, hi in chunks(n, chunk)
+        ]
+        out.append(tuple(sum(p[k] for p in parts) for k in range(3)))
+    return out
+
+
+def slab_directions(d):
+    e1 = np.zeros(d)
+    e1[0] = 1.0
+    return [e1] if d == 1 else [e1, np.asarray([1.0, 0.3])]
+
+
+@pytest.mark.parametrize("Ls", [(2.0, 3.0, 5.0), (4.0,)], ids=str)
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "n%d-h%d-c%d" % s)
+@pytest.mark.parametrize("name", list(MODELS))
+def test_one_pass_tallies_match_old_kernel_per_width(name, shape, Ls):
+    model, (n, horizon, chunk) = MODELS[name], shape
+    for lp in slab_directions(model.dim):
+        for b in (1.0, 0.7):
+            want = ref_slab_tallies(model, 73, n, lp, b, Ls, horizon, chunk)
+            tallies = run_slab_ensemble(model, 73, n, lp, b, list(Ls), horizon, chunk=chunk)
+            assert [(t.n_right, t.n_left, t.n_censored) for t in tallies] == want
+            assert all(t.n_walks == n for t in tallies)
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_one_pass_keeps_walkers_that_left_narrower_slabs(name):
+    # a short horizon censors walkers at the widest width after they left the narrowest
+    model, Ls = MODELS[name], (2.0, 3.0, 5.0)
+    for lp in slab_directions(model.dim):
+        want = ref_slab_tallies(model, 74, 40, lp, 0.7, Ls, 6, 16)
+        tallies = run_slab_ensemble(model, 74, 40, lp, 0.7, list(Ls), 6, chunk=16)
+        assert [(t.n_right, t.n_left, t.n_censored) for t in tallies] == want
+        assert tallies[0].n_exits > tallies[-1].n_exits and tallies[-1].n_censored > 0
+
+
+def ref_step_index(w, u):
+    return np.minimum((np.cumsum(w, 1) <= u[:, None]).sum(1), w.shape[1] - 1)
+
+
+@st.composite
+def laws_and_draws(draw):
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    w = draw(hnp.arrays(np.float64, (n, 2 * d), elements=st.floats(1e-9, 1.0)))
+    if draw(st.booleans()):
+        w = w / w.sum(axis=1, keepdims=True)
+    cum = np.cumsum(w, 1)
+    # u from [0, 1), exactly on a cumulative entry, or the largest double below 1
+    u = np.asarray(
+        [
+            draw(
+                st.one_of(
+                    st.floats(0.0, 1.0, exclude_max=True),
+                    st.sampled_from(cum[i].tolist()),
+                    st.just(1.0 - 2.0**-53),
+                )
+            )
+            for i in range(n)
+        ]
+    )
+    return w, u
+
+
+# each row's cumulative sums end below 1 (0.7 + 0.1 + 0.1 + 0.1 rounds to 1 - 2**-53)
+@example((np.asarray([[0.7, 0.1, 0.1, 0.1]] * 3), np.asarray([0.7999999999999999, 0.9999999999999999, 0.95])))
+# 0.1 + 0.2 + 0.3 rounds to 0.6000000000000001 in cumsum's order, to 0.6 in the reverse one
+@example((np.asarray([[0.1, 0.2, 0.3, 0.4]]), np.asarray([0.6])))
+@settings(max_examples=500, deadline=None)
+@given(laws_and_draws())
+def test_counting_rule_matches_cumsum_and_clip(case):
+    w, u = case
+    assert np.array_equal(_step_index(w, u), ref_step_index(w, u))

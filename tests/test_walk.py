@@ -17,6 +17,7 @@ from rwre_lab import (
 )
 from rwre_lab.walk import (
     Side,
+    SlabTally,
     env_seed_for,
     run_slab_ensemble,
     slab_region,
@@ -208,6 +209,11 @@ class TestSlabExit:
         with pytest.raises(ConfigError):
             slab_exit_side(traj_1d([UP]), [1.0], -1.0, 5.0)
 
+    @pytest.mark.parametrize("b", [0.0, float("nan")])
+    def test_bad_slab_offset_refused(self, b):
+        with pytest.raises(ConfigError):
+            slab_exit_side(traj_1d([UP]), [1.0], b, 5.0)
+
     def test_tally_matches_per_walk_classification(self):
         model = Homogeneous(TransitionVector([0.6, 0.4]))
         n, horizon, L = 300, 400, 3.0
@@ -217,3 +223,42 @@ class TestSlabExit:
         assert tally.n_right == sum(s is Side.RIGHT for s in sides)
         assert tally.n_left == sum(s is Side.LEFT for s in sides)
         assert tally.n_censored == sum(s is None for s in sides)
+
+    def test_one_width_gives_one_tally(self):
+        model = Homogeneous(TransitionVector([0.6, 0.4]))
+        tally = run_slab_ensemble(model, 13, 50, [1.0], 1.0, 3.0, 400)
+        assert isinstance(tally, SlabTally)
+        (listed,) = run_slab_ensemble(model, 13, 50, [1.0], 1.0, [3.0], 400)
+        assert listed == tally
+
+    @pytest.mark.parametrize("Ls", [[], [3.0, 3.0], [4.0, 2.0], [-1.0, 2.0], [0.0, 2.0], [float("nan")]], ids=str)
+    def test_bad_width_sequences_refused(self, Ls):
+        model = Homogeneous(TransitionVector([0.6, 0.4]))
+        with pytest.raises(ConfigError):
+            run_slab_ensemble(model, 13, 10, [1.0], 1.0, Ls, 100)
+
+
+class TestEnsembleArguments:
+    """Bad counts are refused by name instead of dropping or inventing walkers."""
+
+    model = Homogeneous(TransitionVector([0.6, 0.4]))
+
+    def test_slab_negative_chunk(self):
+        with pytest.raises(ConfigError, match="chunk"):
+            run_slab_ensemble(self.model, 13, 10, [1.0], 1.0, 3.0, 100, chunk=-1)
+
+    def test_simulate_negative_chunk(self):
+        with pytest.raises(ConfigError, match="chunk"):
+            simulate_ensemble(self.model, 13, 10, 100, chunk=-4)
+
+    def test_zero_chunk(self):
+        with pytest.raises(ConfigError, match="chunk"):
+            simulate_ensemble(self.model, 13, 10, 100, chunk=0)
+
+    def test_slab_negative_walks(self):
+        with pytest.raises(ConfigError, match="n_walks"):
+            run_slab_ensemble(self.model, 13, -3, [1.0], 1.0, 3.0, 100)
+
+    def test_slab_negative_horizon(self):
+        with pytest.raises(ConfigError, match="horizon"):
+            run_slab_ensemble(self.model, 13, 10, [1.0], 1.0, 3.0, -5)
