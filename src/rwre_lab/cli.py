@@ -50,10 +50,9 @@ from .stats import (
     ROUTE_RAW,
     ROUTE_RENEWAL,
     _binom_se,
+    _class_estimates,
     antipodal_clustering,
-    classify_transience,
     estimate_direction,
-    estimate_speed,
     independence_test,
     pooled_increments,
     renewal_mean_identity,
@@ -182,7 +181,7 @@ def _direction(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
     spec, rows = _cone_spec_from(cfg)
     trajs = _ensemble(cfg)
     l, lvl, dip = cfg["l"], cfg["thresholds.level_threshold"], cfg["thresholds.dip_allowance"]
-    verdict = classify_transience(trajs, l, lvl, dip)
+    verdict, speed = _class_estimates(trajs, l, lvl, dip)
     rows.append(
         {
             "record": "transience",
@@ -191,7 +190,6 @@ def _direction(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
             **_attrs(verdict, "p_hat_plus", "p_hat_minus", "level_threshold", "dip_allowance"),
         }
     )
-    speed = estimate_speed(trajs, l, lvl, dip)
     rows.append(
         {"record": "speed", "l": l, **_attrs(speed, "mean", "ci", "n_plus", "n_minus", "mean_plus", "mean_minus")}
     )

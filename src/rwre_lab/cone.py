@@ -294,9 +294,6 @@ class LambdaScanResult:
 
     chosen: Fraction | None
     rows: list[LambdaScanRow]
-    rate_floor: float
-    n_walks: int
-    horizon: int
 
     @property
     def found(self) -> bool:
@@ -323,22 +320,16 @@ def lambda_scan(
     confirm_horizon: int = 400,
     rate_floor: float = 0.5,
     check_direction: bool = True,
-    trajs: list[Trajectory] | None = None,
 ) -> LambdaScanResult:
     """Measure confirmed-renewal rates over a grid of interpolation weights.
 
     The rate is ``renewal_rate``.  One ensemble is simulated and reused for
-    every grid value; a pre-simulated ensemble can be passed in through
-    ``trajs``.
+    every grid value.
     """
     grid = sorted({Fraction(x) for x in lambdas}, reverse=True)
     if not grid:
         raise ConfigError("lambda grid must be nonempty")
-    if trajs is None:
-        trajs = simulate_ensemble(model, master_seed, n_walks, horizon)
-    else:
-        n_walks = len(trajs)
-        horizon = len(trajs[0]) if trajs else horizon
+    trajs = simulate_ensemble(model, master_seed, n_walks, horizon)
     rows = []
     chosen = None
     for lam in grid:
@@ -348,4 +339,4 @@ def lambda_scan(
         rows.append(LambdaScanRow(lam, rate, confirmed))
         if chosen is None and rate > rate_floor:
             chosen = lam
-    return LambdaScanResult(chosen, rows, rate_floor, n_walks, horizon)
+    return LambdaScanResult(chosen, rows)

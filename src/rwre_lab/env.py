@@ -195,12 +195,10 @@ def _gamma_mt(alpha: float, keys: np.ndarray, base) -> np.ndarray:
     while pending.size:
         if attempt == _GAMMA_MAX_ATTEMPTS:
             raise NumericError("gamma sampler failed to accept within the attempt budget")
-        with np.errstate(over="ignore"):
-            idx = base + U64(4 * attempt)
+        idx = base + U64(4 * attempt)
         k = keys[pending]
         x = stream_normal(k, idx)
-        with np.errstate(over="ignore"):
-            u = stream_u01_open(k, idx + U64(2))
+        u = stream_u01_open(k, idx + U64(2))
         v = (1.0 + c * x) ** 3
         ok = v > 0.0
         logv = np.log(np.where(ok, v, 1.0))
@@ -209,8 +207,7 @@ def _gamma_mt(alpha: float, keys: np.ndarray, base) -> np.ndarray:
         pending = pending[~accept]
         attempt += 1
     if boost:
-        with np.errstate(over="ignore"):
-            ub = stream_u01_open(keys, base + U64(4 * _GAMMA_MAX_ATTEMPTS))
+        ub = stream_u01_open(keys, base + U64(4 * _GAMMA_MAX_ATTEMPTS))
         out *= ub ** (1.0 / alpha)
     return out
 
@@ -234,13 +231,11 @@ def sample_dirichlet(alphas, keys) -> np.ndarray:
     out = np.empty((n, k), dtype=np.float64)
     todo = np.arange(n)
     for rnd in range(_DIRICHLET_MAX_ROUNDS):
-        with np.errstate(over="ignore"):
-            rbase = U64(rnd) * _GAMMA_ROUND_STRIDE
+        rbase = U64(rnd) * _GAMMA_ROUND_STRIDE
         sub = keys[todo]
         g = np.empty((todo.size, k), dtype=np.float64)
         for j in range(k):
-            with np.errstate(over="ignore"):
-                g[:, j] = _gamma_mt(float(alphas[j]), sub, rbase + U64(j) * _GAMMA_COMP_STRIDE)
+            g[:, j] = _gamma_mt(float(alphas[j]), sub, rbase + U64(j) * _GAMMA_COMP_STRIDE)
         probs = g / g.sum(axis=1, keepdims=True)
         good = (probs >= ELLIPTICITY_FLOOR).all(axis=1)
         out[todo[good]] = probs[good]

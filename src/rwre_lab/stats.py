@@ -156,14 +156,7 @@ def classify_transience(
     """Classify an ensemble as transient toward +l, toward -l, or undecided."""
     if not trajs:
         raise ValueError("classify_transience needs a nonempty ensemble")
-    lv = np.asarray(l, dtype=np.float64)
-    thr, dip = _resolve_thresholds(len(trajs[0]), level_threshold, dip_allowance)
-    cls = _walk_classes(trajs, lv[None, :], thr, dip)[0]
-    n = len(trajs)
-    p_plus, p_minus = int((cls > 0).sum()) / n, int((cls < 0).sum()) / n
-    return TransienceVerdict(
-        tuple(float(x) for x in lv), _verdict(p_plus, p_minus), p_plus, p_minus, thr, dip, n
-    )
+    return _class_estimates(trajs, l, level_threshold, dip_allowance)[0]
 
 
 @dataclass(frozen=True)
@@ -186,24 +179,37 @@ def estimate_speed(
     """Mean of X_N . l / N with a normal CI, split by transience class."""
     if not trajs:
         raise ValueError("estimate_speed needs a nonempty ensemble")
+    return _class_estimates(trajs, l, level_threshold, dip_allowance)[1]
+
+
+def _class_estimates(
+    trajs: Sequence[Trajectory], l, level_threshold: float | None, dip_allowance: float | None
+) -> tuple[TransienceVerdict, SpeedEstimate]:
+    """``classify_transience`` and ``estimate_speed`` of a nonempty ensemble from one class pass."""
     lv = np.asarray(l, dtype=np.float64)
     thr, dip = _resolve_thresholds(len(trajs[0]), level_threshold, dip_allowance)
     cls, final = _walk_classes(trajs, lv[None, :], thr, dip)
     cls = cls[:, 0]
+    n = len(trajs)
+    p_plus, p_minus = int((cls > 0).sum()) / n, int((cls < 0).sum()) / n
+    verdict = TransienceVerdict(
+        tuple(float(x) for x in lv), _verdict(p_plus, p_minus), p_plus, p_minus, thr, dip, n
+    )
     vals = final[:, 0] / np.maximum([len(t) for t in trajs], 1)
     mean = float(vals.mean())
-    sd = float(vals.std(ddof=1)) if len(trajs) > 1 else 0.0
+    sd = float(vals.std(ddof=1)) if n > 1 else 0.0
     plus = vals[cls > 0]
     minus = vals[cls < 0]
-    return SpeedEstimate(
+    speed = SpeedEstimate(
         mean,
-        _normal_ci(mean, sd, len(trajs)),
-        len(trajs),
+        _normal_ci(mean, sd, n),
+        n,
         float(plus.mean()) if plus.size else None,
         int(plus.size),
         float(minus.mean()) if minus.size else None,
         int(minus.size),
     )
+    return verdict, speed
 
 
 @dataclass(eq=False)

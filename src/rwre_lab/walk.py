@@ -1,12 +1,13 @@
 """Quenched trajectory simulation and path stopping times.
 
-Walkers advance in lockstep as numpy batches.  The step taken by walker ``w``
-at time ``t`` depends only on (walker seed, t) and on the environment at the
-current site, so ensembles are reproducible and independent of batch layout.
-One step kernel, ``_step``, serves both the full-path and the slab-exit
-simulations.  Stopping times on finite paths return an explicit
-not-by-horizon marker instead of a large sentinel; downstream estimators must
-treat that as censoring.
+An ensemble's walkers advance in lockstep as one numpy block.  The step taken
+by walker ``i`` at time ``t`` depends only on (master seed, i, t) and on the
+environment at the current site, which (master seed, i) also fixes, so
+walker ``i``'s path depends only on (master seed, i): no other walker, and no
+grouping of walkers, can change it.  One step kernel, ``_step``, serves both
+the full-path and the slab-exit simulations.  Stopping times on finite paths
+return an explicit not-by-horizon marker instead of a large sentinel;
+downstream estimators must treat that as censoring.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from .env import EnvironmentModel, QuenchedEnvironment, constant_vector, transit
 from .errors import ConfigError
 from .lattice import decode_signed_axis, encode_signed_axis, step_table
 from .rng import TAG_ENV, TAG_STEP, TAG_WALKER, as_u64, derive_key, stream_u01
-
-DEFAULT_CHUNK = 1024  # fixed batch width
 
 
 @dataclass(eq=False)
@@ -107,18 +106,21 @@ class SlabExit:
 
 def _check_l(l) -> np.ndarray:
     arr = np.asarray(l)
-    if arr.ndim != 1 or not np.any(arr != 0):
-        raise ConfigError("direction l must be a nonzero vector")
+    if arr.ndim != 1 or not np.any(arr != 0) or not np.all(np.isfinite(arr)):
+        raise ConfigError("direction l must be a finite nonzero vector")
     return arr
 
 
 def _check_slab(l_prime, b: float, L: float, d: int | None = None) -> np.ndarray:
-    """l_prime as a float vector, once it is checked nonzero with ``d`` entries and b and L positive."""
+    """l_prime as a float vector, once it is checked finite and nonzero with ``d`` entries.
+
+    b and L must be positive and finite.
+    """
     lp = _check_l(np.asarray(l_prime, dtype=np.float64))
     if d is not None and lp.shape != (d,):
         raise ConfigError("l_prime dimension mismatch")
-    if not (b > 0 and L > 0):  # NaN fails too: no walker reaches a NaN face, so all would be censored
-        raise ConfigError("slab parameters b and L must be positive")
+    if not (0 < b < np.inf and 0 < L < np.inf):  # NaN fails too: no walker reaches a NaN or infinite face
+        raise ConfigError("slab parameters b and L must be positive and finite")
     return lp
 
 
@@ -212,12 +214,6 @@ def simulate(env: QuenchedEnvironment, walker_seed: int, horizon: int) -> Trajec
     return Trajectory(steps[0], env.dim, int(walker_seed), env_seed=env.master_seed)
 
 
-def _chunk_bounds(n: int, chunk: int) -> list[tuple[int, int]]:
-    if chunk < 1:
-        raise ConfigError(f"chunk must be at least 1, got {chunk}")
-    return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-
-
 def ensemble_seeds(master_seed: int, n_walks: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-walker (environment seed, walker seed) arrays, derived from the master."""
     ids = np.arange(n_walks, dtype=np.int64)
@@ -229,24 +225,20 @@ def simulate_ensemble(
     master_seed: int,
     n_walks: int,
     horizon: int,
-    chunk: int = DEFAULT_CHUNK,
 ) -> list[Trajectory]:
     """Annealed ensemble: walker ``i`` gets its own environment and walk stream.
 
     Both streams derive from (master_seed, i), so the ensemble is reproducible
-    walker by walker regardless of chunking.
+    walker by walker.
     """
     if horizon < 0 or n_walks < 0:
         raise ConfigError("n_walks and horizon must be nonnegative")
     env_seeds, walk_seeds = ensemble_seeds(master_seed, n_walks)
-    out: list[Trajectory] = []
-    for lo, hi in _chunk_bounds(n_walks, chunk):
-        block = _simulate_block(model, env_seeds[lo:hi], walk_seeds[lo:hi], horizon)
-        for i in range(lo, hi):
-            out.append(
-                Trajectory(block[i - lo], model.dim, int(walk_seeds[i]), env_seed=int(env_seeds[i]))
-            )
-    return out
+    block = _simulate_block(model, env_seeds, walk_seeds, horizon)
+    return [
+        Trajectory(block[i], model.dim, int(walk_seeds[i]), env_seed=int(env_seeds[i]))
+        for i in range(n_walks)
+    ]
 
 
 def first_passage(traj: Trajectory, l, s: float) -> StopResult:
@@ -373,7 +365,6 @@ def run_slab_ensemble(
     b: float,
     L: float | Sequence[float],
     horizon: int,
-    chunk: int = DEFAULT_CHUNK * 8,
 ) -> SlabTally | list[SlabTally]:
     """Annealed slab-exit tally with early stopping per walker.
 
@@ -388,11 +379,8 @@ def run_slab_ensemble(
         raise ConfigError("slab widths L must be a nonempty, strictly increasing sequence")
     for width in Ls:
         lp = _check_slab(l_prime, b, width, model.dim)
-    env_seeds, walk_seeds = ensemble_seeds(master_seed, n_walks)
-    total = np.zeros((len(Ls), 3), dtype=np.int64)
-    for lo, hi in _chunk_bounds(n_walks, chunk):
-        total += _slab_block(model, env_seeds[lo:hi], walk_seeds[lo:hi], lp, b, Ls, horizon)
-    tallies = [SlabTally(*map(int, row), n_walks) for row in total]
+    counts = _slab_block(model, *ensemble_seeds(master_seed, n_walks), lp, b, Ls, horizon)
+    tallies = [SlabTally(*map(int, row), n_walks) for row in counts]
     return tallies[0] if single else tallies
 
 

@@ -667,3 +667,19 @@ class TestMisc:
         assert run_cli("run", "--config", cfg, "--out", out) == 0
         monkeypatch.setenv("RWRE_LAB_THREADS", "zebra")
         assert run_cli("run", "--config", cfg, "--out", out) == 2
+
+
+def test_direction_builds_each_main_pass_path_twice(tmp_path, monkeypatch):
+    # one class pass serves the transience verdict and the speed, and the renewal scan is the other
+    calls = []
+    positions = rwre_lab.Trajectory.positions
+
+    def counted(self):
+        calls.append(self)
+        return positions(self)
+
+    monkeypatch.setattr(rwre_lab.Trajectory, "positions", counted)
+    cfg = write_config(tmp_path, "dir.json", direction_config())
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "out") == 0
+    assert len(calls) == 2 * 10
+    assert len({id(t) for t in calls}) == 10

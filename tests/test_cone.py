@@ -5,7 +5,6 @@ import pytest
 
 from rwre_lab import ConfigError, ConeSpec, Trajectory, cone_contains, detect_renewals, fresh_maxima
 from rwre_lab.cone import DEFAULT_LAMBDA_GRID, lambda_scan
-from rwre_lab.walk import simulate_ensemble
 
 DIAG = ConeSpec((1, 1), ((1, 1), (1, -1)), Fraction(1), (1, 0))
 
@@ -238,10 +237,9 @@ class TestLambdaScan:
         assert rates["1/2"] > rates["1"] > 1.0
 
     def test_symmetric_model_finds_nothing(self, srw2d):
-        trajs = simulate_ensemble(srw2d, 4, 60, 4000)
         res = lambda_scan(
             srw2d, 4, (1, 1), ((1, 1), (1, -1)), (1, 0),
-            lambdas=DEFAULT_LAMBDA_GRID, confirm_horizon=1000, trajs=trajs,
+            lambdas=DEFAULT_LAMBDA_GRID, n_walks=60, horizon=4000, confirm_horizon=1000,
         )
         assert not res.found
         assert res.chosen is None

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,17 @@ class TestDirichletSampling:
         keys = derive_key(31, np.arange(20_000))
         draws = sample_dirichlet([0.3, 0.5], keys)
         assert abs(draws[:, 0].mean() - 0.375) < 0.02
+        assert draws.min() >= ELLIPTICITY_FLOOR
+
+    # alphas below 1 take the boost draw, and 0.05 redraws sub-elliptic vectors over several rounds
+    @pytest.mark.parametrize("alphas", [(0.05, 0.5, 0.3), (1.5, 1.2, 1.35, 1.35), (50.0, 200.0)], ids=str)
+    def test_index_arithmetic_does_not_overflow(self, alphas):
+        # round, component and attempt indices stay far below 2**64; only the key hashing in rng wraps
+        keys = derive_key(17, np.arange(2_000))
+        with warnings.catch_warnings(), np.errstate(over="raise"):
+            warnings.simplefilter("error")
+            draws = sample_dirichlet(alphas, keys)
+        assert draws.shape == (2_000, len(alphas))
         assert draws.min() >= ELLIPTICITY_FLOOR
 
 

@@ -2,9 +2,11 @@
 
 ``ref_simulate_block`` and ``ref_slab_block`` are the full-path and the
 slab-exit kernels as they were before their steps were merged into one, kept
-as oracles.  The ensembles built on the shared kernel must reproduce their
-step matrices and slab tallies exactly, chunk by chunk; one multi-width slab
-pass must reproduce ``ref_slab_block`` run once per width.  The counting rule
+as oracles.  The oracles run over the walkers split into blocks (of 3, of 16,
+or all in one); the ensembles built on the shared kernel run every walker in
+one block and must reproduce their step matrices and slab tallies exactly, so
+the grouping of walkers changes nothing.  One multi-width slab pass must
+reproduce ``ref_slab_block`` run once per width.  The counting rule
 that picks a step from a site's law must equal the cumsum-and-clip
 expression those kernels used.
 """
@@ -90,8 +92,8 @@ MODELS = {
     "dirichlet-2d": Dirichlet((1.5, 1.2, 1.35, 1.35)),
 }
 
-# (n_walks, horizon, chunk): empty ensemble, empty paths, and chunks of 3
-# that do not divide 7 walkers next to one chunk holding them all
+# (n_walks, horizon, chunk): empty ensemble, empty paths, and oracle blocks of
+# 3 that do not divide 7 walkers next to one oracle block holding them all
 SHAPES = [(0, 30, 3), (7, 0, 3), (7, 30, 3), (7, 30, 1024)]
 
 
@@ -107,7 +109,7 @@ def test_step_matrices_match_old_kernel(name, shape):
     want = np.zeros((n, horizon), dtype=np.int8)
     for lo, hi in chunks(n, chunk):
         want[lo:hi] = ref_simulate_block(model, env_seeds[lo:hi], walk_seeds[lo:hi], horizon)
-    trajs = simulate_ensemble(model, 71, n, horizon, chunk=chunk)
+    trajs = simulate_ensemble(model, 71, n, horizon)
     got = np.asarray([t.steps for t in trajs], dtype=np.int8).reshape(n, horizon)
     assert np.array_equal(got, want)
 
@@ -125,7 +127,7 @@ def test_slab_tallies_match_old_kernel(name, shape):
         for lo, hi in chunks(n, chunk)
     ]
     want = tuple(sum(p[k] for p in parts) for k in range(3))
-    tally = run_slab_ensemble(model, 72, n, lp, b, L, horizon, chunk=chunk)
+    tally = run_slab_ensemble(model, 72, n, lp, b, L, horizon)
     assert (tally.n_right, tally.n_left, tally.n_censored) == want
     assert tally.n_walks == n
 
@@ -156,7 +158,7 @@ def test_one_pass_tallies_match_old_kernel_per_width(name, shape, Ls):
     for lp in slab_directions(model.dim):
         for b in (1.0, 0.7):
             want = ref_slab_tallies(model, 73, n, lp, b, Ls, horizon, chunk)
-            tallies = run_slab_ensemble(model, 73, n, lp, b, list(Ls), horizon, chunk=chunk)
+            tallies = run_slab_ensemble(model, 73, n, lp, b, list(Ls), horizon)
             assert [(t.n_right, t.n_left, t.n_censored) for t in tallies] == want
             assert all(t.n_walks == n for t in tallies)
 
@@ -167,7 +169,7 @@ def test_one_pass_keeps_walkers_that_left_narrower_slabs(name):
     model, Ls = MODELS[name], (2.0, 3.0, 5.0)
     for lp in slab_directions(model.dim):
         want = ref_slab_tallies(model, 74, 40, lp, 0.7, Ls, 6, 16)
-        tallies = run_slab_ensemble(model, 74, 40, lp, 0.7, list(Ls), 6, chunk=16)
+        tallies = run_slab_ensemble(model, 74, 40, lp, 0.7, list(Ls), 6)
         assert [(t.n_right, t.n_left, t.n_censored) for t in tallies] == want
         assert tallies[0].n_exits > tallies[-1].n_exits and tallies[-1].n_censored > 0
 
