@@ -754,6 +754,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         _resolve_threads(args.threads)
         if args.seed is not None:
             cfg.fields["master_seed"] = _check_range("--seed", args.seed, *_SEED_RANGE)
+        out_dir = Path(args.out) if args.out else Path(cfg["output"] or "out")
+        found = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        if not found.is_dir():
+            raise ConfigError(f"output path {str(out_dir)!r}: {str(found)!r} exists and is not a directory")
         config_hash = hashlib.sha256(path.read_bytes()).hexdigest()
         try:
             rows, curves, insufficient = _RUNNERS[cfg["experiment"]](cfg)
@@ -765,8 +769,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     except NumericError as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return 4
-    out_dir = Path(args.out) if args.out else Path(cfg["output"] or "out")
-    _write_outputs(out_dir, rows, curves, cfg, config_hash, cfg["master_seed"], started)
+    try:
+        _write_outputs(out_dir, rows, curves, cfg, config_hash, cfg["master_seed"], started)
+    except OSError as exc:
+        print(f"error: cannot write outputs to {str(out_dir)!r}: {exc}", file=sys.stderr)
+        return 2
     return 3 if insufficient else 0
 
 

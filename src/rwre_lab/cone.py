@@ -27,25 +27,14 @@ from .errors import ConfigError
 from .walk import Trajectory, simulate_ensemble
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    det = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        det += (-1) ** j * rows[0][j] * _int_det(minor)
-    return det
-
-
-def _fraction_inverse(rows: list[list[int]]) -> list[list[Fraction]]:
-    """Exact inverse of a small integer matrix via Gauss-Jordan over Q."""
+def _fraction_inverse(rows: list[list[int]], singular: str) -> list[list[Fraction]]:
+    """Exact inverse of a small integer matrix via Gauss-Jordan over Q; ConfigError(``singular``) if it has none."""
     n = len(rows)
     a = [[Fraction(x) for x in r] + [Fraction(int(i == k)) for k in range(n)] for i, r in enumerate(rows)]
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
-            raise ConfigError("matrix is singular")
+            raise ConfigError(singular)
         a[col], a[piv] = a[piv], a[col]
         inv = Fraction(1) / a[col][col]
         a[col] = [x * inv for x in a[col]]
@@ -96,16 +85,17 @@ class ConeSpec:
             raise ConfigError("the coordinates of l must have gcd 1")
         if not 0 < lam <= 1:
             raise ConfigError("lambda must be a rational in (0, 1]")
-        if _int_det([list(r) for r in basis]) == 0:
-            raise ConfigError("basis vectors must be linearly independent")
+        # the signed basis is singular exactly when the basis is
+        dual = _fraction_inverse(
+            [[sigma[k] * basis[k][i] for i in range(d)] for k in range(d)],
+            "basis vectors must be linearly independent",
+        )
         p, q = lam.numerator, lam.denominator
         rows = [
             [p * sigma[k] * basis[k][i] + (q - p) * l[i] for i in range(d)]
             for k in range(d)
         ]
-        if _int_det(rows) == 0:
-            raise ConfigError("interpolated face vectors are linearly dependent; the cone is degenerate")
-        dual = _fraction_inverse([[sigma[k] * basis[k][i] for i in range(d)] for k in range(d)])
+        _fraction_inverse(rows, "interpolated face vectors are linearly dependent; the cone is degenerate")
         if self.check_direction:
             for j in range(d):
                 ray_dot = sum(Fraction(l[i]) * dual[i][j] for i in range(d))

@@ -51,8 +51,8 @@ class TransitionVector:
         if arr.ndim != 1 or arr.size % 2 != 0 or arr.size == 0:
             raise ConfigError(f"transition vector needs 2d entries, got shape {arr.shape}")
         check_dim(arr.size // 2)
-        if not np.all(arr > 0.0):
-            raise ConfigError("transition probabilities must be strictly positive")
+        if not np.all((arr > 0.0) & (arr < np.inf)):  # NaN fails both
+            raise ConfigError(f"transition probabilities must be strictly positive and finite, got {arr.tolist()}")
         total = float(arr.sum())
         if abs(total - 1.0) > _SUM_TOL:
             arr = arr / total
@@ -130,8 +130,8 @@ class Dirichlet:
         if len(alphas) % 2 != 0 or not alphas:
             raise ConfigError("Dirichlet needs 2d concentration parameters")
         check_dim(len(alphas) // 2)
-        if any(a <= 0.0 for a in alphas):
-            raise ConfigError("Dirichlet concentrations must be positive")
+        if not all(0.0 < a < np.inf for a in alphas):
+            raise ConfigError(f"Dirichlet concentrations must be positive and finite, got {list(alphas)}")
         object.__setattr__(self, "alphas", alphas)
 
     @property
@@ -224,8 +224,8 @@ def sample_dirichlet(alphas, keys) -> np.ndarray:
     alphas = np.asarray(alphas, dtype=np.float64)
     if alphas.ndim != 1 or alphas.size == 0:
         raise ConfigError("alphas must be a nonempty vector")
-    if np.any(alphas <= 0.0):
-        raise ConfigError("Dirichlet concentrations must be positive")
+    if not np.all((alphas > 0.0) & (alphas < np.inf)):
+        raise ConfigError(f"Dirichlet concentrations must be positive and finite, got {alphas.tolist()}")
     keys = np.atleast_1d(as_u64(np.asarray(keys)))
     n, k = keys.shape[0], alphas.size
     out = np.empty((n, k), dtype=np.float64)

@@ -45,10 +45,12 @@ def encode_signed_axis(j: int) -> int:
 
 
 def decode_signed_axis(s: int, d: int) -> int:
-    axis = abs(int(s))
-    if s == 0 or axis > d:
+    """Direction index of a signed axis; bools, floats and strings are refused, not rounded."""
+    if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+        raise ConfigError(f"signed axis {s!r} is not an integer")
+    if s == 0 or abs(s) > d:
         raise ConfigError(f"signed axis {s!r} out of range for dimension {d}")
-    return direction_index(axis - 1, 1 if s > 0 else -1)
+    return direction_index(abs(int(s)) - 1, 1 if s > 0 else -1)
 
 
 def check_site(x, d: int) -> np.ndarray:

@@ -299,12 +299,15 @@ class SlabTally:
 
     n_right: int
     n_left: int
-    n_censored: int
     n_walks: int
 
     @property
     def n_exits(self) -> int:
         return self.n_right + self.n_left
+
+    @property
+    def n_censored(self) -> int:
+        return self.n_walks - self.n_exits
 
     @property
     def p_right(self) -> float:
@@ -324,36 +327,32 @@ def _slab_block(
     Ls: Sequence[float],
     horizon: int,
 ) -> np.ndarray:
-    """(right exits, left exits, censored) of n walkers at each increasing width, one row per width.
+    """(right exits, left exits) of n walkers at each increasing width, one row per width.
 
-    The slabs are nested, so one pass serves every width: a walker is tallied
-    at each width when it first leaves that slab, and stops once it leaves the
-    widest, by which time it has left all the others.
+    The slabs are nested, so walker i keeps k_i, the narrowest slab it has not
+    left: it has left slabs 0 to k_i - 1 and is inside every slab from k_i on.
+    An exit is tallied at k_i and moves it up; one step can cross several faces.
     """
+    widths = np.asarray(Ls, dtype=np.float64)
     step_keys = derive_key(walker_seeds, TAG_STEP)
     pos = np.zeros((walker_seeds.shape[0], model.dim), dtype=np.int64)
-    inside = np.ones((len(Ls), walker_seeds.shape[0]), dtype=bool)
+    k = np.zeros(walker_seeds.shape[0], dtype=np.intp)
     const_cum = _constant_cum(model)
-    tally = np.zeros((len(Ls), 3), dtype=np.int64)
+    tally = np.zeros((widths.shape[0], 2), dtype=np.int64)
     for t in range(horizon):
         if step_keys.shape[0] == 0:
             break
         _step(model, const_cum, step_keys, env_seeds, pos, t)
         proj = pos @ l_prime
-        for k, L in enumerate(Ls):
-            right, left = _slab_exits(proj, b, L)
-            right &= inside[k]
-            left &= inside[k]
-            tally[k, 0] += np.count_nonzero(right)
-            tally[k, 1] += np.count_nonzero(left)
-            inside[k] &= ~(right | left)
-        keep = inside[-1]
-        if not keep.all():
-            pos = pos[keep]
-            step_keys = step_keys[keep]
-            env_seeds = env_seeds[keep]
-            inside = inside[:, keep]
-    tally[:, 2] = inside.sum(axis=1)
+        right, left = _slab_exits(proj, b, widths[k])
+        while right.any() or left.any():
+            tally[:, 0] += np.bincount(k[right], minlength=widths.shape[0])
+            tally[:, 1] += np.bincount(k[left], minlength=widths.shape[0])
+            k += right | left
+            keep = k < widths.shape[0]
+            if not keep.all():
+                pos, proj, k, step_keys, env_seeds = (a[keep] for a in (pos, proj, k, step_keys, env_seeds))
+            right, left = _slab_exits(proj, b, widths[k])
     return tally
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import rwre_lab
+from rwre_lab import cli
 from rwre_lab.cli import _write_outputs, load_config, main
 from rwre_lab.errors import ConfigError
 
@@ -458,6 +459,29 @@ class TestRun:
             _write_outputs(out, [{"record": "first"}], bad_curves, cfg, "h", 1, "t")
         assert sorted(p.name for p in out.iterdir()) == names
         assert (out / "curves.csv").read_bytes() == before["curves.csv"]
+
+    @pytest.mark.parametrize("where", ["--out", "output", "below"])
+    def test_output_path_not_a_directory_exits_2_before_running(self, tmp_path, capsys, monkeypatch, where):
+        def never(cfg):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setitem(cli._RUNNERS, "simulate", never)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        out = taken / "sub" if where == "below" else taken
+        cfg = simulate_config(output=str(out)) if where == "output" else simulate_config()
+        argv = ["run", "--config", write_config(tmp_path, "sim.json", cfg)]
+        assert run_cli(*argv, *([] if where == "output" else ["--out", out])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(str(out)) in err
+        assert taken.read_text() == "keep"
+
+    def test_write_failure_exits_2_with_one_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "sim.json", simulate_config())
+        (tmp_path / "o" / "results.jsonl").mkdir(parents=True)
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and repr(str(tmp_path / "o")) in err
 
     def test_invalid_json_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -63,8 +63,13 @@ def random_spec(rng) -> ConeSpec:
 
 class TestConeSpec:
     def test_rejects_dependent_basis(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="linearly independent"):
             ConeSpec((1, 1), ((1, 2), (2, 4)), Fraction(1), (1, 0))
+
+    def test_rejects_degenerate_faces(self):
+        # the basis is independent, but its face rows at lambda = 1/2 are (0, 0) and (-1, 1)
+        with pytest.raises(ConfigError, match="the cone is degenerate"):
+            ConeSpec((1, 1), ((1, 0), (0, 1)), Fraction(1, 2), (-1, 0), check_direction=False)
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ConfigError):

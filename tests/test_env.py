@@ -33,6 +33,13 @@ class TestTransitionVector:
         with pytest.raises(ConfigError):
             TransitionVector([0.5, 0.3, 0.2])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=str)
+    def test_rejects_non_finite(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="finite"):
+                TransitionVector([bad, 1.0])
+
 
 class TestModels:
     def test_homogeneous_ignores_site(self):
@@ -76,6 +83,11 @@ class TestModels:
             Dirichlet((1.0, -1.0))
         with pytest.raises(ConfigError):
             Dirichlet((1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=str)
+    def test_dirichlet_rejects_non_finite(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            Dirichlet((bad, 1.0))
 
     def test_dimension_mismatch_raises(self):
         env = QuenchedEnvironment(Homogeneous(TransitionVector([0.5, 0.5])), 3)
@@ -149,6 +161,12 @@ class TestDirichletSampling:
     def test_rejects_bad_alphas(self):
         with pytest.raises(ConfigError):
             sample_dirichlet([1.0, 0.0], np.arange(3))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=str)
+    def test_rejects_non_finite_alphas(self, bad):
+        # refused as input, not after the gamma sampler's attempt budget runs out
+        with pytest.raises(ConfigError, match="finite"):
+            sample_dirichlet([bad, 1.0], derive_key(5, np.arange(3)))
 
     def test_empty_batch(self):
         assert sample_dirichlet([1.0, 1.0], np.array([], dtype=np.uint64)).shape == (0, 2)

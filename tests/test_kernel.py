@@ -150,7 +150,9 @@ def slab_directions(d):
     return [e1] if d == 1 else [e1, np.asarray([1.0, 0.3])]
 
 
-@pytest.mark.parametrize("Ls", [(2.0, 3.0, 5.0), (4.0,)], ids=str)
+# the close widths let one step cross several faces on either side: at b = 0.7
+# the left faces of (1.0, 1.1, 1.2, 3.0) sit 0.07 apart
+@pytest.mark.parametrize("Ls", [(2.0, 3.0, 5.0), (4.0,), (2.0, 2.25, 2.5), (1.0, 1.1, 1.2, 3.0)], ids=str)
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "n%d-h%d-c%d" % s)
 @pytest.mark.parametrize("name", list(MODELS))
 def test_one_pass_tallies_match_old_kernel_per_width(name, shape, Ls):
@@ -160,7 +162,7 @@ def test_one_pass_tallies_match_old_kernel_per_width(name, shape, Ls):
             want = ref_slab_tallies(model, 73, n, lp, b, Ls, horizon, chunk)
             tallies = run_slab_ensemble(model, 73, n, lp, b, list(Ls), horizon)
             assert [(t.n_right, t.n_left, t.n_censored) for t in tallies] == want
-            assert all(t.n_walks == n for t in tallies)
+            assert all(t.n_walks == n and t.n_censored == n - t.n_exits for t in tallies)
 
 
 @pytest.mark.parametrize("name", list(MODELS))

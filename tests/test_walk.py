@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,11 @@ class TestSimulate:
         back = Trajectory.from_json_obj(t.to_json_obj())
         assert np.array_equal(back.steps, t.steps)
         assert back.walker_seed == t.walker_seed
+
+    @pytest.mark.parametrize("bad", [0.5, 2.9, True, "1"], ids=repr)
+    def test_json_steps_must_be_integers(self, bad):
+        with pytest.raises(ConfigError, match=re.escape(f"signed axis {bad!r} is not an integer")):
+            Trajectory.from_json_obj({"dim": 2, "walker_seed": 1, "steps": [bad, 1]})
 
 
 # ---------------------------------------------------------------- stopping times
