@@ -13,6 +13,8 @@ does the path first leave the cone rooted at X_c?  ``_first_exit`` answers it
 for all candidates at once from a sparse table of range minima over each face
 functional, at O(N log min(H, N)) time per face and a transient
 L x (N + 2^L) int64 values per face, L = min(H, N + 1).bit_length().
+Each walk's positions, levels, fresh maxima and face table are built once, and
+its record keeps the level facts the renewal mean identity reads.
 """
 
 from __future__ import annotations
@@ -160,19 +162,25 @@ def fresh_maxima(traj: Trajectory, l) -> np.ndarray:
 
 @dataclass(eq=False)
 class RenewalRecord:
-    """Renewal times confirmed over a probationary window.
+    """Renewal times confirmed over a probationary window, and the walk's level facts.
 
     Each time is a strict fresh maximum in direction l, and the path stays in
     the cone rooted there for ``confirm_horizon`` further steps.  When the
     trajectory ends before the last candidate's window does, that candidate is
     kept as the final entry and ``censored_tail`` is set; it must be excluded
-    from increment statistics.
+    from increment statistics.  ``top_level`` is the highest level X_n . l,
+    ``skipped_levels`` those in 1..top_level that no fresh maximum took (none
+    when every |l_i| <= 1) and ``stays`` whether the path stays in the origin
+    cone; their defaults give the renewal mean identity no data.
     """
 
     times: np.ndarray
     positions: np.ndarray
     confirm_horizon: int
     censored_tail: bool
+    top_level: int = 0
+    skipped_levels: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    stays: bool = False
 
     @property
     def n_confirmed(self) -> int:
@@ -227,28 +235,22 @@ def _first_exit(F: np.ndarray, cands: np.ndarray, H: int) -> np.ndarray:
     return pos
 
 
-def detect_renewals(traj: Trajectory, spec: ConeSpec, confirm_horizon: int) -> RenewalRecord:
-    """Run the renewal recursion with windowed confirmation.
-
-    Candidates are fresh maxima in direction l.  A candidate at time c is
-    confirmed when the path stays in X_c + cone through min(c + H, N), that
-    is when its first cone exit comes later.  After a confirmation the
-    recursion goes on to the next fresh maximum (the shifted path's first
-    positive level); on failure at exit time r it skips to the first time the
-    level exceeds the running maximum up to r, which is the first fresh
-    maximum after r.  Both successors are precomputed for every candidate, so
-    the recursion is a pointer chase.
-    """
+def _levels(traj: Trajectory, spec: ConeSpec, confirm_horizon: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The checked window H, the positions P, the levels P @ l and the fresh maxima of one walk."""
     if confirm_horizon < 1:
         raise ConfigError("confirm_horizon must be at least 1")
     if spec.dim != traj.dim:
         raise ConfigError("cone dimension does not match trajectory dimension")
-    H = int(confirm_horizon)
     P = traj.positions()
-    N = len(traj)
-    fresh = _fresh(P @ np.asarray(spec.l, dtype=np.int64))
+    s = P @ np.asarray(spec.l, dtype=np.int64)
+    return int(confirm_horizon), P, s, _fresh(s)
+
+
+def _scan(fresh: np.ndarray, F: np.ndarray, H: int) -> tuple[np.ndarray, bool]:
+    """The recursion of ``detect_renewals`` on face table ``F``: kept candidates, and whether the last is censored."""
+    N = F.shape[0] - 1
     nf = fresh.size
-    exit_at = _first_exit(P @ spec.matrix.T, fresh, H) if nf else fresh
+    exit_at = _first_exit(F, fresh, H) if nf else fresh
     w = min(H, N + 1)  # a window reaching past the end of the path is cut off there
     ok = exit_at > np.minimum(fresh + w, N)
     censored = ok & (fresh + w > N)
@@ -261,8 +263,27 @@ def detect_renewals(traj: Trajectory, spec: ConeSpec, confirm_horizon: int) -> R
         if ok_l[j]:
             kept.append(j)
         j = succ_l[j]
-    times = fresh[kept]
-    return RenewalRecord(times, P[times], H, bool(kept) and bool(censored[kept[-1]]))
+    return fresh[kept], bool(kept) and bool(censored[kept[-1]])
+
+
+def detect_renewals(traj: Trajectory, spec: ConeSpec, confirm_horizon: int) -> RenewalRecord:
+    """Run the renewal recursion with windowed confirmation.
+
+    Candidates are fresh maxima in direction l.  A candidate at time c is
+    confirmed when the path stays in X_c + cone through min(c + H, N), that
+    is when its first cone exit comes later.  After a confirmation the
+    recursion goes on to the next fresh maximum (the shifted path's first
+    positive level); on failure at exit time r it skips to the first time the
+    level exceeds the running maximum up to r, which is the first fresh
+    maximum after r.  Both successors are precomputed for every candidate, so
+    the recursion is a pointer chase.
+    """
+    H, P, s, fresh = _levels(traj, spec, confirm_horizon)
+    F = P @ spec.matrix.T
+    times, censored = _scan(fresh, F, H)
+    top = int(s.max())
+    skipped = np.flatnonzero(np.bincount(s[fresh], minlength=top + 1)[1:] == 0) + 1
+    return RenewalRecord(times, P[times], H, censored, top, skipped, bool((F >= 0).all()))
 
 
 @dataclass(frozen=True)
@@ -314,19 +335,18 @@ def lambda_scan(
     """Measure confirmed-renewal rates over a grid of interpolation weights.
 
     The rate is ``renewal_rate``.  One ensemble is simulated and reused for
-    every grid value.
+    every grid value; only the face table and the recursion are per value.
     """
     grid = sorted({Fraction(x) for x in lambdas}, reverse=True)
     if not grid:
         raise ConfigError("lambda grid must be nonempty")
-    trajs = simulate_ensemble(model, master_seed, n_walks, horizon)
-    rows = []
-    chosen = None
-    for lam in grid:
-        spec = ConeSpec(tuple(sigma), tuple(tuple(r) for r in basis), lam, tuple(l), check_direction)
-        confirmed = sum(detect_renewals(t, spec, confirm_horizon).n_confirmed for t in trajs)
-        rate = renewal_rate(confirmed, n_walks, horizon)
-        rows.append(LambdaScanRow(lam, rate, confirmed))
-        if chosen is None and rate > rate_floor:
-            chosen = lam
+    specs = [ConeSpec(tuple(sigma), tuple(tuple(r) for r in basis), lam, tuple(l), check_direction) for lam in grid]
+    confirmed = [0] * len(grid)
+    for t in simulate_ensemble(model, master_seed, n_walks, horizon):
+        H, P, _, fresh = _levels(t, specs[0], confirm_horizon)
+        for k, spec in enumerate(specs):
+            times, censored = _scan(fresh, P @ spec.matrix.T, H)
+            confirmed[k] += times.size - censored
+    rows = [LambdaScanRow(lam, renewal_rate(c, n_walks, horizon), c) for lam, c in zip(grid, confirmed)]
+    chosen = next((row.lam for row in rows if row.rate_per_1k > rate_floor), None)
     return LambdaScanResult(chosen, rows)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cone import ConeSpec, RenewalRecord, _fresh
+from .cone import ConeSpec, RenewalRecord
 from .errors import ConfigError
 from .walk import Trajectory, run_slab_ensemble, simulate_ensemble
 
@@ -403,7 +403,9 @@ def renewal_mean_identity(
     cone-survival probability conditions on walks classified forward
     transient; level hits are averaged over the window, which defaults to the
     upper half of the levels every walk in the sample reached, so horizon
-    censoring cannot masquerade as overshoot.
+    censoring cannot masquerade as overshoot.  The records must come from
+    ``detect_renewals`` with the same ``spec``: the top levels, skipped levels
+    and stays flags are read from them, and only the classes from the paths.
     """
     if len(trajs) != len(records):
         raise ConfigError("one renewal record per trajectory required")
@@ -414,36 +416,28 @@ def renewal_mean_identity(
     n = len(trajs)
     inc_sum = np.zeros(n)
     inc_cnt = np.zeros(n)
-    is_plus = np.zeros(n, dtype=bool)
-    stays = np.zeros(n, dtype=bool)
-    max_lv = np.zeros(n, dtype=np.int64)
-    fresh_levels = []  # per walk, the sorted levels that are fresh maxima
     projs = []  # per walk with increments, their projections on l
-    for i, (t, rec) in enumerate(zip(trajs, records)):
-        pos = t.positions()
-        s = pos @ lv
-        fresh_levels.append(s[_fresh(s)])
-        max_lv[i] = s.max()
-        is_plus[i] = _classify_levels(s.astype(np.float64), thr, dip) > 0
-        stays[i] = bool(spec.contains(pos[0], pos).all())
+    for i, rec in enumerate(records):
         inc = rec.increments()
         if inc.shape[0]:
             projs.append(inc @ lv)
             inc_sum[i] = float(projs[-1].sum())
             inc_cnt[i] = inc.shape[0]
+    tops = np.asarray([rec.top_level for rec in records], dtype=np.int64)
+    stays = np.asarray([rec.stays for rec in records], dtype=bool)
     if window is None:
-        top = int(max_lv.min())
+        top = int(tops.min())
         if top < 1:
             return InsufficientData("some walk reached no positive level")
         window = (max(1, top // 2), top)
     i_min, i_max = int(window[0]), int(window[1])
     if i_min < 1 or i_max < i_min:
         raise ConfigError("level window must satisfy 1 <= i_min <= i_max")
-    # the first passage over i - 1 lands exactly on level i >= 1 iff i is a fresh maximum's level
-    width = i_max - i_min + 1
-    hit_frac = np.asarray(
-        [(np.searchsorted(v, i_max, "right") - np.searchsorted(v, i_min)) / width for v in fresh_levels]
-    )
+    # the first passage over i - 1 lands exactly on level i >= 1 iff i <= top_level is not skipped
+    reached = np.clip(np.minimum(tops, i_max) - i_min + 1, 0, None)
+    edges = np.asarray([np.searchsorted(r.skipped_levels, (i_min, i_max + 1)) for r in records])
+    hit_frac = (reached - (edges[:, 1] - edges[:, 0])) / (i_max - i_min + 1)
+    is_plus = _walk_classes(trajs, lv[None].astype(np.float64), thr, dip)[0][:, 0] > 0
     total_inc = int(inc_cnt.sum())
     n_plus = int(is_plus.sum())
     if total_inc < 10:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .env import EnvironmentModel, QuenchedEnvironment, constant_vector, transitions_for
 from .errors import ConfigError
-from .lattice import decode_signed_axis, encode_signed_axis, step_table
+from .lattice import check_dim, decode_signed_axis, encode_signed_axis, step_table
 from .rng import TAG_ENV, TAG_STEP, TAG_WALKER, as_u64, derive_key, stream_u01
 
 
@@ -64,7 +64,10 @@ class Trajectory:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Trajectory":
-        d = int(obj["dim"])
+        for key in ("dim", "walker_seed"):  # bools, floats and strings are refused, not rounded
+            if isinstance(obj[key], bool) or not isinstance(obj[key], (int, np.integer)):
+                raise ConfigError(f"{key} {obj[key]!r} is not an integer")
+        d = check_dim(int(obj["dim"]))
         steps = [decode_signed_axis(s, d) for s in obj["steps"]]
         return cls(np.asarray(steps, dtype=np.int8), d, int(obj["walker_seed"]))
 
@@ -265,12 +268,6 @@ def region_exit_time(traj: Trajectory, region: Callable[[np.ndarray], np.ndarray
     if not inside[0]:
         raise ValueError("region must contain the starting site")
     return StopResult.first(~inside)
-
-
-def half_space(l, level: float = 0.0) -> Callable[[np.ndarray], np.ndarray]:
-    """Region {x : x . l >= level}."""
-    lv = np.asarray(l)
-    return lambda pts: pts @ lv >= level
 
 
 def slab_region(l_prime, b: float, L: float) -> Callable[[np.ndarray], np.ndarray]:

@@ -4,8 +4,10 @@
 rule replaced its three exit searches (a block window minimum, a 16-step
 near-exit table and a block-doubling far-exit scan), and ``ref_level_hits``
 and ``ref_renewal_mean_identity`` are the level-hit rule and the identity
-estimator that kept every walk's full level array.  They are kept as
-oracles: the scan must reproduce their records and reports exactly.
+estimator that kept every walk's full level array.  ``ref_lambda_scan`` is
+the interpolation-weight scan that ran ``detect_renewals`` once per walk and
+grid value.  They are kept as oracles: the scan must reproduce their
+records, reports and rows exactly.
 """
 
 from bisect import bisect_right
@@ -17,7 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwre_lab import ConeSpec, Homogeneous, Trajectory, TransitionVector, detect_renewals
-from rwre_lab.cone import DEFAULT_LAMBDA_GRID, RenewalRecord
+from rwre_lab.cone import (
+    DEFAULT_LAMBDA_GRID,
+    LambdaScanResult,
+    LambdaScanRow,
+    RenewalRecord,
+    _fresh,
+    lambda_scan,
+    renewal_rate,
+)
 from rwre_lab.errors import ConfigError
 from rwre_lab.stats import (
     InsufficientData,
@@ -195,6 +205,21 @@ def ref_renewal_mean_identity(trajs, records, spec, window=None, n_boot=1000, bo
     )
 
 
+def ref_lambda_scan(model, master_seed, sigma, basis, l, lambdas, n_walks, horizon, confirm_horizon, rate_floor=0.5):
+    grid = sorted({Fraction(x) for x in lambdas}, reverse=True)
+    trajs = simulate_ensemble(model, master_seed, n_walks, horizon)
+    rows = []
+    chosen = None
+    for lam in grid:
+        spec = ConeSpec(tuple(sigma), tuple(tuple(r) for r in basis), lam, tuple(l))
+        confirmed = sum(detect_renewals(t, spec, confirm_horizon).n_confirmed for t in trajs)
+        rate = renewal_rate(confirmed, n_walks, horizon)
+        rows.append(LambdaScanRow(lam, rate, confirmed))
+        if chosen is None and rate > rate_floor:
+            chosen = lam
+    return LambdaScanResult(chosen, rows)
+
+
 # ---------------------------------------------------------------- cases
 
 
@@ -303,23 +328,118 @@ def scan_cases(draw):
 @given(scan_cases())
 def test_random_steps_and_cones_match_old_scan(case):
     traj, spec, H = case
-    assert_same_record(detect_renewals(traj, spec, H), ref_detect_renewals(traj, spec, H))
+    rec = detect_renewals(traj, spec, H)
+    assert_same_record(rec, ref_detect_renewals(traj, spec, H))
+    P = traj.positions()
+    levels = (P @ np.asarray(spec.l))[_fresh(P @ np.asarray(spec.l))].tolist()
+    assert rec.top_level == (levels[-1] if levels else 0)
+    assert rec.skipped_levels.tolist() == sorted(set(range(1, rec.top_level + 1)) - set(levels))
+    assert rec.stays is bool(spec.contains(0, P).all())
 
 
 # ---------------------------------------------------------------- level hits
 
 
-@pytest.mark.parametrize("window", [None, (3, 40), (1, 1), (50, 10**4)], ids=str)
-@pytest.mark.parametrize("d", [1, 2])
-def test_identity_report_matches_old_level_hits(d, window):
-    l = (1,) + (0,) * (d - 1)
+# l = (2, 1) moves the level by 2 along e1, so some levels are never taken
+LEVEL_CASES = {"1": (1, (1,)), "2": (2, (1, 0)), "2-l21": (2, (2, 1))}
+
+
+def identity_sample(case):
+    d, l = LEVEL_CASES[case]
     spec = ConeSpec(*CONES[d][0][:2], Fraction(1, 2) if d > 1 else Fraction(1), l)
     model = Homogeneous(TransitionVector(drift_probs(l, 1.5)))
     trajs = simulate_ensemble(model, 81 + d, 60, 1500)
-    records = [detect_renewals(t, spec, 150) for t in trajs]
+    return trajs, [detect_renewals(t, spec, 150) for t in trajs], spec
+
+
+@pytest.mark.parametrize("window", [None, (3, 40), (1, 1), (50, 10**4), "past-top"], ids=str)
+@pytest.mark.parametrize("case", sorted(LEVEL_CASES))
+def test_identity_report_matches_old_level_hits(case, window):
+    trajs, records, spec = identity_sample(case)
+    if case == "2-l21":
+        assert any(r.skipped_levels.size for r in records)
+    past = window == "past-top"
+    if past:  # one level past every walk's top: no hits
+        top = max(r.top_level for r in records) + 1
+        window = (top, top)
     got = renewal_mean_identity(trajs, records, spec, window=window, n_boot=200)
     want = ref_renewal_mean_identity(trajs, records, spec, window=window, n_boot=200)
     assert type(got) is type(want)
     assert vars(got) == vars(want)
-    assert isinstance(got, RenewalIdentityReport)
+    assert isinstance(got, InsufficientData if past else RenewalIdentityReport)
 
+
+@pytest.mark.parametrize("window", [None, (3, 40)], ids=str)
+def test_records_without_level_facts_are_insufficient(window):
+    trajs, records, spec = identity_sample("2")
+    bare = [RenewalRecord(r.times, r.positions, r.confirm_horizon, r.censored_tail) for r in records]
+    assert isinstance(renewal_mean_identity(trajs, records, spec, window=window, n_boot=50), RenewalIdentityReport)
+    assert isinstance(renewal_mean_identity(trajs, bare, spec, window=window, n_boot=50), InsufficientData)
+
+
+# ---------------------------------------------------------------- lambda scan
+
+
+SCAN_MODELS = {
+    (1, "drifted"): Homogeneous(TransitionVector(drift_probs((1,), 1.0))),
+    (1, "centred"): Homogeneous(TransitionVector([0.5, 0.5])),
+    (2, "drifted"): Homogeneous(TransitionVector(drift_probs((1, 0), 1.0))),
+    (2, "centred"): Homogeneous(TransitionVector([0.25] * 4)),
+}
+
+
+@pytest.mark.parametrize("d, kind", sorted(SCAN_MODELS), ids=lambda x: str(x))
+def test_lambda_scan_rows_match_old_scan(d, kind):
+    sigma, basis, l = CONES[d][0]
+    grid = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 8))
+    args = (SCAN_MODELS[d, kind], 7 + d, sigma, basis, l, grid, 40, 1200, 120)
+    got, want = lambda_scan(*args), ref_lambda_scan(*args)
+    assert got.rows == want.rows and got.chosen == want.chosen
+
+
+@pytest.mark.parametrize(
+    "model, H, message",
+    [
+        (SCAN_MODELS[2, "drifted"], 0, "confirm_horizon must be at least 1"),
+        (SCAN_MODELS[1, "drifted"], 50, "cone dimension does not match trajectory dimension"),
+    ],
+    ids=["window", "dimension"],
+)
+def test_lambda_scan_refuses_what_detect_renewals_refuses(model, H, message):
+    sigma, basis, l = CONES[2][0]
+    args = (model, 3, sigma, basis, l, DEFAULT_LAMBDA_GRID, 5, 200, H)
+    for scan in (ref_lambda_scan, lambda_scan):
+        with pytest.raises(ConfigError, match=message):
+            scan(*args)
+
+
+# ---------------------------------------------------------------- path builds
+
+
+@pytest.fixture
+def position_calls(monkeypatch):
+    calls = []
+    positions = Trajectory.positions
+
+    def counted(self):
+        calls.append(self)
+        return positions(self)
+
+    monkeypatch.setattr(Trajectory, "positions", counted)
+    return calls
+
+
+def test_identity_builds_each_path_once(position_calls):
+    trajs, records, spec = identity_sample("2-l21")
+    position_calls.clear()
+    assert isinstance(renewal_mean_identity(trajs, records, spec, n_boot=50), RenewalIdentityReport)
+    assert len(position_calls) == len(trajs)
+    assert len({id(t) for t in position_calls}) == len(trajs)
+
+
+def test_lambda_scan_builds_each_path_once(position_calls):
+    sigma, basis, l = CONES[2][0]
+    res = lambda_scan(SCAN_MODELS[2, "drifted"], 5, sigma, basis, l, DEFAULT_LAMBDA_GRID, 30, 800, 80)
+    assert len(res.rows) == 4
+    assert len(position_calls) == 30
+    assert len({id(t) for t in position_calls}) == 30

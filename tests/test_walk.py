@@ -119,6 +119,19 @@ class TestSimulate:
         with pytest.raises(ConfigError, match=re.escape(f"signed axis {bad!r} is not an integer")):
             Trajectory.from_json_obj({"dim": 2, "walker_seed": 1, "steps": [bad, 1]})
 
+    @pytest.mark.parametrize("bad", [2.9, 2.0, True, "2"], ids=repr)
+    @pytest.mark.parametrize("field", ["dim", "walker_seed"])
+    def test_json_dim_and_seed_must_be_integers(self, field, bad):
+        obj = {"dim": 2, "walker_seed": 1, "steps": [1, -2]}
+        obj[field] = bad
+        with pytest.raises(ConfigError, match=re.escape(f"{field} {bad!r} is not an integer")):
+            Trajectory.from_json_obj(obj)
+
+    @pytest.mark.parametrize("dim", [0, 5, -1])
+    def test_json_dim_out_of_range(self, dim):
+        with pytest.raises(ConfigError, match="dimension must be an integer in 1..4"):
+            Trajectory.from_json_obj({"dim": dim, "walker_seed": 1, "steps": []})
+
 
 # ---------------------------------------------------------------- stopping times
 
