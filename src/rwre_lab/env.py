@@ -177,49 +177,40 @@ _GAMMA_MAX_ATTEMPTS = 512
 _DIRICHLET_MAX_ROUNDS = 64
 
 
-def _gamma_mt(alpha: float, keys: np.ndarray, base) -> np.ndarray:
-    """Marsaglia-Tsang gamma sampler, vectorized over lanes.
+def _gamma_attempt(keys, idx, d, c):
+    """One Marsaglia-Tsang attempt per lane, from stream indices idx .. idx+2.
 
-    Attempt ``i`` of a lane consumes stream indices base+4i .. base+4i+2; the
-    small-alpha boost uniform sits at a fixed slot past the attempt budget, so
-    the draw schedule is a pure function of the key.
+    Arguments broadcast against each other. Returns the candidate ``d * v``
+    and whether the attempt accepts it.
     """
-    boost = alpha < 1.0
-    a = alpha + 1.0 if boost else alpha
-    d = a - 1.0 / 3.0
-    c = 1.0 / np.sqrt(9.0 * d)
-    out = np.empty(keys.shape[0], dtype=np.float64)
-    pending = np.arange(keys.shape[0])
-    base = as_u64(base)
-    attempt = 0
-    while pending.size:
-        if attempt == _GAMMA_MAX_ATTEMPTS:
-            raise NumericError("gamma sampler failed to accept within the attempt budget")
-        idx = base + U64(4 * attempt)
-        k = keys[pending]
-        x = stream_normal(k, idx)
-        u = stream_u01_open(k, idx + U64(2))
-        v = (1.0 + c * x) ** 3
-        ok = v > 0.0
-        logv = np.log(np.where(ok, v, 1.0))
-        accept = ok & (np.log(u) < 0.5 * x * x + d - d * v + d * logv)
-        out[pending[accept]] = d * v[accept]
-        pending = pending[~accept]
-        attempt += 1
-    if boost:
-        ub = stream_u01_open(keys, base + U64(4 * _GAMMA_MAX_ATTEMPTS))
-        out *= ub ** (1.0 / alpha)
-    return out
+    x = stream_normal(keys, idx)
+    u = stream_u01_open(keys, idx + U64(2))
+    v = (1.0 + c * x) ** 3
+    ok = v > 0.0
+    dv = d * v
+    ok &= np.log(u) < 0.5 * x * x + d - dv + d * np.log(np.where(ok, v, 1.0))
+    return dv, ok
 
 
 def sample_dirichlet(alphas, keys) -> np.ndarray:
     """Draw one Dirichlet vector per stream key via independent gammas.
 
     Lane ``i`` owns the whole index space of the stream keyed by ``keys[i]``.
+    In round ``r``, component ``j`` of lane ``i`` is a Marsaglia-Tsang gamma
+    draw from that stream at base ``r * _GAMMA_ROUND_STRIDE +
+    j * _GAMMA_COMP_STRIDE`` (rounds 64 * 2**32 apart, components 2**32):
+    attempt ``a`` consumes indices base+4a .. base+4a+2 (a normal from
+    base+4a and base+4a+1, the acceptance uniform from base+4a+2), and for
+    alpha < 1 the boost uniform sits at base + 4 * _GAMMA_MAX_ATTEMPTS, past
+    the attempt budget, so the draw schedule is a pure function of the key.
+    One rejection loop covers every (lane, component) pair at once: attempt 0
+    runs on the whole grid, later attempts only on the pairs still rejected.
+    The boost ``u ** (1 / alpha)`` is taken one component at a time with a
+    scalar exponent, which numpy may round differently from a per-lane one.
 
     Vectors with any normalized component below the ellipticity floor are
-    rejected and redrawn from a fresh index block, so outputs are always
-    usable as elliptic transition vectors.
+    rejected and redrawn in the next round, so outputs are always usable as
+    elliptic transition vectors.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     if alphas.ndim != 1 or alphas.size == 0:
@@ -228,14 +219,29 @@ def sample_dirichlet(alphas, keys) -> np.ndarray:
         raise ConfigError(f"Dirichlet concentrations must be positive and finite, got {alphas.tolist()}")
     keys = np.atleast_1d(as_u64(np.asarray(keys)))
     n, k = keys.shape[0], alphas.size
+    boost = alphas < 1.0
+    d = np.where(boost, alphas + 1.0, alphas) - 1.0 / 3.0
+    c = 1.0 / np.sqrt(9.0 * d)
+    comp_base = np.arange(k, dtype=U64) * _GAMMA_COMP_STRIDE
     out = np.empty((n, k), dtype=np.float64)
     todo = np.arange(n)
     for rnd in range(_DIRICHLET_MAX_ROUNDS):
-        rbase = U64(rnd) * _GAMMA_ROUND_STRIDE
         sub = keys[todo]
-        g = np.empty((todo.size, k), dtype=np.float64)
-        for j in range(k):
-            g[:, j] = _gamma_mt(float(alphas[j]), sub, rbase + U64(j) * _GAMMA_COMP_STRIDE)
+        base = comp_base + U64(rnd) * _GAMMA_ROUND_STRIDE
+        # attempt 0 on the whole (lane, component) grid, later attempts on the rejected pairs only
+        g, ok = _gamma_attempt(sub[:, None], base[None, :], d[None, :], c[None, :])
+        lanes, comps = np.nonzero(~ok)
+        attempt = 1
+        while lanes.size:
+            if attempt == _GAMMA_MAX_ATTEMPTS:
+                raise NumericError("gamma sampler failed to accept within the attempt budget")
+            dv, ok = _gamma_attempt(sub[lanes], base[comps] + U64(4 * attempt), d[comps], c[comps])
+            g[lanes[ok], comps[ok]] = dv[ok]
+            lanes, comps = lanes[~ok], comps[~ok]
+            attempt += 1
+        for j in np.flatnonzero(boost):
+            ub = stream_u01_open(sub, base[j] + U64(4 * _GAMMA_MAX_ATTEMPTS))
+            g[:, j] *= ub ** (1.0 / alphas[j])
         probs = g / g.sum(axis=1, keepdims=True)
         good = (probs >= ELLIPTICITY_FLOOR).all(axis=1)
         out[todo[good]] = probs[good]

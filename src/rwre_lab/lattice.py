@@ -18,7 +18,8 @@ MAX_DIM = 4
 
 
 def check_dim(d: int) -> int:
-    if not isinstance(d, int) or not 1 <= d <= MAX_DIM:
+    """Validate a dimension; bools are refused, although ``bool`` is an ``int``."""
+    if isinstance(d, bool) or not isinstance(d, int) or not 1 <= d <= MAX_DIM:
         raise ConfigError(f"dimension must be an integer in 1..{MAX_DIM}, got {d!r}")
     return d
 
@@ -42,6 +43,14 @@ def direction_index(axis: int, sign: int) -> int:
 def encode_signed_axis(j: int) -> int:
     axis = j // 2 + 1
     return axis if j % 2 == 0 else -axis
+
+
+@lru_cache(maxsize=None)
+def signed_axis_table(d: int) -> np.ndarray:
+    """(2d,) table mapping direction index to its signed-axis JSON form."""
+    table = np.array([encode_signed_axis(j) for j in range(2 * check_dim(d))], dtype=np.int64)
+    table.setflags(write=False)
+    return table
 
 
 def decode_signed_axis(s: int, d: int) -> int:

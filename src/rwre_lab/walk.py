@@ -20,7 +20,7 @@ import numpy as np
 
 from .env import EnvironmentModel, QuenchedEnvironment, constant_vector, transitions_for
 from .errors import ConfigError
-from .lattice import check_dim, decode_signed_axis, encode_signed_axis, step_table
+from .lattice import check_dim, decode_signed_axis, signed_axis_table, step_table
 from .rng import TAG_ENV, TAG_STEP, TAG_WALKER, as_u64, derive_key, stream_u01
 
 
@@ -38,6 +38,7 @@ class Trajectory:
     env_seed: int | None = None
 
     def __post_init__(self):
+        check_dim(self.dim)
         self.steps = np.asarray(self.steps, dtype=np.int8)
         self.steps.setflags(write=False)
 
@@ -59,7 +60,7 @@ class Trajectory:
         return {
             "walker_seed": int(self.walker_seed),
             "dim": int(self.dim),
-            "steps": [encode_signed_axis(int(j)) for j in self.steps],
+            "steps": signed_axis_table(self.dim)[self.steps].tolist(),
         }
 
     @classmethod

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ from rwre_lab import (
     simulate_ensemble,
     slab_exit_side,
 )
+from rwre_lab.lattice import check_dim, encode_signed_axis
 from rwre_lab.walk import (
     Side,
     SlabTally,
@@ -131,6 +133,26 @@ class TestSimulate:
     def test_json_dim_out_of_range(self, dim):
         with pytest.raises(ConfigError, match="dimension must be an integer in 1..4"):
             Trajectory.from_json_obj({"dim": dim, "walker_seed": 1, "steps": []})
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_json_steps_match_per_step_encoding(self, d):
+        # the lookup table gives the same signed axes, as Python ints, as encoding one step at a time
+        for steps in (np.zeros(0, np.int8), np.random.default_rng(d).integers(0, 2 * d, 300).astype(np.int8)):
+            got = Trajectory(steps, d, 0).to_json_obj()["steps"]
+            want = [encode_signed_axis(int(j)) for j in steps]
+            assert got == want and all(type(s) is int for s in got)
+            assert json.dumps(got) == json.dumps(want)
+
+    @pytest.mark.parametrize("d", [True, False])
+    def test_check_dim_refuses_bools(self, d):
+        with pytest.raises(ConfigError, match=re.escape(f"got {d!r}")):
+            check_dim(d)
+        assert [check_dim(k) for k in (1, 2, 3, 4)] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("dim", [True, False, 0, 5, 2.0, "2"], ids=repr)
+    def test_trajectory_checks_dim_at_construction(self, dim):
+        with pytest.raises(ConfigError, match=re.escape(f"got {dim!r}")):
+            Trajectory(np.zeros(3, np.int8), dim, 0)
 
 
 # ---------------------------------------------------------------- stopping times
