@@ -604,8 +604,8 @@ def _read_field(f: _Field, obj: dict, fields: dict[str, Any]) -> None:
 
 def load_config(path: Path) -> ExperimentConfig:
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -788,8 +788,12 @@ def _tolerance(value: Any, flag: str) -> float:
 
 
 def _read_rows(name: str) -> list[dict]:
+    try:
+        text = Path(name).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {name}: {exc}") from exc
     rows = []
-    for n, line in enumerate(Path(name).read_text().splitlines(), 1):
+    for n, line in enumerate(text.splitlines(), 1):
         if not line:
             continue
         try:
@@ -802,9 +806,20 @@ def _read_rows(name: str) -> list[dict]:
     return rows
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _numbers_match(a, b, tol: float) -> bool:
+    """NaN matches only NaN, and two integers are compared in exact integer arithmetic."""
+    if isinstance(a, int) and isinstance(b, int):
+        return abs(a - b) <= tol
+    return a == b or abs(a - b) <= tol or (a != a and b != b)
+
+
 def _compare_values(a, b, tol: float, path: str, diffs: list[str]) -> None:
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)) and not isinstance(a, bool):
-        if not abs(float(a) - float(b)) <= tol:
+    if _is_number(a) and _is_number(b):
+        if not _numbers_match(a, b, tol):
             diffs.append(f"{path}: {a!r} != {b!r} (tol {tol})")
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
@@ -817,7 +832,7 @@ def _compare_values(a, b, tol: float, path: str, diffs: list[str]) -> None:
             raise ConfigError(f"schema mismatch at {path}: keys {sorted(set(a) ^ set(b))}")
         for k in sorted(a):
             _compare_values(a[k], b[k], tol, f"{path}.{k}", diffs)
-    elif a != b:
+    elif isinstance(a, bool) != isinstance(b, bool) or a != b:  # a boolean equals only the same boolean
         diffs.append(f"{path}: {a!r} != {b!r}")
 
 

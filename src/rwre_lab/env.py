@@ -106,7 +106,6 @@ class FiniteMixture:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
         object.__setattr__(self, "_atom_matrix", _read_only(np.stack([a.probs for a in atoms])))
-        object.__setattr__(self, "_cum_weights", _read_only(np.cumsum(np.asarray(self.weights))))
 
     @property
     def dim(self) -> int:
@@ -114,9 +113,6 @@ class FiniteMixture:
 
     def atom_matrix(self) -> np.ndarray:
         return self._atom_matrix
-
-    def cum_weights(self) -> np.ndarray:
-        return self._cum_weights
 
 
 @dataclass(frozen=True)
@@ -251,6 +247,23 @@ def sample_dirichlet(alphas, keys) -> np.ndarray:
     raise NumericError("Dirichlet sampler kept producing sub-elliptic vectors")
 
 
+def _step_index(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per lane, how many of the first k-1 running sums of the law ``w`` are <= ``u``.
+
+    The one rule for every categorical draw: a step, and a mixture site's atom.
+    ``w`` holds the law along its last axis, a (k,) vector every lane shares or
+    one (n, k) row per lane.  The sums run in ``np.cumsum``'s order, so they are
+    bit-equal to it, and never decrease: the count is the first index whose sum
+    exceeds ``u``, or the last index when the sums round below 1.
+    """
+    c = np.zeros(w.shape[:-1])
+    j = np.zeros(u.shape, dtype=np.intp)
+    for i in range(w.shape[-1] - 1):
+        c += w[..., i]
+        j += c <= u
+    return j
+
+
 def site_stream_keys(env_seed, coords: np.ndarray) -> np.ndarray:
     """Stream keys for a batch of sites: hash of (env seed, tag, coordinates)."""
     coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
@@ -281,12 +294,8 @@ def transitions_for(model: EnvironmentModel, env_seeds, coords: np.ndarray) -> n
     if vec is not None:
         return np.broadcast_to(vec.probs, (n, 2 * model.dim))
     keys = site_stream_keys(env_seeds, coords)
-    if keys.shape[0] == 1 and n > 1:
-        keys = np.broadcast_to(keys, (n,))
     if isinstance(model, FiniteMixture):
-        u = stream_u01(keys, 0)
-        idx = np.searchsorted(model.cum_weights(), u, side="right")
-        np.minimum(idx, len(model.atoms) - 1, out=idx)
+        idx = _step_index(np.asarray(model.weights), stream_u01(keys, 0))
         return np.take(model.atom_matrix(), idx, axis=0)
     if isinstance(model, Dirichlet):
         return sample_dirichlet(model.alphas, keys)

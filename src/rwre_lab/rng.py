@@ -7,7 +7,9 @@ holds generator state, so any value can be recomputed in isolation, in any
 order, on any worker, and two computations of the same value agree bitwise.
 
 The underlying generator is splitmix64: the value at index ``t`` of the
-stream with key ``k`` is ``finalize(k + t * GOLDEN)``.
+stream with key ``k`` is ``finalize(k + t * GOLDEN)``.  Every sum and product
+that can pass 2**64 is a ``np.add`` or ``np.multiply`` call, which wraps
+silently for scalars and arrays alike; the operators would warn on scalars.
 """
 
 from __future__ import annotations
@@ -42,24 +44,21 @@ def as_u64(x) -> np.ndarray | np.uint64:
 
 def mix64(z):
     """splitmix64 finalizer: a bijective avalanche on 64 bits."""
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> U64(30))) * _MIX1
-        z = (z ^ (z >> U64(27))) * _MIX2
-        return z ^ (z >> U64(31))
+    z = np.multiply(z ^ (z >> U64(30)), _MIX1)
+    z = np.multiply(z ^ (z >> U64(27)), _MIX2)
+    return z ^ (z >> U64(31))
 
 
 def derive_key(*words):
     """Hash a tuple of integers (scalars or broadcastable arrays) into a key."""
     h = _IV
-    with np.errstate(over="ignore"):
-        for w in words:
-            h = mix64((h + GOLDEN) ^ as_u64(w))
+    for w in words:
+        h = mix64(np.add(h, GOLDEN) ^ as_u64(w))
     return h
 
 
 def _raw(key, index):
-    with np.errstate(over="ignore"):
-        return mix64(as_u64(key) + GOLDEN * as_u64(index))
+    return mix64(np.add(as_u64(key), np.multiply(GOLDEN, as_u64(index))))
 
 
 def stream_u01(key, index):
@@ -74,9 +73,7 @@ def stream_u01_open(key, index):
 
 def stream_normal(key, index):
     """One standard normal per lane; consumes indices ``index`` and ``index + 1``."""
-    with np.errstate(over="ignore"):
-        idx2 = as_u64(index) + U64(1)
     u1 = stream_u01_open(key, index)
-    u2 = stream_u01(key, idx2)
+    u2 = stream_u01(key, np.add(as_u64(index), U64(1)))
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .env import EnvironmentModel, QuenchedEnvironment, constant_vector, transitions_for
+from .env import EnvironmentModel, QuenchedEnvironment, _step_index, constant_vector, transitions_for
 from .errors import ConfigError
 from .lattice import check_dim, decode_signed_axis, signed_axis_table, step_table
 from .rng import TAG_ENV, TAG_STEP, TAG_WALKER, as_u64, derive_key, stream_u01
@@ -141,31 +141,8 @@ def env_seed_for(master_seed: int, walker_id: int) -> int:
     return int(derive_key(master_seed, TAG_ENV, walker_id))
 
 
-def _constant_cum(model: EnvironmentModel) -> np.ndarray | None:
-    """First 2d-1 cumulative probabilities of the step law every site shares, or None when sites differ."""
-    vec = constant_vector(model)
-    return None if vec is None else np.cumsum(vec.probs)[:-1]
-
-
-def _step_index(w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per row, how many of the first 2d-1 cumulative sums of ``w`` are <= ``u``.
-
-    The sums run column by column in ``np.cumsum``'s order, so they are
-    bit-equal to it.  They never decrease, so the count is the first direction
-    whose sum exceeds ``u``, or the last direction when none of the first
-    2d-1 does, as when a row's sums round below 1.
-    """
-    c = w[:, 0].copy()
-    j = (c <= u).astype(np.intp)
-    for k in range(1, w.shape[1] - 1):
-        c += w[:, k]
-        j += c <= u
-    return j
-
-
 def _step(
     model: EnvironmentModel,
-    const_cum: np.ndarray | None,
     step_keys: np.ndarray,
     env_keys: np.ndarray,
     pos: np.ndarray,
@@ -173,14 +150,13 @@ def _step(
 ) -> np.ndarray:
     """Lockstep kernel: every walker takes its step ``t``; ``pos`` moves in place.
 
-    Returns the direction indices taken.  ``const_cum`` is ``_constant_cum(model)``;
-    when it is None the step law is read from the environment at ``pos``.
+    Returns the direction indices taken.  A law every site shares is one (2d,)
+    vector for all walkers; otherwise each walker's law is read from the
+    environment at ``pos``.
     """
-    u = stream_u01(step_keys, t)
-    if const_cum is None:
-        j = _step_index(transitions_for(model, env_keys, pos), u)
-    else:
-        j = np.searchsorted(const_cum, u, side="right")
+    vec = constant_vector(model)
+    law = transitions_for(model, env_keys, pos) if vec is None else vec.probs
+    j = _step_index(law, stream_u01(step_keys, t))
     pos += np.take(step_table(model.dim), j, axis=0)
     return j
 
@@ -195,9 +171,8 @@ def _simulate_block(
     step_keys = derive_key(walker_seeds, TAG_STEP)
     pos = np.zeros((walker_seeds.shape[0], model.dim), dtype=np.int64)
     steps = np.empty((walker_seeds.shape[0], horizon), dtype=np.int8)
-    const_cum = _constant_cum(model)
     for t in range(horizon):
-        steps[:, t] = _step(model, const_cum, step_keys, env_seeds, pos, t)
+        steps[:, t] = _step(model, step_keys, env_seeds, pos, t)
     return steps
 
 
@@ -335,12 +310,11 @@ def _slab_block(
     step_keys = derive_key(walker_seeds, TAG_STEP)
     pos = np.zeros((walker_seeds.shape[0], model.dim), dtype=np.int64)
     k = np.zeros(walker_seeds.shape[0], dtype=np.intp)
-    const_cum = _constant_cum(model)
     tally = np.zeros((widths.shape[0], 2), dtype=np.int64)
     for t in range(horizon):
         if step_keys.shape[0] == 0:
             break
-        _step(model, const_cum, step_keys, env_seeds, pos, t)
+        _step(model, step_keys, env_seeds, pos, t)
         proj = pos @ l_prime
         right, left = _slab_exits(proj, b, widths[k])
         while right.any() or left.any():

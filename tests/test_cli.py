@@ -489,6 +489,14 @@ class TestRun:
         assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
         assert "line" in capsys.readouterr().err
 
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and "utf-8" in err
+        assert not (tmp_path / "o").exists()
+
     def test_oracle_compare_slab(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -607,6 +615,51 @@ class TestCompare:
         res = self.make_results(tmp_path)
         assert run_cli("compare", res, res, *flags) == 2
         assert name in capsys.readouterr().err
+
+    def test_not_utf8_exits_2(self, tmp_path, capsys):
+        res = self.make_results(tmp_path)
+        other = tmp_path / "bin.json"
+        other.write_bytes(b"\xff\xfe\x00bad")
+        assert run_cli("compare", res, other) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(other) in err and "utf-8" in err
+
+    def write_rows(self, tmp_path, name, rows) -> Path:
+        path = tmp_path / name
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        return path
+
+    def test_nan_matches_only_nan(self, tmp_path, capsys):
+        # a slab width no walker left writes p_left NaN and its interval as [NaN, NaN]
+        row = {"L": 5.0, "p_left": float("nan"), "ci": [float("nan"), float("nan")], "n_exits": 0}
+        res = self.write_rows(tmp_path, "nan.jsonl", [row, row])
+        assert run_cli("compare", res, res) == 0
+        for other in ({**row, "p_left": 0.5}, {**row, "ci": [0.0, float("nan")]}, {**row, "p_left": float("inf")}):
+            diff = self.write_rows(tmp_path, "other.jsonl", [row, other])
+            assert run_cli("compare", res, diff, "--atol", "1e300") == 1
+            assert run_cli("compare", diff, res, "--atol", "1e300") == 1
+        out = capsys.readouterr().out
+        assert "row[1].p_left: nan != 0.5" in out and "row[1].ci[0]" in out and "row[1].p_left: inf != nan" in out
+        inf = self.write_rows(tmp_path, "inf.jsonl", [{"x": float("inf"), "y": -float("inf")}])
+        assert run_cli("compare", inf, inf) == 0
+
+    def test_integers_compare_exactly(self, tmp_path, capsys):
+        a = self.write_rows(tmp_path, "a.jsonl", [{"walker_seed": 2**64 - 1}])
+        b = self.write_rows(tmp_path, "b.jsonl", [{"walker_seed": 2**64 - 2}])
+        assert run_cli("compare", a, b) == 1
+        assert "18446744073709551615 != 18446744073709551614" in capsys.readouterr().out
+        assert run_cli("compare", a, b, "--tol", "walker_seed=1") == 0
+        assert run_cli("compare", a, a) == 0
+        c = self.write_rows(tmp_path, "c.jsonl", [{"walker_seed": 3}])
+        d = self.write_rows(tmp_path, "d.jsonl", [{"walker_seed": 3.0}])
+        assert run_cli("compare", c, d) == 0
+
+    @pytest.mark.parametrize("x, y", [(True, 1), (1, True), (False, 0), (0.0, False), (True, False), (True, 1.0)])
+    def test_boolean_equals_only_the_same_boolean(self, tmp_path, x, y):
+        a = self.write_rows(tmp_path, "a.jsonl", [{"flag": x}])
+        b = self.write_rows(tmp_path, "b.jsonl", [{"flag": y}])
+        assert run_cli("compare", a, b, "--atol", "1") == 1
+        assert run_cli("compare", a, a) == 0 and run_cli("compare", b, b) == 0
 
     def test_row_not_an_object_exits_2(self, tmp_path, capsys):
         res = self.make_results(tmp_path)

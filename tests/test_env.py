@@ -56,11 +56,10 @@ class TestModels:
     def test_step_law_constants_built_once(self):
         mix = FiniteMixture((TransitionVector([0.6, 0.4]), TransitionVector([0.8, 0.2])), (0.3, 0.7))
         srw = PerturbedSRW(0.1, 1, 2)
-        for get in (mix.atom_matrix, mix.cum_weights, lambda: srw.vector):
+        for get in (mix.atom_matrix, lambda: srw.vector):
             assert get() is get()
         assert np.array_equal(mix.atom_matrix(), [[0.6, 0.4], [0.8, 0.2]])
-        assert np.array_equal(mix.cum_weights(), np.cumsum([0.3, 0.7]))
-        for arr in (mix.atom_matrix(), mix.cum_weights(), srw.vector.probs):
+        for arr in (mix.atom_matrix(), srw.vector.probs):
             assert not arr.flags.writeable
 
     def test_perturbed_srw_bounds(self):

@@ -7,8 +7,10 @@ or all in one); the ensembles built on the shared kernel run every walker in
 one block and must reproduce their step matrices and slab tallies exactly, so
 the grouping of walkers changes nothing.  One multi-width slab pass must
 reproduce ``ref_slab_block`` run once per width.  The counting rule
-that picks a step from a site's law must equal the cumsum-and-clip
-expression those kernels used.
+that picks a step from a site's law, or from the law every site shares, must
+equal the cumsum-and-clip and ``searchsorted`` expressions those kernels used,
+and the same rule picking a mixture site's atom must equal the
+``searchsorted``-and-clip pick it replaced.
 """
 
 import numpy as np
@@ -18,10 +20,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rwre_lab import Dirichlet, FiniteMixture, Homogeneous, PerturbedSRW, TransitionVector
-from rwre_lab.env import transitions_for
+from rwre_lab.env import _step_index, site_stream_keys, transitions_for
 from rwre_lab.lattice import step_table
-from rwre_lab.rng import TAG_STEP, derive_key, stream_u01
-from rwre_lab.walk import _step_index, ensemble_seeds, run_slab_ensemble, simulate_ensemble
+from rwre_lab.rng import TAG_STEP, as_u64, derive_key, stream_u01
+from rwre_lab.walk import ensemble_seeds, run_slab_ensemble, simulate_ensemble
 
 
 def ref_simulate_block(model, env_seeds, walker_seeds, horizon):
@@ -180,14 +182,20 @@ def ref_step_index(w, u):
     return np.minimum((np.cumsum(w, 1) <= u[:, None]).sum(1), w.shape[1] - 1)
 
 
+def ref_shared_index(w, u):
+    return np.minimum(np.searchsorted(np.cumsum(w), u, side="right"), w.shape[0] - 1)
+
+
 @st.composite
 def laws_and_draws(draw):
     d = draw(st.integers(1, 4))
     n = draw(st.integers(1, 12))
-    w = draw(hnp.arrays(np.float64, (n, 2 * d), elements=st.floats(1e-9, 1.0)))
+    # one law per lane, or one (2d,) law every lane shares
+    shape = (2 * d,) if draw(st.booleans()) else (n, 2 * d)
+    w = draw(hnp.arrays(np.float64, shape, elements=st.floats(1e-9, 1.0)))
     if draw(st.booleans()):
-        w = w / w.sum(axis=1, keepdims=True)
-    cum = np.cumsum(w, 1)
+        w = w / w.sum(axis=-1, keepdims=True)
+    cum = np.broadcast_to(np.cumsum(w, -1), (n, 2 * d))
     # u from [0, 1), exactly on a cumulative entry, or the largest double below 1
     u = np.asarray(
         [
@@ -208,8 +216,55 @@ def laws_and_draws(draw):
 @example((np.asarray([[0.7, 0.1, 0.1, 0.1]] * 3), np.asarray([0.7999999999999999, 0.9999999999999999, 0.95])))
 # 0.1 + 0.2 + 0.3 rounds to 0.6000000000000001 in cumsum's order, to 0.6 in the reverse one
 @example((np.asarray([[0.1, 0.2, 0.3, 0.4]]), np.asarray([0.6])))
+# the same two cases with the law shared by every lane
+@example((np.asarray([0.7, 0.1, 0.1, 0.1]), np.asarray([0.7999999999999999, 0.9999999999999999, 0.95])))
+@example((np.asarray([0.1, 0.2, 0.3, 0.4]), np.asarray([0.6, 0.6000000000000001, 0.0])))
 @settings(max_examples=500, deadline=None)
 @given(laws_and_draws())
 def test_counting_rule_matches_cumsum_and_clip(case):
     w, u = case
-    assert np.array_equal(_step_index(w, u), ref_step_index(w, u))
+    ref = ref_shared_index if w.ndim == 1 else ref_step_index
+    assert np.array_equal(_step_index(w, u), ref(w, u))
+
+
+def ref_atom_index(weights, u):
+    idx = np.searchsorted(np.cumsum(weights), u, side="right")
+    return np.minimum(idx, len(weights) - 1)
+
+
+def ref_mixture_transitions(model, env_seeds, coords):
+    u = stream_u01(site_stream_keys(env_seeds, coords), 0)
+    return np.take(model.atom_matrix(), ref_atom_index(model.weights, u), axis=0)
+
+
+def mixture(weights):
+    atoms = tuple(tv(0.1 + 0.15 * a, 0.9 - 0.15 * a, 0.25, 0.25) for a in range(len(weights)))
+    return FiniteMixture(atoms, weights)
+
+
+# (0.1, 0.3, 0.2, 0.3, 0.1) is renormalized to weights whose running sum ends at 1 - 2**-52
+MIXTURE_WEIGHTS = [(1.0,), (0.6, 0.4), (1 / 3, 2 / 3), (0.1, 0.2, 0.3, 0.2, 0.2), (0.1, 0.3, 0.2, 0.3, 0.1)]
+
+
+@pytest.mark.parametrize("weights", MIXTURE_WEIGHTS, ids=str)
+def test_atom_pick_matches_searchsorted_and_clip(weights):
+    model = mixture(weights)
+    w = np.asarray(model.weights)
+    cum = np.cumsum(w)
+    # 0, every cumulative weight and its neighbours, the largest double below 1, and uniform draws
+    on = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)])
+    u = np.concatenate([[0.0, 1.0 - 2.0**-53], on[on < 1.0], np.random.default_rng(5).random(2000)])
+    assert np.array_equal(_step_index(w, u), ref_atom_index(model.weights, u))
+    if weights == MIXTURE_WEIGHTS[-1]:
+        assert cum[-1] < 1.0 and _step_index(w, np.asarray([cum[-1], 1.0 - 2.0**-53])).tolist() == [4, 4]
+
+
+@pytest.mark.parametrize("weights", MIXTURE_WEIGHTS, ids=str)
+def test_mixture_sites_match_old_pick(weights):
+    model = mixture(weights)
+    coords = np.random.default_rng(6).integers(-500, 500, size=(3000, 2))
+    seeds = derive_key(9, np.arange(3000))
+    for env_seeds in (as_u64(77), seeds):
+        got = transitions_for(model, env_seeds, coords)
+        assert np.array_equal(got, ref_mixture_transitions(model, env_seeds, coords))
+    assert np.array_equal(transitions_for(model, seeds[:0], coords[:0]), np.empty((0, 4)))
