@@ -22,6 +22,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -611,6 +612,8 @@ def load_config(path: Path) -> ExperimentConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be an object")
     fields: dict[str, Any] = {}
@@ -800,6 +803,8 @@ def _read_rows(name: str) -> list[dict]:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{name} line {n}: invalid JSON: {exc}") from exc
+        except ValueError as exc:  # an integer literal past Python's digit limit
+            raise ConfigError(f"{name} line {n}: {exc}") from exc
         if not isinstance(row, dict):
             raise ConfigError(f"{name} line {n} (row {len(rows)}): expected a JSON object, got {line!r}")
         rows.append(row)
@@ -811,10 +816,22 @@ def _is_number(x) -> bool:
 
 
 def _numbers_match(a, b, tol: float) -> bool:
-    """NaN matches only NaN, and two integers are compared in exact integer arithmetic."""
-    if isinstance(a, int) and isinstance(b, int):
+    """NaN matches only NaN, and a pair with an integer is compared exactly, at any size.
+
+    Two floats differ by their float difference.  An integer and a finite
+    number differ by their exact difference as fractions, so an integer past
+    the float range never overflows; an infinity is infinitely far from every
+    integer.
+    """
+    if a != a or b != b:
+        return a != a and b != b
+    if a == b:
+        return True
+    if isinstance(a, float) and isinstance(b, float):
         return abs(a - b) <= tol
-    return a == b or abs(a - b) <= tol or (a != a and b != b)
+    if math.inf in (abs(a), abs(b)):
+        return math.inf <= tol
+    return abs(Fraction(a) - Fraction(b)) <= tol
 
 
 def _compare_values(a, b, tol: float, path: str, diffs: list[str]) -> None:

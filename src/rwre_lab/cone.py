@@ -12,9 +12,10 @@ One rule answers every question the recursion asks of a candidate c: when
 does the path first leave the cone rooted at X_c?  ``_first_exit`` answers it
 for all candidates at once from a sparse table of range minima over each face
 functional, at O(N log min(H, N)) time per face and a transient
-L x (N + 2^L) int64 values per face, L = min(H, N + 1).bit_length().
-Each walk's positions, levels, fresh maxima and face table are built once, and
-its record keeps the level facts the renewal mean identity reads.
+L x (N + 2^L) int32 values per face (int64 when the faces can outgrow
+int32), L = min(H, N + 1).bit_length().  Each walk's positions, levels,
+fresh maxima and face table are built once, and its record keeps the level
+facts the renewal mean identity reads.
 """
 
 from __future__ import annotations
@@ -210,7 +211,16 @@ class RenewalRecord:
         }
 
 
-_NEVER = np.iinfo(np.int64).max  # pads the face table past the end of the path: no exit there
+def _faces(P: np.ndarray, spec: ConeSpec) -> np.ndarray:
+    """The face table F = P @ M.T of one walk's positions, int32 when it fits.
+
+    After N steps every |F[n, k]| is at most N * ||row_k||_1, so the table is
+    int32 when N * max_k ||row_k||_1 < 2**31 - 1, which leaves the int32
+    maximum above every entry to pad with, and int64 otherwise.
+    """
+    F = P @ spec.matrix.T
+    norm = max(sum(map(abs, row)) for row in spec.matrix.tolist())
+    return F.astype(np.int32) if (P.shape[0] - 1) * norm < np.iinfo(np.int32).max else F
 
 
 def _first_exit(F: np.ndarray, cands: np.ndarray, H: int) -> np.ndarray:
@@ -220,10 +230,14 @@ def _first_exit(F: np.ndarray, cands: np.ndarray, H: int) -> np.ndarray:
     face gets a sparse table of range minima, ``table[j][k, i]`` the minimum
     of ``F[i : i + 2**j, k]`` for levels j = 0..L-1 with
     L = min(H, len(F)).bit_length(), which is descended greedily from its top
-    level for all candidates at once.
+    level for all candidates at once.  The table keeps F's dtype (see
+    ``_faces``: int32 when N * max_k ||row_k||_1 < 2**31 - 1) and is padded
+    past the end of the path with that dtype's maximum, so no exit is found
+    there.
     """
     L = min(H, F.shape[0]).bit_length()
-    table = [np.concatenate([F.T, np.full((F.shape[1], (1 << L) - 1), _NEVER)], axis=1)]
+    pad = np.full((F.shape[1], (1 << L) - 1), np.iinfo(F.dtype).max, dtype=F.dtype)
+    table = [np.concatenate([F.T, pad], axis=1)]
     for j in range(1, L):
         half = 1 << (j - 1)
         table.append(np.minimum(table[-1][:, :-half], table[-1][:, half:]))
@@ -279,7 +293,7 @@ def detect_renewals(traj: Trajectory, spec: ConeSpec, confirm_horizon: int) -> R
     the recursion is a pointer chase.
     """
     H, P, s, fresh = _levels(traj, spec, confirm_horizon)
-    F = P @ spec.matrix.T
+    F = _faces(P, spec)
     times, censored = _scan(fresh, F, H)
     top = int(s.max())
     skipped = np.flatnonzero(np.bincount(s[fresh], minlength=top + 1)[1:] == 0) + 1
@@ -345,7 +359,7 @@ def lambda_scan(
     for t in simulate_ensemble(model, master_seed, n_walks, horizon):
         H, P, _, fresh = _levels(t, specs[0], confirm_horizon)
         for k, spec in enumerate(specs):
-            times, censored = _scan(fresh, P @ spec.matrix.T, H)
+            times, censored = _scan(fresh, _faces(P, spec), H)
             confirmed[k] += times.size - censored
     rows = [LambdaScanRow(lam, renewal_rate(c, n_walks, horizon), c) for lam, c in zip(grid, confirmed)]
     chosen = next((row.lam for row in rows if row.rate_per_1k > rate_floor), None)

@@ -5,9 +5,11 @@ by walker ``i`` at time ``t`` depends only on (master seed, i, t) and on the
 environment at the current site, which (master seed, i) also fixes, so
 walker ``i``'s path depends only on (master seed, i): no other walker, and no
 grouping of walkers, can change it.  One step kernel, ``_step``, serves both
-the full-path and the slab-exit simulations.  Stopping times on finite paths
-return an explicit not-by-horizon marker instead of a large sentinel;
-downstream estimators must treat that as censoring.
+the full-path and the slab-exit simulations; a full path under a law every
+site shares skips it and draws a tile of times at once by the same rule.
+Stopping times on finite paths return an explicit not-by-horizon marker
+instead of a large sentinel; downstream estimators must treat that as
+censoring.
 """
 
 from __future__ import annotations
@@ -161,16 +163,31 @@ def _step(
     return j
 
 
+_TILE_DRAWS = 1 << 16  # draws per tile of a shared law: 2**14 and 2**16 cost the same, 2**18 leaves cache
+
+
 def _simulate_block(
     model: EnvironmentModel,
     env_seeds: np.ndarray,
     walker_seeds: np.ndarray,
     horizon: int,
 ) -> np.ndarray:
-    """The (n, horizon) int8 matrix of direction indices of n walkers."""
+    """The (n, horizon) int8 matrix of direction indices of n walkers.
+
+    A law every site shares makes no step depend on position, so its steps
+    are drawn a tile of ``_TILE_DRAWS // n`` times at once by the same
+    counting rule on the same draws; other laws advance in lockstep.
+    """
     step_keys = derive_key(walker_seeds, TAG_STEP)
-    pos = np.zeros((walker_seeds.shape[0], model.dim), dtype=np.int64)
     steps = np.empty((walker_seeds.shape[0], horizon), dtype=np.int8)
+    vec = constant_vector(model)
+    if vec is not None:
+        cols = max(1, _TILE_DRAWS // max(1, step_keys.shape[0]))
+        for t0 in range(0, horizon, cols):
+            t = np.arange(t0, min(t0 + cols, horizon), dtype=np.uint64)
+            steps[:, t0 : t0 + cols] = _step_index(vec.probs, stream_u01(step_keys[:, None], t))
+        return steps
+    pos = np.zeros((walker_seeds.shape[0], model.dim), dtype=np.int64)
     for t in range(horizon):
         steps[:, t] = _step(model, step_keys, env_seeds, pos, t)
     return steps

@@ -497,6 +497,16 @@ class TestRun:
         assert err.startswith("error:") and str(path) in err and "utf-8" in err
         assert not (tmp_path / "o").exists()
 
+    def test_integer_past_digit_limit_exits_2(self, tmp_path, capsys):
+        # json.loads refuses integer literals over 4,300 digits with a plain ValueError
+        path = tmp_path / "long.json"
+        text = json.dumps(simulate_config(master_seed=0))
+        path.write_text(text.replace('"master_seed": 0', '"master_seed": 1' + "0" * 5000))
+        assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and str(path) in err and "digits" in err
+        assert not (tmp_path / "o").exists()
+
     def test_oracle_compare_slab(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -653,6 +663,38 @@ class TestCompare:
         c = self.write_rows(tmp_path, "c.jsonl", [{"walker_seed": 3}])
         d = self.write_rows(tmp_path, "d.jsonl", [{"walker_seed": 3.0}])
         assert run_cli("compare", c, d) == 0
+
+    @pytest.mark.parametrize("big", [10**400, -(10**400), 2**1024])
+    def test_integer_past_float_range_meets_a_float(self, tmp_path, capsys, big):
+        a = self.write_rows(tmp_path, "a.jsonl", [{"x": big}])
+        for y in (1.5, 1e308, -1e308, float("inf"), float("nan")):
+            b = self.write_rows(tmp_path, "b.jsonl", [{"x": y}])
+            assert run_cli("compare", a, b, "--atol", "1e300") == 1
+            assert run_cli("compare", b, a, "--atol", "1e300") == 1
+            assert f"row[0].x: {big!r} != {y!r}" in capsys.readouterr().out
+        assert run_cli("compare", a, a) == 0
+
+    def test_integer_and_float_compare_exactly(self, tmp_path, capsys):
+        # 2**53 + 1 rounds to the float 2**53, yet differs from it by 1
+        a = self.write_rows(tmp_path, "a.jsonl", [{"x": 2**53 + 1, "y": 10**308}])
+        b = self.write_rows(tmp_path, "b.jsonl", [{"x": float(2**53), "y": 1e308}])
+        assert run_cli("compare", a, b) == 1
+        out = capsys.readouterr().out
+        assert "row[0].x: 9007199254740993 != 9007199254740992.0" in out and "row[0].y" in out
+        # 1e308 is 10**308 less about 1.1e291
+        assert run_cli("compare", a, b, "--tol", "x=1", "--tol", "y=1e291") == 1
+        assert run_cli("compare", a, b, "--tol", "x=1", "--tol", "y=1.1e291") == 0
+        assert run_cli("compare", a, b, "--atol", "inf") == 0
+
+    def test_integer_past_digit_limit_exits_2(self, tmp_path, capsys):
+        a = self.write_rows(tmp_path, "a.jsonl", [{"x": 1}])
+        b = tmp_path / "b.jsonl"
+        b.write_text('{"x": 1}\n{"x": 1' + "0" * 5000 + "}\n")
+        for args in ((a, b), (b, a)):
+            assert run_cli("compare", *args) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert f"{b} line 2" in err and "digits" in err
 
     @pytest.mark.parametrize("x, y", [(True, 1), (1, True), (False, 0), (0.0, False), (True, False), (True, 1.0)])
     def test_boolean_equals_only_the_same_boolean(self, tmp_path, x, y):

@@ -6,7 +6,9 @@ as oracles.  The oracles run over the walkers split into blocks (of 3, of 16,
 or all in one); the ensembles built on the shared kernel run every walker in
 one block and must reproduce their step matrices and slab tallies exactly, so
 the grouping of walkers changes nothing.  One multi-width slab pass must
-reproduce ``ref_slab_block`` run once per width.  The counting rule
+reproduce ``ref_slab_block`` run once per width.  A law every site shares
+draws a tile of times at once; horizons that span several tiles and end
+mid-tile must give the old kernel's steps too.  The counting rule
 that picks a step from a site's law, or from the law every site shares, must
 equal the cumsum-and-clip and ``searchsorted`` expressions those kernels used,
 and the same rule picking a mixture site's atom must equal the
@@ -19,11 +21,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rwre_lab import Dirichlet, FiniteMixture, Homogeneous, PerturbedSRW, TransitionVector
+from rwre_lab import Dirichlet, FiniteMixture, Homogeneous, PerturbedSRW, QuenchedEnvironment, TransitionVector
 from rwre_lab.env import _step_index, site_stream_keys, transitions_for
 from rwre_lab.lattice import step_table
 from rwre_lab.rng import TAG_STEP, as_u64, derive_key, stream_u01
-from rwre_lab.walk import ensemble_seeds, run_slab_ensemble, simulate_ensemble
+from rwre_lab.walk import _TILE_DRAWS, _simulate_block, ensemble_seeds, run_slab_ensemble, simulate, simulate_ensemble
 
 
 def ref_simulate_block(model, env_seeds, walker_seeds, horizon):
@@ -99,11 +101,15 @@ MODELS = {
 SHAPES = [(0, 30, 3), (7, 0, 3), (7, 30, 3), (7, 30, 1024)]
 
 
+# 5,000 walkers draw 13 times a tile: 40 steps are three full tiles and one column
+TILE_SHAPES = [(5000, 40, 1024)]
+
+
 def chunks(n, chunk):
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
-@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "n%d-h%d-c%d" % s)
+@pytest.mark.parametrize("shape", SHAPES + TILE_SHAPES, ids=lambda s: "n%d-h%d-c%d" % s)
 @pytest.mark.parametrize("name", list(MODELS))
 def test_step_matrices_match_old_kernel(name, shape):
     model, (n, horizon, chunk) = MODELS[name], shape
@@ -114,6 +120,41 @@ def test_step_matrices_match_old_kernel(name, shape):
     trajs = simulate_ensemble(model, 71, n, horizon)
     got = np.asarray([t.steps for t in trajs], dtype=np.int8).reshape(n, horizon)
     assert np.array_equal(got, want)
+
+
+def constant_law(kind, d):
+    if kind == "homogeneous":
+        p = np.arange(1.0, 2 * d + 1)
+        return Homogeneous(TransitionVector(p / p.sum()))
+    return PerturbedSRW(0.05, -d, d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["homogeneous", "perturbed-srw"])
+def test_tiles_match_old_kernel_and_one_walker(kind, d):
+    # 100 walkers draw 655 times a tile: 2,000 steps are three full tiles and 35 columns
+    model, n, horizon = constant_law(kind, d), 100, 2000
+    assert horizon // (_TILE_DRAWS // n) == 3 and horizon % (_TILE_DRAWS // n)
+    env_seeds, walk_seeds = ensemble_seeds(75, n)
+    block = _simulate_block(model, env_seeds, walk_seeds, horizon)
+    assert np.array_equal(block, ref_simulate_block(model, env_seeds, walk_seeds, horizon))
+    for i in (0, 57, n - 1):
+        one = simulate(QuenchedEnvironment(model, int(env_seeds[i])), int(walk_seeds[i]), horizon)
+        assert np.array_equal(one.steps, block[i])
+
+
+@pytest.mark.parametrize("kind", ["homogeneous", "perturbed-srw"])
+def test_one_walker_spans_several_tiles(kind):
+    # one walker draws _TILE_DRAWS times a tile; four walkers a quarter of that
+    model = constant_law(kind, 2)
+    horizon = 2 * _TILE_DRAWS + 777
+    env_seeds, walk_seeds = ensemble_seeds(76, 4)
+    block = _simulate_block(model, env_seeds, walk_seeds, horizon)
+    for i in range(4):
+        one = simulate(QuenchedEnvironment(model, int(env_seeds[i])), int(walk_seeds[i]), horizon)
+        assert np.array_equal(one.steps, block[i])
+    head = ref_simulate_block(model, env_seeds, walk_seeds, 300)
+    assert np.array_equal(block[:, :300], head)
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "n%d-h%d-c%d" % s)

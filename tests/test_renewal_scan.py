@@ -6,8 +6,9 @@ near-exit table and a block-doubling far-exit scan), and ``ref_level_hits``
 and ``ref_renewal_mean_identity`` are the level-hit rule and the identity
 estimator that kept every walk's full level array.  ``ref_lambda_scan`` is
 the interpolation-weight scan that ran ``detect_renewals`` once per walk and
-grid value.  They are kept as oracles: the scan must reproduce their
-records, reports and rows exactly.
+grid value, and ``ref_first_exit`` the first-exit rule on int64 face tables
+alone.  They are kept as oracles: the scan must reproduce their records,
+reports, rows and exits exactly.
 """
 
 from bisect import bisect_right
@@ -24,6 +25,8 @@ from rwre_lab.cone import (
     LambdaScanResult,
     LambdaScanRow,
     RenewalRecord,
+    _faces,
+    _first_exit,
     _fresh,
     lambda_scan,
     renewal_rate,
@@ -129,6 +132,23 @@ def ref_detect_renewals(traj, spec, confirm_horizon):
         return empty
     t_arr = np.concatenate(pieces)
     return RenewalRecord(t_arr, P[t_arr], H, censored)
+
+
+_NEVER = np.iinfo(np.int64).max
+
+
+def ref_first_exit(F, cands, H):
+    L = min(H, F.shape[0]).bit_length()
+    table = [np.concatenate([F.T, np.full((F.shape[1], (1 << L) - 1), _NEVER)], axis=1)]
+    for j in range(1, L):
+        half = 1 << (j - 1)
+        table.append(np.minimum(table[-1][:, :-half], table[-1][:, half:]))
+    base = F[cands].T
+    pos = cands + 1
+    for j in range(L - 1, -1, -1):
+        stays = (table[j].take(pos, axis=1) >= base).all(axis=0)
+        pos += stays << j
+    return pos
 
 
 def ref_level_hits(s, i_min, i_max):
@@ -335,6 +355,65 @@ def test_random_steps_and_cones_match_old_scan(case):
     assert rec.top_level == (levels[-1] if levels else 0)
     assert rec.skipped_levels.tolist() == sorted(set(range(1, rec.top_level + 1)) - set(levels))
     assert rec.stays is bool(spec.contains(0, P).all())
+
+
+# ---------------------------------------------------------------- face table width
+
+
+def assert_same_exits(traj, spec, H):
+    P = traj.positions()
+    F, F64 = _faces(P, spec), P @ spec.matrix.T
+    assert np.array_equal(F, F64)
+    cands = np.arange(len(traj) + 1)
+    assert np.array_equal(_first_exit(F, cands, H), ref_first_exit(F64, cands, H))
+    return F.dtype
+
+
+# faces of norm 2**30 - 1 (lambda = 1) and 2**30 + 1 (lambda = 1/2): N * norm passes
+# 2**31 - 1 at the third and the second step, with entries near 2**31 before it does
+BIG = 2**30 - 1
+BIG_CONE = ((1, 1), ((BIG, 0), (0, BIG)), (1, 1))
+
+
+@pytest.mark.parametrize("lam, last_int32", [(Fraction(1), 2), (Fraction(1, 2), 1)], ids=str)
+def test_face_tables_are_int32_only_below_the_bound(lam, last_int32):
+    spec = ConeSpec(*BIG_CONE[:2], lam, BIG_CONE[2])
+    norm = max(sum(map(abs, row)) for row in spec.matrix.tolist())
+    assert last_int32 * norm < 2**31 - 1 <= (last_int32 + 1) * norm
+    rng = np.random.default_rng(11)
+    for N in range(7):
+        walks = [np.zeros(N, np.int8), np.ones(N, np.int8)] + [rng.integers(0, 4, N).astype(np.int8) for _ in range(20)]
+        for steps in walks:
+            traj = Trajectory(steps, 2, 0)
+            for H in horizons(N):
+                dtype = assert_same_exits(traj, spec, H)
+                assert dtype == (np.int32 if N <= last_int32 else np.int64)
+                assert_same_record(detect_renewals(traj, spec, H), ref_detect_renewals(traj, spec, H))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_cases())
+def test_random_face_tables_match_int64_exits(case):
+    traj, spec, H = case
+    assert assert_same_exits(traj, spec, H) == np.int32
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["small", "big"])
+def test_no_fresh_maxima(big):
+    """A walk that never rises gives no candidate and an empty record, on either table width."""
+    sigma, basis, l = BIG_CONE if big else CONES[2][0]
+    spec = ConeSpec(sigma, basis, Fraction(1), l)
+    traj = Trajectory(np.asarray([1, 3] * 20, np.int8), 2, 0)
+    P = traj.positions()
+    assert _fresh(P @ np.asarray(spec.l)).size == 0
+    none = np.zeros(0, dtype=np.int64)
+    F = _faces(P, spec)
+    assert F.dtype == (np.int64 if big else np.int32)
+    for H in horizons(len(traj)):
+        assert _first_exit(F, none, H).size == 0
+        rec = detect_renewals(traj, spec, H)
+        assert_same_record(rec, ref_detect_renewals(traj, spec, H))
+        assert rec.times.size == 0 and rec.top_level == 0
 
 
 # ---------------------------------------------------------------- level hits
