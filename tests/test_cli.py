@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -802,3 +803,24 @@ def test_direction_builds_each_main_pass_path_twice(tmp_path, monkeypatch):
     assert run_cli("run", "--config", cfg, "--out", tmp_path / "out") == 0
     assert len(calls) == 2 * 10
     assert len({id(t) for t in calls}) == 10
+
+
+# results.jsonl digests of small "lambda": "scan" runs, whose grid is unsorted and holds a duplicate;
+# the scan's rows run by decreasing weight with the duplicate dropped, and the chosen cone runs the main pass.
+SCAN_GRID = ["1/8", "1", "1/2", "1", "1/3"]
+SCAN_DIGESTS = {
+    "direction": (0, "5b93bbbbd9c30f8b193b51e00d59d1e2fafcccce1d6b07a69043987566909a98"),
+    "renewal": (0, "2c8b7b41a6de129a3ce4ee80accbed909ec4f988023833f41cc946c5891bd1c6"),
+    "renewal-identity": (0, "dc7bcf6eb387182a8fec4e6552818e7790d52f787ca58fbc910e77d37c6b2d53"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(SCAN_DIGESTS))
+def test_scan_output_bytes_pinned(tmp_path, experiment):
+    cfg = cone_run(experiment, n_walks=40, horizon=600, confirm_horizon=60)
+    cfg["cone"] = {**cfg["cone"], "lambda": "scan", "lambda_grid": SCAN_GRID}
+    cfg["thresholds"] = {"renewal_rate_floor": 60}  # weight 1 falls short of it, so 1/2 is chosen
+    out = tmp_path / "out"
+    code = run_cli("run", "--config", write_config(tmp_path, "scan.json", cfg), "--out", out)
+    digest = hashlib.sha256((out / "results.jsonl").read_bytes()).hexdigest()
+    assert (code, digest) == SCAN_DIGESTS[experiment]
