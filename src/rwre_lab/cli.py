@@ -25,26 +25,36 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, TextIO
+from typing import Any, Callable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
 from . import __version__
-from .cone import DEFAULT_LAMBDA_GRID, ConeSpec, detect_renewals, lambda_scan, renewal_rate
+from .cone import DEFAULT_LAMBDA_GRID, ConeSpec, RenewalRecord, detect_renewals, lambda_scan, renewal_rate
 from .env import (
     Dirichlet,
     EnvironmentModel,
     FiniteMixture,
     Homogeneous,
     PerturbedSRW,
+    QuenchedEnvironment,
     TransitionVector,
 )
 from .errors import ConfigError, NumericError
-from .oracle import BoxRegion, IntervalRegion, RegionDescriptor, SlabRegion, annealed_exit, gamblers_ruin
+from .oracle import (
+    BoxRegion,
+    IntervalRegion,
+    RegionDescriptor,
+    SlabRegion,
+    annealed_exit,
+    gamblers_ruin,
+    target_classes,
+)
 from .rng import TAG_STAT, derive_key
 from .stats import (
     InsufficientData,
@@ -60,7 +70,7 @@ from .stats import (
     slab_exit_decay,
     zero_one_scan,
 )
-from .walk import run_slab_ensemble, simulate_ensemble, trajectories_to_jsonl
+from .walk import Trajectory, run_slab_ensemble, simulate_ensemble, trajectories_to_jsonl
 
 ENV_THREADS = "RWRE_LAB_THREADS"
 
@@ -80,6 +90,15 @@ class ExperimentConfig:
 
     def __getitem__(self, path: str) -> Any:
         return self.fields[path]
+
+
+@contextmanager
+def _naming(path: str) -> Iterator[None]:
+    """Prefix the message of a ConfigError raised inside with the config field ``path`` it is about."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"config: {path!r}: {exc}") from exc
 
 
 # --- experiments: each takes a loaded config and returns (rows, curve rows or None, insufficient)
@@ -130,42 +149,26 @@ def _ensemble(cfg: ExperimentConfig) -> list:
 
 def _cone_spec_from(cfg: ExperimentConfig) -> tuple[ConeSpec, list[dict]]:
     """The loaded cone, its weight picked by the interpolation-weight scan when asked; also returns the scan's rows."""
-    sigma, basis, l = cfg["cone.sigma"], cfg["cone.basis"], cfg["cone.l"]
-    check = cfg["cone.check_direction"]
-    lam = cfg["cone.lambda"]
-    scan_rows: list[dict] = []
-    if lam == "scan":
-        floor = cfg["thresholds.renewal_rate_floor"]
-        scan_n = min(cfg["n_walks"], 200) or 200
-        scan_h = min(cfg["horizon"], 4000)
-        scan_ch = min(cfg["confirm_horizon"], max(1, scan_h // 4))
-        result = lambda_scan(
-            cfg.model,
-            cfg["master_seed"],
-            sigma,
-            basis,
-            l,
-            lambdas=cfg["cone.lambda_grid"],
-            n_walks=scan_n,
-            horizon=scan_h,
-            confirm_horizon=scan_ch,
-            rate_floor=floor,
-            check_direction=check,
-        )
-        for row in result.rows:
-            scan_rows.append(
-                {
-                    "record": "lambda-scan",
-                    "lambda": str(row.lam),
-                    "rate_per_1k": row.rate_per_1k,
-                    "confirmed": row.confirmed,
-                    "floor": floor,
-                }
-            )
-        if not result.found:
-            raise _NoRenewals("no lambda on the grid met the renewal-rate floor")
-        lam = result.chosen
-    return cfg.cones[lam], scan_rows
+    if cfg["cone.lambda"] != "scan":
+        return cfg.cones[cfg["cone.lambda"]], []
+    floor = cfg["thresholds.renewal_rate_floor"]
+    n_walks, h = min(cfg["n_walks"], 200) or 200, min(cfg["horizon"], 4000)
+    window = min(cfg["confirm_horizon"], max(1, h // 4))
+    result = lambda_scan(cfg.model, cfg["master_seed"], cfg.cones.values(), n_walks, h, window, floor)
+    rows = [
+        {"record": "lambda-scan", "lambda": str(row.lam), "floor": floor, **_attrs(row, "rate_per_1k", "confirmed")}
+        for row in result.rows
+    ]
+    if not result.found:
+        raise _NoRenewals("no lambda on the grid met the renewal-rate floor")
+    return cfg.cones[result.chosen], rows
+
+
+def _renewals(cfg: ExperimentConfig) -> tuple[ConeSpec, list[dict], list[Trajectory], list[RenewalRecord]]:
+    """The cone (scanned for when asked), its scan rows, the ensemble and each walk's renewal record."""
+    spec, rows = _cone_spec_from(cfg)
+    trajs = _ensemble(cfg)
+    return spec, rows, trajs, [detect_renewals(t, spec, cfg["confirm_horizon"]) for t in trajs]
 
 
 def _simulate(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
@@ -179,8 +182,7 @@ def _simulate(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
 
 
 def _direction(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
-    spec, rows = _cone_spec_from(cfg)
-    trajs = _ensemble(cfg)
+    _, rows, trajs, records = _renewals(cfg)
     l, lvl, dip = cfg["l"], cfg["thresholds.level_threshold"], cfg["thresholds.dip_allowance"]
     verdict, speed = _class_estimates(trajs, l, lvl, dip)
     rows.append(
@@ -194,7 +196,6 @@ def _direction(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
     rows.append(
         {"record": "speed", "l": l, **_attrs(speed, "mean", "ci", "n_plus", "n_minus", "mean_plus", "mean_minus")}
     )
-    records = [detect_renewals(t, spec, cfg["confirm_horizon"]) for t in trajs]
     insufficient = False
     for route, est in (
         (ROUTE_RAW, estimate_direction(trajs=trajs, route=ROUTE_RAW, level_threshold=lvl)),
@@ -207,23 +208,18 @@ def _direction(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
 
 
 def _renewal(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
-    spec, rows = _cone_spec_from(cfg)
-    total = 0
-    for i, t in enumerate(_ensemble(cfg)):
-        rec = detect_renewals(t, spec, cfg["confirm_horizon"])
-        total += rec.n_confirmed
+    spec, rows, _, records = _renewals(cfg)
+    for i, rec in enumerate(records):
         rows.append(
             {"record": "renewals", "walker": i, **_attrs(rec, "n_confirmed", "censored_tail"), **rec.to_json_obj()}
         )
-    rate = renewal_rate(total, cfg["n_walks"], cfg["horizon"])
+    rate = renewal_rate(sum(rec.n_confirmed for rec in records), cfg["n_walks"], cfg["horizon"])
     rows.append({"record": "renewal-rate", "lambda": spec.lam, "rate_per_1k": rate})
     return rows, None, False
 
 
 def _renewal_identity(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
-    spec, rows = _cone_spec_from(cfg)
-    trajs = _ensemble(cfg)
-    records = [detect_renewals(t, spec, cfg["confirm_horizon"]) for t in trajs]
+    spec, rows, trajs, records = _renewals(cfg)
     report = renewal_mean_identity(
         trajs,
         records,
@@ -287,7 +283,7 @@ def _region(cfg: ExperimentConfig) -> RegionDescriptor:
     if kind == "interval":
         lo, hi = cfg["oracle.region.lo"], cfg["oracle.region.hi"]
         if not lo < 0 < hi:
-            raise ConfigError("config: 'oracle.region' interval must contain the start site, lo < 0 < hi")
+            raise ConfigError("interval must contain the start site, lo < 0 < hi")
         return IntervalRegion(lo, hi)
     if kind == "slab":
         lp, b, L = cfg["oracle.region.l_prime"], cfg["oracle.region.b"], cfg["oracle.region.L"]
@@ -296,13 +292,18 @@ def _region(cfg: ExperimentConfig) -> RegionDescriptor:
 
 
 def _oracle_compare(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
-    region = _region(cfg)
-    target, n_walks = cfg["oracle.target_class"], cfg["n_walks"]
+    target, n_walks, start = cfg["oracle.target_class"], cfg["n_walks"], (0,) * cfg["dimension"]
+    with _naming("oracle.region"):  # a region's boundary classes are known once it is built
+        region = _region(cfg)
+        classes = region.build(QuenchedEnvironment(cfg.model, cfg["master_seed"]), start).classes
+    with _naming("oracle.target_class"):
+        target_classes(classes, target)
     slab = region.mc_slab()
     monte_carlo = slab is not None and n_walks > 0 and target in ("Right", "Left")
     if monte_carlo and cfg["horizon"] < 1:
         raise ConfigError("config: experiment 'oracle-compare' needs 'horizon' >= 1 for its Monte Carlo check, got 0")
-    exact = annealed_exit(cfg.model, region, (0,) * cfg["dimension"], target, cfg["oracle.n_env"], cfg["master_seed"])
+    with _naming("oracle.region"):
+        exact = annealed_exit(cfg.model, region, start, target, cfg["oracle.n_env"], cfg["master_seed"])
     row = {
         "record": "oracle-compare",
         "target_class": target,
@@ -493,7 +494,9 @@ _FIELDS: tuple[_Field, ...] = (
     _Field("model.alphas", _list(_FLOAT), "2d positive concentrations", when="dirichlet"),
     _Field("model.epsilon", _FLOAT, "in (0, 1/(2d))", when="perturbed_srw"),
     _Field("model.drift_dir", _INT, "signed axis, e.g. 1 = +e1, -2 = -e2", when="perturbed_srw"),
-    _Field("l", _list(_INT, "d"), "direction for transience/speed experiments", None, needed_by=("direction",)),
+    _Field(
+        "l", _checked(_list(_INT, "d"), any, "a nonzero vector"), "transience direction", None, needed_by=("direction",)
+    ),
     _Field("cone", _OBJECT, default=None, needed_by=("direction", "renewal", "renewal-identity")),
     _Field("cone.sigma", _list(_INT, "d"), "entries of +-1"),
     _Field("cone.basis", _list(_list(_INT, "d")), "d rows"),
@@ -501,7 +504,9 @@ _FIELDS: tuple[_Field, ...] = (
     _Field(
         "cone.lambda",
         _Type("rational | scan", lambda x, d: x if x == "scan" else _WEIGHT.read(x, d)),
-        "in (0, 1], e.g. '1/2'; 'scan' picks the largest grid weight whose renewal rate clears the floor",
+        "in (0, 1], e.g. '1/2'; 'scan' picks the largest grid weight whose renewal rate clears the floor over"
+        " min(n_walks, 200) walks (200 if 0) of h = min(horizon, 4000) steps with window"
+        " min(confirm_horizon, max(1, h // 4)); its rows run by decreasing lambda, one per distinct weight",
     ),
     _Field(
         "cone.lambda_grid",
@@ -623,7 +628,8 @@ def load_config(path: Path) -> ExperimentConfig:
         if f.floor is not None and experiment in f.floor[1] and fields[f.path] < f.floor[0]:
             value = fields[f.path]
             raise ConfigError(f"config: experiment {experiment!r} needs {f.path!r} >= {f.floor[0]}, got {value}")
-    model = _MODELS[fields["model.kind"]](fields)
+    with _naming("model"):
+        model = _MODELS[fields["model.kind"]](fields)
     if model.dim != fields["dimension"]:
         raise ConfigError(f"config: model dimension {model.dim} does not match 'dimension' {fields['dimension']}")
     return ExperimentConfig(fields, model, raw, _cones(fields))
@@ -633,16 +639,10 @@ def _cones(fields: dict[str, Any]) -> dict[Fraction, ConeSpec]:
     """The cone block's ``ConeSpec`` for its fixed weight or for every grid weight; none without the block."""
     if "cone.l" not in fields:
         return {}
-    lam = fields["cone.lambda"]
-    cones = {}
-    for w in fields["cone.lambda_grid"] if lam == "scan" else (lam,):
-        try:
-            cones[w] = ConeSpec(
-                fields["cone.sigma"], fields["cone.basis"], w, fields["cone.l"], fields["cone.check_direction"]
-            )
-        except ConfigError as exc:
-            raise ConfigError(f"config: 'cone' at lambda {w}: {exc}") from exc
-    return cones
+    sigma, basis, l, check = (fields[f"cone.{k}"] for k in ("sigma", "basis", "l", "check_direction"))
+    weights = fields["cone.lambda_grid"] if fields["cone.lambda"] == "scan" else (fields["cone.lambda"],)
+    with _naming("cone"):
+        return {w: ConeSpec(sigma, basis, w, l, check) for w in weights}
 
 
 def _describe(f: _Field) -> str:

@@ -98,7 +98,7 @@ class ConeSpec:
             [p * sigma[k] * basis[k][i] + (q - p) * l[i] for i in range(d)]
             for k in range(d)
         ]
-        _fraction_inverse(rows, "interpolated face vectors are linearly dependent; the cone is degenerate")
+        _fraction_inverse(rows, f"interpolated faces at lambda {lam} are linearly dependent; the cone is degenerate")
         if self.check_direction:
             for j in range(d):
                 ray_dot = sum(Fraction(l[i]) * dual[i][j] for i in range(d))
@@ -309,10 +309,10 @@ class LambdaScanRow:
 
 @dataclass(eq=False)
 class LambdaScanResult:
-    """Outcome of scanning the interpolation weight grid.
+    """Outcome of scanning the interpolation weights.
 
-    ``chosen`` is the largest grid value whose confirmed-renewal rate clears
-    the floor; None means no grid value produced renewals at a usable rate,
+    ``chosen`` is the largest weight whose confirmed-renewal rate clears the
+    floor; None means no weight produced renewals at a usable rate,
     which is evidence against directional transience for this model, not an
     error.
     """
@@ -334,33 +334,26 @@ def renewal_rate(confirmed: int, n_walks: int, horizon: int) -> float:
 
 
 def lambda_scan(
-    model,
-    master_seed: int,
-    sigma,
-    basis,
-    l,
-    lambdas=DEFAULT_LAMBDA_GRID,
-    n_walks: int = 200,
-    horizon: int = 4000,
-    confirm_horizon: int = 400,
-    rate_floor: float = 0.5,
-    check_direction: bool = True,
+    model, master_seed: int, cones, n_walks: int, horizon: int, confirm_horizon: int, rate_floor: float
 ) -> LambdaScanResult:
-    """Measure confirmed-renewal rates over a grid of interpolation weights.
+    """Measure confirmed-renewal rates of ``cones``, which must differ only in their weight lambda.
 
-    The rate is ``renewal_rate``.  One ensemble is simulated and reused for
-    every grid value; only the face table and the recursion are per value.
+    The rows run by decreasing lambda, one per distinct weight.  The rate is
+    ``renewal_rate``.  One ensemble is simulated and reused for every cone;
+    only the face table and the recursion are per cone.
     """
-    grid = sorted({Fraction(x) for x in lambdas}, reverse=True)
-    if not grid:
-        raise ConfigError("lambda grid must be nonempty")
-    specs = [ConeSpec(tuple(sigma), tuple(tuple(r) for r in basis), lam, tuple(l), check_direction) for lam in grid]
-    confirmed = [0] * len(grid)
+    cones = list(cones)
+    if not cones:
+        raise ConfigError("lambda_scan needs at least one cone")
+    if len({(c.sigma, c.basis, c.l, c.check_direction) for c in cones}) > 1:
+        raise ConfigError("the scanned cones must differ only in lambda")
+    specs = sorted({c.lam: c for c in cones}.values(), key=lambda c: c.lam, reverse=True)
+    confirmed = [0] * len(specs)
     for t in simulate_ensemble(model, master_seed, n_walks, horizon):
         H, P, _, fresh = _levels(t, specs[0], confirm_horizon)
         for k, spec in enumerate(specs):
             times, censored = _scan(fresh, _faces(P, spec), H)
             confirmed[k] += times.size - censored
-    rows = [LambdaScanRow(lam, renewal_rate(c, n_walks, horizon), c) for lam, c in zip(grid, confirmed)]
+    rows = [LambdaScanRow(c.lam, renewal_rate(n, n_walks, horizon), n) for c, n in zip(specs, confirmed)]
     chosen = next((row.lam for row in rows if row.rate_per_1k > rate_floor), None)
     return LambdaScanResult(chosen, rows)

@@ -132,13 +132,18 @@ def _exit_probabilities(problem: FiniteRegionProblem, targets: list[set[str]]) -
     return np.linalg.solve(S, c)[local[problem._start]]
 
 
-def exact_quenched_exit(problem: FiniteRegionProblem, target_class: str | set[str]) -> float:
-    """Probability the quenched walk leaves through the target class first."""
+def target_classes(classes: set[str], target_class: str | set[str]) -> set[str]:
+    """The target class or classes as a set, once each is checked to be one of a region's boundary ``classes``."""
     targets = {target_class} if isinstance(target_class, str) else set(target_class)
-    unknown = targets - problem.classes
+    unknown = targets - classes
     if unknown:
         raise ConfigError(f"unknown boundary classes {sorted(unknown)}")
-    return float(_exit_probabilities(problem, [targets])[0])
+    return targets
+
+
+def exact_quenched_exit(problem: FiniteRegionProblem, target_class: str | set[str]) -> float:
+    """Probability the quenched walk leaves through the target class first."""
+    return float(_exit_probabilities(problem, [target_classes(problem.classes, target_class)])[0])
 
 
 def exit_distribution(problem: FiniteRegionProblem) -> dict[str, float]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cone import ConeSpec, RenewalRecord
 from .errors import ConfigError
-from .walk import Trajectory, run_slab_ensemble, simulate_ensemble
+from .walk import Trajectory, _check_l, run_slab_ensemble, simulate_ensemble
 
 Z95 = 1.959963984540054
 
@@ -186,7 +186,7 @@ def _class_estimates(
     trajs: Sequence[Trajectory], l, level_threshold: float | None, dip_allowance: float | None
 ) -> tuple[TransienceVerdict, SpeedEstimate]:
     """``classify_transience`` and ``estimate_speed`` of a nonempty ensemble from one class pass."""
-    lv = np.asarray(l, dtype=np.float64)
+    lv = np.asarray(_check_l(l), dtype=np.float64)
     thr, dip = _resolve_thresholds(len(trajs[0]), level_threshold, dip_allowance)
     cls, final = _walk_classes(trajs, lv[None, :], thr, dip)
     cls = cls[:, 0]

@@ -152,13 +152,11 @@ def _step(
 ) -> np.ndarray:
     """Lockstep kernel: every walker takes its step ``t``; ``pos`` moves in place.
 
-    Returns the direction indices taken.  A law every site shares is one (2d,)
-    vector for all walkers; otherwise each walker's law is read from the
-    environment at ``pos``.
+    Returns the direction indices taken.  Each walker's law is read from the
+    environment at ``pos``; a law every site shares comes back as one
+    broadcast row.
     """
-    vec = constant_vector(model)
-    law = transitions_for(model, env_keys, pos) if vec is None else vec.probs
-    j = _step_index(law, stream_u01(step_keys, t))
+    j = _step_index(transitions_for(model, env_keys, pos), stream_u01(step_keys, t))
     pos += np.take(step_table(model.dim), j, axis=0)
     return j
 

@@ -25,7 +25,7 @@ from rwre_lab import (
     solomon_1d,
 )
 from rwre_lab.cli import main as cli_main
-from rwre_lab.cone import lambda_scan
+from rwre_lab.cone import DEFAULT_LAMBDA_GRID, lambda_scan
 from rwre_lab.env import QuenchedEnvironment
 from rwre_lab.errors import ConfigError
 from rwre_lab.oracle import IntervalRegion
@@ -79,8 +79,8 @@ def crit3() -> RenewalBundle:
     """1000 walks of 10^4 steps on the drifted model, with renewal records."""
     start = time.monotonic()
     scan = lambda_scan(
-        DRIFT2D, SEED, SIGMA, BASIS, L_DIR,
-        n_walks=200, horizon=4000, confirm_horizon=400,
+        DRIFT2D, SEED, [ConeSpec(SIGMA, BASIS, lam, L_DIR) for lam in DEFAULT_LAMBDA_GRID],
+        n_walks=200, horizon=4000, confirm_horizon=400, rate_floor=0.5,
     )
     assert scan.found, "interpolation-weight scan found no workable cone"
     spec = ConeSpec(SIGMA, BASIS, scan.chosen, L_DIR)

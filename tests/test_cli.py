@@ -142,6 +142,8 @@ EXPERIMENT_FLOOR_CASES = [
         id="horizon_zero_one_scan",
     ),
 ]
+# A direction run with "l": [0, 0] wrote an undecided verdict and a speed along no direction, exit 0.
+ZERO_DIRECTION_CASE = pytest.param({**direction_config(), "l": [0, 0]}, "'l'", id="l_zero")
 # Cones that ConeSpec refuses, now built at load for the fixed weight or for every grid weight.
 # Under "scan" they used to be refused only after the scan's ensemble was simulated; neither named the field.
 CONE_BUILD_CASES = [
@@ -346,6 +348,7 @@ class TestRun:
                 id="dip_allowance_negative",
             ),
             *EXPERIMENT_FLOOR_CASES,
+            ZERO_DIRECTION_CASE,
         ],
     )
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, cfg, name):
@@ -353,11 +356,56 @@ class TestRun:
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
         assert name in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cfg, name", WEIGHT_AND_WINDOW_CASES + EXPERIMENT_FLOOR_CASES + CONE_BUILD_CASES)
+    @pytest.mark.parametrize(
+        "cfg, name", WEIGHT_AND_WINDOW_CASES + EXPERIMENT_FLOOR_CASES + CONE_BUILD_CASES + [ZERO_DIRECTION_CASE]
+    )
     def test_range_refused_at_load(self, tmp_path, cfg, name):
         # load_config simulates nothing, so these are refused before any walk runs
         with pytest.raises(ConfigError, match=name):
             load_config(write_config(tmp_path, "bad.json", cfg))
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            pytest.param(
+                simulate_config(
+                    model={"kind": "mixture", "atoms": [[0.4, 0.1, 0.25, 0.25], [0.5, 0.5]], "weights": [0.5, 0.5]}
+                ),
+                "'model': mixture atoms disagree on dimension",
+                id="mixture_atoms",
+            ),
+            pytest.param(
+                simulate_config(model={"kind": "perturbed_srw", "epsilon": 0.3, "drift_dir": 1}),
+                "'model': epsilon must lie in (0, 1/(2d))",
+                id="epsilon",
+            ),
+            pytest.param(
+                with_oracle(region={"kind": "box", "lo": [-2, -2], "hi": [2, -3]}, target_class="high0"),
+                "'oracle.region': box bounds must be d-vectors with hi >= lo",
+                id="box_bounds",
+            ),
+            pytest.param(
+                with_oracle(region={"kind": "interval", "lo": -2, "hi": 2}, target_class="Right"),
+                "'oracle.region': interval regions are one-dimensional",
+                id="interval_2d",
+            ),
+            pytest.param(
+                with_oracle(region={"kind": "box", "lo": [1, 1], "hi": [3, 3]}, target_class="high0"),
+                "'oracle.region': start site must lie inside the region",
+                id="box_misses_start",
+            ),
+            pytest.param(
+                with_oracle(region={"kind": "box", "lo": [-2, -2], "hi": [2, 2]}, target_class="Right"),
+                "'oracle.target_class': unknown boundary classes ['Right']",
+                id="box_target",
+            ),
+        ],
+    )
+    def test_model_and_region_errors_name_their_field(self, tmp_path, capsys, cfg, message):
+        # each exited 2 with the message alone
+        cfg = write_config(tmp_path, "bad.json", cfg)
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert f"error: config: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "experiment, name",

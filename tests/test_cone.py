@@ -222,19 +222,22 @@ class TestDetectRenewals:
             detect_renewals(t, DIAG, 5)
 
 
+def scan_cones(lambdas, sigma=(1, 1), basis=((1, 1), (1, -1)), l=(1, 0), check_direction=True) -> list[ConeSpec]:
+    """One cone per weight, alike in everything else."""
+    return [ConeSpec(sigma, basis, lam, l, check_direction) for lam in lambdas]
+
+
 class TestLambdaScan:
     def test_single_lambda_above_floor(self, drift2d):
         res = lambda_scan(
-            drift2d, 3, (1, 1), ((1, 1), (1, -1)), (1, 0),
-            lambdas=(Fraction(1, 2),), n_walks=60, horizon=1500, confirm_horizon=150,
+            drift2d, 3, scan_cones((Fraction(1, 2),)), n_walks=60, horizon=1500, confirm_horizon=150, rate_floor=0.5
         )
         assert res.found
         assert res.chosen == Fraction(1, 2)
 
     def test_drifted_model_accepts_largest(self, drift2d):
         res = lambda_scan(
-            drift2d, 3, (1, 1), ((1, 1), (1, -1)), (1, 0),
-            lambdas=DEFAULT_LAMBDA_GRID, n_walks=80, horizon=2000, confirm_horizon=200,
+            drift2d, 3, scan_cones(DEFAULT_LAMBDA_GRID), n_walks=80, horizon=2000, confirm_horizon=200, rate_floor=0.5
         )
         assert res.found
         assert res.chosen == Fraction(1)
@@ -243,8 +246,28 @@ class TestLambdaScan:
 
     def test_symmetric_model_finds_nothing(self, srw2d):
         res = lambda_scan(
-            srw2d, 4, (1, 1), ((1, 1), (1, -1)), (1, 0),
-            lambdas=DEFAULT_LAMBDA_GRID, n_walks=60, horizon=4000, confirm_horizon=1000,
+            srw2d, 4, scan_cones(DEFAULT_LAMBDA_GRID), n_walks=60, horizon=4000, confirm_horizon=1000, rate_floor=0.5
         )
         assert not res.found
         assert res.chosen is None
+
+    def test_no_cone_is_refused(self, drift2d):
+        with pytest.raises(ConfigError, match="at least one cone"):
+            lambda_scan(drift2d, 3, [], n_walks=5, horizon=100, confirm_horizon=10, rate_floor=0.5)
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            pytest.param({"sigma": (1, -1)}, id="sigma"),
+            pytest.param({"basis": ((3, -2), (-2, 3))}, id="basis"),
+            pytest.param({"l": (1, 1)}, id="l"),
+            pytest.param({"check_direction": True}, id="check_direction"),
+        ],
+    )
+    def test_cones_differing_in_more_than_lambda_are_refused(self, drift2d, other):
+        # every cone here is built unchecked, so each differs from the first in the one field named
+        cones = scan_cones((Fraction(1),), check_direction=False) + scan_cones(
+            (Fraction(1, 2),), **{"check_direction": False, **other}
+        )
+        with pytest.raises(ConfigError, match="differ only in lambda"):
+            lambda_scan(drift2d, 3, cones, n_walks=5, horizon=100, confirm_horizon=10, rate_floor=0.5)

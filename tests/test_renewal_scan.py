@@ -471,8 +471,19 @@ SCAN_MODELS = {
 def test_lambda_scan_rows_match_old_scan(d, kind):
     sigma, basis, l = CONES[d][0]
     grid = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 8))
-    args = (SCAN_MODELS[d, kind], 7 + d, sigma, basis, l, grid, 40, 1200, 120)
-    got, want = lambda_scan(*args), ref_lambda_scan(*args)
+    model, seed = SCAN_MODELS[d, kind], 7 + d
+    got = lambda_scan(model, seed, [ConeSpec(sigma, basis, lam, l) for lam in grid], 40, 1200, 120, 0.5)
+    want = ref_lambda_scan(model, seed, sigma, basis, l, grid, 40, 1200, 120)
+    assert got.rows == want.rows and got.chosen == want.chosen
+
+
+def test_lambda_scan_sorts_cones_and_drops_repeated_weights():
+    sigma, basis, l = CONES[2][1]
+    grid = (Fraction(1, 8), Fraction(1), Fraction(1, 2), Fraction(1), Fraction(1, 3))
+    model = SCAN_MODELS[2, "drifted"]
+    got = lambda_scan(model, 11, [ConeSpec(sigma, basis, lam, l) for lam in grid], 30, 900, 90, 60.0)
+    want = ref_lambda_scan(model, 11, sigma, basis, l, grid, 30, 900, 90, 60.0)
+    assert [row.lam for row in got.rows] == [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 8)]
     assert got.rows == want.rows and got.chosen == want.chosen
 
 
@@ -487,9 +498,10 @@ def test_lambda_scan_rows_match_old_scan(d, kind):
 def test_lambda_scan_refuses_what_detect_renewals_refuses(model, H, message):
     sigma, basis, l = CONES[2][0]
     args = (model, 3, sigma, basis, l, DEFAULT_LAMBDA_GRID, 5, 200, H)
-    for scan in (ref_lambda_scan, lambda_scan):
+    cones = [ConeSpec(sigma, basis, lam, l) for lam in DEFAULT_LAMBDA_GRID]
+    for scan in (lambda: ref_lambda_scan(*args), lambda: lambda_scan(model, 3, cones, 5, 200, H, 0.5)):
         with pytest.raises(ConfigError, match=message):
-            scan(*args)
+            scan()
 
 
 # ---------------------------------------------------------------- path builds
@@ -518,7 +530,8 @@ def test_identity_builds_each_path_once(position_calls):
 
 def test_lambda_scan_builds_each_path_once(position_calls):
     sigma, basis, l = CONES[2][0]
-    res = lambda_scan(SCAN_MODELS[2, "drifted"], 5, sigma, basis, l, DEFAULT_LAMBDA_GRID, 30, 800, 80)
+    cones = [ConeSpec(sigma, basis, lam, l) for lam in DEFAULT_LAMBDA_GRID]
+    res = lambda_scan(SCAN_MODELS[2, "drifted"], 5, cones, 30, 800, 80, 0.5)
     assert len(res.rows) == 4
     assert len(position_calls) == 30
     assert len({id(t) for t in position_calls}) == 30

@@ -91,6 +91,14 @@ class TestClassifyTransience:
         with pytest.raises(ValueError):
             classify_transience([], (1, 0))
 
+    @pytest.mark.parametrize("estimator", [classify_transience, estimate_speed])
+    @pytest.mark.parametrize("l", [(0, 0), (np.nan, 1)], ids=["zero", "nan"])
+    def test_direction_must_be_finite_and_nonzero(self, drift2d, estimator, l):
+        # both ran: a zero direction classified every walk undecided and gave speed 0
+        trajs = simulate_ensemble(drift2d, 24, 5, 50)
+        with pytest.raises(ConfigError, match="finite nonzero"):
+            estimator(trajs, l)
+
 
 class TestEstimateSpeed:
     def test_drift_1d(self):
