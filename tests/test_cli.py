@@ -872,3 +872,19 @@ def test_scan_output_bytes_pinned(tmp_path, experiment):
     code = run_cli("run", "--config", write_config(tmp_path, "scan.json", cfg), "--out", out)
     digest = hashlib.sha256((out / "results.jsonl").read_bytes()).hexdigest()
     assert (code, digest) == SCAN_DIGESTS[experiment]
+
+
+def test_identity_output_bytes_pinned(tmp_path):
+    # a fixed cone, window and thresholds: 6 of the 40 walks end below level 170 or dip
+    # more than 2.5 under their last-half high, so the transience class decides p_cone
+    cfg = with_block(
+        cone_run("renewal-identity", n_walks=40, horizon=600, confirm_horizon=60),
+        "thresholds",
+        level_threshold=170,
+        dip_allowance=2.5,
+    )
+    cfg["identity"] = {"window": [10, 100]}
+    out = tmp_path / "out"
+    code = run_cli("run", "--config", write_config(tmp_path, "identity.json", cfg), "--out", out)
+    digest = hashlib.sha256((out / "results.jsonl").read_bytes()).hexdigest()
+    assert (code, digest) == (0, "ba8fd49bf82206314fa6c43cf1813d89ca7659ecc2d84ab102beff1c1b1623cb")
