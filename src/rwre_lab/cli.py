@@ -219,9 +219,8 @@ def _renewal(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
 
 
 def _renewal_identity(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
-    spec, rows, trajs, records = _renewals(cfg)
+    spec, rows, _, records = _renewals(cfg)
     report = renewal_mean_identity(
-        trajs,
         records,
         spec,
         window=cfg["identity.window"],
@@ -518,9 +517,9 @@ _FIELDS: tuple[_Field, ...] = (
     _Field("thresholds", _OBJECT, default={}),
     _Field("thresholds.level_threshold", _POSITIVE, "> 0; absent means 2*sqrt(horizon)", None),
     _Field("thresholds.dip_allowance", _NONNEGATIVE, ">= 0; absent means level_threshold/2", None),
-    _Field("thresholds.renewal_rate_floor", _FLOAT, "confirmed renewals per 1000 steps", 0.5),
-    _Field("thresholds.theta_tol", _FLOAT, "radians", 0.3),
-    _Field("thresholds.orth_band", _FLOAT, "radians around the axis a scan may leave undecided", 0.2),
+    _Field("thresholds.renewal_rate_floor", _NONNEGATIVE, ">= 0; confirmed renewals per 1000 steps", 0.5),
+    _Field("thresholds.theta_tol", _NONNEGATIVE, ">= 0; radians", 0.3),
+    _Field("thresholds.orth_band", _NONNEGATIVE, ">= 0; max |cos| to the axis of a scan's undecided angles", 0.2),
     _Field("thresholds.bootstrap_samples", _INT, "", 1000, (1, None)),
     _Field("slab", _OBJECT, default=None, needed_by=("slab",)),
     _Field("slab.l_prime", _checked(_list(_FLOAT, "d"), any, "a nonzero vector"), "nonzero"),

@@ -151,6 +151,12 @@ def _fresh(s: np.ndarray) -> np.ndarray:
     return np.flatnonzero(s[1:] > np.maximum.accumulate(s)[:-1]) + 1
 
 
+def _level_facts(s: np.ndarray) -> tuple:
+    """The step count N of levels s[0..N], the final level s[N], and the max and min of the last half s[(N+1)//2:]."""
+    tail = s[s.shape[0] // 2 :]
+    return s.shape[0] - 1, s[-1], tail.max(), tail.min()
+
+
 def fresh_maxima(traj: Trajectory, l) -> np.ndarray:
     """Times n with X_n . l strictly above every earlier value (and above 0)."""
     lv = np.asarray(l, dtype=np.int64)
@@ -172,7 +178,11 @@ class RenewalRecord:
     from increment statistics.  ``top_level`` is the highest level X_n . l,
     ``skipped_levels`` those in 1..top_level that no fresh maximum took (none
     when every |l_i| <= 1) and ``stays`` whether the path stays in the origin
-    cone; their defaults give the renewal mean identity no data.
+    cone.  ``n_steps`` is N, ``final_level`` is X_N . l, and ``tail_max`` and
+    ``tail_min`` bound the levels of the last half of the path (see
+    ``_level_facts``); they decide the walk's transience class along l.  The
+    defaults give the renewal mean identity no data: no level is reached and
+    no walk is transient.
     """
 
     times: np.ndarray
@@ -182,6 +192,10 @@ class RenewalRecord:
     top_level: int = 0
     skipped_levels: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     stays: bool = False
+    n_steps: int = 0
+    final_level: int = 0
+    tail_max: int = 0
+    tail_min: int = 0
 
     @property
     def n_confirmed(self) -> int:
@@ -297,7 +311,8 @@ def detect_renewals(traj: Trajectory, spec: ConeSpec, confirm_horizon: int) -> R
     times, censored = _scan(fresh, F, H)
     top = int(s.max())
     skipped = np.flatnonzero(np.bincount(s[fresh], minlength=top + 1)[1:] == 0) + 1
-    return RenewalRecord(times, P[times], H, censored, top, skipped, bool((F >= 0).all()))
+    facts = map(int, _level_facts(s))
+    return RenewalRecord(times, P[times], H, censored, top, skipped, bool((F >= 0).all()), *facts)
 
 
 @dataclass(frozen=True)

@@ -338,10 +338,11 @@ def annealed_exit(
     """Exact-in-omega, sampled-in-P estimate of the annealed exit probability."""
     if n_env < 1:
         raise ConfigError("n_env must be at least 1")
+    envs = [QuenchedEnvironment(model, int(derive_key(master_seed, TAG_ENV, i))) for i in range(n_env)]
+    problem = region.build(envs[0], start)  # built once: the geometry reads only the environment's dimension
     vals = np.empty(n_env)
-    for i in range(n_env):
-        seed = int(derive_key(master_seed, TAG_ENV, i))
-        problem = region.build(QuenchedEnvironment(model, seed), start)
+    for i, env in enumerate(envs):
+        problem.env = env
         vals[i] = exact_quenched_exit(problem, target_class)
     mean = float(vals.mean())
     sd = float(vals.std(ddof=1)) if n_env > 1 else 0.0

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cone import ConeSpec, RenewalRecord
+from .cone import ConeSpec, RenewalRecord, _level_facts
 from .errors import ConfigError
 from .walk import Trajectory, _check_l, run_slab_ensemble, simulate_ensemble
 
@@ -100,19 +100,16 @@ def _resolve_thresholds(horizon: int, level_threshold, dip_allowance) -> tuple[f
     return thr, dip
 
 
-def _classify_levels(s: np.ndarray, thr: float, dip: float) -> int:
-    """Finite-horizon transience proxy for one projected path.
+def _level_class(final, tail_max, tail_min, thr: float, dip: float) -> int:
+    """Finite-horizon transience proxy for one projected path, from its level facts (``cone._level_facts``).
 
     Counts toward the plus event when the final level clears the threshold
     and the path's last-half running high is within ``dip`` of the final
     value (it has not fallen back); the minus rule is the exact mirror.
     """
-    half = s.shape[0] // 2
-    tail = s[half:]
-    final = s[-1]
-    if final >= thr and (tail.max() - final) <= dip:
+    if final >= thr and tail_max - final <= dip:
         return 1
-    if final <= -thr and (final - tail.min()) <= dip:
+    if final <= -thr and final - tail_min <= dip:
         return -1
     return 0
 
@@ -130,9 +127,9 @@ def _walk_classes(
     for i, t in enumerate(trajs):
         pos = t.positions().astype(np.float64)
         for a, d in enumerate(dirs):
-            s = pos @ d
-            cls[i, a] = _classify_levels(s, thr, dip)
-            final[i, a] = s[-1]
+            _, last, tail_max, tail_min = _level_facts(pos @ d)
+            cls[i, a] = _level_class(last, tail_max, tail_min, thr, dip)
+            final[i, a] = last
     return cls, final
 
 
@@ -387,7 +384,6 @@ class RenewalIdentityReport:
 
 
 def renewal_mean_identity(
-    trajs: Sequence[Trajectory],
     records: Sequence[RenewalRecord],
     spec: ConeSpec,
     window: tuple[int, int] | None = None,
@@ -404,16 +400,16 @@ def renewal_mean_identity(
     transient; level hits are averaged over the window, which defaults to the
     upper half of the levels every walk in the sample reached, so horizon
     censoring cannot masquerade as overshoot.  The records must come from
-    ``detect_renewals`` with the same ``spec``: the top levels, skipped levels
-    and stays flags are read from them, and only the classes from the paths.
+    ``detect_renewals`` with the same ``spec``: everything is read from them,
+    the top and skipped levels, the stays flags and the level facts that give
+    each walk's transience class, and no path is built.  The default level
+    threshold is that of the first record's step count.
     """
-    if len(trajs) != len(records):
-        raise ConfigError("one renewal record per trajectory required")
-    if not trajs:
+    if not records:
         return InsufficientData("empty ensemble")
     lv = np.asarray(spec.l, dtype=np.int64)
-    thr, dip = _resolve_thresholds(len(trajs[0]), level_threshold, dip_allowance)
-    n = len(trajs)
+    thr, dip = _resolve_thresholds(records[0].n_steps, level_threshold, dip_allowance)
+    n = len(records)
     inc_sum = np.zeros(n)
     inc_cnt = np.zeros(n)
     projs = []  # per walk with increments, their projections on l
@@ -437,7 +433,7 @@ def renewal_mean_identity(
     reached = np.clip(np.minimum(tops, i_max) - i_min + 1, 0, None)
     edges = np.asarray([np.searchsorted(r.skipped_levels, (i_min, i_max + 1)) for r in records])
     hit_frac = (reached - (edges[:, 1] - edges[:, 0])) / (i_max - i_min + 1)
-    is_plus = _walk_classes(trajs, lv[None].astype(np.float64), thr, dip)[0][:, 0] > 0
+    is_plus = np.asarray([_level_class(r.final_level, r.tail_max, r.tail_min, thr, dip) > 0 for r in records])
     total_inc = int(inc_cnt.sum())
     n_plus = int(is_plus.sum())
     if total_inc < 10:
@@ -611,8 +607,9 @@ def zero_one_scan(
 
     Patterns: all directions undecided; a single transient direction; an open
     half-space of transient directions with the mirror half transient the
-    other way; anything else is inconsistent.  Near-orthogonal angles (within
-    ``orth_band`` of the estimated axis) are allowed to be undecided.
+    other way; anything else is inconsistent.  Near-orthogonal angles (whose
+    |cos| to the estimated axis is at most ``orth_band``) are allowed to be
+    undecided.
     """
     if model.dim != 2:
         raise ConfigError("the angular scan is two-dimensional")

@@ -142,6 +142,27 @@ EXPERIMENT_FLOOR_CASES = [
         id="horizon_zero_one_scan",
     ),
 ]
+# Negative thresholds, each of which used to run and exit 0: a scan with floor -1 chose a weight that
+# confirmed no renewal, orth_band -1 turned a drifted half-space pattern inconsistent, theta_tol -1 found no cluster.
+NEGATIVE_THRESHOLD_CASES = [
+    pytest.param(
+        with_block(
+            {**direction_config(**{"lambda": "scan"}), "experiment": "renewal"}, "thresholds", renewal_rate_floor=-1
+        ),
+        "'thresholds.renewal_rate_floor'",
+        id="renewal_rate_floor_negative",
+    ),
+    pytest.param(
+        with_block(direction_config(), "thresholds", theta_tol=-1), "'thresholds.theta_tol'", id="theta_tol_negative"
+    ),
+    pytest.param(
+        with_block(
+            with_block(simulate_config(experiment="zero-one-scan"), "zero_one", n_angles=8), "thresholds", orth_band=-1
+        ),
+        "'thresholds.orth_band'",
+        id="orth_band_negative",
+    ),
+]
 # A direction run with "l": [0, 0] wrote an undecided verdict and a speed along no direction, exit 0.
 ZERO_DIRECTION_CASE = pytest.param({**direction_config(), "l": [0, 0]}, "'l'", id="l_zero")
 # Cones that ConeSpec refuses, now built at load for the fixed weight or for every grid weight.
@@ -348,6 +369,7 @@ class TestRun:
                 id="dip_allowance_negative",
             ),
             *EXPERIMENT_FLOOR_CASES,
+            *NEGATIVE_THRESHOLD_CASES,
             ZERO_DIRECTION_CASE,
         ],
     )
@@ -357,7 +379,12 @@ class TestRun:
         assert name in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "cfg, name", WEIGHT_AND_WINDOW_CASES + EXPERIMENT_FLOOR_CASES + CONE_BUILD_CASES + [ZERO_DIRECTION_CASE]
+        "cfg, name",
+        WEIGHT_AND_WINDOW_CASES
+        + EXPERIMENT_FLOOR_CASES
+        + CONE_BUILD_CASES
+        + NEGATIVE_THRESHOLD_CASES
+        + [ZERO_DIRECTION_CASE],
     )
     def test_range_refused_at_load(self, tmp_path, cfg, name):
         # load_config simulates nothing, so these are refused before any walk runs
@@ -852,6 +879,24 @@ def test_direction_builds_each_main_pass_path_twice(tmp_path, monkeypatch):
     assert len(calls) == 2 * 10
     assert len({id(t) for t in calls}) == 10
 
+
+
+def test_identity_run_builds_each_path_once(tmp_path, monkeypatch):
+    # the scan's walks (h = min(horizon, 4000) steps) and the main pass's each get one path, in their renewal scans;
+    # the identity reads the records alone
+    calls = []
+    positions = rwre_lab.Trajectory.positions
+
+    def counted(self):
+        calls.append(self)
+        return positions(self)
+
+    monkeypatch.setattr(rwre_lab.Trajectory, "positions", counted)
+    cfg = cone_run("renewal-identity", horizon=4100, confirm_horizon=100)
+    cfg["cone"] = {**cfg["cone"], "lambda": "scan"}
+    assert run_cli("run", "--config", write_config(tmp_path, "identity.json", cfg), "--out", tmp_path / "out") == 0
+    assert sorted(len(t) for t in calls) == [4000] * 10 + [4100] * 10
+    assert len({id(t) for t in calls}) == 20
 
 # results.jsonl digests of small "lambda": "scan" runs, whose grid is unsorted and holds a duplicate;
 # the scan's rows run by decreasing weight with the duplicate dropped, and the chosen cone runs the main pass.

@@ -91,6 +91,8 @@ n_keys = st.one_of(st.sampled_from([0, 1]), st.integers(2, 2_000))
 @example(alphas=[0.3, 0.8, 2.0, 0.5], n=1_024, seed=1, shared=False)
 @example(alphas=[0.5, 0.5], n=0, seed=2, shared=False)
 @example(alphas=[1.0], n=1, seed=3, shared=False)
+# both samplers give up: the small alphas keep drawing sub-elliptic vectors
+@example(alphas=[0.5, 0.0546875, 0.0546875, 0.0546875, 0.0625, 0.5, 0.0625], n=660, seed=0, shared=False)
 @settings(max_examples=30, deadline=None)
 @given(
     alphas=st.lists(alpha, min_size=1, max_size=8),
@@ -103,8 +105,9 @@ def test_matches_per_component_oracle(alphas, n, seed, shared):
     if shared and n:
         # every lane on one key, as transitions_for passes a single site's key
         keys = np.broadcast_to(keys[:1], (n,))
-    shape, _ = assert_same(alphas, keys)
-    assert shape == (n, len(alphas))
+    got = assert_same(alphas, keys)
+    if not isinstance(got, str):  # a NumericError's message, equal on both sides, has no shape
+        assert got[0] == (n, len(alphas))
 
 
 def test_several_redraw_rounds_match(monkeypatch):

@@ -19,11 +19,29 @@ from rwre_lab import (
     solomon_1d,
 )
 from rwre_lab.lattice import step_table
-from rwre_lab.oracle import MAX_LAYER_SITES, SolomonVerdict
+from rwre_lab.oracle import MAX_LAYER_SITES, AnnealedExit, SolomonVerdict
+from rwre_lab.rng import TAG_ENV, derive_key
+from rwre_lab.stats import _normal_ci
 
 
 def hom_env(probs, seed=0):
     return QuenchedEnvironment(Homogeneous(TransitionVector(probs)), seed)
+
+
+MIXTURE2D = FiniteMixture(
+    (TransitionVector([0.4, 0.1, 0.25, 0.25]), TransitionVector([0.1, 0.4, 0.25, 0.25])), (0.6, 0.4)
+)
+
+
+def ref_annealed_exit(model, region, start, target_class, n_env, master_seed) -> AnnealedExit:
+    """Reference: ``annealed_exit`` as it was when it built the region again for every environment."""
+    vals = np.empty(n_env)
+    for i in range(n_env):
+        problem = region.build(QuenchedEnvironment(model, int(derive_key(master_seed, TAG_ENV, i))), start)
+        vals[i] = exact_quenched_exit(problem, target_class)
+    mean = float(vals.mean())
+    sd = float(vals.std(ddof=1)) if n_env > 1 else 0.0
+    return AnnealedExit(mean, _normal_ci(mean, sd, n_env), n_env, sd)
 
 
 def dense_exit(problem, targets: set[str]) -> float:
@@ -225,8 +243,6 @@ class TestAnnealedExit:
         assert res.mean == pytest.approx(49 / 58, abs=1e-9)
 
     def test_single_env_matches_exact_bitwise(self):
-        from rwre_lab.rng import TAG_ENV, derive_key
-
         model = Dirichlet((1.0, 1.0))
         res = annealed_exit(model, IntervalRegion(-3, 3), (0,), "Right", 1, 99)
         env = QuenchedEnvironment(model, int(derive_key(99, TAG_ENV, 0)))
@@ -244,3 +260,18 @@ class TestAnnealedExit:
         width_few = few.ci[1] - few.ci[0]
         width_many = many.ci[1] - many.ci[0]
         assert width_many < width_few
+
+    @pytest.mark.parametrize(
+        "model, region, start, target",
+        [
+            (Dirichlet((1.0, 1.0)), IntervalRegion(-4, 6), (0,), "Right"),
+            (Dirichlet((1.5, 1.2, 1.35, 1.35)), SlabRegion((1.0, 0.0), 1.0, 5.0, 6), None, "Left"),
+            (Dirichlet((1.5, 1.2, 1.35, 1.35)), SlabRegion((1.0, 1.0), 0.5, 4.0, 5), None, {"Left", "Side"}),
+            (MIXTURE2D, BoxRegion((-3, -2), (2, 3)), (0, 0), "high0"),
+        ],
+        ids=["interval", "slab", "tilted-slab", "box"],
+    )
+    def test_one_build_matches_a_build_per_environment(self, model, region, start, target):
+        for n_env in (1, 2, 8):
+            got = annealed_exit(model, region, start, target, n_env, 17)
+            assert got == ref_annealed_exit(model, region, start, target, n_env, 17)

@@ -1,5 +1,7 @@
 """The path estimators against the per-estimator loops they replaced.
 
+``ref_classify_levels`` is the transience class rule as it was when it read
+a walk's whole level array, before it read the four level facts.
 ``ref_classify_transience``, ``ref_estimate_speed``, ``ref_zero_one_scan``,
 ``ref_raw_direction`` and ``ref_antipodal_clustering`` are those estimators as
 they were when each read every walk in its own loop, ``ref_final_position``
@@ -28,7 +30,6 @@ from rwre_lab.stats import (
     Verdict,
     ZeroOneScanResult,
     _angle,
-    _classify_levels,
     _normal_ci,
     _resolve_thresholds,
     _stable_norm,
@@ -47,6 +48,17 @@ from rwre_lab.walk import simulate_ensemble
 # ---------------------------------------------------------------- oracles
 
 
+def ref_classify_levels(s, thr, dip):
+    half = s.shape[0] // 2
+    tail = s[half:]
+    final = s[-1]
+    if final >= thr and (tail.max() - final) <= dip:
+        return 1
+    if final <= -thr and (final - tail.min()) <= dip:
+        return -1
+    return 0
+
+
 def ref_final_position(t):
     return t.positions()[-1]
 
@@ -58,7 +70,7 @@ def ref_classify_transience(trajs, l, level_threshold=None, dip_allowance=None):
     thr, dip = _resolve_thresholds(len(trajs[0]), level_threshold, dip_allowance)
     n_plus = n_minus = 0
     for t in trajs:
-        c = _classify_levels(t.positions() @ lv, thr, dip)
+        c = ref_classify_levels(t.positions() @ lv, thr, dip)
         if c > 0:
             n_plus += 1
         elif c < 0:
@@ -81,7 +93,7 @@ def ref_estimate_speed(trajs, l, level_threshold=None, dip_allowance=None):
         s = t.positions() @ lv
         n = max(len(t), 1)
         vals[i] = s[-1] / n
-        cls[i] = _classify_levels(s, thr, dip)
+        cls[i] = ref_classify_levels(s, thr, dip)
     mean = float(vals.mean())
     sd = float(vals.std(ddof=1)) if len(trajs) > 1 else 0.0
     plus = vals[cls > 0]
@@ -174,7 +186,7 @@ def ref_zero_one_scan(
     for t in trajs:
         pos = t.positions().astype(np.float64)
         for a in range(n_angles):
-            c = _classify_levels(pos @ dirs[a], thr, dip)
+            c = ref_classify_levels(pos @ dirs[a], thr, dip)
             if c > 0:
                 counts[a, 0] += 1
             elif c < 0:
@@ -371,7 +383,7 @@ def test_walk_classes_read_each_direction_column(kind, d):
         assert cls.shape == final.shape == (len(trajs), len(dirs))
         for a, lv in enumerate(dirs):
             levels = [t.positions() @ lv for t in trajs]
-            assert np.array_equal(cls[:, a], [_classify_levels(s, thr, dip) for s in levels])
+            assert np.array_equal(cls[:, a], [ref_classify_levels(s, thr, dip) for s in levels])
             assert np.array_equal(final[:, a], [s[-1] for s in levels])
 
 
@@ -381,6 +393,6 @@ def test_identity_lhs_ci_matches_pooled_increments(d):
     spec = ConeSpec((1,) * d, ((1,),) if d == 1 else ((1, 1), (1, -1)), Fraction(1, 2) if d > 1 else Fraction(1), l)
     trajs = simulate_ensemble(model_of("homogeneous", d), 90 + d, 40, 1500)
     records = [detect_renewals(t, spec, 150) for t in trajs]
-    report = renewal_mean_identity(trajs, records, spec, n_boot=100)
+    report = renewal_mean_identity(records, spec, n_boot=100)
     assert not isinstance(report, InsufficientData)
     assert report.lhs_ci == ref_lhs_ci(records, spec)

@@ -4,7 +4,8 @@
 rule replaced its three exit searches (a block window minimum, a 16-step
 near-exit table and a block-doubling far-exit scan), and ``ref_level_hits``
 and ``ref_renewal_mean_identity`` are the level-hit rule and the identity
-estimator that kept every walk's full level array.  ``ref_lambda_scan`` is
+estimator that kept every walk's full level array and classed each walk by
+it (``ref_classify_levels``).  ``ref_lambda_scan`` is
 the interpolation-weight scan that ran ``detect_renewals`` once per walk and
 grid value, and ``ref_first_exit`` the first-exit rule on int64 face tables
 alone.  They are kept as oracles: the scan must reproduce their records,
@@ -36,12 +37,13 @@ from rwre_lab.stats import (
     InsufficientData,
     RenewalIdentityReport,
     _binom_ci,
-    _classify_levels,
+    _level_class,
     _normal_ci,
     _resolve_thresholds,
     renewal_mean_identity,
 )
 from rwre_lab.walk import simulate_ensemble
+from test_path_estimators import ref_classify_levels
 
 # ---------------------------------------------------------------- oracles
 
@@ -162,9 +164,11 @@ def ref_level_hits(s, i_min, i_max):
     return out
 
 
-def ref_renewal_mean_identity(trajs, records, spec, window=None, n_boot=1000, boot_seed=12345):
+def ref_renewal_mean_identity(
+    trajs, records, spec, window=None, level_threshold=None, dip_allowance=None, n_boot=1000, boot_seed=12345
+):
     lv = np.asarray(spec.l, dtype=np.int64)
-    thr, dip = _resolve_thresholds(len(trajs[0]), None, None)
+    thr, dip = _resolve_thresholds(len(trajs[0]), level_threshold, dip_allowance)
     n = len(trajs)
     inc_sum, inc_cnt = np.zeros(n), np.zeros(n)
     is_plus, stays = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
@@ -175,7 +179,7 @@ def ref_renewal_mean_identity(trajs, records, spec, window=None, n_boot=1000, bo
         s = pos @ lv
         all_s.append(s)
         max_lv[i] = s.max()
-        is_plus[i] = _classify_levels(s.astype(np.float64), thr, dip) > 0
+        is_plus[i] = ref_classify_levels(s.astype(np.float64), thr, dip) > 0
         stays[i] = bool(((pos @ spec.matrix.T) >= 0).all())
         inc = rec.increments()
         if inc.shape[0]:
@@ -431,6 +435,10 @@ def identity_sample(case):
     return trajs, [detect_renewals(t, spec, 150) for t in trajs], spec
 
 
+# explicit thresholds leave 3 to 5 walks of each sample out of the forward class, and more with no dip allowed
+IDENTITY_THRESHOLDS = [(None, None), (300.0, 2.0), (200.0, 0.0)]
+
+
 @pytest.mark.parametrize("window", [None, (3, 40), (1, 1), (50, 10**4), "past-top"], ids=str)
 @pytest.mark.parametrize("case", sorted(LEVEL_CASES))
 def test_identity_report_matches_old_level_hits(case, window):
@@ -441,19 +449,47 @@ def test_identity_report_matches_old_level_hits(case, window):
     if past:  # one level past every walk's top: no hits
         top = max(r.top_level for r in records) + 1
         window = (top, top)
-    got = renewal_mean_identity(trajs, records, spec, window=window, n_boot=200)
-    want = ref_renewal_mean_identity(trajs, records, spec, window=window, n_boot=200)
-    assert type(got) is type(want)
-    assert vars(got) == vars(want)
-    assert isinstance(got, InsufficientData if past else RenewalIdentityReport)
+    for thr, dip in IDENTITY_THRESHOLDS:
+        got = renewal_mean_identity(records, spec, window, thr, dip, n_boot=200)
+        want = ref_renewal_mean_identity(trajs, records, spec, window, thr, dip, n_boot=200)
+        assert type(got) is type(want)
+        assert vars(got) == vars(want)
+        assert isinstance(got, InsufficientData if past else RenewalIdentityReport)
 
 
 @pytest.mark.parametrize("window", [None, (3, 40)], ids=str)
 def test_records_without_level_facts_are_insufficient(window):
-    trajs, records, spec = identity_sample("2")
+    _, records, spec = identity_sample("2")
     bare = [RenewalRecord(r.times, r.positions, r.confirm_horizon, r.censored_tail) for r in records]
-    assert isinstance(renewal_mean_identity(trajs, records, spec, window=window, n_boot=50), RenewalIdentityReport)
-    assert isinstance(renewal_mean_identity(trajs, bare, spec, window=window, n_boot=50), InsufficientData)
+    assert isinstance(renewal_mean_identity(records, spec, window=window, n_boot=50), RenewalIdentityReport)
+    assert isinstance(renewal_mean_identity(bare, spec, window=window, n_boot=50), InsufficientData)
+
+
+def class_walks(N):
+    """Plus-drift, minus-drift and centred 2D walks of N steps, and one whose level peaks just before its last half."""
+    laws = (drift_probs((1, 0), 1.5), drift_probs((-1, 0), 1.5), np.full(4, 0.25))
+    walks = [t for k, p in enumerate(laws) for t in simulate_ensemble(Homogeneous(TransitionVector(p)), 60 + k, 40, N)]
+    h = (N + 1) // 2  # the last half of the levels s[0..N] is s[h:]
+    # up along e1 to level h - 1 at time h - 1, one step down, then sideways along e2
+    return walks + [Trajectory(np.asarray([0] * (h - 1) + [1] + [2] * (N - h), np.int8), 2, 0)]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 1501])
+def test_record_class_matches_level_array_rule(N):
+    """A record's level facts give the class that the old rule gave on the walk's whole level array."""
+    sigma, basis, _ = CONES[2][0]
+    spec = ConeSpec(sigma, basis, Fraction(1, 2), (1, 0))
+    seen = set()
+    for t in class_walks(N):
+        rec = detect_renewals(t, spec, 10)
+        s = (t.positions() @ np.asarray(spec.l)).astype(np.float64)
+        assert rec.n_steps == N
+        for level_threshold, dip_allowance in ((None, None), (1.0, 0.0), (N**0.5, 0.0)):
+            thr, dip = _resolve_thresholds(rec.n_steps, level_threshold, dip_allowance)
+            want = ref_classify_levels(s, thr, dip)
+            assert _level_class(rec.final_level, rec.tail_max, rec.tail_min, thr, dip) == want
+            seen.add(want)
+    assert seen == {-1, 0, 1}
 
 
 # ---------------------------------------------------------------- lambda scan
@@ -520,12 +556,11 @@ def position_calls(monkeypatch):
     return calls
 
 
-def test_identity_builds_each_path_once(position_calls):
-    trajs, records, spec = identity_sample("2-l21")
+def test_identity_builds_no_path(position_calls):
+    _, records, spec = identity_sample("2-l21")
     position_calls.clear()
-    assert isinstance(renewal_mean_identity(trajs, records, spec, n_boot=50), RenewalIdentityReport)
-    assert len(position_calls) == len(trajs)
-    assert len({id(t) for t in position_calls}) == len(trajs)
+    assert isinstance(renewal_mean_identity(records, spec, n_boot=50), RenewalIdentityReport)
+    assert position_calls == []
 
 
 def test_lambda_scan_builds_each_path_once(position_calls):

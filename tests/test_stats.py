@@ -203,7 +203,7 @@ class TestRenewalIdentity:
         spec = ConeSpec((1,), ((1,),), Fraction(1), (1,))
         trajs = simulate_ensemble(model, 51, 200, 3000)
         records = [detect_renewals(t, spec, 300) for t in trajs]
-        rep = renewal_mean_identity(trajs, records, spec, n_boot=200)
+        rep = renewal_mean_identity(records, spec, n_boot=200)
         assert rep.hit_level_prob == 1.0
         assert 0.8 <= rep.ratio <= 1.2
 
@@ -212,13 +212,13 @@ class TestRenewalIdentity:
         spec = ConeSpec((1,), ((1,),), Fraction(1), (1,))
         trajs = simulate_ensemble(model, 51, 50, 500)
         records = [detect_renewals(t, spec, 50) for t in trajs]
-        rep = renewal_mean_identity(trajs, records, spec, window=(10**6, 10**6 + 1))
+        rep = renewal_mean_identity(records, spec, window=(10**6, 10**6 + 1))
         assert isinstance(rep, InsufficientData)
 
     def test_no_renewals_is_insufficient(self, srw2d):
         trajs = simulate_ensemble(srw2d, 52, 30, 400)
         records = [detect_renewals(t, DIAG, 200) for t in trajs]
-        rep = renewal_mean_identity(trajs, records, DIAG)
+        rep = renewal_mean_identity(records, DIAG)
         assert isinstance(rep, InsufficientData)
 
 
