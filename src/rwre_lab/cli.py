@@ -105,7 +105,15 @@ def _naming(path: str) -> Iterator[None]:
 
 
 class _NoRenewals(Exception):
-    """Raised internally when the scan finds no workable cone; maps to exit 3."""
+    """Raised internally when the scan finds no workable cone; maps to exit 3.
+
+    ``rows`` are the scan's per-weight rows, which explain the verdict;
+    the manifest records them.
+    """
+
+    def __init__(self, message: str, rows: list[dict]):
+        super().__init__(message)
+        self.rows = rows
 
 
 def _insufficient_row(kind: str, reason: str) -> dict:
@@ -160,7 +168,7 @@ def _cone_spec_from(cfg: ExperimentConfig) -> tuple[ConeSpec, list[dict]]:
         for row in result.rows
     ]
     if not result.found:
-        raise _NoRenewals("no lambda on the grid met the renewal-rate floor")
+        raise _NoRenewals("no lambda on the grid met the renewal-rate floor", rows)
     return cfg.cones[result.chosen], rows
 
 
@@ -714,7 +722,13 @@ def _write_outputs(
     config_hash: str,
     seed: int,
     started: str,
+    lambda_scan: list[dict] | None = None,
 ) -> list[str]:
+    """Write results.jsonl, curves.csv when there are curves, and manifest.json.
+
+    ``lambda_scan`` holds the rows of a weight scan that found no weight; the
+    manifest records them, and results.jsonl does not.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_results(fh: TextIO) -> None:
@@ -742,6 +756,8 @@ def _write_outputs(
         "parameters": _jsonable(cfg.raw),
         "outputs": outputs,
     }
+    if lambda_scan is not None:
+        manifest["lambda_scan"] = _jsonable(lambda_scan)
     manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     _replace_atomically(out_dir / "manifest.json", lambda fh: fh.write(manifest_text))
     outputs.append("manifest.json")
@@ -761,10 +777,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         if not found.is_dir():
             raise ConfigError(f"output path {str(out_dir)!r}: {str(found)!r} exists and is not a directory")
         config_hash = hashlib.sha256(path.read_bytes()).hexdigest()
+        scan_rows = None
         try:
             rows, curves, insufficient = _RUNNERS[cfg["experiment"]](cfg)
         except _NoRenewals as exc:
             rows, curves, insufficient = [_insufficient_row("lambda-scan", str(exc))], None, True
+            scan_rows = exc.rows
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -772,7 +790,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return 4
     try:
-        _write_outputs(out_dir, rows, curves, cfg, config_hash, cfg["master_seed"], started)
+        _write_outputs(out_dir, rows, curves, cfg, config_hash, cfg["master_seed"], started, scan_rows)
     except OSError as exc:
         print(f"error: cannot write outputs to {str(out_dir)!r}: {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,7 @@ from .rng import (
     U64,
     as_u64,
     derive_key,
+    fold_key,
     stream_normal,
     stream_u01,
     stream_u01_open,
@@ -264,11 +265,26 @@ def _step_index(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     return j
 
 
-def site_stream_keys(env_seed, coords: np.ndarray) -> np.ndarray:
-    """Stream keys for a batch of sites: hash of (env seed, tag, coordinates)."""
+def site_key_prefix(env_seeds):
+    """The part of a site's stream key its environment seed fixes, one per seed.
+
+    A caller that looks up sites of the same environments many times hashes
+    it once and passes it to ``transitions_for`` as ``site_prefix``.
+    """
+    return derive_key(env_seeds, TAG_SITE)
+
+
+def site_stream_keys(env_seed, coords: np.ndarray, site_prefix=None) -> np.ndarray:
+    """Stream keys for a batch of sites: hash of (env seed, tag, coordinates).
+
+    ``site_prefix`` is ``site_key_prefix(env_seed)`` when the caller already
+    holds it; only the coordinates are then folded in, and ``env_seed`` is
+    not read.
+    """
     coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
-    words = [env_seed, TAG_SITE] + [coords[:, a] for a in range(coords.shape[1])]
-    keys = derive_key(*words)
+    if site_prefix is None:
+        site_prefix = site_key_prefix(env_seed)
+    keys = fold_key(site_prefix, *(coords[:, a] for a in range(coords.shape[1])))
     return np.atleast_1d(keys)
 
 
@@ -279,12 +295,13 @@ def constant_vector(model: EnvironmentModel) -> TransitionVector | None:
     return None
 
 
-def transitions_for(model: EnvironmentModel, env_seeds, coords: np.ndarray) -> np.ndarray:
+def transitions_for(model: EnvironmentModel, env_seeds, coords: np.ndarray, *, site_prefix=None) -> np.ndarray:
     """Transition vectors for a batch of sites, one environment seed per row.
 
     ``env_seeds`` may be a scalar (one shared environment) or a per-row array.
-    The result is a (n, 2d) probability matrix; rows are pure functions of
-    (seed, site, model).
+    ``site_prefix``, when given, is ``site_key_prefix(env_seeds)`` and stands
+    in for ``env_seeds``, which is then not read.  The result is a (n, 2d)
+    probability matrix; rows are pure functions of (seed, site, model).
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
     n = coords.shape[0]
@@ -293,7 +310,7 @@ def transitions_for(model: EnvironmentModel, env_seeds, coords: np.ndarray) -> n
     vec = constant_vector(model)
     if vec is not None:
         return np.broadcast_to(vec.probs, (n, 2 * model.dim))
-    keys = site_stream_keys(env_seeds, coords)
+    keys = site_stream_keys(env_seeds, coords, site_prefix)
     if isinstance(model, FiniteMixture):
         idx = _step_index(np.asarray(model.weights), stream_u01(keys, 0))
         return np.take(model.atom_matrix(), idx, axis=0)

@@ -51,7 +51,15 @@ def mix64(z):
 
 def derive_key(*words):
     """Hash a tuple of integers (scalars or broadcastable arrays) into a key."""
-    h = _IV
+    return fold_key(_IV, *words)
+
+
+def fold_key(h, *words):
+    """Continue a ``derive_key`` fold from the state ``h`` a prefix of the words left.
+
+    ``derive_key(*w) == fold_key(derive_key(*w[:k]), *w[k:])`` bit for bit, so
+    a prefix many keys share is hashed once.
+    """
     for w in words:
         h = mix64(np.add(h, GOLDEN) ^ as_u64(w))
     return h

@@ -20,7 +20,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .env import EnvironmentModel, QuenchedEnvironment, _step_index, constant_vector, transitions_for
+from .env import (
+    EnvironmentModel,
+    QuenchedEnvironment,
+    _step_index,
+    constant_vector,
+    site_key_prefix,
+    transitions_for,
+)
 from .errors import ConfigError
 from .lattice import check_dim, decode_signed_axis, signed_axis_table, step_table
 from .rng import TAG_ENV, TAG_STEP, TAG_WALKER, as_u64, derive_key, stream_u01
@@ -146,22 +153,26 @@ def env_seed_for(master_seed: int, walker_id: int) -> int:
 def _step(
     model: EnvironmentModel,
     step_keys: np.ndarray,
-    env_keys: np.ndarray,
+    site_prefix: np.ndarray,
     pos: np.ndarray,
     t: int,
 ) -> np.ndarray:
     """Lockstep kernel: every walker takes its step ``t``; ``pos`` moves in place.
 
     Returns the direction indices taken.  Each walker's law is read from the
-    environment at ``pos``; a law every site shares comes back as one
-    broadcast row.
+    environment at ``pos``, whose site keys continue from the walker's
+    ``site_key_prefix``; a law every site shares comes back as one broadcast
+    row.
     """
-    j = _step_index(transitions_for(model, env_keys, pos), stream_u01(step_keys, t))
+    j = _step_index(transitions_for(model, None, pos, site_prefix=site_prefix), stream_u01(step_keys, t))
     pos += np.take(step_table(model.dim), j, axis=0)
     return j
 
 
-_TILE_DRAWS = 1 << 16  # draws per tile of a shared law: 2**14 and 2**16 cost the same, 2**18 leaves cache
+# Draws per tile of a shared law.  A tile's float64 temporaries are then
+# 128 KiB, which the allocator hands back and reuses; at 2**16 (512 KiB) a
+# fresh process mapped and faulted them anew for every tile.  2**18 leaves cache.
+_TILE_DRAWS = 1 << 14
 
 
 def _simulate_block(
@@ -186,8 +197,9 @@ def _simulate_block(
             steps[:, t0 : t0 + cols] = _step_index(vec.probs, stream_u01(step_keys[:, None], t))
         return steps
     pos = np.zeros((walker_seeds.shape[0], model.dim), dtype=np.int64)
+    site_prefix = site_key_prefix(env_seeds)
     for t in range(horizon):
-        steps[:, t] = _step(model, step_keys, env_seeds, pos, t)
+        steps[:, t] = _step(model, step_keys, site_prefix, pos, t)
     return steps
 
 
@@ -320,26 +332,35 @@ def _slab_block(
     The slabs are nested, so walker i keeps k_i, the narrowest slab it has not
     left: it has left slabs 0 to k_i - 1 and is inside every slab from k_i on.
     An exit is tallied at k_i and moves it up; one step can cross several faces.
+    Past the widest slab k_i reaches a slab of width inf, which no walker
+    leaves, so a dead lane keeps stepping untallied until a quarter of the
+    lanes are dead and the live ones are gathered at once.
     """
-    widths = np.asarray(Ls, dtype=np.float64)
+    n_widths = len(Ls)
+    widths = np.append(np.asarray(Ls, dtype=np.float64), np.inf)
     step_keys = derive_key(walker_seeds, TAG_STEP)
+    site_prefix = site_key_prefix(env_seeds)
     pos = np.zeros((walker_seeds.shape[0], model.dim), dtype=np.int64)
     k = np.zeros(walker_seeds.shape[0], dtype=np.intp)
-    tally = np.zeros((widths.shape[0], 2), dtype=np.int64)
+    tally = np.zeros((n_widths, 2), dtype=np.int64)
     for t in range(horizon):
-        if step_keys.shape[0] == 0:
+        if k.shape[0] == 0:
             break
-        _step(model, step_keys, env_seeds, pos, t)
+        _step(model, step_keys, site_prefix, pos, t)
         proj = pos @ l_prime
         right, left = _slab_exits(proj, b, widths[k])
-        while right.any() or left.any():
-            tally[:, 0] += np.bincount(k[right], minlength=widths.shape[0])
-            tally[:, 1] += np.bincount(k[left], minlength=widths.shape[0])
-            k += right | left
-            keep = k < widths.shape[0]
-            if not keep.all():
-                pos, proj, k, step_keys, env_seeds = (a[keep] for a in (pos, proj, k, step_keys, env_seeds))
+        moved = right | left
+        if not moved.any():
+            continue
+        while moved.any():
+            tally[:, 0] += np.bincount(k[right], minlength=n_widths)
+            tally[:, 1] += np.bincount(k[left], minlength=n_widths)
+            k += moved
             right, left = _slab_exits(proj, b, widths[k])
+            moved = right | left
+        if 4 * np.count_nonzero(k == n_widths) >= k.shape[0]:
+            live = np.flatnonzero(k < n_widths)
+            pos, k, step_keys, site_prefix = pos[live], k[live], step_keys[live], site_prefix[live]
     return tally
 
 

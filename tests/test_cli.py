@@ -933,3 +933,40 @@ def test_identity_output_bytes_pinned(tmp_path):
     code = run_cli("run", "--config", write_config(tmp_path, "identity.json", cfg), "--out", out)
     digest = hashlib.sha256((out / "results.jsonl").read_bytes()).hexdigest()
     assert (code, digest) == (0, "ba8fd49bf82206314fa6c43cf1813d89ca7659ecc2d84ab102beff1c1b1623cb")
+
+
+# results.jsonl and curves.csv digests of a mixture slab run: 600 walkers leave the three slabs over 300 steps,
+# and some are still inside the widest one at the horizon
+SLAB_MIXTURE = {"kind": "mixture", "atoms": [[0.4, 0.1, 0.25, 0.25], [0.1, 0.4, 0.25, 0.25]], "weights": [0.6, 0.4]}
+SLAB_DIGESTS = (
+    "0ed76d1d3c14a2bbb0ede79deee5402b7f22fd6743ecc136ac53666e881e1616",
+    "36b5e160774ee3a0ac420db082c955830833289b7fe006068d4646d0aaff4f73",
+)
+
+
+def test_mixture_slab_output_bytes_pinned(tmp_path):
+    cfg = {**slab_config(L_list=[2, 4, 8]), "model": SLAB_MIXTURE, "n_walks": 600, "horizon": 300}
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", write_config(tmp_path, "slab.json", cfg), "--out", out) == 0
+    rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert 0 < rows[-2]["n_censored"] < 600
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("results.jsonl", "curves.csv"))
+    assert digests == SLAB_DIGESTS
+
+
+def test_failed_scan_rows_reach_the_manifest(tmp_path):
+    # a centred walk renews far below a floor of 500 per 1,000 steps at every weight on the grid
+    cfg = with_block(
+        cone_run("renewal", model={"kind": "homogeneous", "probs": [0.25] * 4}, n_walks=20, horizon=400),
+        "thresholds",
+        renewal_rate_floor=500,
+    )
+    cfg["cone"] = {**cfg["cone"], "lambda": "scan"}
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", write_config(tmp_path, "scan.json", cfg), "--out", out) == 3
+    (row,) = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert row["record"] == "lambda-scan" and row["insufficient_data"] is True
+    scan = json.loads((out / "manifest.json").read_text())["lambda_scan"]
+    assert [r["lambda"] for r in scan] == ["1", "1/2", "1/4", "1/8"]
+    assert all(r["record"] == "lambda-scan" and r["floor"] == 500 and r["rate_per_1k"] < 500 for r in scan)
+    assert sum(r["confirmed"] for r in scan) > 0

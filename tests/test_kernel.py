@@ -8,7 +8,10 @@ one block and must reproduce their step matrices and slab tallies exactly, so
 the grouping of walkers changes nothing.  One multi-width slab pass must
 reproduce ``ref_slab_block`` run once per width.  A law every site shares
 draws a tile of times at once; horizons that span several tiles and end
-mid-tile must give the old kernel's steps too.  The counting rule
+mid-tile must give the old kernel's steps too.  The slab pass drops walkers
+that left every slab in batches, so some still step when the horizon ends;
+its tallies must not see them.  A site key continued from its hashed
+environment prefix must equal the key hashed whole.  The counting rule
 that picks a step from a site's law, or from the law every site shares, must
 equal the cumsum-and-clip and ``searchsorted`` expressions those kernels used,
 and the same rule picking a mixture site's atom must equal the
@@ -21,10 +24,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rwre_lab import Dirichlet, FiniteMixture, Homogeneous, PerturbedSRW, QuenchedEnvironment, TransitionVector
-from rwre_lab.env import _step_index, site_stream_keys, transitions_for
+from rwre_lab import Dirichlet, FiniteMixture, Homogeneous, PerturbedSRW, QuenchedEnvironment, TransitionVector, walk
+from rwre_lab.env import _step_index, site_key_prefix, site_stream_keys, transitions_for
 from rwre_lab.lattice import step_table
-from rwre_lab.rng import TAG_STEP, as_u64, derive_key, stream_u01
+from rwre_lab.rng import TAG_SITE, TAG_STEP, as_u64, derive_key, fold_key, stream_u01
 from rwre_lab.walk import _TILE_DRAWS, _simulate_block, ensemble_seeds, run_slab_ensemble, simulate, simulate_ensemble
 
 
@@ -101,7 +104,7 @@ MODELS = {
 SHAPES = [(0, 30, 3), (7, 0, 3), (7, 30, 3), (7, 30, 1024)]
 
 
-# 5,000 walkers draw 13 times a tile: 40 steps are three full tiles and one column
+# 5,000 walkers draw 3 times a tile: 40 steps are 13 full tiles and one column
 TILE_SHAPES = [(5000, 40, 1024)]
 
 
@@ -132,8 +135,8 @@ def constant_law(kind, d):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", ["homogeneous", "perturbed-srw"])
 def test_tiles_match_old_kernel_and_one_walker(kind, d):
-    # 100 walkers draw 655 times a tile: 2,000 steps are three full tiles and 35 columns
-    model, n, horizon = constant_law(kind, d), 100, 2000
+    # 100 walkers draw 163 times a tile: 524 steps are three full tiles and 35 columns
+    model, n, horizon = constant_law(kind, d), 100, 3 * 163 + 35
     assert horizon // (_TILE_DRAWS // n) == 3 and horizon % (_TILE_DRAWS // n)
     env_seeds, walk_seeds = ensemble_seeds(75, n)
     block = _simulate_block(model, env_seeds, walk_seeds, horizon)
@@ -217,6 +220,61 @@ def test_one_pass_keeps_walkers_that_left_narrower_slabs(name):
         tallies = run_slab_ensemble(model, 74, 40, lp, 0.7, list(Ls), 6)
         assert [(t.n_right, t.n_left, t.n_censored) for t in tallies] == want
         assert tallies[0].n_exits > tallies[-1].n_exits and tallies[-1].n_censored > 0
+
+
+# (horizon, widths): every walker leaves both slabs long before 400 steps, so the dead lanes are dropped in several
+# batches and the pass stops early; at 60 steps many walkers are still inside the widest slab, and walkers that
+# have left it are still stepping, not yet dropped
+COMPACTION_CASES = [(400, (1.0, 2.0)), (60, (1.0, 2.0, 12.0))]
+
+
+@pytest.mark.parametrize("case", COMPACTION_CASES, ids=str)
+@pytest.mark.parametrize("name", list(MODELS))
+def test_one_pass_drops_dead_lanes_in_batches(name, case, monkeypatch):
+    model, (horizon, Ls) = MODELS[name], case
+    lanes = []
+    step = walk._step
+
+    def counted(model, step_keys, *rest):
+        lanes.append(step_keys.shape[0])
+        return step(model, step_keys, *rest)
+
+    monkeypatch.setattr(walk, "_step", counted)
+    for lp in slab_directions(model.dim):
+        for b in (1.0, 0.7):
+            lanes.clear()
+            want = ref_slab_tallies(model, 77, 400, lp, b, Ls, horizon, 1024)
+            tallies = run_slab_ensemble(model, 77, 400, lp, b, list(Ls), horizon)
+            assert [(t.n_right, t.n_left, t.n_censored) for t in tallies] == want
+            if horizon == 400:
+                assert len(lanes) < horizon and len(set(lanes)) >= 4 and tallies[-1].n_censored == 0
+            else:
+                assert lanes[-1] > tallies[-1].n_censored > 0
+
+
+@pytest.mark.parametrize("n_words", [2, 3, 4, 5])
+def test_fold_continues_derive_key(n_words):
+    gen = np.random.default_rng(n_words)
+    scalars = [int(w) for w in gen.integers(-(2**63), 2**63, n_words, dtype=np.int64)]
+    arrays = [gen.integers(-(2**63), 2**63, 40, dtype=np.int64) for _ in range(n_words)]
+    for words in (scalars, arrays, scalars[:2] + arrays[2:]):
+        whole = np.asarray(derive_key(*words))
+        for k in range(n_words + 1):
+            part = np.asarray(fold_key(derive_key(*words[:k]), *words[k:]))
+            assert part.dtype == np.uint64 and part.shape == whole.shape and part.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_site_prefix_gives_the_same_bytes(name):
+    model = MODELS[name]
+    coords = np.random.default_rng(8).integers(-50, 50, size=(300, model.dim))
+    seeds = derive_key(9, np.arange(300))
+    for env_seeds, sites in ((as_u64(77), coords), (seeds, coords), (seeds[:0], coords[:0])):
+        keys = site_stream_keys(env_seeds, sites)
+        assert np.array_equal(keys, np.atleast_1d(derive_key(env_seeds, TAG_SITE, *sites.T)))
+        want = transitions_for(model, env_seeds, sites)
+        got = transitions_for(model, None, sites, site_prefix=site_key_prefix(env_seeds))
+        assert got.shape == want.shape == (sites.shape[0], 2 * model.dim) and got.tobytes() == want.tobytes()
 
 
 def ref_step_index(w, u):
