@@ -954,6 +954,27 @@ def test_mixture_slab_output_bytes_pinned(tmp_path):
     assert digests == SLAB_DIGESTS
 
 
+# results.jsonl digests of two Dirichlet runs, which read every site's law through its hashed key:
+# a simulate run, whose walkers step in lockstep, and an oracle-compare run, whose exact solve reads
+# the environment through QuenchedEnvironment and whose Monte Carlo check runs the slab pass
+DIRICHLET_DIGESTS = {
+    "simulate": "3b6c471a6eadfd2ec362c26c3be56f5ebbcad9d0db2141ce8fa6600791057036",
+    "oracle-compare": "05d739075afa0d873c0ac06c55433a1341ce779f9975efda601a81efb1c9330d",
+}
+DIRICHLET_CONFIGS = {
+    "simulate": simulate_config(model={"kind": "dirichlet", "alphas": [1.5, 1.2, 1.35, 1.35]}, n_walks=30, horizon=200),
+    "oracle-compare": oracle_config(),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(DIRICHLET_DIGESTS))
+def test_dirichlet_output_bytes_pinned(tmp_path, experiment):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "dirichlet.json", DIRICHLET_CONFIGS[experiment])
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    assert hashlib.sha256((out / "results.jsonl").read_bytes()).hexdigest() == DIRICHLET_DIGESTS[experiment]
+
+
 def test_failed_scan_rows_reach_the_manifest(tmp_path):
     # a centred walk renews far below a floor of 500 per 1,000 steps at every weight on the grid
     cfg = with_block(
