@@ -70,7 +70,7 @@ from .stats import (
     slab_exit_decay,
     zero_one_scan,
 )
-from .walk import Trajectory, run_slab_ensemble, simulate_ensemble, trajectories_to_jsonl
+from .walk import Trajectory, _check_slab, run_slab_ensemble, simulate_ensemble, trajectories_to_jsonl
 
 ENV_THREADS = "RWRE_LAB_THREADS"
 
@@ -413,7 +413,8 @@ def _checked(t: _Type, ok: Callable[[Any], bool], expected: str) -> _Type:
     return _Type(t.name, read)
 
 
-_INT = _Type("int", _read_int)
+_INTEGER = _Type("int", _read_int)  # any size; only master_seed reads by it, within _SEED_RANGE
+_INT = _checked(_INTEGER, lambda v: -(2**63) <= v < 2**63, "an integer that fits int64")
 _FLOAT = _Type("float", _read_float)
 _RATIONAL = _Type("rational", _read_rational)
 _WEIGHT = _checked(_RATIONAL, lambda w: 0 < w <= 1, "a rational in (0, 1]")
@@ -473,7 +474,7 @@ class _Field(NamedTuple):
 _FIELDS: tuple[_Field, ...] = (
     _Field("experiment", _choice(*EXPERIMENTS)),
     _Field("dimension", _INT, range=(1, 4)),
-    _Field("master_seed", _INT, "unsigned 64-bit (CLI --seed overrides)", range=_SEED_RANGE),
+    _Field("master_seed", _INTEGER, "unsigned 64-bit (CLI --seed overrides)", range=_SEED_RANGE),
     _Field(
         "n_walks", _INT, "walkers in the ensemble", 0, (0, None), floor=(1, ("direction", "slab", "zero-one-scan"))
     ),
@@ -635,6 +636,11 @@ def load_config(path: Path) -> ExperimentConfig:
         if f.floor is not None and experiment in f.floor[1] and fields[f.path] < f.floor[0]:
             value = fields[f.path]
             raise ConfigError(f"config: experiment {experiment!r} needs {f.path!r} >= {f.floor[0]}, got {value}")
+    if experiment == "zero-one-scan" and fields["dimension"] != 2:  # the angular scan is two-dimensional
+        raise ConfigError(f"config: experiment {experiment!r} needs 'dimension' 2, got {fields['dimension']}")
+    if experiment == "slab":
+        with _naming("slab"):  # the widest slab's b * L is the largest
+            _check_slab(fields["slab.l_prime"], fields["slab.b"], fields["slab.L_list"][-1])
     with _naming("model"):
         model = _MODELS[fields["model.kind"]](fields)
     if model.dim != fields["dimension"]:
@@ -649,7 +655,10 @@ def _cones(fields: dict[str, Any]) -> dict[Fraction, ConeSpec]:
     sigma, basis, l, check = (fields[f"cone.{k}"] for k in ("sigma", "basis", "l", "check_direction"))
     weights = fields["cone.lambda_grid"] if fields["cone.lambda"] == "scan" else (fields["cone.lambda"],)
     with _naming("cone"):
-        return {w: ConeSpec(sigma, basis, w, l, check) for w in weights}
+        cones = {w: ConeSpec(sigma, basis, w, l, check) for w in weights}
+        for spec in cones.values():
+            spec.check_steps(fields["horizon"])
+    return cones
 
 
 def _describe(f: _Field) -> str:

@@ -13,9 +13,10 @@ does the path first leave the cone rooted at X_c?  ``_first_exit`` answers it
 for all candidates at once from a sparse table of range minima over each face
 functional, at O(N log min(H, N)) time per face and a transient
 L x (N + 2^L) int32 values per face (int64 when the faces can outgrow
-int32), L = min(H, N + 1).bit_length().  Each walk's positions, levels,
-fresh maxima and face table are built once, and its record keeps the level
-facts the renewal mean identity reads.
+int32, and refused when they or the levels could reach the int64 maximum),
+L = min(H, N + 1).bit_length().  Each walk's positions, levels, fresh maxima
+and face table are built once, and its record keeps the level facts the
+renewal mean identity reads.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ class ConeSpec:
     check_direction: bool = True
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
     _dual: list = field(init=False, repr=False, compare=False)  # inverse of the signed basis
+    face_norm: int = field(init=False, repr=False, compare=False)  # max_k ||row_k||_1 of ``matrix``
 
     def __post_init__(self):
         sigma = tuple(int(s) for s in self.sigma)
@@ -107,14 +109,16 @@ class ConeSpec:
                         "direction l is not strictly interior to the dual of the signed basis "
                         f"(extreme ray {j} has l.ray = {ray_dot})"
                     )
-        mat = np.asarray(rows, dtype=np.int64)
-        mat.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "_dual", dual)
+        object.__setattr__(self, "face_norm", max(sum(map(abs, row)) for row in rows))
+        self.check_steps(1)  # a cone no step can use; its face rows may not fit int64
+        mat = np.asarray(rows, dtype=np.int64)
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
 
     @property
     def dim(self) -> int:
@@ -131,6 +135,12 @@ class ConeSpec:
             g = math.gcd(*[abs(x) for x in ray]) or 1
             rays.append(tuple(x // g for x in ray))
         return rays
+
+    def check_steps(self, n_steps: int) -> None:
+        """Refuse N steps when N * ||l||_1 (levels) or N * max_k ||row_k||_1 (faces) reaches the int64 maximum."""
+        norm = max(self.face_norm, sum(map(abs, self.l)))
+        if n_steps * norm >= np.iinfo(np.int64).max:
+            raise ConfigError(f"walks of {n_steps} steps can reach levels or faces of {n_steps} * {norm}, past int64")
 
     def contains(self, apex, pts) -> np.ndarray:
         """Exact membership of each point (the last axis holds coordinates) in apex + cone."""
@@ -230,11 +240,11 @@ def _faces(P: np.ndarray, spec: ConeSpec) -> np.ndarray:
 
     After N steps every |F[n, k]| is at most N * ||row_k||_1, so the table is
     int32 when N * max_k ||row_k||_1 < 2**31 - 1, which leaves the int32
-    maximum above every entry to pad with, and int64 otherwise.
+    maximum above every entry to pad with.  Otherwise it is int64, which
+    ``ConeSpec.check_steps`` has made sure holds every entry below its maximum.
     """
     F = P @ spec.matrix.T
-    norm = max(sum(map(abs, row)) for row in spec.matrix.tolist())
-    return F.astype(np.int32) if (P.shape[0] - 1) * norm < np.iinfo(np.int32).max else F
+    return F.astype(np.int32) if (P.shape[0] - 1) * spec.face_norm < np.iinfo(np.int32).max else F
 
 
 def _first_exit(F: np.ndarray, cands: np.ndarray, H: int) -> np.ndarray:
@@ -269,6 +279,7 @@ def _levels(traj: Trajectory, spec: ConeSpec, confirm_horizon: int) -> tuple[int
         raise ConfigError("confirm_horizon must be at least 1")
     if spec.dim != traj.dim:
         raise ConfigError("cone dimension does not match trajectory dimension")
+    spec.check_steps(len(traj))
     P = traj.positions()
     s = P @ np.asarray(spec.l, dtype=np.int64)
     return int(confirm_horizon), P, s, _fresh(s)
@@ -363,6 +374,8 @@ def lambda_scan(
     if len({(c.sigma, c.basis, c.l, c.check_direction) for c in cones}) > 1:
         raise ConfigError("the scanned cones must differ only in lambda")
     specs = sorted({c.lam: c for c in cones}.values(), key=lambda c: c.lam, reverse=True)
+    for spec in specs:
+        spec.check_steps(horizon)
     confirmed = [0] * len(specs)
     for t in simulate_ensemble(model, master_seed, n_walks, horizon):
         H, P, _, fresh = _levels(t, specs[0], confirm_horizon)

@@ -266,26 +266,14 @@ def _step_index(w: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def site_key_prefix(env_seeds):
-    """The part of a site's stream key its environment seed fixes, one per seed.
-
-    A caller that looks up sites of the same environments many times hashes
-    it once and passes it to ``transitions_for`` as ``site_prefix``.
-    """
+    """The part of a site's stream key its environment seed fixes, one per seed."""
     return derive_key(env_seeds, TAG_SITE)
 
 
-def site_stream_keys(env_seed, coords: np.ndarray, site_prefix=None) -> np.ndarray:
-    """Stream keys for a batch of sites: hash of (env seed, tag, coordinates).
-
-    ``site_prefix`` is ``site_key_prefix(env_seed)`` when the caller already
-    holds it; only the coordinates are then folded in, and ``env_seed`` is
-    not read.
-    """
+def site_stream_keys(site_prefix, coords: np.ndarray) -> np.ndarray:
+    """Stream keys ``derive_key(env seed, TAG_SITE, *coords)`` of a batch of sites, continued from ``site_prefix``."""
     coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
-    if site_prefix is None:
-        site_prefix = site_key_prefix(env_seed)
-    keys = fold_key(site_prefix, *(coords[:, a] for a in range(coords.shape[1])))
-    return np.atleast_1d(keys)
+    return np.atleast_1d(fold_key(site_prefix, *(coords[:, a] for a in range(coords.shape[1]))))
 
 
 def constant_vector(model: EnvironmentModel) -> TransitionVector | None:
@@ -295,13 +283,12 @@ def constant_vector(model: EnvironmentModel) -> TransitionVector | None:
     return None
 
 
-def transitions_for(model: EnvironmentModel, env_seeds, coords: np.ndarray, *, site_prefix=None) -> np.ndarray:
-    """Transition vectors for a batch of sites, one environment seed per row.
+def transitions_for(model: EnvironmentModel, site_prefix, coords: np.ndarray) -> np.ndarray:
+    """Transition vectors for a batch of sites.
 
-    ``env_seeds`` may be a scalar (one shared environment) or a per-row array.
-    ``site_prefix``, when given, is ``site_key_prefix(env_seeds)`` and stands
-    in for ``env_seeds``, which is then not read.  The result is a (n, 2d)
-    probability matrix; rows are pure functions of (seed, site, model).
+    ``site_prefix`` is ``site_key_prefix(env seeds)``: a scalar for one shared
+    environment, or one value per row.  The result is a (n, 2d) probability
+    matrix; rows are pure functions of (env seed, site, model).
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
     n = coords.shape[0]
@@ -310,7 +297,7 @@ def transitions_for(model: EnvironmentModel, env_seeds, coords: np.ndarray, *, s
     vec = constant_vector(model)
     if vec is not None:
         return np.broadcast_to(vec.probs, (n, 2 * model.dim))
-    keys = site_stream_keys(env_seeds, coords, site_prefix)
+    keys = site_stream_keys(site_prefix, coords)
     if isinstance(model, FiniteMixture):
         idx = _step_index(np.asarray(model.weights), stream_u01(keys, 0))
         return np.take(model.atom_matrix(), idx, axis=0)
@@ -332,7 +319,7 @@ class QuenchedEnvironment:
 
     def transitions_at(self, coords) -> np.ndarray:
         """Vectorized lookup: (n, d) sites -> (n, 2d) probabilities."""
-        return transitions_for(self.model, as_u64(self.master_seed), coords)
+        return transitions_for(self.model, site_key_prefix(as_u64(self.master_seed)), coords)
 
     def transition_at(self, x) -> TransitionVector:
         site = check_site(x, self.dim)

@@ -44,7 +44,6 @@ class Trajectory:
     steps: np.ndarray
     dim: int
     walker_seed: int
-    env_seed: int | None = None
 
     def __post_init__(self):
         check_dim(self.dim)
@@ -127,27 +126,19 @@ def _check_l(l) -> np.ndarray:
 def _check_slab(l_prime, b: float, L: float, d: int | None = None) -> np.ndarray:
     """l_prime as a float vector, once it is checked finite and nonzero with ``d`` entries.
 
-    b and L must be positive and finite.
+    b, L and b * L must be positive and finite, not NaN: no walker reaches a NaN or infinite face.
     """
     lp = _check_l(np.asarray(l_prime, dtype=np.float64))
     if d is not None and lp.shape != (d,):
         raise ConfigError("l_prime dimension mismatch")
-    if not (0 < b < np.inf and 0 < L < np.inf):  # NaN fails too: no walker reaches a NaN or infinite face
-        raise ConfigError("slab parameters b and L must be positive and finite")
+    if not (0 < b < np.inf and 0 < L < np.inf and float(b) * float(L) < np.inf):
+        raise ConfigError(f"slab parameters b, L and b * L must be positive and finite, got b = {b}, L = {L}")
     return lp
 
 
 def _slab_exits(proj: np.ndarray, b: float, L: float) -> tuple[np.ndarray, np.ndarray]:
     """(right, left) exit masks of projections onto l'; boundary sites count as exits."""
     return proj >= L, proj <= -b * L
-
-
-def walker_seed_for(master_seed: int, walker_id: int) -> int:
-    return int(derive_key(master_seed, TAG_WALKER, walker_id))
-
-
-def env_seed_for(master_seed: int, walker_id: int) -> int:
-    return int(derive_key(master_seed, TAG_ENV, walker_id))
 
 
 def _step(
@@ -164,7 +155,7 @@ def _step(
     ``site_key_prefix``; a law every site shares comes back as one broadcast
     row.
     """
-    j = _step_index(transitions_for(model, None, pos, site_prefix=site_prefix), stream_u01(step_keys, t))
+    j = _step_index(transitions_for(model, site_prefix, pos), stream_u01(step_keys, t))
     pos += np.take(step_table(model.dim), j, axis=0)
     return j
 
@@ -217,7 +208,7 @@ def simulate(env: QuenchedEnvironment, walker_seed: int, horizon: int) -> Trajec
         np.atleast_1d(as_u64(walker_seed)),
         horizon,
     )
-    return Trajectory(steps[0], env.dim, int(walker_seed), env_seed=env.master_seed)
+    return Trajectory(steps[0], env.dim, int(walker_seed))
 
 
 def ensemble_seeds(master_seed: int, n_walks: int) -> tuple[np.ndarray, np.ndarray]:
@@ -241,10 +232,7 @@ def simulate_ensemble(
         raise ConfigError("n_walks and horizon must be nonnegative")
     env_seeds, walk_seeds = ensemble_seeds(master_seed, n_walks)
     block = _simulate_block(model, env_seeds, walk_seeds, horizon)
-    return [
-        Trajectory(block[i], model.dim, int(walk_seeds[i]), env_seed=int(env_seeds[i]))
-        for i in range(n_walks)
-    ]
+    return [Trajectory(block[i], model.dim, int(walk_seeds[i])) for i in range(n_walks)]
 
 
 def first_passage(traj: Trajectory, l, s: float) -> StopResult:

@@ -96,6 +96,47 @@ def cone_run(experiment: str, **top) -> dict:
     return {k: v for k, v in cfg.items() if v is not None}
 
 
+# Integers past int64, and values whose products pass int64 or the float range, refused at load by name.
+# Each integer used to end in a traceback with exit 1.  The cone's faces reach 10,000 * 2**52 over the
+# horizon, which wrapped in its int64 face table (exit 0); at lambda 1/5 its faces pass int64 outright.
+# The slab's left face at -b * L = -inf censored every walker, exit 0; zero-one-scan named no field.
+PAST_INT64 = 10**20
+INT64_CASES = [
+    pytest.param(
+        with_block(cone_run("renewal-identity"), "identity", window=[1, PAST_INT64]),
+        "'identity.window'",
+        id="window_past_int64",
+    ),
+    pytest.param(simulate_config(n_walks=PAST_INT64), "'n_walks'", id="n_walks_past_int64"),
+    pytest.param(simulate_config(horizon=PAST_INT64), "'horizon'", id="horizon_past_int64"),
+    pytest.param(
+        with_oracle(region={"kind": "box", "lo": [-2, -2], "hi": [2, PAST_INT64]}, target_class="high0"),
+        "'oracle.region.hi'",
+        id="box_hi_past_int64",
+    ),
+    pytest.param(direction_config(basis=[[PAST_INT64, 1], [1, -1]]), "'cone.basis'", id="basis_past_int64"),
+    pytest.param({**direction_config(), "l": [PAST_INT64, 0]}, "'l'", id="l_past_int64"),
+    pytest.param(
+        cone_run("renewal", horizon=10_000, cone={**direction_config()["cone"], "basis": [[2**52, 1], [1, -1]]}),
+        "'cone'",
+        id="cone_faces_past_int64_over_horizon",
+    ),
+    pytest.param(
+        direction_config(basis=[[1, 0], [0, 1]], l=[2**62, 1], **{"lambda": "1/5"}),
+        "'cone'",
+        id="cone_rows_past_int64",
+    ),
+    pytest.param(slab_config(b=1e308, L_list=[1e300]), "'slab'", id="slab_bL_overflows"),
+    pytest.param(
+        {
+            **with_block(simulate_config(experiment="zero-one-scan"), "zero_one", n_angles=8),
+            "dimension": 3,
+            "model": {"kind": "homogeneous", "probs": [0.3, 0.1, 0.15, 0.15, 0.15, 0.15]},
+        },
+        "'dimension'",
+        id="zero_one_scan_3d",
+    ),
+]
 # Ranges of a rational, of a window or of one experiment, now checked at load.
 # Each of these configs used to simulate first, end in a traceback, or run.
 WEIGHT_AND_WINDOW_CASES = [
@@ -371,6 +412,9 @@ class TestRun:
             *EXPERIMENT_FLOOR_CASES,
             *NEGATIVE_THRESHOLD_CASES,
             ZERO_DIRECTION_CASE,
+            *INT64_CASES,
+            # refused when the region is built, before any walk runs; it said "unknown boundary classes ['Left']"
+            pytest.param(oracle_config(b=1e308, L=1e300), "'oracle.region'", id="region_bL_overflows"),
         ],
     )
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, cfg, name):
@@ -384,7 +428,8 @@ class TestRun:
         + EXPERIMENT_FLOOR_CASES
         + CONE_BUILD_CASES
         + NEGATIVE_THRESHOLD_CASES
-        + [ZERO_DIRECTION_CASE],
+        + [ZERO_DIRECTION_CASE]
+        + INT64_CASES,
     )
     def test_range_refused_at_load(self, tmp_path, cfg, name):
         # load_config simulates nothing, so these are refused before any walk runs
@@ -508,6 +553,12 @@ class TestRun:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.split() == ["0", "[]"]
+
+    def test_seed_reads_past_int64(self, tmp_path):
+        # master_seed and --seed take the whole unsigned 64-bit range, unlike every other integer
+        cfg = write_config(tmp_path, "sim.json", simulate_config(master_seed=2**64 - 1))
+        assert load_config(cfg)["master_seed"] == 2**64 - 1
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o", "--seed", 2**64 - 2) == 0
 
     @pytest.mark.parametrize("seed", [-1, 2**64 + 5])
     def test_seed_out_of_range_exits_2(self, tmp_path, capsys, seed):

@@ -91,6 +91,11 @@ class TestConeSpec:
             ConeSpec((1, 1), ((1, 0), (0, 1)), Fraction(1, 2), (1, 0))
         ConeSpec((1, 1), ((1, 0), (0, 1)), Fraction(1, 2), (1, 0), check_direction=False)
 
+    def test_rejects_faces_past_int64(self):
+        # its face rows at lambda = 1/5 are (2**64 + 1, 4) and (2**64, 5)
+        with pytest.raises(ConfigError, match="past int64"):
+            ConeSpec((1, 1), ((1, 0), (0, 1)), Fraction(1, 5), (2**62, 1))
+
     def test_diagonal_basis_is_valid(self):
         assert DIAG.extreme_rays() == [(1, 1), (1, -1)]
         assert DIAG.matrix.tolist() == [[1, 1], [1, -1]]

@@ -13,7 +13,7 @@ from rwre_lab import (
     TransitionVector,
     sample_dirichlet,
 )
-from rwre_lab.env import ELLIPTICITY_FLOOR, site_stream_keys
+from rwre_lab.env import ELLIPTICITY_FLOOR, site_key_prefix, site_stream_keys
 from rwre_lab.rng import derive_key
 
 
@@ -214,5 +214,6 @@ class TestEnvironmentInvariants:
         assert abs(frac_first - 0.5) < 3 * se
 
     def test_site_keys_distinct(self):
-        keys = site_stream_keys(np.uint64(1), np.array([[i, j] for i in range(60) for j in range(60)]))
+        sites = np.array([[i, j] for i in range(60) for j in range(60)])
+        keys = site_stream_keys(site_key_prefix(np.uint64(1)), sites)
         assert len(set(keys.tolist())) == keys.size

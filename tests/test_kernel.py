@@ -11,10 +11,11 @@ draws a tile of times at once; horizons that span several tiles and end
 mid-tile must give the old kernel's steps too.  The slab pass drops walkers
 that left every slab in batches, so some still step when the horizon ends;
 its tallies must not see them.  A site key continued from its hashed
-environment prefix must equal the key hashed whole.  The counting rule
-that picks a step from a site's law, or from the law every site shares, must
-equal the cumsum-and-clip and ``searchsorted`` expressions those kernels used,
-and the same rule picking a mixture site's atom must equal the
+environment prefix must equal the key hashed whole, and one environment's
+lookup must equal the kernel's per-walker lookup row for row.  The counting
+rule that picks a step from a site's law, or from the law every site shares,
+must equal the cumsum-and-clip and ``searchsorted`` expressions those kernels
+used, and the same rule picking a mixture site's atom must equal the
 ``searchsorted``-and-clip pick it replaced.
 """
 
@@ -43,7 +44,7 @@ def ref_simulate_block(model, env_seeds, walker_seeds, horizon):
         if const_cum is not None:
             j = np.searchsorted(const_cum, u, side="right")
         else:
-            w = transitions_for(model, env_seeds, pos)
+            w = transitions_for(model, site_key_prefix(env_seeds), pos)
             j = (np.cumsum(w, axis=1) <= u[:, None]).sum(axis=1)
         j = np.minimum(j, 2 * d - 1)
         steps[:, t] = j
@@ -66,7 +67,7 @@ def ref_slab_block(model, env_seeds, walker_seeds, l_prime, b, L, horizon):
         if const_cum is not None:
             j = np.searchsorted(const_cum, u, side="right")
         else:
-            w = transitions_for(model, env_keys, pos)
+            w = transitions_for(model, site_key_prefix(env_keys), pos)
             j = (np.cumsum(w, axis=1) <= u[:, None]).sum(axis=1)
         j = np.minimum(j, 2 * d - 1)
         pos += table[j]
@@ -270,11 +271,19 @@ def test_site_prefix_gives_the_same_bytes(name):
     coords = np.random.default_rng(8).integers(-50, 50, size=(300, model.dim))
     seeds = derive_key(9, np.arange(300))
     for env_seeds, sites in ((as_u64(77), coords), (seeds, coords), (seeds[:0], coords[:0])):
-        keys = site_stream_keys(env_seeds, sites)
+        keys = site_stream_keys(site_key_prefix(env_seeds), sites)
         assert np.array_equal(keys, np.atleast_1d(derive_key(env_seeds, TAG_SITE, *sites.T)))
-        want = transitions_for(model, env_seeds, sites)
-        got = transitions_for(model, None, sites, site_prefix=site_key_prefix(env_seeds))
-        assert got.shape == want.shape == (sites.shape[0], 2 * model.dim) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_quenched_lookup_matches_the_kernel_rows(name):
+    # the oracle's environment and the step kernel's per-walker lookup read the same law at every site
+    model = MODELS[name]
+    sites = np.random.default_rng(10).integers(-50, 50, size=(300, model.dim))
+    for seed in (0, 77, 2**64 - 1):
+        want = transitions_for(model, site_key_prefix(np.full(300, seed, dtype=np.uint64)), sites)
+        got = QuenchedEnvironment(model, seed).transitions_at(sites)
+        assert got.shape == want.shape == (300, 2 * model.dim) and got.tobytes() == want.tobytes()
 
 
 def ref_step_index(w, u):
@@ -332,7 +341,7 @@ def ref_atom_index(weights, u):
 
 
 def ref_mixture_transitions(model, env_seeds, coords):
-    u = stream_u01(site_stream_keys(env_seeds, coords), 0)
+    u = stream_u01(site_stream_keys(site_key_prefix(env_seeds), coords), 0)
     return np.take(model.atom_matrix(), ref_atom_index(model.weights, u), axis=0)
 
 
@@ -364,6 +373,6 @@ def test_mixture_sites_match_old_pick(weights):
     coords = np.random.default_rng(6).integers(-500, 500, size=(3000, 2))
     seeds = derive_key(9, np.arange(3000))
     for env_seeds in (as_u64(77), seeds):
-        got = transitions_for(model, env_seeds, coords)
+        got = transitions_for(model, site_key_prefix(env_seeds), coords)
         assert np.array_equal(got, ref_mixture_transitions(model, env_seeds, coords))
-    assert np.array_equal(transitions_for(model, seeds[:0], coords[:0]), np.empty((0, 4)))
+    assert np.array_equal(transitions_for(model, site_key_prefix(seeds[:0]), coords[:0]), np.empty((0, 4)))

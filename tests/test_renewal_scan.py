@@ -420,6 +420,35 @@ def test_no_fresh_maxima(big):
         assert rec.times.size == 0 and rec.top_level == 0
 
 
+# faces of norm 2**62, and a level direction of norm 2**62 + 1 beside faces of norm 1: N times the norm
+# stays below 2**63 - 1 at one step and reaches it at two, where a face or a level could wrap
+INT64_CONES = {
+    "faces": ((1, 1), ((2**62, 0), (0, 1)), (1, 1)),
+    "levels": ((1, 1), ((1, 0), (0, 1)), (2**62, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INT64_CONES))
+def test_cones_that_could_pass_int64_are_refused(name, drift2d):
+    spec = ConeSpec(*INT64_CONES[name][:2], Fraction(1), INT64_CONES[name][2])
+    # steps along -e1 take every level below 0, so no record lists skipped levels up to 2**62
+    one, two = (Trajectory(np.ones(n, np.int8), 2, 0) for n in (1, 2))
+    assert_same_record(detect_renewals(one, spec, 1), ref_detect_renewals(one, spec, 1))
+    with pytest.raises(ConfigError, match="past int64"):
+        detect_renewals(two, spec, 1)
+    lambda_scan(drift2d, 3, [spec], n_walks=5, horizon=1, confirm_horizon=1, rate_floor=0.5)
+    with pytest.raises(ConfigError, match="past int64"):
+        lambda_scan(drift2d, 3, [spec], n_walks=5, horizon=2, confirm_horizon=1, rate_floor=0.5)
+
+
+def test_lambda_scan_checks_every_weight(drift2d):
+    # the faces have norm 1 at weight 1 and 2**62 - 1 at weight 2**-61, which three steps take past int64
+    cones = [ConeSpec((1, 1), ((1, 0), (0, 1)), lam, (1, 1)) for lam in (Fraction(1), Fraction(1, 2**61))]
+    lambda_scan(drift2d, 3, cones[:1], n_walks=5, horizon=3, confirm_horizon=1, rate_floor=0.5)
+    with pytest.raises(ConfigError, match="past int64"):
+        lambda_scan(drift2d, 3, cones, n_walks=5, horizon=3, confirm_horizon=1, rate_floor=0.5)
+
+
 # ---------------------------------------------------------------- level hits
 
 

@@ -19,14 +19,13 @@ from rwre_lab import (
     slab_exit_side,
 )
 from rwre_lab.lattice import check_dim, encode_signed_axis
+from rwre_lab.rng import TAG_ENV, TAG_WALKER, derive_key
 from rwre_lab.walk import (
     Side,
     SlabTally,
-    env_seed_for,
     run_slab_ensemble,
     slab_region,
     step_counts,
-    walker_seed_for,
 )
 
 UP, DOWN = 0, 1  # +e1 / -e1 direction indices
@@ -81,8 +80,8 @@ class TestSimulate:
     def test_ensemble_matches_solo(self, drift2d):
         trajs = simulate_ensemble(drift2d, 31, 5, 64)
         for i in (0, 3, 4):
-            env = QuenchedEnvironment(drift2d, env_seed_for(31, i))
-            solo = simulate(env, walker_seed_for(31, i), 64)
+            env = QuenchedEnvironment(drift2d, int(derive_key(31, TAG_ENV, i)))
+            solo = simulate(env, int(derive_key(31, TAG_WALKER, i)), 64)
             assert np.array_equal(trajs[i].steps, solo.steps)
 
     def test_chunking_invariance(self, drift2d):
@@ -260,11 +259,11 @@ class TestSlabExit:
 
     @pytest.mark.parametrize(
         "l_prime, b, L",
-        [([float("nan")], 1.0, 3.0), ([1.0], float("inf"), 3.0), ([1.0], 1.0, float("inf"))],
-        ids=["nan-l_prime", "inf-b", "inf-L"],
+        [([float("nan")], 1.0, 3.0), ([1.0], float("inf"), 3.0), ([1.0], 1.0, float("inf")), ([1.0], 1e308, 1e300)],
+        ids=["nan-l_prime", "inf-b", "inf-L", "bL-overflows"],
     )
     def test_non_finite_slab_refused(self, l_prime, b, L):
-        # a NaN direction or an infinite face would censor every walker silently
+        # a NaN direction or an infinite face, also one at -b * L past the float range, would censor every walker
         model = Homogeneous(TransitionVector([0.6, 0.4]))
         with pytest.raises(ConfigError, match="finite"):
             run_slab_ensemble(model, 1, 10, l_prime, b, L, 100)
