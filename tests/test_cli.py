@@ -986,6 +986,46 @@ def test_identity_output_bytes_pinned(tmp_path):
     assert (code, digest) == (0, "ba8fd49bf82206314fa6c43cf1813d89ca7659ecc2d84ab102beff1c1b1623cb")
 
 
+# results.jsonl digests of renewal-identity runs on cone l = (2, 1): a +e1 step raises the level by 2,
+# so the walks skip levels, under the default window and under an explicit one
+SKIP_IDENTITY_DIGESTS = {
+    None: "1b33ef7fecf037fd69744ca6e14ba8ddc515a4291d801687238156107dacba18",
+    (5, 60): "c1c2e166f31059e9893904aa5b8891be01443329889e7c20039ea85ccc00f3aa",
+}
+
+
+@pytest.mark.parametrize("window", list(SKIP_IDENTITY_DIGESTS), ids=str)
+def test_skipped_level_identity_output_bytes_pinned(tmp_path, window):
+    cfg = cone_run("renewal-identity", n_walks=40, horizon=600, confirm_horizon=60)
+    cfg["cone"] = {**cfg["cone"], "l": [2, 1]}
+    if window is not None:
+        cfg["identity"] = {"window": list(window)}
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", write_config(tmp_path, "identity.json", cfg), "--out", out) == 0
+    rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert next(row for row in rows if row["record"] == "renewal-identity")["hit_level_prob"] < 1
+    assert hashlib.sha256((out / "results.jsonl").read_bytes()).hexdigest() == SKIP_IDENTITY_DIGESTS[window]
+
+
+# results.jsonl and curves.csv digests of a zero-one-scan run over 12 angles: a drift along +e1 gives
+# transient+ and transient- angles, and undecided ones at 90 and 270 degrees, an open half-space pattern
+ZERO_ONE_DIGESTS = (
+    "53c504679aa02b24f5388a4dbe3f4a95e1dcf22a4a13a5735139a1e6bb1a759e",
+    "31172f2bdfb46ab07ab88a1b06b7b06f401e14db75a13ce1c774c51bb40bf5ff",
+)
+
+
+def test_zero_one_scan_output_bytes_pinned(tmp_path):
+    cfg = with_block(simulate_config(experiment="zero-one-scan", n_walks=40, horizon=600), "zero_one", n_angles=12)
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", write_config(tmp_path, "scan.json", cfg), "--out", out) == 0
+    rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert rows[-1]["pattern"] == "open-half-space"
+    assert {row["verdict"] for row in rows[:-1]} == {"transient+", "transient-", "undecided"}
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("results.jsonl", "curves.csv"))
+    assert digests == ZERO_ONE_DIGESTS
+
+
 # results.jsonl and curves.csv digests of a mixture slab run: 600 walkers leave the three slabs over 300 steps,
 # and some are still inside the widest one at the horizon
 SLAB_MIXTURE = {"kind": "mixture", "atoms": [[0.4, 0.1, 0.25, 0.25], [0.1, 0.4, 0.25, 0.25]], "weights": [0.6, 0.4]}

@@ -1,9 +1,11 @@
-"""Property test of the config boundary: one malformed field or one unknown key is refused by name.
+"""Property tests of the config boundary: one malformed, unknown or missing field is refused by name.
 
 Starting from a small valid config of each experiment kind, each example either
 gives one leaf a value of the wrong JSON type or adds one unknown key to one
 block, and requires ``load_config`` to raise a ConfigError that names the
-field's dotted path.
+field's dotted path.  Dropping any one key of a valid config either leaves a
+config that loads (the field has a default the experiment accepts) or one
+refused by the dropped key's name.
 """
 
 import copy
@@ -161,3 +163,26 @@ def test_one_fault_is_refused_by_name(tmp_path, case):
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert repr(dotted) in str(err.value)
+
+
+def keys(obj, path=(), field=""):
+    """(location, dotted path) of every key at every depth."""
+    for key, value in obj.items():
+        dotted = f"{field}.{key}" if field else key
+        yield (*path, key), dotted
+        if isinstance(value, dict):
+            yield from keys(value, (*path, key), dotted)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_one_dropped_key_loads_or_is_refused_by_name(tmp_path, experiment):
+    path = tmp_path / "cfg.json"
+    for location, dotted in keys(VALID[experiment]):
+        cfg = copy.deepcopy(VALID[experiment])
+        parent, key = locate(cfg, location)
+        del parent[key]
+        path.write_text(json.dumps(cfg))
+        try:
+            load_config(path)
+        except ConfigError as exc:
+            assert repr(dotted) in str(exc), dotted
