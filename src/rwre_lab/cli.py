@@ -5,15 +5,16 @@ results.jsonl, optional curves.csv, and a manifest.json, each written
 atomically.  All file I/O lives here; compute modules never touch the
 filesystem.  Reruns of the same (config, seed) produce byte-identical results.
 
-Every config field is declared once, in ``_FIELDS``.  ``load_config`` walks
-that table before anything runs, so an unknown key, a missing field, a value
-of the wrong type or length, or one out of range is a configuration error
-that names the field; ``rwre-lab schema`` prints the same table.
+Every config field is declared once, in ``_FIELDS``, its range in its type.
+``load_config`` walks that table before anything runs, so an unknown key, a
+missing field, a value of the wrong type or length, one out of range or one
+the experiment's ``need`` refuses is a configuration error that names the
+field; ``rwre-lab schema`` prints the same table.
 
 Exit codes: 0 success, 1 compare found differences, 2 configuration or usage
-error, 3 insufficient data (a scientifically meaningful outcome,
-distinguishable from a crash), 4 a numeric procedure failed its accuracy
-contract (no output is written).
+error or a run too large to allocate, 3 insufficient data (a scientifically
+meaningful outcome, distinguishable from a crash), 4 a numeric procedure
+failed its accuracy contract (no output is written).
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ ENV_THREADS = "RWRE_LAB_THREADS"
 class ExperimentConfig:
     """A loaded config: every field typed and defaulted, keyed by its dotted path.
 
-    Fields of an absent optional block, and of another ``kind`` of a block,
-    are not in ``fields``.
+    An absent optional block is None; its fields, and those of another
+    ``kind`` of a block, are not in ``fields``.
     """
 
     fields: dict[str, Any]
@@ -413,8 +414,17 @@ def _checked(t: _Type, ok: Callable[[Any], bool], expected: str) -> _Type:
     return _Type(t.name, read)
 
 
-_INTEGER = _Type("int", _read_int)  # any size; only master_seed reads by it, within _SEED_RANGE
+def _in_range(t: _Type, lo: int, hi: int | None = None) -> _Type:
+    """Integer type ``t``, also refusing a value outside lo..hi (no bound above when ``hi`` is None)."""
+    text = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+    read = _checked(t, lambda v: lo <= v and (hi is None or v <= hi), f"an integer {text}").read
+    return _Type(f"{t.name} {text}", read)
+
+
+_INTEGER = _Type("int", _read_int)  # any size; only _SEED reads by it
 _INT = _checked(_INTEGER, lambda v: -(2**63) <= v < 2**63, "an integer that fits int64")
+_SEED = _in_range(_INTEGER, 0, 2**64 - 1)  # master_seed and --seed
+_COUNT = _in_range(_INT, 0)
 _FLOAT = _Type("float", _read_float)
 _RATIONAL = _Type("rational", _read_rational)
 _WEIGHT = _checked(_RATIONAL, lambda w: 0 < w <= 1, "a rational in (0, 1]")
@@ -457,7 +467,8 @@ def _list(item: _Type, length: int | str | None = None) -> _Type:
 
 
 _REQUIRED = object()
-_SEED_RANGE = (0, 2**64 - 1)
+# what an experiment's need of a field asks of its value, by the text that names it; "" asks that it is present
+_NEED_TESTS = {"": lambda v: v is not None, ">= 1": lambda v: v >= 1, "== 2": lambda v: v == 2}
 
 
 class _Field(NamedTuple):
@@ -465,34 +476,30 @@ class _Field(NamedTuple):
     type: _Type
     doc: str = ""
     default: Any = _REQUIRED  # taken when the key is absent or null; a block's default is walked too
-    range: tuple[int, int | None] | None = None  # inclusive bounds on an int; None above is unbounded
     when: str | None = None  # the field exists only when its block's "kind" is this
-    needed_by: tuple[str, ...] = ()  # experiments that refuse the field's absence
-    floor: tuple[int, tuple[str, ...]] | None = None  # (lo, experiments): they refuse an int below lo
+    need: tuple[str, tuple[str, ...]] = ("", ())  # (test, experiments): they refuse a value the test fails
 
 
 _FIELDS: tuple[_Field, ...] = (
     _Field("experiment", _choice(*EXPERIMENTS)),
-    _Field("dimension", _INT, range=(1, 4)),
-    _Field("master_seed", _INTEGER, "unsigned 64-bit (CLI --seed overrides)", range=_SEED_RANGE),
+    _Field("dimension", _in_range(_INT, 1, 4), need=("== 2", ("zero-one-scan",))),  # the angular scan is 2D
+    _Field("master_seed", _SEED, "unsigned 64-bit (CLI --seed overrides)"),
     _Field(
-        "n_walks", _INT, "walkers in the ensemble", 0, (0, None), floor=(1, ("direction", "slab", "zero-one-scan"))
+        "n_walks", _COUNT, "walkers in the ensemble", 0, need=(">= 1", ("direction", "slab", "zero-one-scan"))
     ),
     _Field(
         "horizon",
-        _INT,
+        _COUNT,
         "steps per walk",
         0,
-        (0, None),
-        floor=(1, ("direction", "renewal", "renewal-identity", "slab", "zero-one-scan")),
+        need=(">= 1", ("direction", "renewal", "renewal-identity", "slab", "zero-one-scan")),
     ),
     _Field(
         "confirm_horizon",
-        _INT,
+        _COUNT,
         "probationary renewal window",
         0,
-        (0, None),
-        floor=(1, ("direction", "renewal", "renewal-identity")),
+        need=(">= 1", ("direction", "renewal", "renewal-identity")),
     ),
     _Field("model", _OBJECT),
     _Field("model.kind", _choice(*_MODELS)),
@@ -503,9 +510,13 @@ _FIELDS: tuple[_Field, ...] = (
     _Field("model.epsilon", _FLOAT, "in (0, 1/(2d))", when="perturbed_srw"),
     _Field("model.drift_dir", _INT, "signed axis, e.g. 1 = +e1, -2 = -e2", when="perturbed_srw"),
     _Field(
-        "l", _checked(_list(_INT, "d"), any, "a nonzero vector"), "transience direction", None, needed_by=("direction",)
+        "l",
+        _checked(_list(_INT, "d"), any, "a nonzero vector"),
+        "transience direction",
+        None,
+        need=("", ("direction",)),
     ),
-    _Field("cone", _OBJECT, default=None, needed_by=("direction", "renewal", "renewal-identity")),
+    _Field("cone", _OBJECT, default=None, need=("", ("direction", "renewal", "renewal-identity"))),
     _Field("cone.sigma", _list(_INT, "d"), "entries of +-1"),
     _Field("cone.basis", _list(_list(_INT, "d")), "d rows"),
     _Field("cone.l", _list(_INT, "d"), "gcd 1"),
@@ -529,8 +540,8 @@ _FIELDS: tuple[_Field, ...] = (
     _Field("thresholds.renewal_rate_floor", _NONNEGATIVE, ">= 0; confirmed renewals per 1000 steps", 0.5),
     _Field("thresholds.theta_tol", _NONNEGATIVE, ">= 0; radians", 0.3),
     _Field("thresholds.orth_band", _NONNEGATIVE, ">= 0; max |cos| to the axis of a scan's undecided angles", 0.2),
-    _Field("thresholds.bootstrap_samples", _INT, "", 1000, (1, None)),
-    _Field("slab", _OBJECT, default=None, needed_by=("slab",)),
+    _Field("thresholds.bootstrap_samples", _in_range(_INT, 1), "", 1000),
+    _Field("slab", _OBJECT, default=None, need=("", ("slab",))),
     _Field("slab.l_prime", _checked(_list(_FLOAT, "d"), any, "a nonzero vector"), "nonzero"),
     _Field("slab.b", _POSITIVE, "> 0"),
     _Field(
@@ -538,9 +549,9 @@ _FIELDS: tuple[_Field, ...] = (
         _checked(_list(_POSITIVE), lambda v: v and all(a < b for a, b in zip(v, v[1:])), "a nonempty increasing list"),
         "nonempty, each > 0, strictly increasing",
     ),
-    _Field("zero_one", _OBJECT, default=None, needed_by=("zero-one-scan",)),
-    _Field("zero_one.n_angles", _INT, range=(4, None)),
-    _Field("oracle", _OBJECT, default=None, needed_by=("oracle-compare",)),
+    _Field("zero_one", _OBJECT, default=None, need=("", ("zero-one-scan",))),
+    _Field("zero_one.n_angles", _in_range(_INT, 4)),
+    _Field("oracle", _OBJECT, default=None, need=("", ("oracle-compare",))),
     _Field("oracle.region", _OBJECT),
     _Field("oracle.region.kind", _choice("interval", "slab", "box")),
     _Field("oracle.region.lo", _INT, "lo < 0", when="interval"),
@@ -548,11 +559,11 @@ _FIELDS: tuple[_Field, ...] = (
     _Field("oracle.region.l_prime", _checked(_list(_FLOAT, "d"), any, "a nonzero vector"), "nonzero", when="slab"),
     _Field("oracle.region.b", _POSITIVE, "> 0", when="slab"),
     _Field("oracle.region.L", _POSITIVE, "> 0", when="slab"),
-    _Field("oracle.region.bound_width", _INT, range=(1, None), when="slab"),
+    _Field("oracle.region.bound_width", _in_range(_INT, 1), when="slab"),
     _Field("oracle.region.lo", _list(_INT, "d"), when="box"),
     _Field("oracle.region.hi", _list(_INT, "d"), "hi >= lo", when="box"),
     _Field("oracle.target_class", _Type("class | [classes]", _read_classes), "boundary class, e.g. Right"),
-    _Field("oracle.n_env", _INT, "environments averaged", 1, (1, None)),
+    _Field("oracle.n_env", _in_range(_INT, 1), "environments averaged", 1),
     _Field("identity", _OBJECT, default={}),
     _Field(
         "identity.window",
@@ -566,16 +577,6 @@ _FIELDS: tuple[_Field, ...] = (
 
 def _children(path: str) -> list[_Field]:
     return [f for f in _FIELDS if f.path.rpartition(".")[0] == path]
-
-
-def _range_text(lo: int, hi: int | None) -> str:
-    return f"in {lo}..{hi}" if hi is not None else f">= {lo}"
-
-
-def _check_range(name: str, value: int, lo: int, hi: int | None) -> int:
-    if value < lo or (hi is not None and value > hi):
-        raise ConfigError(f"{name} must be {_range_text(lo, hi)}, got {value}")
-    return value
 
 
 def _read_block(obj: dict, path: str, fields: dict[str, Any]) -> None:
@@ -600,19 +601,14 @@ def _read_field(f: _Field, obj: dict, fields: dict[str, Any]) -> None:
     if value is None:
         if f.default is _REQUIRED:
             raise ConfigError(f"config: missing key {f.path!r}")
-        if fields.get("experiment") in f.needed_by:
-            raise ConfigError(f"config: experiment {fields['experiment']!r} needs {f.path!r}")
         value = f.default
     else:
         try:
             value = f.type.read(value, fields.get("dimension"))
         except _BAD_VALUE as exc:
             raise ConfigError(f"config: bad value {json.dumps(value)} for {f.path!r}: {exc}") from exc
-        if f.range is not None:
-            _check_range(f"config: {f.path!r}", value, *f.range)
-    if f.type is not _OBJECT:
-        fields[f.path] = value
-    elif value is not None:
+    fields[f.path] = value  # a block's value too, so that a need can ask for it
+    if f.type is _OBJECT and value is not None:
         _read_block(value, f.path, fields)
 
 
@@ -632,12 +628,11 @@ def load_config(path: Path) -> ExperimentConfig:
     fields: dict[str, Any] = {}
     _read_block(raw, "", fields)
     experiment = fields["experiment"]
-    for f in _FIELDS:
-        if f.floor is not None and experiment in f.floor[1] and fields[f.path] < f.floor[0]:
-            value = fields[f.path]
-            raise ConfigError(f"config: experiment {experiment!r} needs {f.path!r} >= {f.floor[0]}, got {value}")
-    if experiment == "zero-one-scan" and fields["dimension"] != 2:  # the angular scan is two-dimensional
-        raise ConfigError(f"config: experiment {experiment!r} needs 'dimension' 2, got {fields['dimension']}")
+    needs = [(f.path, f.need[0]) for f in _FIELDS if experiment in f.need[1]]
+    for path, test in sorted(needs, key=lambda need: need[1] != ""):  # an absent block before a count
+        if not _NEED_TESTS[test](fields[path]):
+            got = f" {test}, got {fields[path]}" if test else ""
+            raise ConfigError(f"config: experiment {experiment!r} needs {path!r}{got}")
     if experiment == "slab":
         with _naming("slab"):  # the widest slab's b * L is the largest
             _check_slab(fields["slab.l_prime"], fields["slab.b"], fields["slab.L_list"][-1])
@@ -662,19 +657,16 @@ def _cones(fields: dict[str, Any]) -> dict[Fraction, ConeSpec]:
 
 
 def _describe(f: _Field) -> str:
-    """One line on a field: its type, range, kind, whether it is required, and its doc."""
+    """One line on a field: its type, kind, need, whether it is required, and its doc."""
     text = f.type.name
-    if f.range is not None:
-        text += f" {_range_text(*f.range)}"
     if f.when is not None:
         text += f" ({f.when})"
-    if f.floor is not None:
-        text += f", >= {f.floor[0]} for {' and '.join(f.floor[1])}"
-    if f.needed_by:
-        text += f", needed by {' and '.join(f.needed_by)}"
-    elif f.default is None:
+    test, experiments = f.need
+    if experiments:
+        text += f", {f'{test} for' if test else 'needed by'} {' and '.join(experiments)}"
+    if f.default is None and not experiments:
         text += ", optional"
-    elif f.default is not _REQUIRED:
+    elif f.default is not None and f.default is not _REQUIRED:
         text += f", default {json.dumps(_jsonable(f.default))}"
     return f"{text}: {f.doc}" if f.doc else text
 
@@ -780,7 +772,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         cfg = load_config(path)
         _resolve_threads(args.threads)
         if args.seed is not None:
-            cfg.fields["master_seed"] = _check_range("--seed", args.seed, *_SEED_RANGE)
+            try:
+                cfg.fields["master_seed"] = _SEED.read(args.seed, cfg["dimension"])
+            except _BAD_VALUE as exc:
+                raise ConfigError(f"bad value {args.seed} for '--seed': {exc}") from exc
         out_dir = Path(args.out) if args.out else Path(cfg["output"] or "out")
         found = next(p for p in (out_dir, *out_dir.parents) if p.exists())
         if not found.is_dir():
@@ -798,6 +793,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     except NumericError as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:  # the host refused an allocation the config asks for
+        print(f"error: the run is too large for this host: {exc}", file=sys.stderr)
+        return 2
     try:
         _write_outputs(out_dir, rows, curves, cfg, config_hash, cfg["master_seed"], started, scan_rows)
     except OSError as exc:

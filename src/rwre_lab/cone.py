@@ -185,22 +185,22 @@ class RenewalRecord:
     the cone rooted there for ``confirm_horizon`` further steps.  When the
     trajectory ends before the last candidate's window does, that candidate is
     kept as the final entry and ``censored_tail`` is set; it must be excluded
-    from increment statistics.  ``top_level`` is the highest level X_n . l,
-    ``skipped_levels`` those in 1..top_level that no fresh maximum took (none
-    when every |l_i| <= 1) and ``stays`` whether the path stays in the origin
-    cone.  ``n_steps`` is N, ``final_level`` is X_N . l, and ``tail_max`` and
-    ``tail_min`` bound the levels of the last half of the path (see
-    ``_level_facts``); they decide the walk's transience class along l.  The
-    defaults give the renewal mean identity no data: no level is reached and
-    no walk is transient.
+    from increment statistics.  ``hit_runs`` holds the levels X_n . l that
+    fresh maxima took, as a (k, 2) array of the first and last level of each
+    maximal run of consecutive ones (one run when every |l_i| <= 1, and the
+    last run ends at the walk's top level), and ``stays`` says whether the
+    path stays in the origin cone.  ``n_steps`` is N, ``final_level`` is
+    X_N . l, and ``tail_max`` and ``tail_min`` bound the levels of the last
+    half of the path (see ``_level_facts``); they decide the walk's transience
+    class along l.  The defaults give the renewal mean identity no data: no
+    level is reached and no walk is transient.
     """
 
     times: np.ndarray
     positions: np.ndarray
     confirm_horizon: int
     censored_tail: bool
-    top_level: int = 0
-    skipped_levels: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    hit_runs: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
     stays: bool = False
     n_steps: int = 0
     final_level: int = 0
@@ -320,10 +320,10 @@ def detect_renewals(traj: Trajectory, spec: ConeSpec, confirm_horizon: int) -> R
     H, P, s, fresh = _levels(traj, spec, confirm_horizon)
     F = _faces(P, spec)
     times, censored = _scan(fresh, F, H)
-    top = int(s.max())
-    skipped = np.flatnonzero(np.bincount(s[fresh], minlength=top + 1)[1:] == 0) + 1
+    hit = s[fresh]  # increasing; a run of consecutive levels starts and ends where the step to its neighbour is not 1
+    runs = np.stack([hit[np.diff(hit, prepend=hit[:1]) != 1], hit[np.diff(hit, append=hit[-1:]) != 1]], axis=1)
     facts = map(int, _level_facts(s))
-    return RenewalRecord(times, P[times], H, censored, top, skipped, bool((F >= 0).all()), *facts)
+    return RenewalRecord(times, P[times], H, censored, runs, bool((F >= 0).all()), *facts)
 
 
 @dataclass(frozen=True)

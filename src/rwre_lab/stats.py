@@ -401,7 +401,7 @@ def renewal_mean_identity(
     upper half of the levels every walk in the sample reached, so horizon
     censoring cannot masquerade as overshoot.  The records must come from
     ``detect_renewals`` with the same ``spec``: everything is read from them,
-    the top and skipped levels, the stays flags and the level facts that give
+    the runs of levels hit, the stays flags and the level facts that give
     each walk's transience class, and no path is built.  The default level
     threshold is that of the first record's step count.
     """
@@ -419,7 +419,7 @@ def renewal_mean_identity(
             projs.append(inc @ lv)
             inc_sum[i] = float(projs[-1].sum())
             inc_cnt[i] = inc.shape[0]
-    tops = np.asarray([rec.top_level for rec in records], dtype=np.int64)
+    tops = np.asarray([rec.hit_runs[-1, 1] if rec.hit_runs.size else 0 for rec in records], dtype=np.int64)
     stays = np.asarray([rec.stays for rec in records], dtype=bool)
     if window is None:
         top = int(tops.min())
@@ -429,10 +429,10 @@ def renewal_mean_identity(
     i_min, i_max = int(window[0]), int(window[1])
     if i_min < 1 or i_max < i_min:
         raise ConfigError("level window must satisfy 1 <= i_min <= i_max")
-    # the first passage over i - 1 lands exactly on level i >= 1 iff i <= top_level is not skipped
-    reached = np.clip(np.minimum(tops, i_max) - i_min + 1, 0, None)
-    edges = np.asarray([np.searchsorted(r.skipped_levels, (i_min, i_max + 1)) for r in records])
-    hit_frac = (reached - (edges[:, 1] - edges[:, 0])) / (i_max - i_min + 1)
+    # the first passage over i - 1 lands exactly on level i >= 1 iff a fresh maximum took level i,
+    # so a walk's hits are its runs' overlaps with the window
+    overlaps = [np.minimum(r.hit_runs[:, 1], i_max) - np.maximum(r.hit_runs[:, 0], i_min) + 1 for r in records]
+    hit_frac = np.asarray([np.maximum(o, 0).sum() for o in overlaps], dtype=np.int64) / (i_max - i_min + 1)
     is_plus = np.asarray([_level_class(r.final_level, r.tail_max, r.tail_min, thr, dip) > 0 for r in records])
     total_inc = int(inc_cnt.sum())
     n_plus = int(is_plus.sum())
@@ -607,14 +607,17 @@ def zero_one_scan(
 
     Patterns: all directions undecided; a single transient direction; an open
     half-space of transient directions with the mirror half transient the
-    other way; anything else is inconsistent.  Near-orthogonal angles (whose
-    |cos| to the estimated axis is at most ``orth_band``) are allowed to be
-    undecided.
+    other way; anything else is inconsistent.  Against the estimated axis nu,
+    a transient+ angle needs cos > 0, a transient- angle cos <= 0, and an
+    undecided one |cos| <= ``orth_band`` (>= 0), so only near-orthogonal
+    angles may be undecided.
     """
     if model.dim != 2:
         raise ConfigError("the angular scan is two-dimensional")
     if n_angles < 4:
         raise ConfigError("need at least 4 angles")
+    if not orth_band >= 0:
+        raise ConfigError(f"orth_band must be >= 0, got {orth_band}")
     trajs = simulate_ensemble(model, master_seed, n_walks, horizon)
     angles = np.arange(n_angles) * (2.0 * np.pi / n_angles)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -643,15 +646,12 @@ def zero_one_scan(
     for a in range(n_angles):
         dot = float(dirs[a] @ nu)
         v = verdicts[a]
-        if dot > orth_band and v is not Verdict.TRANSIENT_PLUS:
-            consistent = False
-        elif dot < -orth_band and v is not Verdict.TRANSIENT_MINUS:
-            consistent = False
-        elif abs(dot) <= orth_band and v is not Verdict.UNDECIDED:
-            # a decided verdict this close to orthogonal is still consistent
-            # with a half-space pattern as long as its sign matches
-            if (v is Verdict.TRANSIENT_PLUS) != (dot > 0):
-                consistent = False
+        if v is Verdict.TRANSIENT_PLUS:
+            consistent &= dot > 0
+        elif v is Verdict.TRANSIENT_MINUS:
+            consistent &= dot <= 0
+        else:
+            consistent &= abs(dot) <= orth_band
     if not consistent:
         return ZeroOneScanResult(
             angles, p_plus, p_minus, verdicts, TransiencePattern.INCONSISTENT, nu

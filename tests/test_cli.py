@@ -516,6 +516,14 @@ class TestRun:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
+    def test_run_too_large_to_allocate_exits_2_without_outputs(self, tmp_path, capsys):
+        # an in-range horizon whose step matrix asks for 8.88 PiB ended in a MemoryError traceback, exit 1
+        cfg = write_config(tmp_path, "big.json", simulate_config(n_walks=1, horizon=10**16))
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1 and "allocate" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "cfg",
         [
@@ -1005,6 +1013,16 @@ def test_skipped_level_identity_output_bytes_pinned(tmp_path, window):
     rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
     assert next(row for row in rows if row["record"] == "renewal-identity")["hit_level_prob"] < 1
     assert hashlib.sha256((out / "results.jsonl").read_bytes()).hexdigest() == SKIP_IDENTITY_DIGESTS[window]
+
+
+def test_identity_run_with_far_apart_levels_exits_0(tmp_path):
+    # a +e1 step raises the level by 2**40: listing the levels a walk skipped asked for petabytes, exit 1
+    cfg = cone_run("renewal-identity", n_walks=5, horizon=2000)
+    cfg["cone"] = {**cfg["cone"], "l": [2**40, 1]}
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", write_config(tmp_path, "identity.json", cfg), "--out", out) == 0
+    rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert 0 < next(row for row in rows if row["record"] == "renewal-identity")["hit_level_prob"] < 1e-9
 
 
 # results.jsonl and curves.csv digests of a zero-one-scan run over 12 angles: a drift along +e1 gives

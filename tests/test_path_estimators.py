@@ -374,6 +374,21 @@ def test_zero_one_scan_matches_per_walk_loop(kind, n_angles):
         assert_same(got, ref_zero_one_scan(model, 31, n_angles, 30, horizon, thr, dip))
 
 
+@pytest.mark.parametrize("orth_band", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("probs", [[0.35, 0.15, 0.35, 0.15], [0.3, 0.1, 0.3, 0.3]], ids=["diagonal", "weak"])
+def test_zero_one_scan_bands_match_per_walk_loop(probs, orth_band):
+    # the three-clause consistency rule against the old per-angle branches: band 0 makes both drifted
+    # scans inconsistent, band 1 an open half-space, and band 0.5 one of each
+    model = Homogeneous(TransitionVector(probs))
+    got = zero_one_scan(model, 31, 16, 30, 600, orth_band=orth_band)
+    assert_same(got, ref_zero_one_scan(model, 31, 16, 30, 600, orth_band=orth_band))
+
+
+def test_zero_one_scan_refuses_a_negative_band():
+    with pytest.raises(ConfigError, match="orth_band"):
+        zero_one_scan(model_of("homogeneous", 2), 31, 8, 30, 600, orth_band=-0.1)
+
+
 @pytest.mark.parametrize("kind, d", MODELS)
 def test_walk_classes_read_each_direction_column(kind, d):
     trajs = ensemble(kind, d)

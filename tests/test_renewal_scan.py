@@ -247,6 +247,20 @@ def ref_lambda_scan(model, master_seed, sigma, basis, l, lambdas, n_walks, horiz
 # ---------------------------------------------------------------- cases
 
 
+def assert_hit_runs(rec: RenewalRecord, levels: list[int]) -> None:
+    """``rec.hit_runs`` covers exactly the fresh-maximum ``levels``, in maximal runs of consecutive levels."""
+    runs = rec.hit_runs
+    assert runs.dtype == np.int64 and runs.ndim == 2 and runs.shape[1] == 2
+    assert [i for a, b in runs.tolist() for i in range(a, b + 1)] == levels
+    assert all(a <= b for a, b in runs.tolist())
+    assert all(a > b + 1 for a, b in zip(runs[1:, 0].tolist(), runs[:-1, 1].tolist()))
+
+
+def top_level(rec: RenewalRecord) -> int:
+    """The highest level a walk reached: the end of its last run of hit levels, or 0."""
+    return int(rec.hit_runs[-1, 1]) if rec.hit_runs.size else 0
+
+
 def assert_same_record(got: RenewalRecord, want: RenewalRecord) -> None:
     for name in ("times", "positions"):
         a, b = getattr(got, name), getattr(want, name)
@@ -356,8 +370,7 @@ def test_random_steps_and_cones_match_old_scan(case):
     assert_same_record(rec, ref_detect_renewals(traj, spec, H))
     P = traj.positions()
     levels = (P @ np.asarray(spec.l))[_fresh(P @ np.asarray(spec.l))].tolist()
-    assert rec.top_level == (levels[-1] if levels else 0)
-    assert rec.skipped_levels.tolist() == sorted(set(range(1, rec.top_level + 1)) - set(levels))
+    assert_hit_runs(rec, levels)
     assert rec.stays is bool(spec.contains(0, P).all())
 
 
@@ -417,7 +430,7 @@ def test_no_fresh_maxima(big):
         assert _first_exit(F, none, H).size == 0
         rec = detect_renewals(traj, spec, H)
         assert_same_record(rec, ref_detect_renewals(traj, spec, H))
-        assert rec.times.size == 0 and rec.top_level == 0
+        assert rec.times.size == 0 and rec.hit_runs.shape == (0, 2)
 
 
 # faces of norm 2**62, and a level direction of norm 2**62 + 1 beside faces of norm 1: N times the norm
@@ -431,9 +444,13 @@ INT64_CONES = {
 @pytest.mark.parametrize("name", sorted(INT64_CONES))
 def test_cones_that_could_pass_int64_are_refused(name, drift2d):
     spec = ConeSpec(*INT64_CONES[name][:2], Fraction(1), INT64_CONES[name][2])
-    # steps along -e1 take every level below 0, so no record lists skipped levels up to 2**62
-    one, two = (Trajectory(np.ones(n, np.int8), 2, 0) for n in (1, 2))
-    assert_same_record(detect_renewals(one, spec, 1), ref_detect_renewals(one, spec, 1))
+    # one step along +e1 reaches level l_1, 2**62 on the "levels" cone, one run of one level;
+    # steps along -e1 take every level below 0
+    up, one, two = (Trajectory(np.full(n, step, np.int8), 2, 0) for n, step in ((1, 0), (1, 1), (2, 1)))
+    for traj, levels in ((up, [spec.l[0]]), (one, [])):
+        rec = detect_renewals(traj, spec, 1)
+        assert_same_record(rec, ref_detect_renewals(traj, spec, 1))
+        assert_hit_runs(rec, levels)
     with pytest.raises(ConfigError, match="past int64"):
         detect_renewals(two, spec, 1)
     lambda_scan(drift2d, 3, [spec], n_walks=5, horizon=1, confirm_horizon=1, rate_floor=0.5)
@@ -472,11 +489,11 @@ IDENTITY_THRESHOLDS = [(None, None), (300.0, 2.0), (200.0, 0.0)]
 @pytest.mark.parametrize("case", sorted(LEVEL_CASES))
 def test_identity_report_matches_old_level_hits(case, window):
     trajs, records, spec = identity_sample(case)
-    if case == "2-l21":
-        assert any(r.skipped_levels.size for r in records)
+    if case == "2-l21":  # some walk skips a level between two runs of hit levels
+        assert any(len(r.hit_runs) > 1 for r in records)
     past = window == "past-top"
     if past:  # one level past every walk's top: no hits
-        top = max(r.top_level for r in records) + 1
+        top = max(map(top_level, records)) + 1
         window = (top, top)
     for thr, dip in IDENTITY_THRESHOLDS:
         got = renewal_mean_identity(records, spec, window, thr, dip, n_boot=200)
