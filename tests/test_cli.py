@@ -1100,3 +1100,61 @@ def test_failed_scan_rows_reach_the_manifest(tmp_path):
     assert [r["lambda"] for r in scan] == ["1", "1/2", "1/4", "1/8"]
     assert all(r["record"] == "lambda-scan" and r["floor"] == 500 and r["rate_per_1k"] < 500 for r in scan)
     assert sum(r["confirmed"] for r in scan) > 0
+
+
+def results_of(out: Path) -> list[dict]:
+    return [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+
+
+# One small config for each source of an insufficient-data row, then one run of each experiment kind that has none;
+# each case names the records it expects to be insufficient.
+BACKWARD = {"kind": "homogeneous", "probs": [0.1, 0.4, 0.25, 0.25]}  # drifts away from the cone's l
+CENTRED = with_block(
+    cone_run("renewal", model={"kind": "homogeneous", "probs": [0.25] * 4}, n_walks=20, horizon=400),
+    "thresholds",
+    renewal_rate_floor=500,
+)
+FAILED_SCAN = {**CENTRED, "cone": {**CENTRED["cone"], "lambda": "scan"}}  # no weight renews 500 times per 1,000 steps
+EXIT_CASES = [
+    pytest.param(FAILED_SCAN, {"lambda-scan"}, id="lambda_scan"),
+    pytest.param(
+        with_block(direction_config(), "thresholds", level_threshold=1e6), {"direction-raw-limit"}, id="raw_route"
+    ),
+    pytest.param(
+        cone_run("direction", model=BACKWARD, horizon=200), {"direction-renewal-lln"}, id="renewal_route"
+    ),
+    pytest.param(
+        with_block(cone_run("renewal-identity", n_walks=20, horizon=200), "identity", window=[10**6, 10**6]),
+        {"renewal-identity"},
+        id="identity",
+    ),
+    pytest.param(cone_run("renewal-identity"), {"independence"}, id="independence"),
+    pytest.param(simulate_config(), set(), id="simulate"),
+    pytest.param(cone_run("direction", horizon=200), set(), id="direction"),
+    pytest.param(cone_run("renewal"), set(), id="renewal"),
+    pytest.param(cone_run("renewal-identity", n_walks=20, horizon=200), set(), id="renewal_identity"),
+    pytest.param(slab_config(), set(), id="slab"),
+    pytest.param(with_block(simulate_config(experiment="zero-one-scan"), "zero_one", n_angles=8), set(), id="zero_one"),
+    pytest.param(oracle_config(), set(), id="oracle_compare"),
+]
+
+
+@pytest.mark.parametrize("cfg, insufficient", EXIT_CASES)
+def test_exit_3_exactly_when_a_row_is_insufficient(tmp_path, cfg, insufficient):
+    out = tmp_path / "out"
+    code = run_cli("run", "--config", write_config(tmp_path, "run.json", cfg), "--out", out)
+    rows = results_of(out)
+    assert {row["record"] for row in rows if row.get("insufficient_data")} == insufficient
+    assert code == (3 if any(row.get("insufficient_data") for row in rows) else 0)
+
+
+@pytest.mark.parametrize("cfg", [simulate_config(n_walks=3), FAILED_SCAN], ids=["simulate", "failed_scan"])
+def test_config_hash_is_the_sha256_of_the_config_bytes(tmp_path, cfg):
+    # spacing and a trailing blank line that no re-serialisation of the parsed config would reproduce
+    path = tmp_path / "run.json"
+    path.write_bytes(b"\n" + json.dumps(cfg, indent=3).encode() + b"\n\n")
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", path, "--out", out) in (0, 3)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert {row["config_hash"] for row in results_of(out)} == {digest}
+    assert json.loads((out / "manifest.json").read_text())["config_hash"] == digest
