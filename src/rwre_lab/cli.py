@@ -12,9 +12,9 @@ the experiment's ``need`` refuses is a configuration error that names the
 field; ``rwre-lab schema`` prints the same table.
 
 Exit codes: 0 success, 1 compare found differences, 2 configuration or usage
-error or a run too large to allocate, 3 insufficient data (a scientifically
-meaningful outcome, distinguishable from a crash), 4 a numeric procedure
-failed its accuracy contract (no output is written).
+error or a run too large to allocate, 3 insufficient data (some row of
+results.jsonl says so: a meaningful outcome, not a crash), 4 a numeric
+procedure failed its accuracy contract (no output is written).
 """
 
 from __future__ import annotations
@@ -87,6 +87,7 @@ class ExperimentConfig:
     fields: dict[str, Any]
     model: EnvironmentModel
     raw: dict
+    config_hash: str  # the sha256 of the bytes that were parsed
     cones: dict[Fraction, ConeSpec] = field(default_factory=dict)  # by weight: the fixed one, or every grid one
 
     def __getitem__(self, path: str) -> Any:
@@ -102,11 +103,11 @@ def _naming(path: str) -> Iterator[None]:
         raise ConfigError(f"config: {path!r}: {exc}") from exc
 
 
-# --- experiments: each takes a loaded config and returns (rows, curve rows or None, insufficient)
+# --- experiments: each takes a loaded config and returns (rows, curve rows or None)
 
 
 class _NoRenewals(Exception):
-    """Raised internally when the scan finds no workable cone; maps to exit 3.
+    """Raised internally when the scan finds no workable cone; the run reports one insufficient-data row.
 
     ``rows`` are the scan's per-weight rows, which explain the verdict;
     the manifest records them.
@@ -126,16 +127,12 @@ def _attrs(obj: Any, *names: str) -> dict:
     return {name: getattr(obj, name) for name in names}
 
 
-def _report(rows: list[dict], row: dict, result: Any, *names: str) -> bool:
-    """Append ``row`` with ``result``'s named fields, or an insufficient-data row when ``result`` is one.
-
-    Returns True for the latter.
-    """
+def _report(rows: list[dict], row: dict, result: Any, *names: str) -> None:
+    """Append ``row`` with ``result``'s named fields, or an insufficient-data row when ``result`` is one."""
     if isinstance(result, InsufficientData):
         rows.append(_insufficient_row(row["record"], result.reason))
-        return True
-    rows.append({**row, **_attrs(result, *names)})
-    return False
+    else:
+        rows.append({**row, **_attrs(result, *names)})
 
 
 def _jsonable(x: Any) -> Any:
@@ -180,17 +177,17 @@ def _renewals(cfg: ExperimentConfig) -> tuple[ConeSpec, list[dict], list[Traject
     return spec, rows, trajs, [detect_renewals(t, spec, cfg["confirm_horizon"]) for t in trajs]
 
 
-def _simulate(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
+def _simulate(cfg: ExperimentConfig) -> tuple[list[dict], None]:
     trajs = _ensemble(cfg)
     rows = []
     for i, obj in enumerate(trajectories_to_jsonl(trajs)):
         obj = {"record": "trajectory", "walker": i, **obj}
         obj["final"] = [int(c) for c in trajs[i].final_position()]
         rows.append(obj)
-    return rows, None, False
+    return rows, None
 
 
-def _direction(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
+def _direction(cfg: ExperimentConfig) -> tuple[list[dict], None]:
     _, rows, trajs, records = _renewals(cfg)
     l, lvl, dip = cfg["l"], cfg["thresholds.level_threshold"], cfg["thresholds.dip_allowance"]
     verdict, speed = _class_estimates(trajs, l, lvl, dip)
@@ -205,18 +202,17 @@ def _direction(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
     rows.append(
         {"record": "speed", "l": l, **_attrs(speed, "mean", "ci", "n_plus", "n_minus", "mean_plus", "mean_minus")}
     )
-    insufficient = False
     for route, est in (
         (ROUTE_RAW, estimate_direction(trajs=trajs, route=ROUTE_RAW, level_threshold=lvl)),
         (ROUTE_RENEWAL, estimate_direction(records=records, route=ROUTE_RENEWAL)),
     ):
-        insufficient |= _report(rows, {"record": f"direction-{route}"}, est, "nu_hat", "dispersion", "n_samples")
+        _report(rows, {"record": f"direction-{route}"}, est, "nu_hat", "dispersion", "n_samples")
     cluster = antipodal_clustering(trajs, cfg["thresholds.theta_tol"])
     rows.append({"record": "clusters", **_attrs(cluster, "n_clusters", "centers", "max_angular_dev", "reason")})
-    return rows, None, insufficient
+    return rows, None
 
 
-def _renewal(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
+def _renewal(cfg: ExperimentConfig) -> tuple[list[dict], None]:
     spec, rows, _, records = _renewals(cfg)
     for i, rec in enumerate(records):
         rows.append(
@@ -224,10 +220,10 @@ def _renewal(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
         )
     rate = renewal_rate(sum(rec.n_confirmed for rec in records), cfg["n_walks"], cfg["horizon"])
     rows.append({"record": "renewal-rate", "lambda": spec.lam, "rate_per_1k": rate})
-    return rows, None, False
+    return rows, None
 
 
-def _renewal_identity(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
+def _renewal_identity(cfg: ExperimentConfig) -> tuple[list[dict], None]:
     spec, rows, _, records = _renewals(cfg)
     report = renewal_mean_identity(
         records,
@@ -238,7 +234,7 @@ def _renewal_identity(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
         n_boot=cfg["thresholds.bootstrap_samples"],
         boot_seed=int(derive_key(cfg["master_seed"], TAG_STAT)) & 0x7FFFFFFF,
     )
-    insufficient = _report(
+    _report(
         rows,
         {"record": "renewal-identity", "lambda": spec.lam},
         report,
@@ -246,11 +242,11 @@ def _renewal_identity(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
         "n_increments",
     )
     independence = independence_test(pooled_increments(records))
-    insufficient |= _report(rows, {"record": "independence"}, independence, "lag1", "ci_low", "ci_high", "passed")
-    return rows, None, insufficient
+    _report(rows, {"record": "independence"}, independence, "lag1", "ci_low", "ci_high", "passed")
+    return rows, None
 
 
-def _slab(cfg: ExperimentConfig) -> tuple[list[dict], list[dict], bool]:
+def _slab(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     lp, b, L_list = cfg["slab.l_prime"], cfg["slab.b"], cfg["slab.L_list"]
     curve = slab_exit_decay(cfg.model, cfg["master_seed"], lp, b, L_list, cfg["n_walks"], cfg["horizon"])
     rows, curves = [], []
@@ -258,10 +254,10 @@ def _slab(cfg: ExperimentConfig) -> tuple[list[dict], list[dict], bool]:
         rows.append({"record": "slab-point", **_attrs(pt, "L", "p_left", "ci", "n_left", "n_exits", "n_censored")})
         curves.append({"L": pt.L, "p_left": pt.p_left, "ci_low": pt.ci[0], "ci_high": pt.ci[1]})
     rows.append({"record": "slab-slope", "log_slope": curve.log_slope, "n_fit": curve.n_fit})
-    return rows, curves, False
+    return rows, curves
 
 
-def _zero_one_scan(cfg: ExperimentConfig) -> tuple[list[dict], list[dict], bool]:
+def _zero_one_scan(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     n_angles = cfg["zero_one.n_angles"]
     scan = zero_one_scan(
         cfg.model,
@@ -283,7 +279,7 @@ def _zero_one_scan(cfg: ExperimentConfig) -> tuple[list[dict], list[dict], bool]
         rows.append({"record": "angle", **point, "verdict": scan.verdicts[a].value})
         curves.append(point)
     rows.append({"record": "pattern", "pattern": scan.pattern.value, "nu_hat": scan.nu_hat})
-    return rows, curves, False
+    return rows, curves
 
 
 def _region(cfg: ExperimentConfig) -> RegionDescriptor:
@@ -299,7 +295,7 @@ def _region(cfg: ExperimentConfig) -> RegionDescriptor:
     return BoxRegion(cfg["oracle.region.lo"], cfg["oracle.region.hi"])
 
 
-def _oracle_compare(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
+def _oracle_compare(cfg: ExperimentConfig) -> tuple[list[dict], None]:
     target, n_walks, start = cfg["oracle.target_class"], cfg["n_walks"], (0,) * cfg["dimension"]
     with _naming("oracle.region"):  # a region's boundary classes are known once it is built
         region = _region(cfg)
@@ -327,10 +323,10 @@ def _oracle_compare(cfg: ExperimentConfig) -> tuple[list[dict], None, bool]:
         se = _binom_se(p_hat, tally.n_exits)
         row.update(mc_p=p_hat, mc_se=se, mc_n_exits=tally.n_exits, mc_n_censored=tally.n_censored)
         row["agree_3sigma"] = abs(p_hat - exact.mean) <= 3 * se  # False when nothing exited: se is NaN
-    return [row], None, False
+    return [row], None
 
 
-_RUNNERS: dict[str, Callable[[ExperimentConfig], tuple[list[dict], list[dict] | None, bool]]] = {
+_RUNNERS: dict[str, Callable[[ExperimentConfig], tuple[list[dict], list[dict] | None]]] = {
     "simulate": _simulate,
     "direction": _direction,
     "renewal": _renewal,
@@ -614,7 +610,8 @@ def _read_field(f: _Field, obj: dict, fields: dict[str, Any]) -> None:
 
 def load_config(path: Path) -> ExperimentConfig:
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()  # read once, so that config_hash covers the bytes that are parsed
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     try:
@@ -640,7 +637,7 @@ def load_config(path: Path) -> ExperimentConfig:
         model = _MODELS[fields["model.kind"]](fields)
     if model.dim != fields["dimension"]:
         raise ConfigError(f"config: model dimension {model.dim} does not match 'dimension' {fields['dimension']}")
-    return ExperimentConfig(fields, model, raw, _cones(fields))
+    return ExperimentConfig(fields, model, raw, hashlib.sha256(data).hexdigest(), _cones(fields))
 
 
 def _cones(fields: dict[str, Any]) -> dict[Fraction, ConeSpec]:
@@ -656,15 +653,19 @@ def _cones(fields: dict[str, Any]) -> dict[Fraction, ConeSpec]:
     return cones
 
 
+def _need_text(f: _Field) -> str:
+    test, experiments = f.need
+    return f"{f'{test} for' if test else 'needed by'} {' and '.join(experiments)}"
+
+
 def _describe(f: _Field) -> str:
     """One line on a field: its type, kind, need, whether it is required, and its doc."""
     text = f.type.name
     if f.when is not None:
         text += f" ({f.when})"
-    test, experiments = f.need
-    if experiments:
-        text += f", {f'{test} for' if test else 'needed by'} {' and '.join(experiments)}"
-    if f.default is None and not experiments:
+    if f.need[1]:
+        text += f", {_need_text(f)}"
+    if f.default is None and not f.need[1]:
         text += ", optional"
     elif f.default is not None and f.default is not _REQUIRED:
         text += f", default {json.dumps(_jsonable(f.default))}"
@@ -682,13 +683,16 @@ def _schema(path: str = "") -> dict[str, Any]:
             out[key] = _schema(f.path)
         else:
             out[key] = "{" + "; ".join(f"{c.path.rpartition('.')[2]}: {_describe(c)}" for c in _children(f.path)) + "}"
+    if not path:  # a top-level block prints as its fields, so the experiment line states the blocks' needs
+        blocks = [f for f in _FIELDS if f.type is _OBJECT and f.need[1]]
+        out["experiment"] += ": " + "; ".join(f"{f.path} {_need_text(f)}" for f in blocks)
     return out
 
 
 # --- commands
 
 
-def _resolve_threads(arg: int | None) -> int:
+def _resolve_threads(arg: int | None) -> None:
     """Validate ``--threads`` and $RWRE_LAB_THREADS; every run uses one thread.
 
     Both are still accepted so existing scripts keep working.  Outputs are a
@@ -701,7 +705,6 @@ def _resolve_threads(arg: int | None) -> int:
             int(envv)
         except ValueError as exc:
             raise ConfigError(f"{ENV_THREADS} must be an integer, got {envv!r}") from exc
-    return 1
 
 
 def _replace_atomically(path: Path, write: Callable[[TextIO], None], newline: str | None = None) -> None:
@@ -720,12 +723,10 @@ def _write_outputs(
     rows: list[dict],
     curves: list[dict] | None,
     cfg: ExperimentConfig,
-    config_hash: str,
-    seed: int,
     started: str,
     lambda_scan: list[dict] | None = None,
 ) -> list[str]:
-    """Write results.jsonl, curves.csv when there are curves, and manifest.json.
+    """Write results.jsonl, curves.csv when there are curves, and manifest.json, tagged with ``cfg``'s hash and seed.
 
     ``lambda_scan`` holds the rows of a weight scan that found no weight; the
     manifest records them, and results.jsonl does not.
@@ -734,7 +735,7 @@ def _write_outputs(
 
     def write_results(fh: TextIO) -> None:
         for row in rows:
-            tagged = {"config_hash": config_hash, **_jsonable(row)}
+            tagged = {"config_hash": cfg.config_hash, **_jsonable(row)}
             fh.write(json.dumps(tagged, sort_keys=True) + "\n")
 
     def write_curves(fh: TextIO) -> None:
@@ -749,8 +750,8 @@ def _write_outputs(
         _replace_atomically(out_dir / "curves.csv", write_curves, newline="")
         outputs.append("curves.csv")
     manifest = {
-        "config_hash": config_hash,
-        "master_seed": seed,
+        "config_hash": cfg.config_hash,
+        "master_seed": cfg["master_seed"],
         "tool_version": __version__,
         "started_utc": started,
         "finished_utc": datetime.now(timezone.utc).isoformat(),
@@ -767,9 +768,8 @@ def _write_outputs(
 
 def cmd_run(args: argparse.Namespace) -> int:
     started = datetime.now(timezone.utc).isoformat()
-    path = Path(args.config)
     try:
-        cfg = load_config(path)
+        cfg = load_config(Path(args.config))
         _resolve_threads(args.threads)
         if args.seed is not None:
             try:
@@ -780,13 +780,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         found = next(p for p in (out_dir, *out_dir.parents) if p.exists())
         if not found.is_dir():
             raise ConfigError(f"output path {str(out_dir)!r}: {str(found)!r} exists and is not a directory")
-        config_hash = hashlib.sha256(path.read_bytes()).hexdigest()
         scan_rows = None
         try:
-            rows, curves, insufficient = _RUNNERS[cfg["experiment"]](cfg)
+            rows, curves = _RUNNERS[cfg["experiment"]](cfg)
         except _NoRenewals as exc:
-            rows, curves, insufficient = [_insufficient_row("lambda-scan", str(exc))], None, True
-            scan_rows = exc.rows
+            rows, curves, scan_rows = [_insufficient_row("lambda-scan", str(exc))], None, exc.rows
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -797,11 +795,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: the run is too large for this host: {exc}", file=sys.stderr)
         return 2
     try:
-        _write_outputs(out_dir, rows, curves, cfg, config_hash, cfg["master_seed"], started, scan_rows)
+        _write_outputs(out_dir, rows, curves, cfg, started, scan_rows)
     except OSError as exc:
         print(f"error: cannot write outputs to {str(out_dir)!r}: {exc}", file=sys.stderr)
         return 2
-    return 3 if insufficient else 0
+    return 3 if any(row.get("insufficient_data") for row in rows) else 0
 
 
 def _tolerance(value: Any, flag: str) -> float:

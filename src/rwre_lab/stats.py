@@ -183,7 +183,7 @@ def _class_estimates(
     trajs: Sequence[Trajectory], l, level_threshold: float | None, dip_allowance: float | None
 ) -> tuple[TransienceVerdict, SpeedEstimate]:
     """``classify_transience`` and ``estimate_speed`` of a nonempty ensemble from one class pass."""
-    lv = np.asarray(_check_l(l), dtype=np.float64)
+    lv = np.asarray(_check_l(l, trajs[0].dim), dtype=np.float64)
     thr, dip = _resolve_thresholds(len(trajs[0]), level_threshold, dip_allowance)
     cls, final = _walk_classes(trajs, lv[None, :], thr, dip)
     cls = cls[:, 0]

@@ -47,7 +47,16 @@ class Trajectory:
 
     def __post_init__(self):
         check_dim(self.dim)
-        self.steps = np.asarray(self.steps, dtype=np.int8)
+        steps = np.asarray(self.steps)
+        if steps.ndim != 1 or (steps.size and steps.dtype.kind not in "iu"):  # bools and floats are refused
+            raise ConfigError(
+                f"steps must be a 1-D array of integer direction indices, got shape {steps.shape} of {steps.dtype}"
+            )
+        if steps.size and not 0 <= steps.min() <= steps.max() < 2 * self.dim:
+            raise ConfigError(
+                f"steps must be direction indices in 0..{2 * self.dim - 1}, got {steps.min()}..{steps.max()}"
+            )
+        self.steps = steps.astype(np.int8, copy=False)
         self.steps.setflags(write=False)
 
     def __len__(self) -> int:
@@ -116,10 +125,13 @@ class SlabExit:
     time: int | None
 
 
-def _check_l(l) -> np.ndarray:
+def _check_l(l, d: int | None = None) -> np.ndarray:
+    """``l`` as an array, once it is checked a finite nonzero vector, with ``d`` entries when ``d`` is given."""
     arr = np.asarray(l)
     if arr.ndim != 1 or not np.any(arr != 0) or not np.all(np.isfinite(arr)):
         raise ConfigError("direction l must be a finite nonzero vector")
+    if d is not None and arr.shape[0] != d:
+        raise ConfigError(f"direction l must have {d} entries (the dimension), got {arr.shape[0]}")
     return arr
 
 
@@ -128,9 +140,7 @@ def _check_slab(l_prime, b: float, L: float, d: int | None = None) -> np.ndarray
 
     b, L and b * L must be positive and finite, not NaN: no walker reaches a NaN or infinite face.
     """
-    lp = _check_l(np.asarray(l_prime, dtype=np.float64))
-    if d is not None and lp.shape != (d,):
-        raise ConfigError("l_prime dimension mismatch")
+    lp = _check_l(np.asarray(l_prime, dtype=np.float64), d)
     if not (0 < b < np.inf and 0 < L < np.inf and float(b) * float(L) < np.inf):
         raise ConfigError(f"slab parameters b, L and b * L must be positive and finite, got b = {b}, L = {L}")
     return lp
@@ -237,12 +247,12 @@ def simulate_ensemble(
 
 def first_passage(traj: Trajectory, l, s: float) -> StopResult:
     """Least n with X_n . l > s (strict), else not-by-horizon."""
-    return StopResult.first(traj.positions() @ _check_l(l) > s)
+    return StopResult.first(traj.positions() @ _check_l(l, traj.dim) > s)
 
 
 def backtrack_time(traj: Trajectory, l) -> StopResult:
     """Least n >= 1 with X_n . l < X_0 . l, else not-by-horizon."""
-    lv = traj.positions() @ _check_l(l)
+    lv = traj.positions() @ _check_l(l, traj.dim)
     return StopResult.first(lv < lv[0])
 
 

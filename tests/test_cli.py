@@ -1,4 +1,6 @@
+import builtins
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -580,18 +582,18 @@ class TestRun:
         cfg = load_config(cfg_path)
         out = tmp_path / "out"
         good_curves = [{"L": 1.0, "p_left": 0.5}]
-        _write_outputs(out, [{"record": "first"}], good_curves, cfg, "h", 1, "t")
+        _write_outputs(out, [{"record": "first"}], good_curves, cfg, "t")
         names = ["curves.csv", "manifest.json", "results.jsonl"]
         before = {name: (out / name).read_bytes() for name in names}
         # the second row cannot be serialised, so the write fails after the first
         with pytest.raises(TypeError):
-            _write_outputs(out, [{"record": "ok"}, {"record": object()}], good_curves, cfg, "h", 1, "t")
+            _write_outputs(out, [{"record": "ok"}, {"record": object()}], good_curves, cfg, "t")
         assert sorted(p.name for p in out.iterdir()) == names
         assert {name: (out / name).read_bytes() for name in names} == before
         # the second curve row has a key the header lacks, so that write fails after the first
         bad_curves = [{"L": 2.0, "p_left": 0.25}, {"x": 1}]
         with pytest.raises(ValueError):
-            _write_outputs(out, [{"record": "first"}], bad_curves, cfg, "h", 1, "t")
+            _write_outputs(out, [{"record": "first"}], bad_curves, cfg, "t")
         assert sorted(p.name for p in out.iterdir()) == names
         assert (out / "curves.csv").read_bytes() == before["curves.csv"]
 
@@ -908,6 +910,20 @@ class TestMisc:
         assert all(isinstance(schema[key], str) for key in top)
         assert all(isinstance(doc, str) for key in blocks for doc in schema[key].values())
 
+    def test_schema_prints_every_need(self, capsys):
+        # a value's need sits on its own line; a block prints as its fields, so its need is on the experiment line
+        assert run_cli("schema") == 0
+        schema = json.loads(capsys.readouterr().out)
+        needs = [f for f in cli._FIELDS if f.need[1]]
+        assert {f.path for f in needs} >= {"cone", "slab", "zero_one", "oracle", "l", "n_walks"}
+        for f in needs:
+            test, experiments = f.need
+            text = f"{f'{test} for' if test else 'needed by'} {' and '.join(experiments)}"
+            if f.type is cli._OBJECT:
+                assert f"{f.path} {text}" in schema["experiment"]
+            else:
+                assert text in schema[f.path]
+
     def test_readme_example_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         example = readme.split("```json\n", 1)[1].split("```", 1)[0]
@@ -1158,3 +1174,20 @@ def test_config_hash_is_the_sha256_of_the_config_bytes(tmp_path, cfg):
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert {row["config_hash"] for row in results_of(out)} == {digest}
     assert json.loads((out / "manifest.json").read_text())["config_hash"] == digest
+
+
+def test_run_reads_its_config_once(tmp_path, monkeypatch):
+    # every file read goes through io.open (Path.read_bytes and read_text too), so each read of the config is counted
+    path = write_config(tmp_path, "run.json", simulate_config(n_walks=3))
+    reads = []
+    real_open = io.open
+
+    def counted(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file) == path:
+            reads.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counted)
+    monkeypatch.setattr(builtins, "open", counted)
+    assert run_cli("run", "--config", path, "--out", tmp_path / "out") == 0
+    assert len(reads) == 1

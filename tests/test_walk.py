@@ -20,6 +20,7 @@ from rwre_lab import (
 )
 from rwre_lab.lattice import check_dim, encode_signed_axis
 from rwre_lab.rng import TAG_ENV, TAG_WALKER, derive_key
+from rwre_lab.stats import classify_transience, estimate_speed
 from rwre_lab.walk import (
     Side,
     SlabTally,
@@ -311,3 +312,52 @@ class TestEnsembleArguments:
     def test_slab_negative_horizon(self):
         with pytest.raises(ConfigError, match="horizon"):
             run_slab_ensemble(self.model, 13, 10, [1.0], 1.0, 3.0, -5)
+
+
+class TestStepIndices:
+    """A path's steps are direction indices in 0..2d-1, refused by rule before the int8 cast."""
+
+    @pytest.mark.parametrize(
+        "steps, rule",
+        [
+            (np.array([-1, 0, 0]), r"in 0\.\.3, got -1\.\.0"),  # -1 wrapped to -e2
+            (np.array([260]), r"in 0\.\.3, got 260\.\.260"),  # 260 cast to index 4
+            (np.array([4]), r"in 0\.\.3, got 4\.\.4"),  # positions() ended in an IndexError
+            (np.array([True, False]), "integer direction indices"),
+            (np.array([0.0, 1.0]), "integer direction indices"),
+            (np.array([[0, 1]]), "1-D array"),
+        ],
+        ids=["negative", "past_int8", "past_2d", "bools", "floats", "two_d"],
+    )
+    def test_out_of_rule_steps_refused(self, steps, rule):
+        with pytest.raises(ConfigError, match=rule):
+            Trajectory(steps, 2, 0)
+
+    @pytest.mark.parametrize("steps", [[], np.array([], dtype=np.int64), np.array([0, 1, 2, 3], dtype=np.uint16)])
+    def test_valid_steps_kept(self, steps):
+        t = Trajectory(steps, 2, 0)
+        assert t.steps.dtype == np.int8 and t.steps.tolist() == list(steps)
+
+
+class TestDirectionLength:
+    """A direction with other than d entries is refused by name, not by numpy's matmul."""
+
+    traj = Trajectory(np.array([0, 2, 0], dtype=np.int8), 2, 0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t: first_passage(t, [1, 0, 0], 2),
+            lambda t: backtrack_time(t, [1]),
+            lambda t: estimate_speed([t], (1, 0, 0)),
+            lambda t: classify_transience([t], (1, 0, 0)),
+        ],
+        ids=["first_passage", "backtrack_time", "estimate_speed", "classify_transience"],
+    )
+    def test_wrong_length_refused_by_name(self, call):
+        with pytest.raises(ConfigError, match="direction l must have 2 entries"):
+            call(self.traj)
+
+    def test_slab_direction_length_refused_by_name(self):
+        with pytest.raises(ConfigError, match="direction l must have 2 entries"):
+            slab_exit_side(self.traj, [1.0, 0.0, 0.0], 1.0, 3.0)
