@@ -351,13 +351,10 @@ class TestDirectionLength:
             lambda t: backtrack_time(t, [1]),
             lambda t: estimate_speed([t], (1, 0, 0)),
             lambda t: classify_transience([t], (1, 0, 0)),
+            lambda t: slab_exit_side(t, [1.0, 0.0, 0.0], 1.0, 3.0),
         ],
-        ids=["first_passage", "backtrack_time", "estimate_speed", "classify_transience"],
+        ids=["first_passage", "backtrack_time", "estimate_speed", "classify_transience", "slab_exit_side"],
     )
     def test_wrong_length_refused_by_name(self, call):
         with pytest.raises(ConfigError, match="direction l must have 2 entries"):
             call(self.traj)
-
-    def test_slab_direction_length_refused_by_name(self):
-        with pytest.raises(ConfigError, match="direction l must have 2 entries"):
-            slab_exit_side(self.traj, [1.0, 0.0, 0.0], 1.0, 3.0)
