@@ -61,17 +61,20 @@ from .stats import (
     InsufficientData,
     ROUTE_RAW,
     ROUTE_RENEWAL,
+    PathSummary,
     _binom_se,
     _class_estimates,
-    antipodal_clustering,
     estimate_direction,
+    final_clustering,
     independence_test,
     pooled_increments,
+    raw_direction,
     renewal_mean_identity,
     slab_exit_decay,
+    summarize,
     zero_one_scan,
 )
-from .walk import Trajectory, _check_slab, run_slab_ensemble, simulate_ensemble, trajectories_to_jsonl
+from .walk import Trajectory, _check_slab, block_walkers, run_slab_ensemble, simulate_ensemble, trajectories_to_jsonl
 
 ENV_THREADS = "RWRE_LAB_THREADS"
 
@@ -123,7 +126,7 @@ def _insufficient_row(kind: str, reason: str) -> dict:
 
 
 def _attrs(obj: Any, *names: str) -> dict:
-    """The named attributes of an estimator's result, as row fields (``_write_outputs`` makes them JSON)."""
+    """The named attributes of an estimator's result, as row fields (``_json_default`` makes them JSON)."""
     return {name: getattr(obj, name) for name in names}
 
 
@@ -135,22 +138,17 @@ def _report(rows: list[dict], row: dict, result: Any, *names: str) -> None:
         rows.append({**row, **_attrs(result, *names)})
 
 
-def _jsonable(x: Any) -> Any:
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
+def _json_default(x: Any) -> Any:
+    """The JSON form of what the encoder does not know: numpy scalars and arrays as Python values, a Fraction as text.
+
+    numpy's float64 is a Python float, so the encoder writes it itself, with
+    ``float.__repr__``; ``tolist`` gives the same Python values for the rest.
+    """
+    if isinstance(x, (np.generic, np.ndarray)):
+        return x.tolist()
     if isinstance(x, Fraction):
         return str(x)
-    return x
-
-
-def _ensemble(cfg: ExperimentConfig) -> list:
-    return simulate_ensemble(cfg.model, cfg["master_seed"], cfg["n_walks"], cfg["horizon"])
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _cone_spec_from(cfg: ExperimentConfig) -> tuple[ConeSpec, list[dict]]:
@@ -170,15 +168,29 @@ def _cone_spec_from(cfg: ExperimentConfig) -> tuple[ConeSpec, list[dict]]:
     return cfg.cones[result.chosen], rows
 
 
-def _renewals(cfg: ExperimentConfig) -> tuple[ConeSpec, list[dict], list[Trajectory], list[RenewalRecord]]:
-    """The cone (scanned for when asked), its scan rows, the ensemble and each walk's renewal record."""
+def _renewals(
+    cfg: ExperimentConfig, summary: Callable[[list[Trajectory]], Any] | None = None
+) -> tuple[ConeSpec, list[dict], list[RenewalRecord], list]:
+    """The cone (scanned for when asked), its scan rows, each walk's renewal record and ``summary`` of each block.
+
+    The ensemble is simulated a block of ``block_walkers(horizon)`` walkers at
+    a time.  Each block's walks are scanned and summarized, then dropped, so a
+    run holds one block of paths; the split changes no path.
+    """
     spec, rows = _cone_spec_from(cfg)
-    trajs = _ensemble(cfg)
-    return spec, rows, trajs, [detect_renewals(t, spec, cfg["confirm_horizon"]) for t in trajs]
+    n, h, size = cfg["n_walks"], cfg["horizon"], block_walkers(cfg["horizon"])
+    records, summaries = [], []
+    for first in range(0, n, size):
+        block = simulate_ensemble(cfg.model, cfg["master_seed"], min(size, n - first), h, first)
+        records += [detect_renewals(t, spec, cfg["confirm_horizon"]) for t in block]
+        if summary is not None:
+            summaries.append(summary(block))
+        del block  # before the next block is simulated
+    return spec, rows, records, summaries
 
 
 def _simulate(cfg: ExperimentConfig) -> tuple[list[dict], None]:
-    trajs = _ensemble(cfg)
+    trajs = simulate_ensemble(cfg.model, cfg["master_seed"], cfg["n_walks"], cfg["horizon"])
     rows = []
     for i, obj in enumerate(trajectories_to_jsonl(trajs)):
         obj = {"record": "trajectory", "walker": i, **obj}
@@ -188,9 +200,10 @@ def _simulate(cfg: ExperimentConfig) -> tuple[list[dict], None]:
 
 
 def _direction(cfg: ExperimentConfig) -> tuple[list[dict], None]:
-    _, rows, trajs, records = _renewals(cfg)
     l, lvl, dip = cfg["l"], cfg["thresholds.level_threshold"], cfg["thresholds.dip_allowance"]
-    verdict, speed = _class_estimates(trajs, l, lvl, dip)
+    _, rows, records, parts = _renewals(cfg, lambda block: summarize(block, l))
+    walks = PathSummary.join(parts)
+    verdict, speed = _class_estimates(walks, lvl, dip)
     rows.append(
         {
             "record": "transience",
@@ -203,17 +216,17 @@ def _direction(cfg: ExperimentConfig) -> tuple[list[dict], None]:
         {"record": "speed", "l": l, **_attrs(speed, "mean", "ci", "n_plus", "n_minus", "mean_plus", "mean_minus")}
     )
     for route, est in (
-        (ROUTE_RAW, estimate_direction(trajs=trajs, route=ROUTE_RAW, level_threshold=lvl)),
+        (ROUTE_RAW, raw_direction(walks, lvl)),
         (ROUTE_RENEWAL, estimate_direction(records=records, route=ROUTE_RENEWAL)),
     ):
         _report(rows, {"record": f"direction-{route}"}, est, "nu_hat", "dispersion", "n_samples")
-    cluster = antipodal_clustering(trajs, cfg["thresholds.theta_tol"])
+    cluster = final_clustering(walks.final, cfg["thresholds.theta_tol"])
     rows.append({"record": "clusters", **_attrs(cluster, "n_clusters", "centers", "max_angular_dev", "reason")})
     return rows, None
 
 
 def _renewal(cfg: ExperimentConfig) -> tuple[list[dict], None]:
-    spec, rows, _, records = _renewals(cfg)
+    spec, rows, records, _ = _renewals(cfg)
     for i, rec in enumerate(records):
         rows.append(
             {"record": "renewals", "walker": i, **_attrs(rec, "n_confirmed", "censored_tail"), **rec.to_json_obj()}
@@ -224,7 +237,7 @@ def _renewal(cfg: ExperimentConfig) -> tuple[list[dict], None]:
 
 
 def _renewal_identity(cfg: ExperimentConfig) -> tuple[list[dict], None]:
-    spec, rows, _, records = _renewals(cfg)
+    spec, rows, records, _ = _renewals(cfg)
     report = renewal_mean_identity(
         records,
         spec,
@@ -668,7 +681,7 @@ def _describe(f: _Field) -> str:
     if f.default is None and not f.need[1]:
         text += ", optional"
     elif f.default is not None and f.default is not _REQUIRED:
-        text += f", default {json.dumps(_jsonable(f.default))}"
+        text += f", default {json.dumps(f.default, default=_json_default)}"
     return f"{text}: {f.doc}" if f.doc else text
 
 
@@ -735,8 +748,8 @@ def _write_outputs(
 
     def write_results(fh: TextIO) -> None:
         for row in rows:
-            tagged = {"config_hash": cfg.config_hash, **_jsonable(row)}
-            fh.write(json.dumps(tagged, sort_keys=True) + "\n")
+            tagged = {"config_hash": cfg.config_hash, **row}
+            fh.write(json.dumps(tagged, sort_keys=True, default=_json_default) + "\n")
 
     def write_curves(fh: TextIO) -> None:
         writer = csv.DictWriter(fh, fieldnames=list(curves[0].keys()))
@@ -755,12 +768,12 @@ def _write_outputs(
         "tool_version": __version__,
         "started_utc": started,
         "finished_utc": datetime.now(timezone.utc).isoformat(),
-        "parameters": _jsonable(cfg.raw),
+        "parameters": cfg.raw,
         "outputs": outputs,
     }
     if lambda_scan is not None:
-        manifest["lambda_scan"] = _jsonable(lambda_scan)
-    manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        manifest["lambda_scan"] = lambda_scan
+    manifest_text = json.dumps(manifest, indent=2, sort_keys=True, default=_json_default) + "\n"
     _replace_atomically(out_dir / "manifest.json", lambda fh: fh.write(manifest_text))
     outputs.append("manifest.json")
     return outputs

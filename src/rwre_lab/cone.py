@@ -194,6 +194,11 @@ class RenewalRecord:
     half of the path (see ``_level_facts``); they decide the walk's transience
     class along l.  The defaults give the renewal mean identity no data: no
     level is reached and no walk is transient.
+
+    ``detect_renewals`` stores ``times`` and ``positions`` in the dtype of
+    ``_record_dtype(N)``: int32 when N < 2**31 - 1, since no time and no
+    coordinate of an N-step walk passes N, and int64 otherwise.  A renewal run
+    keeps these records, not the paths it read them from.
     """
 
     times: np.ndarray
@@ -220,19 +225,27 @@ class RenewalRecord:
         return self.positions[: self.n_confirmed]
 
     def increments(self) -> np.ndarray:
-        """Position differences between consecutive confirmed renewals."""
+        """Position differences between consecutive confirmed renewals, in the dtype of ``positions``."""
         pos = self.confirmed_positions
         if pos.shape[0] < 2:
-            return np.zeros((0, self.positions.shape[1]), dtype=np.int64)
+            return np.zeros((0, self.positions.shape[1]), dtype=self.positions.dtype)
         return np.diff(pos, axis=0)
 
     def to_json_obj(self) -> dict:
         return {
-            "tau": [int(t) for t in self.times],
-            "positions": [[int(c) for c in p] for p in self.positions],
+            "tau": self.times.tolist(),
+            "positions": self.positions.tolist(),
             "H": int(self.confirm_horizon),
             "censored_tail": bool(self.censored_tail),
         }
+
+
+def _record_dtype(n_steps: int) -> np.dtype:
+    """The dtype of an N-step walk's renewal times and positions: int32 when N < 2**31 - 1, else int64.
+
+    No time and no coordinate of the walk is larger than N in size.
+    """
+    return np.dtype(np.int32 if n_steps < np.iinfo(np.int32).max else np.int64)
 
 
 def _faces(P: np.ndarray, spec: ConeSpec) -> np.ndarray:
@@ -320,10 +333,12 @@ def detect_renewals(traj: Trajectory, spec: ConeSpec, confirm_horizon: int) -> R
     H, P, s, fresh = _levels(traj, spec, confirm_horizon)
     F = _faces(P, spec)
     times, censored = _scan(fresh, F, H)
+    dtype = _record_dtype(len(traj))
     hit = s[fresh]  # increasing; a run of consecutive levels starts and ends where the step to its neighbour is not 1
     runs = np.stack([hit[np.diff(hit, prepend=hit[:1]) != 1], hit[np.diff(hit, append=hit[-1:]) != 1]], axis=1)
     facts = map(int, _level_facts(s))
-    return RenewalRecord(times, P[times], H, censored, runs, bool((F >= 0).all()), *facts)
+    stays = bool((F >= 0).all())
+    return RenewalRecord(times.astype(dtype), P[times].astype(dtype), H, censored, runs, stays, *facts)
 
 
 @dataclass(frozen=True)

@@ -114,23 +114,74 @@ def _level_class(final, tail_max, tail_min, thr: float, dip: float) -> int:
     return 0
 
 
-def _walk_classes(
-    trajs: Sequence[Trajectory], dirs: np.ndarray, thr: float, dip: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each walk's transience class and final level along each row of ``dirs``: two (walks, rows) arrays.
+def _level_rows(trajs: Sequence[Trajectory], dirs: np.ndarray) -> np.ndarray:
+    """Each walk's final level and the max and min of the last half of its levels along each row of ``dirs``.
 
-    Every path is built once.  Each direction gets its own ``pos @ d``
-    product, because one product against all rows rounds levels differently.
+    A (walks, rows, 3) float64 array of ``cone._level_facts`` of the float
+    levels.  Every path is built once.  Each direction gets its own
+    ``pos @ d`` product, because one product against all rows rounds levels
+    differently.
     """
-    cls = np.zeros((len(trajs), len(dirs)), dtype=np.int64)
-    final = np.zeros((len(trajs), len(dirs)))
+    out = np.zeros((len(trajs), len(dirs), 3))
     for i, t in enumerate(trajs):
         pos = t.positions().astype(np.float64)
         for a, d in enumerate(dirs):
-            _, last, tail_max, tail_min = _level_facts(pos @ d)
-            cls[i, a] = _level_class(last, tail_max, tail_min, thr, dip)
-            final[i, a] = last
-    return cls, final
+            out[i, a] = _level_facts(pos @ d)[1:]
+    return out
+
+
+def _classes(levels: np.ndarray, thr: float, dip: float) -> np.ndarray:
+    """The transience class of each (final, tail max, tail min) row of ``levels``, in its leading shape."""
+    rows = levels.reshape(-1, 3)
+    return np.asarray([_level_class(*row, thr, dip) for row in rows], dtype=np.int64).reshape(levels.shape[:-1])
+
+
+def _walk_classes(
+    trajs: Sequence[Trajectory], dirs: np.ndarray, thr: float, dip: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each walk's transience class and final level along each row of ``dirs``: two (walks, rows) arrays."""
+    levels = _level_rows(trajs, dirs)
+    return _classes(levels, thr, dip), levels[..., 0]
+
+
+@dataclass(eq=False)
+class PathSummary:
+    """What the path estimators read of an ensemble, one row per walk, so that a run need not keep its paths.
+
+    ``final`` holds the final positions X_N, a (walks, d) int64 array, and
+    ``n_steps`` the step counts N.  With a direction ``l`` (float64),
+    ``levels`` holds each walk's final level X_N . l and the max and min of
+    the last half of its levels, a (walks, 3) float64 array that decides its
+    transience class (see ``_level_class``); without one, both are None.
+    """
+
+    final: np.ndarray
+    n_steps: np.ndarray
+    l: np.ndarray | None = None
+    levels: np.ndarray | None = None
+
+    @classmethod
+    def join(cls, parts: Sequence["PathSummary"]) -> "PathSummary":
+        """The summaries of consecutive blocks of one ensemble as one, in walker order."""
+        levels = None if parts[0].levels is None else np.concatenate([p.levels for p in parts])
+        return cls(
+            np.concatenate([p.final for p in parts]), np.concatenate([p.n_steps for p in parts]), parts[0].l, levels
+        )
+
+
+def summarize(trajs: Sequence[Trajectory], l=None) -> PathSummary:
+    """The ``PathSummary`` of ``trajs``, with the level facts along ``l`` when it is given.
+
+    The final positions come from the step counts; only the level facts build
+    the paths.
+    """
+    d = trajs[0].dim if trajs else 0
+    final = np.array([t.final_position() for t in trajs], dtype=np.int64).reshape(len(trajs), d)
+    n_steps = np.array([len(t) for t in trajs], dtype=np.int64)
+    if l is None:
+        return PathSummary(final, n_steps)
+    lv = np.asarray(_check_l(l, d), dtype=np.float64)
+    return PathSummary(final, n_steps, lv, _level_rows(trajs, lv[None, :])[:, 0])
 
 
 @dataclass(frozen=True)
@@ -153,7 +204,7 @@ def classify_transience(
     """Classify an ensemble as transient toward +l, toward -l, or undecided."""
     if not trajs:
         raise ValueError("classify_transience needs a nonempty ensemble")
-    return _class_estimates(trajs, l, level_threshold, dip_allowance)[0]
+    return _class_estimates(summarize(trajs, l), level_threshold, dip_allowance)[0]
 
 
 @dataclass(frozen=True)
@@ -176,23 +227,21 @@ def estimate_speed(
     """Mean of X_N . l / N with a normal CI, split by transience class."""
     if not trajs:
         raise ValueError("estimate_speed needs a nonempty ensemble")
-    return _class_estimates(trajs, l, level_threshold, dip_allowance)[1]
+    return _class_estimates(summarize(trajs, l), level_threshold, dip_allowance)[1]
 
 
 def _class_estimates(
-    trajs: Sequence[Trajectory], l, level_threshold: float | None, dip_allowance: float | None
+    walks: PathSummary, level_threshold: float | None, dip_allowance: float | None
 ) -> tuple[TransienceVerdict, SpeedEstimate]:
-    """``classify_transience`` and ``estimate_speed`` of a nonempty ensemble from one class pass."""
-    lv = np.asarray(_check_l(l, trajs[0].dim), dtype=np.float64)
-    thr, dip = _resolve_thresholds(len(trajs[0]), level_threshold, dip_allowance)
-    cls, final = _walk_classes(trajs, lv[None, :], thr, dip)
-    cls = cls[:, 0]
-    n = len(trajs)
+    """``classify_transience`` and ``estimate_speed`` along ``walks.l`` of a nonempty ensemble, from its summary."""
+    thr, dip = _resolve_thresholds(int(walks.n_steps[0]), level_threshold, dip_allowance)
+    cls = _classes(walks.levels, thr, dip)
+    n = cls.shape[0]
     p_plus, p_minus = int((cls > 0).sum()) / n, int((cls < 0).sum()) / n
     verdict = TransienceVerdict(
-        tuple(float(x) for x in lv), _verdict(p_plus, p_minus), p_plus, p_minus, thr, dip, n
+        tuple(float(x) for x in walks.l), _verdict(p_plus, p_minus), p_plus, p_minus, thr, dip, n
     )
-    vals = final[:, 0] / np.maximum([len(t) for t in trajs], 1)
+    vals = walks.levels[:, 0] / np.maximum(walks.n_steps, 1)
     mean = float(vals.mean())
     sd = float(vals.std(ddof=1)) if n > 1 else 0.0
     plus = vals[cls > 0]
@@ -237,20 +286,29 @@ def estimate_direction(
     if route == ROUTE_RAW:
         if not trajs:
             return InsufficientData("no trajectories supplied")
-        thr = _resolve_thresholds(len(trajs[0]), level_threshold, None)[0]
-        x, r = _final_radii(trajs)
-        far = r >= thr
-        if not far.any():
-            return InsufficientData("no walk reached the radius threshold")
-        samples = x[far] / r[far, None]
-    elif route == ROUTE_RENEWAL:
-        if not records:
-            return InsufficientData("no renewal records supplied")
-        samples = pooled_increments(records).astype(np.float64)
-        if not samples.shape[0]:
-            return InsufficientData("no walk produced two confirmed renewals")
-    else:
+        return raw_direction(summarize(trajs), level_threshold)
+    if route != ROUTE_RENEWAL:
         raise ConfigError(f"unknown route {route!r}")
+    if not records:
+        return InsufficientData("no renewal records supplied")
+    samples = pooled_increments(records).astype(np.float64)
+    if not samples.shape[0]:
+        return InsufficientData("no walk produced two confirmed renewals")
+    return _mean_direction(samples, route)
+
+
+def raw_direction(walks: PathSummary, level_threshold: float | None = None) -> DirectionEstimate | InsufficientData:
+    """The raw route of ``estimate_direction`` on a nonempty ensemble's summary."""
+    thr = _resolve_thresholds(int(walks.n_steps[0]), level_threshold, None)[0]
+    x, r = _final_radii(walks.final)
+    far = r >= thr
+    if not far.any():
+        return InsufficientData("no walk reached the radius threshold")
+    return _mean_direction(x[far] / r[far, None], ROUTE_RAW)
+
+
+def _mean_direction(samples: np.ndarray, route: str) -> DirectionEstimate | InsufficientData:
+    """The normalised mean of the (samples, d) displacements and their mean angle to it."""
     mean = samples.mean(axis=0)
     norm = _stable_norm(mean)
     if norm == 0.0:
@@ -261,19 +319,23 @@ def estimate_direction(
     return DirectionEstimate(nu, float(angles.mean()), samples.shape[0], route)
 
 
-def _final_radii(trajs: Sequence[Trajectory]) -> tuple[np.ndarray, np.ndarray]:
+def _final_radii(final: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Final positions as floats, (walks, d), and their radii, each equal to ``_stable_norm`` of its row."""
-    d = trajs[0].dim if trajs else 0
-    x = np.array([t.final_position() for t in trajs], dtype=np.float64).reshape(len(trajs), d)
+    x = final.astype(np.float64)
     return x, np.sqrt(np.sort(x**2, axis=1).sum(axis=1))
 
 
 def pooled_increments(records: Sequence[RenewalRecord]) -> np.ndarray:
-    """Confirmed renewal increments concatenated in walker order."""
-    chunks = [inc for inc in (r.increments() for r in records) if inc.shape[0]]
-    if not chunks:
+    """Confirmed renewal increments concatenated in walker order, in one array of the records' dtype."""
+    pos = [r.confirmed_positions for r in records if r.n_confirmed > 1]
+    if not pos:
         return np.zeros((0, 0), dtype=np.int64)
-    return np.vstack(chunks)
+    out = np.empty((sum(p.shape[0] - 1 for p in pos), pos[0].shape[1]), dtype=np.result_type(*pos))
+    k = 0
+    for p in pos:
+        np.subtract(p[1:], p[:-1], out=out[k : k + p.shape[0] - 1])
+        k += p.shape[0] - 1
+    return out
 
 
 @dataclass(eq=False)
@@ -290,17 +352,19 @@ def independence_test(increments: np.ndarray) -> IndependenceReport | Insufficie
 
     Passes when every coordinate's CI contains 0.
     """
-    inc = np.asarray(increments, dtype=np.float64)
+    inc = np.asarray(increments)
     if inc.ndim != 2 or inc.shape[0] < 100:
         return InsufficientData("need at least 100 increments")
     n = inc.shape[0] - 1
     r = np.empty(inc.shape[1])
     for k in range(inc.shape[1]):
-        x, y = inc[:-1, k], inc[1:, k]
+        col = inc[:, k].astype(np.float64)
+        x, y = col[:-1], col[1:]
         sx, sy = x.std(), y.std()
         if sx == 0.0 or sy == 0.0:
             return InsufficientData(f"coordinate {k} is degenerate (zero variance)")
-        r[k] = float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
+        dx = x - x.mean()
+        r[k] = float(np.mean(np.multiply(dx, y - y.mean(), out=dx)) / (sx * sy))
     z = np.arctanh(np.clip(r, -0.999999, 0.999999))
     half = Z95 / math.sqrt(max(n - 3, 1))
     lo = np.tanh(z - half)
@@ -410,15 +474,11 @@ def renewal_mean_identity(
     lv = np.asarray(spec.l, dtype=np.int64)
     thr, dip = _resolve_thresholds(records[0].n_steps, level_threshold, dip_allowance)
     n = len(records)
-    inc_sum = np.zeros(n)
-    inc_cnt = np.zeros(n)
-    projs = []  # per walk with increments, their projections on l
-    for i, rec in enumerate(records):
-        inc = rec.increments()
-        if inc.shape[0]:
-            projs.append(inc @ lv)
-            inc_sum[i] = float(projs[-1].sum())
-            inc_cnt[i] = inc.shape[0]
+    # a walk's increments telescope: their projections sum exactly to its last confirmed level minus its first
+    inc_cnt = np.asarray([max(rec.n_confirmed - 1, 0) for rec in records], dtype=np.float64)
+    inc_sum = np.asarray(
+        [float((r.positions[r.n_confirmed - 1] - r.positions[0]) @ lv) if c else 0.0 for r, c in zip(records, inc_cnt)]
+    )
     tops = np.asarray([rec.hit_runs[-1, 1] if rec.hit_runs.size else 0 for rec in records], dtype=np.int64)
     stays = np.asarray([rec.stays for rec in records], dtype=bool)
     if window is None:
@@ -467,8 +527,13 @@ def renewal_mean_identity(
     if ratios.size < max(10, n_boot // 10):
         return InsufficientData("bootstrap produced too few valid resamples")
     ratio_ci = (float(np.percentile(ratios, 2.5)), float(np.percentile(ratios, 97.5)))
-    # increment-level CI for the lhs
-    proj = np.concatenate(projs).astype(np.float64)
+    # increment-level CI for the lhs, over every walk's projected increments in walker order
+    proj = np.empty(total_inc)
+    k = 0
+    for rec in records:
+        if rec.n_confirmed > 1:
+            proj[k : k + rec.n_confirmed - 1] = np.diff(rec.confirmed_positions @ lv)
+            k += rec.n_confirmed - 1
     lhs_ci = _normal_ci(float(proj.mean()), float(proj.std(ddof=1)), proj.size)
     return RenewalIdentityReport(
         lhs,
@@ -503,7 +568,12 @@ def antipodal_clustering(
     antipodal_tol: float = 0.05,
 ) -> ClusterResult:
     """Split final directions by the leading principal axis and test tightness."""
-    x, r = _final_radii(trajs)
+    return final_clustering(summarize(trajs).final, theta_tol, antipodal_tol)
+
+
+def final_clustering(final: np.ndarray, theta_tol: float = 0.3, antipodal_tol: float = 0.05) -> ClusterResult:
+    """``antipodal_clustering`` of the walks whose final positions are the rows of ``final``."""
+    x, r = _final_radii(final)
     moved = r > 0
     if not moved.any():
         return ClusterResult(0, [], None, None, "all walks ended at the origin")

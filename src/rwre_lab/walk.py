@@ -221,9 +221,9 @@ def simulate(env: QuenchedEnvironment, walker_seed: int, horizon: int) -> Trajec
     return Trajectory(steps[0], env.dim, int(walker_seed))
 
 
-def ensemble_seeds(master_seed: int, n_walks: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-walker (environment seed, walker seed) arrays, derived from the master."""
-    ids = np.arange(n_walks, dtype=np.int64)
+def ensemble_seeds(master_seed: int, n_walks: int, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Per-walker (environment seed, walker seed) arrays of walkers ``first`` on, derived from the master."""
+    ids = np.arange(first, first + n_walks, dtype=np.int64)
     return derive_key(master_seed, TAG_ENV, ids), derive_key(master_seed, TAG_WALKER, ids)
 
 
@@ -232,17 +232,35 @@ def simulate_ensemble(
     master_seed: int,
     n_walks: int,
     horizon: int,
+    first: int = 0,
 ) -> list[Trajectory]:
     """Annealed ensemble: walker ``i`` gets its own environment and walk stream.
 
     Both streams derive from (master_seed, i), so the ensemble is reproducible
-    walker by walker.
+    walker by walker, and walkers ``first`` to ``first + n_walks - 1`` of a
+    larger ensemble are the same paths as in the whole of it.
     """
-    if horizon < 0 or n_walks < 0:
-        raise ConfigError("n_walks and horizon must be nonnegative")
-    env_seeds, walk_seeds = ensemble_seeds(master_seed, n_walks)
+    if horizon < 0 or n_walks < 0 or first < 0:
+        raise ConfigError("n_walks, horizon and first must be nonnegative")
+    env_seeds, walk_seeds = ensemble_seeds(master_seed, n_walks, first)
     block = _simulate_block(model, env_seeds, walk_seeds, horizon)
     return [Trajectory(block[i], model.dim, int(walk_seeds[i])) for i in range(n_walks)]
+
+
+# Steps per block of an ensemble that is read a block at a time (see ``block_walkers``): 16 MiB of int8
+# steps.  A law read from the walker's site pays about 75 us of fixed numpy cost per lockstep step of a
+# block however few its walkers, so smaller blocks cost it time: a 1,000-walk, 10,000-step mixture
+# renewal-identity run took 7.2 s at 2**20 steps a block, 3.7 s at 2**22 and 1.8 s at 2**24, as in one block.
+_BLOCK_STEPS = 1 << 24
+
+
+def block_walkers(horizon: int) -> int:
+    """Walkers per block of a streamed ensemble: as many as ``_BLOCK_STEPS`` steps hold, and at least one.
+
+    A block's int8 steps then take ``_BLOCK_STEPS`` bytes, however many walkers
+    the ensemble has; the paths do not depend on the split.
+    """
+    return max(1, _BLOCK_STEPS // max(1, horizon))
 
 
 def first_passage(traj: Trajectory, l, s: float) -> StopResult:
@@ -272,9 +290,15 @@ def region_exit_time(traj: Trajectory, region: Callable[[np.ndarray], np.ndarray
 
 
 def slab_region(l_prime, b: float, L: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Open slab {x : -bL < x . l' < L}."""
+    """Open slab {x : -bL < x . l' < L}; the predicate refuses sites whose dimension is not l''s length."""
     lp = _check_slab(l_prime, b, L)
-    return lambda pts: ~np.logical_or(*_slab_exits(pts @ lp, b, L))
+
+    def inside(pts: np.ndarray) -> np.ndarray:
+        if pts.shape[-1] != lp.shape[0]:
+            raise ConfigError(f"slab direction l' has {lp.shape[0]} entries, but the sites have {pts.shape[-1]}")
+        return ~np.logical_or(*_slab_exits(pts @ lp, b, L))
+
+    return inside
 
 
 def shifted_cone_region(spec, apex) -> Callable[[np.ndarray], np.ndarray]:

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rwre_lab
@@ -1191,3 +1192,28 @@ def test_run_reads_its_config_once(tmp_path, monkeypatch):
     monkeypatch.setattr(builtins, "open", counted)
     assert run_cli("run", "--config", path, "--out", tmp_path / "out") == 0
     assert len(reads) == 1
+
+
+def test_json_default_writes_numpy_values_and_fractions():
+    # numpy scalars and arrays become their Python values and a Fraction its text; np.float64 is a float, so the
+    # encoder writes it, NaN included, as it writes a Python float
+    row = {
+        "int": np.int64(-3),
+        "float": np.float64(0.1),
+        "bool": np.bool_(True),
+        "array": np.array([[1, 2], [3, 4]], dtype=np.int32),
+        "floats": np.array([0.5, np.nan]),
+        "tuple": (1, np.float32(0.25), np.int8(7)),
+        "fraction": Fraction(1, 3),
+        "nan": np.float64("nan"),
+    }
+    want = (
+        '{"array": [[1, 2], [3, 4]], "bool": true, "float": 0.1, "floats": [0.5, NaN], "fraction": "1/3", '
+        '"int": -3, "nan": NaN, "tuple": [1, 0.25, 7]}'
+    )
+    assert json.dumps(row, sort_keys=True, default=cli._json_default) == want
+    # the manifest's indented form goes through the pure-Python encoder, and reads back the same values
+    indented = json.dumps(row, indent=2, sort_keys=True, default=cli._json_default)
+    assert json.dumps(json.loads(indented), sort_keys=True) == want
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        json.dumps({"x": object()}, default=cli._json_default)

@@ -262,9 +262,11 @@ def top_level(rec: RenewalRecord) -> int:
 
 
 def assert_same_record(got: RenewalRecord, want: RenewalRecord) -> None:
+    """``got`` holds ``want``'s renewals exactly, in the documented dtype: int32 below 2**31 - 1 steps, else int64."""
+    dtype = np.int32 if got.n_steps < 2**31 - 1 else np.int64
     for name in ("times", "positions"):
         a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.dtype == dtype and a.shape == b.shape, name
         assert np.array_equal(a, b), name
     assert got.confirm_horizon == want.confirm_horizon
     assert got.censored_tail is want.censored_tail

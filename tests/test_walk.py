@@ -207,6 +207,12 @@ class TestRegionExit:
         t = Trajectory(np.asarray([0, 0], dtype=np.int8), 1, 0)
         assert region_exit_time(t, slab_region([1.0], 1.0, 2.0)) == StopResult.at(2)
 
+    def test_slab_of_another_dimension_rejected(self):
+        # the predicate is built before it sees a site, so it checks the sites' dimension on each call
+        t = Trajectory(np.asarray([0, 2, 0], dtype=np.int8), 2, 0)
+        with pytest.raises(ConfigError, match="l' has 3 entries, but the sites have 2"):
+            region_exit_time(t, slab_region([1.0, 0.0, 0.0], 1.0, 3.0))
+
     def test_start_outside_rejected(self):
         t = traj_1d([UP])
         with pytest.raises(ValueError):
