@@ -1101,6 +1101,30 @@ def test_dirichlet_output_bytes_pinned(tmp_path, experiment):
     assert hashlib.sha256((out / "results.jsonl").read_bytes()).hexdigest() == DIRICHLET_DIGESTS[experiment]
 
 
+# results.jsonl digests of exact-only oracle-compare runs on Dirichlet boxes in 2D and 3D; the start site is off
+# the middle layer, so the elimination folds layers of unequal runs from both ends into the start's layer
+BOX_DIGESTS = {
+    2: "c5a9d2a0f3dd68c230d5d709c8cebba67f888f91f33f65617f879689b156d850",
+    3: "e6d1a93b4514fc1de0350ba102e407f08f6639904cfac2db7aa4559a2e89d51b",
+}
+BOX_CONFIGS = {
+    2: with_oracle(region={"kind": "box", "lo": [-5, -4], "hi": [7, 3]}, target_class="high0", n_env=3),
+    3: {
+        **with_oracle(region={"kind": "box", "lo": [-3, -2, -4], "hi": [2, 3, 3]}, target_class="low2"),
+        "dimension": 3,
+        "model": {"kind": "dirichlet", "alphas": [1.1, 0.7, 1.3, 0.9, 1.6, 0.5]},
+    },
+}
+
+
+@pytest.mark.parametrize("d", sorted(BOX_DIGESTS))
+def test_oracle_box_output_bytes_pinned(tmp_path, d):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "box.json", BOX_CONFIGS[d])
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    assert hashlib.sha256((out / "results.jsonl").read_bytes()).hexdigest() == BOX_DIGESTS[d]
+
+
 def test_failed_scan_rows_reach_the_manifest(tmp_path):
     # a centred walk renews far below a floor of 500 per 1,000 steps at every weight on the grid
     cfg = with_block(
