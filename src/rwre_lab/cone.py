@@ -240,12 +240,13 @@ class RenewalRecord:
         }
 
 
-def _record_dtype(n_steps: int) -> np.dtype:
-    """The dtype of an N-step walk's renewal times and positions: int32 when N < 2**31 - 1, else int64.
+def _record_dtype(bound: int) -> np.dtype:
+    """The dtype of integers no larger than ``bound`` in size: int32 when bound < 2**31 - 1, else int64.
 
-    No time and no coordinate of the walk is larger than N in size.
+    No time and no coordinate of an N-step walk is larger than N in size, so
+    ``_record_dtype(N)`` holds its renewal times and positions.
     """
-    return np.dtype(np.int32 if n_steps < np.iinfo(np.int32).max else np.int64)
+    return np.dtype(np.int32 if bound < np.iinfo(np.int32).max else np.int64)
 
 
 def _faces(P: np.ndarray, spec: ConeSpec) -> np.ndarray:
@@ -256,8 +257,7 @@ def _faces(P: np.ndarray, spec: ConeSpec) -> np.ndarray:
     maximum above every entry to pad with.  Otherwise it is int64, which
     ``ConeSpec.check_steps`` has made sure holds every entry below its maximum.
     """
-    F = P @ spec.matrix.T
-    return F.astype(np.int32) if (P.shape[0] - 1) * spec.face_norm < np.iinfo(np.int32).max else F
+    return (P @ spec.matrix.T).astype(_record_dtype((P.shape[0] - 1) * spec.face_norm), copy=False)
 
 
 def _first_exit(F: np.ndarray, cands: np.ndarray, H: int) -> np.ndarray:

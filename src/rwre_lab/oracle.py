@@ -25,7 +25,7 @@ from .env import Dirichlet, EnvironmentModel, FiniteMixture, QuenchedEnvironment
 from .errors import ConfigError
 from .lattice import check_site, step_table
 from .rng import TAG_ENV, derive_key
-from .stats import _normal_ci
+from .stats import _mean_ci
 from .walk import _check_slab, _slab_exits
 
 MAX_REGION_SITES = 200_000
@@ -344,6 +344,5 @@ def annealed_exit(
     for i, env in enumerate(envs):
         problem.env = env
         vals[i] = exact_quenched_exit(problem, target_class)
-    mean = float(vals.mean())
-    sd = float(vals.std(ddof=1)) if n_env > 1 else 0.0
-    return AnnealedExit(mean, _normal_ci(mean, sd, n_env), n_env, sd)
+    mean, sd, ci = _mean_ci(vals)
+    return AnnealedExit(mean, ci, n_env, sd)

@@ -64,6 +64,13 @@ def _normal_ci(mean: float, sd: float, n: int) -> tuple[float, float]:
     return (mean - half, mean + half)
 
 
+def _mean_ci(values: np.ndarray) -> tuple[float, float, tuple[float, float]]:
+    """The mean of ``values``, their sample sd (0 for a single value) and the mean's normal 95% interval."""
+    mean = float(values.mean())
+    sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
+    return mean, sd, _normal_ci(mean, sd, values.size)
+
+
 def _binom_se(p: float, n: int) -> float:
     """Standard error of a proportion ``p`` of ``n`` trials; NaN when there are none."""
     return math.sqrt(max(p * (1.0 - p), 0.0) / n) if n else float("nan")
@@ -134,14 +141,6 @@ def _classes(levels: np.ndarray, thr: float, dip: float) -> np.ndarray:
     """The transience class of each (final, tail max, tail min) row of ``levels``, in its leading shape."""
     rows = levels.reshape(-1, 3)
     return np.asarray([_level_class(*row, thr, dip) for row in rows], dtype=np.int64).reshape(levels.shape[:-1])
-
-
-def _walk_classes(
-    trajs: Sequence[Trajectory], dirs: np.ndarray, thr: float, dip: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each walk's transience class and final level along each row of ``dirs``: two (walks, rows) arrays."""
-    levels = _level_rows(trajs, dirs)
-    return _classes(levels, thr, dip), levels[..., 0]
 
 
 @dataclass(eq=False)
@@ -242,13 +241,12 @@ def _class_estimates(
         tuple(float(x) for x in walks.l), _verdict(p_plus, p_minus), p_plus, p_minus, thr, dip, n
     )
     vals = walks.levels[:, 0] / np.maximum(walks.n_steps, 1)
-    mean = float(vals.mean())
-    sd = float(vals.std(ddof=1)) if n > 1 else 0.0
+    mean, _, ci = _mean_ci(vals)
     plus = vals[cls > 0]
     minus = vals[cls < 0]
     speed = SpeedEstimate(
         mean,
-        _normal_ci(mean, sd, n),
+        ci,
         n,
         float(plus.mean()) if plus.size else None,
         int(plus.size),
@@ -406,14 +404,13 @@ def orthogonal_oscillation(
         return InsufficientData("no confirmed renewal increments")
     y = (inc @ ls).astype(np.float64)
     partial = np.cumsum(y)
-    mean = float(y.mean())
-    sd = float(y.std(ddof=1)) if y.size > 1 else 0.0
+    mean, sd, ci = _mean_ci(y)
     signs = np.sign(partial)
     nz = signs[signs != 0]
     changes = int(np.count_nonzero(np.diff(nz))) if nz.size else 0
     return OscillationReport(
         mean,
-        _normal_ci(mean, sd, y.size),
+        ci,
         int(y.size),
         changes,
         float(partial.min()),
@@ -527,17 +524,9 @@ def renewal_mean_identity(
     if ratios.size < max(10, n_boot // 10):
         return InsufficientData("bootstrap produced too few valid resamples")
     ratio_ci = (float(np.percentile(ratios, 2.5)), float(np.percentile(ratios, 97.5)))
-    # increment-level CI for the lhs, over every walk's projected increments in walker order
-    proj = np.empty(total_inc)
-    k = 0
-    for rec in records:
-        if rec.n_confirmed > 1:
-            proj[k : k + rec.n_confirmed - 1] = np.diff(rec.confirmed_positions @ lv)
-            k += rec.n_confirmed - 1
-    lhs_ci = _normal_ci(float(proj.mean()), float(proj.std(ddof=1)), proj.size)
     return RenewalIdentityReport(
         lhs,
-        lhs_ci,
+        _mean_ci((pooled_increments(records) @ lv).astype(np.float64))[2],  # increment-level CI, in walker order
         p_cone,
         _binom_ci(int((is_plus & stays).sum()), n_plus),
         hit,
@@ -692,43 +681,29 @@ def zero_one_scan(
     angles = np.arange(n_angles) * (2.0 * np.pi / n_angles)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     thr, dip = _resolve_thresholds(len(trajs[0]) if trajs else horizon, level_threshold, dip_allowance)
-    cls = _walk_classes(trajs, dirs, thr, dip)[0]
+    cls = _classes(_level_rows(trajs, dirs), thr, dip)
     n = max(len(trajs), 1)
     p_plus = (cls > 0).sum(axis=0) / n
     p_minus = (cls < 0).sum(axis=0) / n
     verdicts = [_verdict(p_plus[a], p_minus[a]) for a in range(n_angles)]
     plus_idx = [a for a, v in enumerate(verdicts) if v is Verdict.TRANSIENT_PLUS]
     minus_idx = [a for a, v in enumerate(verdicts) if v is Verdict.TRANSIENT_MINUS]
-    if not plus_idx and not minus_idx:
-        return ZeroOneScanResult(angles, p_plus, p_minus, verdicts, TransiencePattern.ALL_ZERO, None)
     acc = np.zeros(2)
     for a in plus_idx:
         acc += dirs[a]
     for a in minus_idx:
         acc -= dirs[a]
     norm = _stable_norm(acc)
-    if norm == 0.0:
-        return ZeroOneScanResult(
-            angles, p_plus, p_minus, verdicts, TransiencePattern.INCONSISTENT, None
-        )
-    nu = acc / norm
-    consistent = True
-    for a in range(n_angles):
-        dot = float(dirs[a] @ nu)
-        v = verdicts[a]
-        if v is Verdict.TRANSIENT_PLUS:
-            consistent &= dot > 0
-        elif v is Verdict.TRANSIENT_MINUS:
-            consistent &= dot <= 0
-        else:
-            consistent &= abs(dot) <= orth_band
-    if not consistent:
-        return ZeroOneScanResult(
-            angles, p_plus, p_minus, verdicts, TransiencePattern.INCONSISTENT, nu
-        )
-    if plus_idx and minus_idx:
+    nu = acc / norm if norm else None
+    consistent = nu is not None and all(
+        dot > 0 if v is Verdict.TRANSIENT_PLUS else dot <= 0 if v is Verdict.TRANSIENT_MINUS else abs(dot) <= orth_band
+        for v, dot in zip(verdicts, (float(d @ nu) for d in dirs))
+    )
+    if not plus_idx and not minus_idx:
+        pattern = TransiencePattern.ALL_ZERO
+    elif consistent and plus_idx and minus_idx:
         pattern = TransiencePattern.OPEN_HALF_SPACE
-    elif len(plus_idx) + len(minus_idx) == 1:
+    elif consistent and len(plus_idx) + len(minus_idx) == 1:
         pattern = TransiencePattern.SINGLE_DIRECTION
     else:
         pattern = TransiencePattern.INCONSISTENT

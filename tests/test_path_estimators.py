@@ -30,11 +30,12 @@ from rwre_lab.stats import (
     Verdict,
     ZeroOneScanResult,
     _angle,
+    _classes,
+    _level_rows,
     _normal_ci,
     _resolve_thresholds,
     _stable_norm,
     _verdict,
-    _walk_classes,
     antipodal_clustering,
     classify_transience,
     estimate_direction,
@@ -394,7 +395,8 @@ def test_walk_classes_read_each_direction_column(kind, d):
     trajs = ensemble(kind, d)
     dirs = np.asarray(directions(d), dtype=np.float64)
     for thr, dip in ((5.0, 1.5), (12.5, 6.25)):
-        cls, final = _walk_classes(trajs, dirs, thr, dip)
+        levels = _level_rows(trajs, dirs)
+        cls, final = _classes(levels, thr, dip), levels[..., 0]
         assert cls.shape == final.shape == (len(trajs), len(dirs))
         for a, lv in enumerate(dirs):
             levels = [t.positions() @ lv for t in trajs]
