@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .env import Dirichlet, EnvironmentModel, FiniteMixture, QuenchedEnvironment, constant_vector
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .lattice import check_site, step_table
 from .rng import TAG_ENV, derive_key
 from .stats import _mean_ci
@@ -31,6 +31,8 @@ from .walk import _check_slab, _slab_exits
 MAX_REGION_SITES = 200_000
 # The solve holds a few dense layer-by-layer blocks; at 2,048 sites each is 32 MB.
 MAX_LAYER_SITES = 2048
+# How far a solve may put h(start) outside [0, 1], or the exit through any class off 1, before it is refused.
+SOLVE_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -85,7 +87,13 @@ class FiniteRegionProblem:
 
 
 def _exit_probabilities(problem: FiniteRegionProblem, targets: list[set[str]]) -> np.ndarray:
-    """h(start) for each set of target classes, from one layer elimination."""
+    """h(start) for each set of target classes, from one layer elimination.
+
+    The elimination also solves for the exit through any class, whose exact
+    answer is 1 at every site.  ``NumericError`` is raised when that answer
+    at the start is off 1, or a returned h is outside [0, 1], by more than
+    ``SOLVE_TOL``: the Schur pivots have then lost their accuracy.
+    """
     sites = problem.sites
     m, d = sites.shape
     layers = [np.unique(sites[:, k], return_inverse=True, return_counts=True)[1:] for k in range(d)]
@@ -100,6 +108,7 @@ def _exit_probabilities(problem: FiniteRegionProblem, targets: list[set[str]]) -
     W = problem.env.transitions_at(sites)
     codes = [[problem._labels.index(t) for t in ts] for ts in targets]
     B = np.stack([(W * np.isin(problem._exit, c)).sum(axis=1) for c in codes], axis=1)
+    exits = (W * (problem._exit >= 0)).sum(axis=1)  # the right-hand side of the exit through any class
     in_layer = np.array([e for e in range(2 * d) if e // 2 != a], dtype=np.intp)
 
     def block(k: int, j: int, dirs) -> np.ndarray:
@@ -110,26 +119,34 @@ def _exit_probabilities(problem: FiniteRegionProblem, targets: list[set[str]]) -
         out[i, local[nb[i, e]]] = W[rows[k][i], dirs[e]]
         return out
 
-    def own(k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Layer k's diagonal block of I - P_int and its right-hand side."""
-        return np.eye(counts[k]) - block(k, k, in_layer), B[rows[k]]
+    def own(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Layer k's diagonal block of I - P_int and its right-hand sides, of the targets and of any class."""
+        return np.eye(counts[k]) - block(k, k, in_layer), B[rows[k]], exits[rows[k]]
 
-    def fold(j: int, S: np.ndarray, c: np.ndarray, k: int, Sk: np.ndarray, ck: np.ndarray):
-        """Eliminate layer j (Schur complement S, right side c) into layer k; a gap leaves k as is."""
+    def fold(j: int, S: np.ndarray, c: np.ndarray, u: np.ndarray, k: int, Sk: np.ndarray, ck: np.ndarray, uk):
+        """Eliminate layer j (Schur complement S, right sides c and u) into layer k; a gap leaves k as is."""
         step = np.array([2 * a if k > j else 2 * a + 1], dtype=np.intp)
         X = np.linalg.solve(S, np.hstack([block(j, k, step), c]))
         P = block(k, j, step ^ 1)
-        return Sk - P @ X[:, : counts[k]], ck + P @ X[:, counts[k] :]
+        # u gets a solve of its own: with one more column LAPACK would round the others differently
+        return Sk - P @ X[:, : counts[k]], ck + P @ X[:, counts[k] :], uk + P @ np.linalg.solve(S, u)
 
     s = int(layer[problem._start])
-    S, c = own(s)
+    S, c, u = own(s)
     for path in (range(0, s), range(counts.size - 1, s, -1)):
         if path:
-            Sj, cj = own(path[0])
+            Sj, cj, uj = own(path[0])
             for j, k in zip(path, path[1:]):
-                Sj, cj = fold(j, Sj, cj, k, *own(k))
-            S, c = fold(path[-1], Sj, cj, s, S, c)
-    return np.linalg.solve(S, c)[local[problem._start]]
+                Sj, cj, uj = fold(j, Sj, cj, uj, k, *own(k))
+            S, c, u = fold(path[-1], Sj, cj, uj, s, S, c, u)
+    i = local[problem._start]
+    h, h_any = np.linalg.solve(S, c)[i], float(np.linalg.solve(S, u)[i])
+    if not (abs(h_any - 1.0) <= SOLVE_TOL and np.all((-SOLVE_TOL <= h) & (h <= 1.0 + SOLVE_TOL))):
+        raise NumericError(
+            f"the exact solve failed its {SOLVE_TOL:g} self-check: at the start site "
+            f"all classes sum to {h_any!r} and the targets read {h.tolist()}"
+        )
+    return h
 
 
 def target_classes(classes: set[str], target_class: str | set[str]) -> set[str]:
@@ -268,7 +285,11 @@ def gamblers_ruin(p: float, M: int, N_right: int) -> float:
     if p == 0.5:
         return M / (M + N_right)
     rho = (1.0 - p) / p
-    return (1.0 - rho**M) / (1.0 - rho ** (M + N_right))
+    try:
+        return (1.0 - rho**M) / (1.0 - rho ** (M + N_right))
+    except OverflowError:  # rho > 1: the same ratio in powers of 1 / rho, which cannot overflow
+        r = 1.0 / rho
+        return r**N_right * (1.0 - r**M) / (1.0 - r ** (M + N_right))
 
 
 class SolomonVerdict(Enum):

@@ -519,6 +519,36 @@ class TestRun:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
+    def test_oracle_self_check_exits_4_without_outputs(self, tmp_path, capsys):
+        # a recurrent 1D environment on 799 sites: the Schur pivots cancel, and the solve read P(Left) 0.0528, exit 0
+        cfg = {
+            "experiment": "oracle-compare",
+            "dimension": 1,
+            "master_seed": 7,
+            "n_walks": 0,
+            "model": {"kind": "dirichlet", "alphas": [1.0, 1.0]},
+            "oracle": {"region": {"kind": "interval", "lo": -400, "hi": 400}, "target_class": "Left", "n_env": 8},
+        }
+        assert run_cli("run", "--config", write_config(tmp_path, "sinai.json", cfg), "--out", tmp_path / "o") == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1 and "all classes sum to" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_gamblers_ruin_past_the_float_range_exits_0(self, tmp_path):
+        # rho ** 2000 with rho = 7/3 overflows a float: the closed form ended in an OverflowError traceback, exit 1
+        cfg = {
+            "experiment": "oracle-compare",
+            "dimension": 1,
+            "master_seed": 7,
+            "n_walks": 0,
+            "model": {"kind": "homogeneous", "probs": [0.3, 0.7]},
+            "oracle": {"region": {"kind": "interval", "lo": -1000, "hi": 1000}, "target_class": "Right", "n_env": 1},
+        }
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", write_config(tmp_path, "ruin.json", cfg), "--out", out) == 0
+        (row,) = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
+        assert row["closed_form_right"] == row["exact_mean"] == 0.0
+
     def test_run_too_large_to_allocate_exits_2_without_outputs(self, tmp_path, capsys):
         # an in-range horizon whose step matrix asks for 8.88 PiB ended in a MemoryError traceback, exit 1
         cfg = write_config(tmp_path, "big.json", simulate_config(n_walks=1, horizon=10**16))

@@ -1,5 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwre_lab import (
     BoxRegion,
@@ -9,6 +14,7 @@ from rwre_lab import (
     FiniteRegionProblem,
     Homogeneous,
     IntervalRegion,
+    NumericError,
     QuenchedEnvironment,
     SlabRegion,
     TransitionVector,
@@ -82,6 +88,45 @@ def gapped_region(start) -> FiniteRegionProblem:
     return FiniteRegionProblem(np.asarray(sites), boundary, env, start)
 
 
+def closed_form_left(env: QuenchedEnvironment, lo: int, hi: int) -> float:
+    """Reference: the exact P_0(Left) on lo < x < hi of the float environment ``env``.
+
+    With rho_x = q_x / p_x and r_j the product of rho_x over lo < x <= j,
+    P_0(Left) = sum_{j >= 0} r_j / sum_j r_j over j = lo..hi-1.  A site's p_x
+    and q_x are floats, so scaling the pair by a power of two gives integers
+    P_x and Q_x of the same ratio, and every sum below is exact.
+    """
+    P, Q = [], []
+    for p, q in env.transitions_at(np.arange(lo + 1, hi)[:, None]).tolist():
+        (pn, pd), (qn, qd) = p.as_integer_ratio(), q.as_integer_ratio()
+        P.append(pn * (max(pd, qd) // pd))
+        Q.append(qn * (max(pd, qd) // qd))
+
+    def sum_r(P, Q):
+        """The sum over k = 0..len(P) of prod_{i < k} Q_i * prod_{i >= k} P_i."""
+        total = prefix = 1
+        for p, q in zip(P, Q):
+            prefix *= q
+            total = total * p + prefix
+        return total
+
+    k = -lo  # the sites x < 0
+    return math.prod(Q[:k]) * sum_r(P[k:], Q[k:]) / sum_r(P, Q)
+
+
+# regions of at most a few hundred sites in d = 2 and 3, off the 1D chains whose pivots cancel
+SMALL_REGIONS = [
+    BoxRegion((-6, -5), (7, 6)),
+    BoxRegion((-2, -9), (2, 12)),
+    BoxRegion((-3, -3, -3), (3, 3, 3)),
+    BoxRegion((-1, -4, -2), (2, 4, 3)),
+    SlabRegion((1.0, 0.0), 1.0, 4.0, 8),
+    SlabRegion((1.0, 2.0), 0.5, 6.0, 9),
+    SlabRegion((1.0, 1.0, 0.0), 1.0, 2.5, 4),
+    SlabRegion((0.0, 0.0, 1.0), 2.0, 2.0, 3),
+]
+
+
 class TestGamblersRuin:
     def test_symmetric(self):
         assert gamblers_ruin(0.5, 3, 3) == 0.5
@@ -96,6 +141,17 @@ class TestGamblersRuin:
     def test_rejects_bad_p(self):
         with pytest.raises(ConfigError):
             gamblers_ruin(1.0, 2, 2)
+
+    def test_values_in_the_float_range_keep_their_bytes(self):
+        # the bytes these returned before the overflow branch was added; 49/58 itself rounds to ...966
+        assert gamblers_ruin(0.7, 2, 2) == 0.8448275862068965
+        assert gamblers_ruin(0.35, 2, 6) == 0.01743021484163184
+        assert gamblers_ruin(0.3, 400, 400) == 6.445934411278398e-148
+
+    def test_powers_past_the_float_range(self):
+        # (7/3) ** 2000 overflows a float: both values raised OverflowError
+        assert gamblers_ruin(0.3, 1000, 1000) == 0.0
+        assert gamblers_ruin(0.3, 2000, 2) == pytest.approx((3 / 7) ** 2, rel=1e-15)
 
 
 class TestExactQuenchedExit:
@@ -191,6 +247,49 @@ class TestExactQuenchedExit:
         env = hom_env([0.7, 0.3])
         with pytest.raises(ConfigError, match="start site"):
             IntervalRegion(-2, 2).build(env, (5,))
+
+
+class TestSelfCheck:
+    def test_1d_answers_are_exact_or_refused(self):
+        # 16 of these 48 recurrent intervals read wrong by more than 1e-9 without the check, e.g. alpha 1,
+        # n 200, seed 2 gave P(Left) 0.0278 against 0.99999
+        refused, wrong, agree = 0, [], 0
+        for alpha, n, seed in itertools.product((0.3, 0.5, 1.0, 2.0), (50, 200, 400), range(4)):
+            env = QuenchedEnvironment(Dirichlet((alpha, alpha)), seed)
+            try:
+                got = exit_distribution(IntervalRegion(-n, n).build(env, (0,)))["Left"]
+            except NumericError:
+                refused += 1
+                continue
+            exact = closed_form_left(env, -n, n)
+            if abs(got - exact) <= 1e-9:
+                agree += 1
+            else:
+                wrong.append((alpha, n, seed, got, exact))
+        assert not wrong
+        assert agree and refused
+
+    def test_closed_form_reference(self):
+        # homogeneous: the gambler's ruin; one site: q; a start next to lo: the first step decides often
+        assert closed_form_left(hom_env([0.7, 0.3]), -2, 2) == pytest.approx(1 - 49 / 58, abs=1e-15)
+        assert closed_form_left(hom_env([0.6, 0.4]), -1, 1) == pytest.approx(0.4, abs=1e-15)
+        env = QuenchedEnvironment(Dirichlet((1.0, 1.0)), 3)
+        for lo, hi in ((-1, 6), (-5, 7), (-9, 1)):
+            dense = dense_exit(IntervalRegion(lo, hi).build(env), {"Left"})
+            assert closed_form_left(env, lo, hi) == pytest.approx(dense, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        region=st.sampled_from(SMALL_REGIONS),
+        alphas=st.lists(st.floats(0.1, 2.0), min_size=6, max_size=6),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_no_refusal_in_2d_and_3d(self, region, alphas, seed):
+        d = len(region.lo) if isinstance(region, BoxRegion) else len(region.l_prime)
+        dist = exit_distribution(region.build(QuenchedEnvironment(Dirichlet(alphas[: 2 * d]), seed)))
+        values = np.asarray(list(dist.values()))
+        assert np.all((0.0 <= values) & (values <= 1.0))
+        assert abs(values.sum() - 1.0) <= 1e-9
 
 
 class TestSolomon:
