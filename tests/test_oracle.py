@@ -270,7 +270,7 @@ class TestSelfCheck:
         assert agree and refused
 
     def test_closed_form_reference(self):
-        # homogeneous: the gambler's ruin; one site: q; a start next to lo: the first step decides often
+        # against the gambler's ruin, a one-site interval, where P(Left) = q, and dense solves of random intervals
         assert closed_form_left(hom_env([0.7, 0.3]), -2, 2) == pytest.approx(1 - 49 / 58, abs=1e-15)
         assert closed_form_left(hom_env([0.6, 0.4]), -1, 1) == pytest.approx(0.4, abs=1e-15)
         env = QuenchedEnvironment(Dirichlet((1.0, 1.0)), 3)
