@@ -45,6 +45,7 @@ from .env import (
     PerturbedSRW,
     QuenchedEnvironment,
     TransitionVector,
+    constant_vector,
 )
 from .errors import ConfigError, NumericError
 from .oracle import (
@@ -328,8 +329,9 @@ def _oracle_compare(cfg: ExperimentConfig) -> tuple[list[dict], None]:
         "exact_ci": exact.ci,
         "n_env": exact.n_env,
     }
-    if isinstance(cfg.model, Homogeneous) and isinstance(region, IntervalRegion):
-        row["closed_form_right"] = gamblers_ruin(float(cfg.model.vector.probs[0]), -region.lo, region.hi)
+    vec = constant_vector(cfg.model)
+    if vec is not None and isinstance(region, IntervalRegion):
+        row["closed_form_right"] = gamblers_ruin(float(vec.probs[0]), -region.lo, region.hi)
     if monte_carlo:
         tally = run_slab_ensemble(cfg.model, cfg["master_seed"], n_walks, *slab, cfg["horizon"])
         p_hat = tally.p_right if target == "Right" else tally.p_left

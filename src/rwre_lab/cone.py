@@ -28,6 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError
+from .lattice import read_integers
 from .walk import Trajectory, simulate_ensemble
 
 
@@ -75,9 +76,12 @@ class ConeSpec:
     face_norm: int = field(init=False, repr=False, compare=False)  # max_k ||row_k||_1 of ``matrix``
 
     def __post_init__(self):
-        sigma = tuple(int(s) for s in self.sigma)
-        basis = tuple(tuple(int(x) for x in row) for row in self.basis)
-        l = tuple(int(x) for x in self.l)
+        sigma = read_integers(self.sigma, "sigma")
+        try:
+            basis = tuple(read_integers(row, "basis") for row in self.basis)
+        except TypeError:
+            raise ConfigError(f"basis must be a list of integer vectors, got {self.basis!r}") from None
+        l = read_integers(self.l, "l")
         lam = Fraction(self.lam)
         d = len(sigma)
         if d == 0 or any(s not in (-1, 1) for s in sigma):
@@ -149,11 +153,8 @@ class ConeSpec:
 
 def cone_contains(spec: ConeSpec, apex, x) -> bool:
     """Exact membership of x in apex + cone; all arithmetic is integer."""
-    a = np.asarray(apex, dtype=np.int64)
-    pt = np.asarray(x, dtype=np.int64)
-    if a.shape != (spec.dim,) or pt.shape != (spec.dim,):
-        raise ConfigError("apex and x must match the cone dimension")
-    return bool(spec.contains(a, pt))
+    a = np.asarray(read_integers(apex, "apex", spec.dim), dtype=np.int64)
+    return bool(spec.contains(a, np.asarray(read_integers(x, "x", spec.dim), dtype=np.int64)))
 
 
 def _fresh(s: np.ndarray) -> np.ndarray:
@@ -169,8 +170,8 @@ def _level_facts(s: np.ndarray) -> tuple:
 
 def fresh_maxima(traj: Trajectory, l) -> np.ndarray:
     """Times n with X_n . l strictly above every earlier value (and above 0)."""
-    lv = np.asarray(l, dtype=np.int64)
-    if lv.ndim != 1 or not lv.any():
+    lv = np.asarray(read_integers(l, "l", traj.dim), dtype=np.int64)
+    if not lv.any():
         raise ConfigError("direction l must be a nonzero integer vector")
     if math.gcd(*[abs(int(x)) for x in lv]) != 1:
         raise ConfigError("the coordinates of l must have gcd 1")

@@ -62,9 +62,30 @@ def decode_signed_axis(s: int, d: int) -> int:
     return direction_index(abs(int(s)) - 1, 1 if s > 0 else -1)
 
 
+def _read_integer(x, name: str) -> int:
+    if isinstance(x, (float, np.floating)) and float(x).is_integer():
+        return int(x)
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ConfigError(f"{name} must hold integers, got {x!r}")
+    return int(x)
+
+
+def read_integers(x, name: str, d: int | None = None) -> tuple[int, ...]:
+    """The entries of the vector ``x`` as ints, ``d`` of them when ``d`` is given.
+
+    An entry is read as a config integer is: an integral number is its
+    integer (10.0 is 10), and a bool, a fractional or non-finite number or
+    anything else is refused with a ``ConfigError`` naming ``name``.
+    """
+    try:
+        entries = list(x)
+    except TypeError:
+        raise ConfigError(f"{name} must be a vector of integers, got {x!r}") from None
+    if d is not None and len(entries) != d:
+        raise ConfigError(f"{name} must have {d} entries (the dimension), got {len(entries)}")
+    return tuple(_read_integer(v, name) for v in entries)
+
+
 def check_site(x, d: int) -> np.ndarray:
     """Validate a lattice site and return it as an int64 vector."""
-    arr = np.asarray(x, dtype=np.int64)
-    if arr.shape != (d,):
-        raise ConfigError(f"site {x!r} does not match dimension {d}")
-    return arr
+    return np.asarray(read_integers(x, "site", d), dtype=np.int64)

@@ -53,6 +53,8 @@ class FiniteRegionProblem:
         if m > MAX_REGION_SITES:
             raise ConfigError(f"region exceeds {MAX_REGION_SITES} sites")
         self.start = tuple(int(c) for c in check_site(self.start, d))
+        if any(not isinstance(x, tuple) or len(x) != d for x in self.boundary):
+            raise ConfigError("boundary sites do not match environment dimension")
         self._labels = sorted(set(self.boundary.values()))
         code = {label: i for i, label in enumerate(self._labels)}
         outside = np.array(list(self.boundary), dtype=np.int64).reshape(-1, d)

@@ -93,32 +93,15 @@ def _verdict(p_plus: float, p_minus: float) -> Verdict:
     return Verdict.UNDECIDED
 
 
-def default_level_threshold(horizon: int) -> float:
-    return 2.0 * math.sqrt(max(horizon, 1))
-
-
 def _resolve_thresholds(horizon: int, level_threshold, dip_allowance) -> tuple[float, float]:
-    thr = default_level_threshold(horizon) if level_threshold is None else float(level_threshold)
+    """The level threshold (2 sqrt(horizon) by default) and the dip allowance (half the threshold by default)."""
+    thr = 2.0 * math.sqrt(max(horizon, 1)) if level_threshold is None else float(level_threshold)
     dip = thr / 2.0 if dip_allowance is None else float(dip_allowance)
     if not thr > 0:
         raise ConfigError(f"level_threshold must be > 0, got {thr}")
     if not dip >= 0:
         raise ConfigError(f"dip_allowance must be >= 0, got {dip}")
     return thr, dip
-
-
-def _level_class(final, tail_max, tail_min, thr: float, dip: float) -> int:
-    """Finite-horizon transience proxy for one projected path, from its level facts (``cone._level_facts``).
-
-    Counts toward the plus event when the final level clears the threshold
-    and the path's last-half running high is within ``dip`` of the final
-    value (it has not fallen back); the minus rule is the exact mirror.
-    """
-    if final >= thr and tail_max - final <= dip:
-        return 1
-    if final <= -thr and final - tail_min <= dip:
-        return -1
-    return 0
 
 
 def _level_rows(trajs: Sequence[Trajectory], dirs: np.ndarray) -> np.ndarray:
@@ -138,9 +121,23 @@ def _level_rows(trajs: Sequence[Trajectory], dirs: np.ndarray) -> np.ndarray:
 
 
 def _classes(levels: np.ndarray, thr: float, dip: float) -> np.ndarray:
-    """The transience class of each (final, tail max, tail min) row of ``levels``, in its leading shape."""
-    rows = levels.reshape(-1, 3)
-    return np.asarray([_level_class(*row, thr, dip) for row in rows], dtype=np.int64).reshape(levels.shape[:-1])
+    """The transience class of each (final, last-half high, last-half low) row of ``levels``, in its leading shape.
+
+    1 when the final level clears ``thr`` and the last-half high is within
+    ``dip`` of it (the path has not fallen back), -1 for the exact mirror,
+    else 0.  It is computed in the arithmetic of ``levels``: float64 rows,
+    or an object array of a record's exact integer facts.
+    """
+    final, high, low = np.moveaxis(levels, -1, 0)
+    plus = (final >= thr) & (high - final <= dip)
+    minus = (final <= -thr) & (final - low <= dip)
+    return np.where(plus, 1, np.where(minus, -1, 0))
+
+
+def _shares(cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The shares of the walks (the first axis of ``cls``) in the plus and in the minus class; 0 with no walk."""
+    n = max(cls.shape[0], 1)
+    return (cls > 0).sum(axis=0) / n, (cls < 0).sum(axis=0) / n
 
 
 @dataclass(eq=False)
@@ -151,7 +148,7 @@ class PathSummary:
     ``n_steps`` the step counts N.  With a direction ``l`` (float64),
     ``levels`` holds each walk's final level X_N . l and the max and min of
     the last half of its levels, a (walks, 3) float64 array that decides its
-    transience class (see ``_level_class``); without one, both are None.
+    transience class (see ``_classes``); without one, both are None.
     """
 
     final: np.ndarray
@@ -236,7 +233,7 @@ def _class_estimates(
     thr, dip = _resolve_thresholds(int(walks.n_steps[0]), level_threshold, dip_allowance)
     cls = _classes(walks.levels, thr, dip)
     n = cls.shape[0]
-    p_plus, p_minus = int((cls > 0).sum()) / n, int((cls < 0).sum()) / n
+    p_plus, p_minus = map(float, _shares(cls))
     verdict = TransienceVerdict(
         tuple(float(x) for x in walks.l), _verdict(p_plus, p_minus), p_plus, p_minus, thr, dip, n
     )
@@ -490,7 +487,8 @@ def renewal_mean_identity(
     # so a walk's hits are its runs' overlaps with the window
     overlaps = [np.minimum(r.hit_runs[:, 1], i_max) - np.maximum(r.hit_runs[:, 0], i_min) + 1 for r in records]
     hit_frac = np.asarray([np.maximum(o, 0).sum() for o in overlaps], dtype=np.int64) / (i_max - i_min + 1)
-    is_plus = np.asarray([_level_class(r.final_level, r.tail_max, r.tail_min, thr, dip) > 0 for r in records])
+    facts = np.asarray([(r.final_level, r.tail_max, r.tail_min) for r in records], dtype=object)
+    is_plus = _classes(facts, thr, dip) > 0
     total_inc = int(inc_cnt.sum())
     n_plus = int(is_plus.sum())
     if total_inc < 10:
@@ -551,16 +549,16 @@ class ClusterResult:
     reason: str | None = None
 
 
-def antipodal_clustering(
-    trajs: Sequence[Trajectory],
-    theta_tol: float = 0.3,
-    antipodal_tol: float = 0.05,
-) -> ClusterResult:
+# How far, in radians, two cluster centres may be from exactly opposite.
+ANTIPODAL_TOL = 0.05
+
+
+def antipodal_clustering(trajs: Sequence[Trajectory], theta_tol: float = 0.3) -> ClusterResult:
     """Split final directions by the leading principal axis and test tightness."""
-    return final_clustering(summarize(trajs).final, theta_tol, antipodal_tol)
+    return final_clustering(summarize(trajs).final, theta_tol)
 
 
-def final_clustering(final: np.ndarray, theta_tol: float = 0.3, antipodal_tol: float = 0.05) -> ClusterResult:
+def final_clustering(final: np.ndarray, theta_tol: float = 0.3) -> ClusterResult:
     """``antipodal_clustering`` of the walks whose final positions are the rows of ``final``."""
     x, r = _final_radii(final)
     moved = r > 0
@@ -589,7 +587,7 @@ def final_clustering(final: np.ndarray, theta_tol: float = 0.3, antipodal_tol: f
     if len(centers) == 1:
         return ClusterResult(1, centers, max_dev, None)
     anti = _angle(centers[0], -centers[1])
-    if anti > antipodal_tol:
+    if anti > ANTIPODAL_TOL:
         return ClusterResult(0, centers, max_dev, anti, "cluster centers are not antipodal")
     return ClusterResult(2, centers, max_dev, anti)
 
@@ -680,11 +678,8 @@ def zero_one_scan(
     trajs = simulate_ensemble(model, master_seed, n_walks, horizon)
     angles = np.arange(n_angles) * (2.0 * np.pi / n_angles)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    thr, dip = _resolve_thresholds(len(trajs[0]) if trajs else horizon, level_threshold, dip_allowance)
-    cls = _classes(_level_rows(trajs, dirs), thr, dip)
-    n = max(len(trajs), 1)
-    p_plus = (cls > 0).sum(axis=0) / n
-    p_minus = (cls < 0).sum(axis=0) / n
+    thr, dip = _resolve_thresholds(horizon, level_threshold, dip_allowance)
+    p_plus, p_minus = _shares(_classes(_level_rows(trajs, dirs), thr, dip))
     verdicts = [_verdict(p_plus[a], p_minus[a]) for a in range(n_angles)]
     plus_idx = [a for a, v in enumerate(verdicts) if v is Verdict.TRANSIENT_PLUS]
     minus_idx = [a for a, v in enumerate(verdicts) if v is Verdict.TRANSIENT_MINUS]

@@ -29,7 +29,7 @@ from .env import (
     transitions_for,
 )
 from .errors import ConfigError
-from .lattice import check_dim, decode_signed_axis, signed_axis_table, step_table
+from .lattice import check_dim, decode_signed_axis, read_integers, signed_axis_table, step_table
 from .rng import TAG_ENV, TAG_STEP, TAG_WALKER, as_u64, derive_key, stream_u01
 
 
@@ -303,7 +303,8 @@ def slab_region(l_prime, b: float, L: float) -> Callable[[np.ndarray], np.ndarra
 
 def shifted_cone_region(spec, apex) -> Callable[[np.ndarray], np.ndarray]:
     """Region apex + cone, exact integer arithmetic via the cone's matrix."""
-    return lambda pts: spec.contains(apex, pts)
+    a = np.asarray(read_integers(apex, "apex", spec.dim), dtype=np.int64)
+    return lambda pts: spec.contains(a, pts)
 
 
 def slab_exit_side(traj: Trajectory, l_prime, b: float, L: float) -> SlabExit:

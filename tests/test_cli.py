@@ -15,6 +15,7 @@ import rwre_lab
 from rwre_lab import cli
 from rwre_lab.cli import _write_outputs, load_config, main
 from rwre_lab.errors import ConfigError
+from rwre_lab.oracle import gamblers_ruin
 
 
 def write_config(tmp_path: Path, name: str, cfg: dict) -> Path:
@@ -548,6 +549,22 @@ class TestRun:
         assert run_cli("run", "--config", write_config(tmp_path, "ruin.json", cfg), "--out", out) == 0
         (row,) = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
         assert row["closed_form_right"] == row["exact_mean"] == 0.0
+
+    def test_perturbed_srw_interval_writes_the_closed_form(self, tmp_path):
+        # P(+1) = 0.6 at every site: a constant law, although the model is not Homogeneous
+        cfg = {
+            "experiment": "oracle-compare",
+            "dimension": 1,
+            "master_seed": 7,
+            "n_walks": 0,
+            "model": {"kind": "perturbed_srw", "epsilon": 0.1, "drift_dir": 1},
+            "oracle": {"region": {"kind": "interval", "lo": -5, "hi": 5}, "target_class": "Right", "n_env": 1},
+        }
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", write_config(tmp_path, "srw.json", cfg), "--out", out) == 0
+        (row,) = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
+        assert row["closed_form_right"] == gamblers_ruin(0.6, 5, 5)
+        assert abs(row["closed_form_right"] - row["exact_mean"]) < 1e-12
 
     def test_run_too_large_to_allocate_exits_2_without_outputs(self, tmp_path, capsys):
         # an in-range horizon whose step matrix asks for 8.88 PiB ended in a MemoryError traceback, exit 1

@@ -104,6 +104,27 @@ class TestConeSpec:
         spec = ConeSpec((1, 1), ((1, 1), (1, -1)), "1/2", (1, 0))
         assert spec.lam == Fraction(1, 2)
 
+    def test_integral_entries_are_read_exactly(self):
+        spec = ConeSpec((1.0, np.int64(1)), ((1, 1.0), np.asarray([1, -1])), "1/2", (np.float64(1), 0))
+        assert (spec.sigma, spec.basis, spec.l) == ((1, 1), ((1, 1), (1, -1)), (1, 0))
+        assert all(type(x) is int for x in spec.sigma + spec.l + spec.basis[1])
+
+    @pytest.mark.parametrize(
+        "sigma, basis, l, name",
+        [
+            ((1, 1), ((1, 1), (1, -1)), (1.7, 0.2), "l must hold integers, got 1.7"),  # once read as l = (1, 0)
+            ((1, 1), ((1.9, 1), (1, -1)), (1, 0), "basis must hold integers, got 1.9"),  # once read as row (1, 1)
+            ((1, 1), ((1, 1), (1, -1)), (float("nan"), 1), "l must hold integers, got nan"),
+            ((True, 1), ((1, 1), (1, -1)), (1, 0), "sigma must hold integers, got True"),
+            ((1, 1), ((1, 1), 7), (1, 0), "basis must be a vector of integers, got 7"),
+            ((1, 1), 7, (1, 0), "basis must be a list of integer vectors"),
+        ],
+        ids=["fractional-l", "fractional-basis", "nan-l", "bool-sigma", "scalar-row", "scalar-basis"],
+    )
+    def test_refuses_entries_that_are_not_integers_by_name(self, sigma, basis, l, name):
+        with pytest.raises(ConfigError, match=name):
+            ConeSpec(sigma, basis, "1/2", l)
+
 
 class TestConeContains:
     def test_apex_always_inside(self):
@@ -125,6 +146,15 @@ class TestConeContains:
         assert spec.matrix.tolist() == [[2, 1], [1, 2]]
         assert not cone_contains(spec, (0, 0), (1, -1))
         assert cone_contains(spec, (0, 0), (1, 0))
+
+    def test_refuses_a_fractional_point(self):
+        # (-0.5, 0) . (2, 1) < 0 is outside the cone; truncated to the apex it would be inside
+        spec = ConeSpec((1, 1), ((1, 0), (0, 1)), Fraction(1, 2), (1, 1))
+        with pytest.raises(ConfigError, match="x must hold integers, got -0.5"):
+            cone_contains(spec, (0, 0), (-0.5, 0))
+        with pytest.raises(ConfigError, match=r"apex must have 2 entries \(the dimension\), got 3"):
+            cone_contains(spec, (0, 0, 0), (1, 0))
+        assert cone_contains(spec, (0.0, 0), (1.0, 0))
 
     def test_matches_rational_oracle(self, rng):
         for _ in range(300):
@@ -157,6 +187,14 @@ class TestFreshMaxima:
         t = Trajectory(np.zeros(3, np.int8), 2, 0)
         with pytest.raises(ConfigError):
             fresh_maxima(t, (2, 0))
+
+    def test_refuses_a_fractional_or_wrong_length_l(self):
+        t = Trajectory(np.zeros(3, np.int8), 2, 0)
+        with pytest.raises(ConfigError, match="l must hold integers, got 1.5"):
+            fresh_maxima(t, (1.5, 0))  # once read as (1, 0)
+        with pytest.raises(ConfigError, match=r"l must have 2 entries \(the dimension\), got 3"):
+            fresh_maxima(t, (1, 0, 0))
+        assert fresh_maxima(t, (1.0, 0)).tolist() == [1, 2, 3]
 
 
 # ---------------------------------------------------------------- renewal detection

@@ -93,6 +93,13 @@ class TestModels:
         with pytest.raises(ConfigError):
             env.transition_at((1, 2))
 
+    def test_fractional_site_refused(self):
+        # (0.5,) was once truncated to the site (0,)
+        env = QuenchedEnvironment(Homogeneous(TransitionVector([0.5, 0.5])), 3)
+        with pytest.raises(ConfigError, match="site must hold integers, got 0.5"):
+            env.transition_at((0.5,))
+        assert np.array_equal(env.transition_at((2.0,)).probs, [0.5, 0.5])
+
 
 class TestDeterminism:
     def test_cross_process_reproducibility(self):

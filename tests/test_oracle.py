@@ -225,6 +225,17 @@ class TestExactQuenchedExit:
         with pytest.raises(ConfigError, match="unique"):
             FiniteRegionProblem(np.asarray([[0], [1], [0]]), {(-1,): "Left", (2,): "Right"}, env, (0,))
 
+    @pytest.mark.parametrize(
+        "boundary",
+        [{(-1,): "Left", (1,): "Right"}, {(-1, 0): "Left", (1,): "Right"}, {(-1, 0, 0): "Left"}],
+        ids=["1D-keys", "ragged", "3D-key"],
+    )
+    def test_boundary_sites_of_the_wrong_dimension_rejected(self, boundary):
+        # 1D keys on a 2D problem were once regrouped into pairs by the reshape
+        env = hom_env([0.4, 0.1, 0.25, 0.25])
+        with pytest.raises(ConfigError, match="boundary sites do not match environment dimension"):
+            FiniteRegionProblem(np.asarray([[0, 0]]), boundary, env, (0, 0))
+
     def test_target_monotonicity(self):
         env = QuenchedEnvironment(Dirichlet((1.0, 1.0, 1.0, 1.0)), 11)
         problem = SlabRegion((1.0, 0.0), 1.0, 3.0, 5).build(env)

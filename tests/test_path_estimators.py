@@ -1,7 +1,9 @@
 """The path estimators against the per-estimator loops they replaced.
 
 ``ref_classify_levels`` is the transience class rule as it was when it read
-a walk's whole level array, before it read the four level facts.
+a walk's whole level array, before it read the four level facts, and
+``_level_class`` is the scalar rule on those facts that ``stats._classes``
+replaced with one array expression.
 ``ref_classify_transience``, ``ref_estimate_speed``, ``ref_zero_one_scan``,
 ``ref_raw_direction`` and ``ref_antipodal_clustering`` are those estimators as
 they were when each read every walk in its own loop, ``ref_final_position``
@@ -34,6 +36,7 @@ from rwre_lab.stats import (
     _level_rows,
     _normal_ci,
     _resolve_thresholds,
+    _shares,
     _stable_norm,
     _verdict,
     antipodal_clustering,
@@ -56,6 +59,20 @@ def ref_classify_levels(s, thr, dip):
     if final >= thr and (tail.max() - final) <= dip:
         return 1
     if final <= -thr and (final - tail.min()) <= dip:
+        return -1
+    return 0
+
+
+def _level_class(final, tail_max, tail_min, thr: float, dip: float) -> int:
+    """Finite-horizon transience proxy for one projected path, from its level facts (``cone._level_facts``).
+
+    Counts toward the plus event when the final level clears the threshold
+    and the path's last-half running high is within ``dip`` of the final
+    value (it has not fallen back); the minus rule is the exact mirror.
+    """
+    if final >= thr and tail_max - final <= dip:
+        return 1
+    if final <= -thr and final - tail_min <= dip:
         return -1
     return 0
 
@@ -413,3 +430,55 @@ def test_identity_lhs_ci_matches_pooled_increments(d):
     report = renewal_mean_identity(records, spec, n_boot=100)
     assert not isinstance(report, InsufficientData)
     assert report.lhs_ci == ref_lhs_ci(records, spec)
+
+
+def test_classes_match_the_scalar_rule_on_float_rows():
+    # levels on a half-integer grid put many rows exactly on the threshold and dip boundaries
+    rng = np.random.default_rng(5)
+    final = rng.integers(-40, 41, size=4000) / 2.0
+    rise, fall = rng.integers(0, 12, size=(2, 4000)) / 2.0
+    levels = np.stack([final, final + rise, final - fall], axis=1)
+    for thr, dip in ((5.0, 1.5), (0.5, 0.0), (12.5, 6.25), (20.0, 3.0)):
+        want = [_level_class(*row, thr, dip) for row in levels]
+        got = _classes(levels, thr, dip)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert np.array_equal(_classes(levels.reshape(50, 80, 3), thr, dip), np.reshape(want, (50, 80)))
+    assert {-1, 0, 1} <= set(want)
+
+
+def test_classes_match_the_scalar_rule_on_exact_integer_facts():
+    """A record's integer level facts past 2**53 are classified exactly; float64 would round them."""
+    big = 2**60
+    rows = [
+        (big + 1, big + 301, big - 7),  # high - final = 300 > dip: class 0, but 256 in float64
+        (big + 1, big + 300, big),  # high - final = 299 = dip: class 1
+        (-big - 1, -big + 5, -big - 301),  # the mirror of the first row
+        (-big - 1, 0, -big - 300),
+        (2**53 + 1, 2**53 + 1, 2**53 - 1),
+        (3, 310, -5),
+        (0, 0, 0),
+    ]
+    facts = np.asarray(rows, dtype=object)
+    thr, dip = 10.0, 299.0
+    got = _classes(facts, thr, dip)
+    assert got.tolist() == [_level_class(*row, thr, dip) for row in rows] == [0, 1, 0, -1, 1, 0, 0]
+    assert _classes(np.asarray(rows[:1], dtype=np.float64), thr, dip).tolist() == [1]
+
+
+def test_shares_count_each_column_over_the_walks():
+    cls = np.asarray([[1, -1, 0], [1, 0, 0], [-1, -1, 0], [1, 0, 0]])
+    p_plus, p_minus = _shares(cls)
+    assert p_plus.tolist() == [0.75, 0.0, 0.0] and p_minus.tolist() == [0.25, 0.5, 0.0]
+    assert [a.tolist() for a in _shares(np.zeros((0, 3), dtype=np.int64))] == [[0.0] * 3, [0.0] * 3]
+
+
+def test_zero_one_scan_finds_a_single_transient_direction():
+    # a drift along +e1 only: with a wide band, the one angle at 0 is transient and every other one undecided
+    model = Homogeneous(TransitionVector([0.4, 0.1, 0.25, 0.25]))
+    args = (model, 7, 5, 200, 2000)
+    kw = dict(level_threshold=520, dip_allowance=200, orth_band=0.9)
+    got = zero_one_scan(*args, **kw)
+    assert got.pattern is TransiencePattern.SINGLE_DIRECTION
+    assert got.verdicts == [Verdict.TRANSIENT_PLUS] + [Verdict.UNDECIDED] * 4
+    assert np.array_equal(got.nu_hat, [1.0, 0.0])
+    assert_same(got, ref_zero_one_scan(*args, **kw))

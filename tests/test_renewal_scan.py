@@ -37,13 +37,13 @@ from rwre_lab.stats import (
     InsufficientData,
     RenewalIdentityReport,
     _binom_ci,
-    _level_class,
+    _classes,
     _normal_ci,
     _resolve_thresholds,
     renewal_mean_identity,
 )
 from rwre_lab.walk import simulate_ensemble
-from test_path_estimators import ref_classify_levels
+from test_path_estimators import _level_class, ref_classify_levels
 
 # ---------------------------------------------------------------- oracles
 
@@ -513,6 +513,42 @@ def test_records_without_level_facts_are_insufficient(window):
     assert isinstance(renewal_mean_identity(bare, spec, window=window, n_boot=50), InsufficientData)
 
 
+def hand_record(n_inc, stays=True, final_level=50):
+    """A 1D record of ``n_inc`` confirmed increments of 2 over 100 steps that hit levels 1..20.
+
+    With the default thresholds of 100 steps (20, dip 10) the walk is forward
+    transient; a ``final_level`` of 0 leaves it unclassified.
+    """
+    k = np.arange(n_inc + 1)
+    return RenewalRecord(3 * k, 2 * k[:, None], 5, False, np.asarray([[1, 20]]), stays, 100, final_level, 50, 40)
+
+
+LINE = ConeSpec((1,), ((1,),), Fraction(1), (1,))
+
+
+@pytest.mark.parametrize(
+    "records, n_boot, reason",
+    [
+        ([hand_record(3), hand_record(2)], 100, "only 5 confirmed increments"),
+        ([hand_record(12, final_level=0)], 100, "no walk classified forward transient"),
+        ([hand_record(6, stays=False), hand_record(6, stays=False)], 100, "no transient walk stayed in the origin cone"),
+        # fewer than 10 resamples can never be enough, however many are valid
+        ([hand_record(12)] * 3, 9, "bootstrap produced too few valid resamples"),
+    ],
+    ids=["increments", "transient", "cone", "bootstrap"],
+)
+def test_identity_insufficient_outcomes_of_hand_built_records(records, n_boot, reason):
+    assert renewal_mean_identity(records, LINE, n_boot=n_boot) == InsufficientData(reason)
+    # a tenth resample rescues only the bootstrap case
+    assert isinstance(renewal_mean_identity(records, LINE, n_boot=10), RenewalIdentityReport) is (n_boot == 9)
+
+
+@pytest.mark.parametrize("window", [(0, 5), (-3, 4), (6, 5)], ids=str)
+def test_identity_refuses_a_bad_window(window):
+    with pytest.raises(ConfigError, match="level window must satisfy 1 <= i_min <= i_max"):
+        renewal_mean_identity([hand_record(12)], LINE, window=window)
+
+
 def class_walks(N):
     """Plus-drift, minus-drift and centred 2D walks of N steps, and one whose level peaks just before its last half."""
     laws = (drift_probs((1, 0), 1.5), drift_probs((-1, 0), 1.5), np.full(4, 0.25))
@@ -535,7 +571,9 @@ def test_record_class_matches_level_array_rule(N):
         for level_threshold, dip_allowance in ((None, None), (1.0, 0.0), (N**0.5, 0.0)):
             thr, dip = _resolve_thresholds(rec.n_steps, level_threshold, dip_allowance)
             want = ref_classify_levels(s, thr, dip)
-            assert _level_class(rec.final_level, rec.tail_max, rec.tail_min, thr, dip) == want
+            facts = (rec.final_level, rec.tail_max, rec.tail_min)
+            assert _level_class(*facts, thr, dip) == want
+            assert _classes(np.asarray([facts], dtype=object), thr, dip).tolist() == [want]
             seen.add(want)
     assert seen == {-1, 0, 1}
 

@@ -174,6 +174,10 @@ class TestIndependence:
     def test_too_few_is_insufficient(self, rng):
         assert isinstance(independence_test(rng.integers(0, 2, size=(50, 2))), InsufficientData)
 
+    def test_constant_coordinate_is_insufficient(self, rng):
+        inc = np.stack([rng.integers(-3, 4, size=200), np.full(200, 2)], axis=1)
+        assert independence_test(inc) == InsufficientData("coordinate 1 is degenerate (zero variance)")
+
 
 class TestOscillation:
     def test_requires_orthogonality(self, rng):

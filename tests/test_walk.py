@@ -243,6 +243,18 @@ class TestRegionExit:
         want = scan_region_exit(t, lambda x: cone_contains(spec, (0, 0), x))
         assert got.time == want == 3
 
+    def test_shifted_cone_region_refuses_an_apex_of_the_wrong_dimension(self):
+        from fractions import Fraction
+
+        from rwre_lab import ConeSpec
+        from rwre_lab.walk import shifted_cone_region
+
+        spec = ConeSpec((1, 1), ((1, 1), (1, -1)), Fraction(1), (1, 0))
+        with pytest.raises(ConfigError, match=r"apex must have 2 entries \(the dimension\), got 3"):
+            shifted_cone_region(spec, (0, 0, 0))
+        with pytest.raises(ConfigError, match="apex must hold integers, got 0.5"):
+            shifted_cone_region(spec, (0.5, 0))
+
 
 class TestSlabExit:
     def test_pure_paths(self):
