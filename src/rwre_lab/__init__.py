@@ -12,9 +12,9 @@ from .env import (
     EnvironmentModel,
     FiniteMixture,
     Homogeneous,
-    PerturbedSRW,
     QuenchedEnvironment,
     TransitionVector,
+    perturbed_srw,
     sample_dirichlet,
 )
 from .errors import ConfigError, NumericError
@@ -49,7 +49,7 @@ __all__ = [
     "Homogeneous",
     "FiniteMixture",
     "Dirichlet",
-    "PerturbedSRW",
+    "perturbed_srw",
     "EnvironmentModel",
     "QuenchedEnvironment",
     "sample_dirichlet",

@@ -42,12 +42,13 @@ from .env import (
     EnvironmentModel,
     FiniteMixture,
     Homogeneous,
-    PerturbedSRW,
     QuenchedEnvironment,
     TransitionVector,
     constant_vector,
+    perturbed_srw,
 )
 from .errors import ConfigError, NumericError
+from .lattice import read_integer
 from .oracle import (
     BoxRegion,
     IntervalRegion,
@@ -333,7 +334,8 @@ def _oracle_compare(cfg: ExperimentConfig) -> tuple[list[dict], None]:
     if vec is not None and isinstance(region, IntervalRegion):
         row["closed_form_right"] = gamblers_ruin(float(vec.probs[0]), -region.lo, region.hi)
     if monte_carlo:
-        tally = run_slab_ensemble(cfg.model, cfg["master_seed"], n_walks, *slab, cfg["horizon"])
+        lp, b, L = slab
+        (tally,) = run_slab_ensemble(cfg.model, cfg["master_seed"], n_walks, lp, b, [L], cfg["horizon"])
         p_hat = tally.p_right if target == "Right" else tally.p_left
         se = _binom_se(p_hat, tally.n_exits)
         row.update(mc_p=p_hat, mc_se=se, mc_n_exits=tally.n_exits, mc_n_censored=tally.n_censored)
@@ -358,7 +360,7 @@ _MODELS: dict[str, Callable[[dict], EnvironmentModel]] = {
         tuple(TransitionVector(np.asarray(a, float)) for a in v["model.atoms"]), v["model.weights"]
     ),
     "dirichlet": lambda v: Dirichlet(v["model.alphas"]),
-    "perturbed_srw": lambda v: PerturbedSRW(v["model.epsilon"], v["model.drift_dir"], v["dimension"]),
+    "perturbed_srw": lambda v: perturbed_srw(v["model.epsilon"], v["model.drift_dir"], v["dimension"]),
 }
 
 
@@ -372,14 +374,6 @@ class _Type(NamedTuple):
 
     name: str
     read: Callable[[Any, int], Any]
-
-
-def _read_int(x: Any, _d: int) -> int:
-    if isinstance(x, float) and x.is_integer():
-        return int(x)
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise TypeError("expected an integer")
-    return x
 
 
 def _read_float(x: Any, _d: int) -> float:
@@ -432,7 +426,7 @@ def _in_range(t: _Type, lo: int, hi: int | None = None) -> _Type:
     return _Type(f"{t.name} {text}", read)
 
 
-_INTEGER = _Type("int", _read_int)  # any size; only _SEED reads by it
+_INTEGER = _Type("int", lambda x, _d: read_integer(x, "value"))  # any size; only _SEED reads by it
 _INT = _checked(_INTEGER, lambda v: -(2**63) <= v < 2**63, "an integer that fits int64")
 _SEED = _in_range(_INTEGER, 0, 2**64 - 1)  # master_seed and --seed
 _COUNT = _in_range(_INT, 0)

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import read_integers
+from .lattice import integer_array, read_integer, read_integers
 from .walk import Trajectory, simulate_ensemble
 
 
@@ -147,14 +147,17 @@ class ConeSpec:
             raise ConfigError(f"walks of {n_steps} steps can reach levels or faces of {n_steps} * {norm}, past int64")
 
     def contains(self, apex, pts) -> np.ndarray:
-        """Exact membership of each point (the last axis holds coordinates) in apex + cone."""
-        return ((np.asarray(pts, dtype=np.int64) - apex) @ self.matrix.T >= 0).all(axis=-1)
+        """Exact membership of each point (the last axis holds coordinates) in apex + cone, both read as integers."""
+        a = np.asarray(read_integers(apex, "apex", self.dim), dtype=np.int64)
+        x = integer_array(pts, "points")
+        if x.shape[-1:] != (self.dim,):
+            raise ConfigError(f"points must have {self.dim} coordinates along their last axis, got shape {x.shape}")
+        return ((x - a) @ self.matrix.T >= 0).all(axis=-1)
 
 
 def cone_contains(spec: ConeSpec, apex, x) -> bool:
     """Exact membership of x in apex + cone; all arithmetic is integer."""
-    a = np.asarray(read_integers(apex, "apex", spec.dim), dtype=np.int64)
-    return bool(spec.contains(a, np.asarray(read_integers(x, "x", spec.dim), dtype=np.int64)))
+    return bool(spec.contains(apex, np.asarray(read_integers(x, "x", spec.dim), dtype=np.int64)))
 
 
 def _fresh(s: np.ndarray) -> np.ndarray:
@@ -225,13 +228,6 @@ class RenewalRecord:
     def confirmed_positions(self) -> np.ndarray:
         return self.positions[: self.n_confirmed]
 
-    def increments(self) -> np.ndarray:
-        """Position differences between consecutive confirmed renewals, in the dtype of ``positions``."""
-        pos = self.confirmed_positions
-        if pos.shape[0] < 2:
-            return np.zeros((0, self.positions.shape[1]), dtype=self.positions.dtype)
-        return np.diff(pos, axis=0)
-
     def to_json_obj(self) -> dict:
         return {
             "tau": self.times.tolist(),
@@ -289,14 +285,15 @@ def _first_exit(F: np.ndarray, cands: np.ndarray, H: int) -> np.ndarray:
 
 def _levels(traj: Trajectory, spec: ConeSpec, confirm_horizon: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """The checked window H, the positions P, the levels P @ l and the fresh maxima of one walk."""
-    if confirm_horizon < 1:
+    H = read_integer(confirm_horizon, "confirm_horizon")
+    if H < 1:
         raise ConfigError("confirm_horizon must be at least 1")
     if spec.dim != traj.dim:
         raise ConfigError("cone dimension does not match trajectory dimension")
     spec.check_steps(len(traj))
     P = traj.positions()
     s = P @ np.asarray(spec.l, dtype=np.int64)
-    return int(confirm_horizon), P, s, _fresh(s)
+    return H, P, s, _fresh(s)
 
 
 def _scan(fresh: np.ndarray, F: np.ndarray, H: int) -> tuple[np.ndarray, bool]:

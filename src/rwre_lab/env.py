@@ -1,7 +1,7 @@
 """Random-environment models on the integer lattice.
 
 An environment assigns every site a strictly positive nearest-neighbor
-transition vector, drawn i.i.d. across sites from one of four model families.
+transition vector, drawn i.i.d. across sites from one of three model families.
 Quenched environments are generated lazily: the vector at a site is a pure
 function of (master seed, site), computed through a counter-based stream, so
 the infinite environment needs no storage and any site can be reproduced
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .lattice import check_dim, check_site, direction_index
+from .lattice import check_dim, check_site, direction_index, read_integer
 from .rng import (
     TAG_SITE,
     U64,
@@ -73,7 +73,7 @@ class TransitionVector:
 
 @dataclass(frozen=True)
 class Homogeneous:
-    """Every site carries the same fixed transition vector."""
+    """Every site carries the same fixed transition vector (``perturbed_srw`` builds one)."""
 
     vector: TransitionVector
 
@@ -136,37 +136,26 @@ class Dirichlet:
         return len(self.alphas) // 2
 
 
-@dataclass(frozen=True)
-class PerturbedSRW:
-    """Simple random walk with probability epsilon moved onto one direction.
+def perturbed_srw(epsilon: float, drift_dir: int, dim: int) -> Homogeneous:
+    """Simple random walk with probability epsilon moved onto one direction, at every site.
 
     drift_dir uses the signed-axis form: +1 is +e_1, -2 is -e_2, and so on.
     The bound epsilon < 1/(2d) keeps the opposite direction elliptic.
     """
-
-    epsilon: float
-    drift_dir: int
-    dim: int
-
-    def __post_init__(self):
-        check_dim(self.dim)
-        axis = abs(int(self.drift_dir))
-        if self.drift_dir == 0 or axis > self.dim:
-            raise ConfigError(f"drift_dir {self.drift_dir!r} out of range for d={self.dim}")
-        if not 0.0 < self.epsilon < 1.0 / (2 * self.dim):
-            raise ConfigError("epsilon must lie in (0, 1/(2d))")
-        base = np.full(2 * self.dim, 1.0 / (2 * self.dim))
-        j = direction_index(abs(self.drift_dir) - 1, 1 if self.drift_dir > 0 else -1)
-        base[j] += self.epsilon
-        base[j ^ 1] -= self.epsilon
-        object.__setattr__(self, "_vector", TransitionVector(base))
-
-    @property
-    def vector(self) -> TransitionVector:
-        return self._vector
+    check_dim(dim)
+    drift_dir = read_integer(drift_dir, "drift_dir")
+    if drift_dir == 0 or abs(drift_dir) > dim:
+        raise ConfigError(f"drift_dir {drift_dir!r} out of range for d={dim}")
+    if not 0.0 < epsilon < 1.0 / (2 * dim):
+        raise ConfigError("epsilon must lie in (0, 1/(2d))")
+    base = np.full(2 * dim, 1.0 / (2 * dim))
+    j = direction_index(abs(drift_dir) - 1, 1 if drift_dir > 0 else -1)
+    base[j] += epsilon
+    base[j ^ 1] -= epsilon
+    return Homogeneous(TransitionVector(base))
 
 
-EnvironmentModel = Homogeneous | FiniteMixture | Dirichlet | PerturbedSRW
+EnvironmentModel = Homogeneous | FiniteMixture | Dirichlet
 
 _GAMMA_COMP_STRIDE = U64(1) << U64(32)
 _GAMMA_ROUND_STRIDE = U64(64) << U64(32)
@@ -278,7 +267,7 @@ def site_stream_keys(site_prefix, coords: np.ndarray) -> np.ndarray:
 
 def constant_vector(model: EnvironmentModel) -> TransitionVector | None:
     """The vector every site carries when the model does not vary by site, else None."""
-    if isinstance(model, (Homogeneous, PerturbedSRW)):
+    if isinstance(model, Homogeneous):
         return model.vector
     return None
 

@@ -62,28 +62,41 @@ def decode_signed_axis(s: int, d: int) -> int:
     return direction_index(abs(int(s)) - 1, 1 if s > 0 else -1)
 
 
-def _read_integer(x, name: str) -> int:
+def _integer(x, refusal: str) -> int:
     if isinstance(x, (float, np.floating)) and float(x).is_integer():
         return int(x)
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ConfigError(f"{name} must hold integers, got {x!r}")
+        raise ConfigError(f"{refusal}, got {x!r}")
     return int(x)
 
 
-def read_integers(x, name: str, d: int | None = None) -> tuple[int, ...]:
-    """The entries of the vector ``x`` as ints, ``d`` of them when ``d`` is given.
+def read_integer(x, name: str) -> int:
+    """``x`` as an int by the one integer rule of the config and the library: an integral number is its integer
+    (10.0 is 10), and a bool, a fractional or non-finite number or anything else is refused naming ``name``."""
+    return _integer(x, f"{name} must be an integer")
 
-    An entry is read as a config integer is: an integral number is its
-    integer (10.0 is 10), and a bool, a fractional or non-finite number or
-    anything else is refused with a ``ConfigError`` naming ``name``.
-    """
+
+def integer_array(x, name: str) -> np.ndarray:
+    """The array ``x`` read whole by the rule of ``read_integer``: an integer array int64 holds is returned as it
+    is, a float array of integral entries inside the int64 range becomes int64, and any other entry is refused."""
+    arr = np.asarray(x)
+    if arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64):
+        return arr
+    bad = arr[(np.trunc(arr) != arr) | ~(np.abs(arr) < 2.0**63)] if arr.dtype.kind == "f" else arr
+    if bad.size:
+        raise ConfigError(f"{name} must hold integers int64 holds, got {bad.ravel()[:1].tolist()[0]!r} ({arr.dtype})")
+    return arr.astype(np.int64)
+
+
+def read_integers(x, name: str, d: int | None = None) -> tuple[int, ...]:
+    """The entries of the vector ``x`` as ints by the rule of ``read_integer``, ``d`` of them when ``d`` is given."""
     try:
         entries = list(x)
     except TypeError:
         raise ConfigError(f"{name} must be a vector of integers, got {x!r}") from None
     if d is not None and len(entries) != d:
         raise ConfigError(f"{name} must have {d} entries (the dimension), got {len(entries)}")
-    return tuple(_read_integer(v, name) for v in entries)
+    return tuple(_integer(v, f"{name} must hold integers") for v in entries)
 
 
 def check_site(x, d: int) -> np.ndarray:

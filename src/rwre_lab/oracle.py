@@ -23,7 +23,7 @@ import numpy as np
 
 from .env import Dirichlet, EnvironmentModel, FiniteMixture, QuenchedEnvironment, constant_vector
 from .errors import ConfigError, NumericError
-from .lattice import check_site, step_table
+from .lattice import check_site, read_integer, read_integers, step_table
 from .rng import TAG_ENV, derive_key
 from .stats import _mean_ci
 from .walk import _check_slab, _slab_exits
@@ -210,8 +210,8 @@ class BoxRegion:
 
     def build(self, env: QuenchedEnvironment, start=None) -> FiniteRegionProblem:
         d = env.dim
-        lo = np.asarray(self.lo, dtype=np.int64)
-        hi = np.asarray(self.hi, dtype=np.int64)
+        lo = np.asarray(read_integers(self.lo, "lo"), dtype=np.int64)
+        hi = np.asarray(read_integers(self.hi, "hi"), dtype=np.int64)
         if lo.shape != (d,) or hi.shape != (d,) or np.any(hi < lo):
             raise ConfigError("box bounds must be d-vectors with hi >= lo")
         n_sites = math.prod(int(h) - int(l) + 1 for l, h in zip(lo, hi))
@@ -245,6 +245,7 @@ class SlabRegion:
 
     def __post_init__(self):
         _check_slab(self.l_prime, self.b, self.L)
+        object.__setattr__(self, "bound_width", read_integer(self.bound_width, "bound_width"))
         if self.bound_width < 1:
             raise ConfigError("bound_width must be at least 1")
 
@@ -255,7 +256,7 @@ class SlabRegion:
     def build(self, env: QuenchedEnvironment, start=None) -> FiniteRegionProblem:
         d = env.dim
         lp = _check_slab(self.l_prime, self.b, self.L, d)
-        w = int(self.bound_width)
+        w = self.bound_width
         # the slab's sites can only be counted on the grid, so the grid's size is what is bounded
         if (2 * w + 1) ** d > MAX_REGION_SITES:
             raise ConfigError(f"slab bounding box exceeds {MAX_REGION_SITES} sites; lower bound_width")
@@ -282,6 +283,7 @@ def gamblers_ruin(p: float, M: int, N_right: int) -> float:
     """Chance the homogeneous 1D walk hits +N_right before -M, starting at 0."""
     if not 0.0 < p < 1.0:
         raise ConfigError("p must lie strictly between 0 and 1")
+    M, N_right = read_integer(M, "M"), read_integer(N_right, "N_right")
     if M < 1 or N_right < 1:
         raise ConfigError("both barriers must be at least one step away")
     if p == 0.5:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .cone import ConeSpec, RenewalRecord, _level_facts
 from .errors import ConfigError
+from .lattice import read_integer, read_integers
 from .walk import Trajectory, _check_l, run_slab_ensemble, simulate_ensemble
 
 Z95 = 1.959963984540054
@@ -321,11 +322,12 @@ def _final_radii(final: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pooled_increments(records: Sequence[RenewalRecord]) -> np.ndarray:
-    """Confirmed renewal increments concatenated in walker order, in one array of the records' dtype."""
-    pos = [r.confirmed_positions for r in records if r.n_confirmed > 1]
-    if not pos:
+    """Confirmed renewal increments in walker order, in one (k, d) array of the records' dtype; (0, 0) for none."""
+    if not records:
         return np.zeros((0, 0), dtype=np.int64)
-    out = np.empty((sum(p.shape[0] - 1 for p in pos), pos[0].shape[1]), dtype=np.result_type(*pos))
+    pos = [r.confirmed_positions for r in records if r.n_confirmed > 1]
+    dtype = np.result_type(*(pos or [r.positions for r in records]))
+    out = np.empty((sum(p.shape[0] - 1 for p in pos), records[0].positions.shape[1]), dtype=dtype)
     k = 0
     for p in pos:
         np.subtract(p[1:], p[:-1], out=out[k : k + p.shape[0] - 1])
@@ -390,10 +392,8 @@ def orthogonal_oscillation(
     directions.  A path locked to the direction l produces all-zero
     projections; that degenerate case is flagged, not averaged away.
     """
-    li = np.asarray(l, dtype=np.int64)
-    ls = np.asarray(l_star, dtype=np.int64)
-    if li.shape != ls.shape:
-        raise ConfigError("l and l_star must have the same dimension")
+    li = np.asarray(read_integers(l, "l"), dtype=np.int64)
+    ls = np.asarray(read_integers(l_star, "l_star", li.shape[0]), dtype=np.int64)
     if int(li @ ls) != 0:
         raise ValueError("l_star must be exactly orthogonal to l")
     inc = pooled_increments(records)
@@ -480,7 +480,7 @@ def renewal_mean_identity(
         if top < 1:
             return InsufficientData("some walk reached no positive level")
         window = (max(1, top // 2), top)
-    i_min, i_max = int(window[0]), int(window[1])
+    i_min, i_max = read_integer(window[0], "window"), read_integer(window[1], "window")
     if i_min < 1 or i_max < i_min:
         raise ConfigError("level window must satisfy 1 <= i_min <= i_max")
     # the first passage over i - 1 lands exactly on level i >= 1 iff a fresh maximum took level i,
@@ -671,6 +671,7 @@ def zero_one_scan(
     """
     if model.dim != 2:
         raise ConfigError("the angular scan is two-dimensional")
+    n_angles = read_integer(n_angles, "n_angles")
     if n_angles < 4:
         raise ConfigError("need at least 4 angles")
     if not orth_band >= 0:

@@ -82,9 +82,14 @@ class Trajectory:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Trajectory":
+        for key in ("dim", "walker_seed", "steps"):
+            if not isinstance(obj, dict) or key not in obj:
+                raise ConfigError(f"a trajectory must be a JSON object with the key {key!r}")
         for key in ("dim", "walker_seed"):  # bools, floats and strings are refused, not rounded
             if isinstance(obj[key], bool) or not isinstance(obj[key], (int, np.integer)):
                 raise ConfigError(f"{key} {obj[key]!r} is not an integer")
+        if not isinstance(obj["steps"], (list, tuple)):
+            raise ConfigError(f"steps must be a list of signed axes, got {obj['steps']!r}")
         d = check_dim(int(obj["dim"]))
         steps = [decode_signed_axis(s, d) for s in obj["steps"]]
         return cls(np.asarray(steps, dtype=np.int8), d, int(obj["walker_seed"]))
@@ -393,25 +398,22 @@ def run_slab_ensemble(
     n_walks: int,
     l_prime,
     b: float,
-    L: float | Sequence[float],
+    Ls: Sequence[float],
     horizon: int,
-) -> SlabTally | list[SlabTally]:
-    """Annealed slab-exit tally with early stopping per walker.
+) -> list[SlabTally]:
+    """Annealed slab-exit tallies with early stopping per walker.
 
-    ``L`` is one width, giving one tally, or a strictly increasing sequence of
-    widths, giving one tally per width from a single pass over the walkers.
+    ``Ls`` is a strictly increasing sequence of widths, giving one tally per
+    width from a single pass over the walkers.
     """
     if n_walks < 0 or horizon < 0:
         raise ConfigError("n_walks and horizon must be nonnegative")
-    single = np.ndim(L) == 0
-    Ls = [L] if single else list(L)
-    if not Ls or any(hi <= lo for lo, hi in zip(Ls, Ls[1:])):
+    if np.ndim(Ls) != 1 or not len(Ls) or any(hi <= lo for lo, hi in zip(Ls, Ls[1:])):
         raise ConfigError("slab widths L must be a nonempty, strictly increasing sequence")
     for width in Ls:
         lp = _check_slab(l_prime, b, width, model.dim)
     counts = _slab_block(model, *ensemble_seeds(master_seed, n_walks), lp, b, Ls, horizon)
-    tallies = [SlabTally(*map(int, row), n_walks) for row in counts]
-    return tallies[0] if single else tallies
+    return [SlabTally(*map(int, row), n_walks) for row in counts]
 
 
 def step_counts(traj: Trajectory) -> np.ndarray:

@@ -104,7 +104,7 @@ def test_criterion_01_oracle_equivalence_slabs():
     model = Homogeneous(TransitionVector([0.7, 0.3]))
     env = QuenchedEnvironment(model, SEED)
     exact = exact_quenched_exit(IntervalRegion(-2, 2).build(env), "Right")
-    tally = run_slab_ensemble(model, SEED, 100_000, [1.0], 1.0, 2.0, 2000)
+    (tally,) = run_slab_ensemble(model, SEED, 100_000, [1.0], 1.0, [2.0], 2000)
     n = tally.n_right + tally.n_left
     sigma = (closed * (1 - closed) / n) ** 0.5
     elapsed = time.monotonic() - start

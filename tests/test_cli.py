@@ -551,7 +551,7 @@ class TestRun:
         assert row["closed_form_right"] == row["exact_mean"] == 0.0
 
     def test_perturbed_srw_interval_writes_the_closed_form(self, tmp_path):
-        # P(+1) = 0.6 at every site: a constant law, although the model is not Homogeneous
+        # P(+1) = 0.6 at every site
         cfg = {
             "experiment": "oracle-compare",
             "dimension": 1,
@@ -565,6 +565,51 @@ class TestRun:
         (row,) = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
         assert row["closed_form_right"] == gamblers_ruin(0.6, 5, 5)
         assert abs(row["closed_form_right"] - row["exact_mean"]) < 1e-12
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            pytest.param(
+                {
+                    "experiment": "slab",
+                    "dimension": 2,
+                    "master_seed": 11,
+                    "n_walks": 300,
+                    "horizon": 2000,
+                    "slab": {"l_prime": [1, 0], "b": 1, "L_list": [2, 4, 6]},
+                },
+                id="slab-2d",
+            ),
+            pytest.param(
+                {
+                    "experiment": "oracle-compare",
+                    "dimension": 1,
+                    "master_seed": 7,
+                    "n_walks": 300,
+                    "horizon": 500,
+                    "oracle": {"region": {"kind": "interval", "lo": -5, "hi": 5}, "target_class": "Right"},
+                },
+                id="oracle-interval-1d",
+            ),
+        ],
+    )
+    def test_perturbed_srw_writes_the_rows_of_its_homogeneous_law(self, tmp_path, cfg):
+        # json.dumps writes the probabilities by repr, so the homogeneous config reads back the same floats
+        probs = rwre_lab.perturbed_srw(0.1, 1, cfg["dimension"]).vector.probs.tolist()
+        models = {
+            "srw": {"kind": "perturbed_srw", "epsilon": 0.1, "drift_dir": 1},
+            "hom": {"kind": "homogeneous", "probs": probs},
+        }
+        rows, curves = {}, {}
+        for name, model in models.items():
+            out = tmp_path / name
+            config = write_config(tmp_path, f"{name}.json", {**cfg, "model": model})
+            assert run_cli("run", "--config", config, "--out", out) == 0
+            lines = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
+            rows[name] = [json.dumps({k: v for k, v in r.items() if k != "config_hash"}, sort_keys=True) for r in lines]
+            curves[name] = (out / "curves.csv").read_bytes() if (out / "curves.csv").exists() else None
+        assert rows["srw"] == rows["hom"] and curves["srw"] == curves["hom"]
+        assert any("mc_p" in r or "p_left" in r for r in rows["srw"])
 
     def test_run_too_large_to_allocate_exits_2_without_outputs(self, tmp_path, capsys):
         # an in-range horizon whose step matrix asks for 8.88 PiB ended in a MemoryError traceback, exit 1

@@ -5,6 +5,7 @@ import pytest
 
 from rwre_lab import ConfigError, ConeSpec, Trajectory, cone_contains, detect_renewals, fresh_maxima
 from rwre_lab.cone import DEFAULT_LAMBDA_GRID, lambda_scan
+from rwre_lab.stats import pooled_increments
 
 DIAG = ConeSpec((1, 1), ((1, 1), (1, -1)), Fraction(1), (1, 0))
 
@@ -156,6 +157,44 @@ class TestConeContains:
             cone_contains(spec, (0, 0, 0), (1, 0))
         assert cone_contains(spec, (0.0, 0), (1.0, 0))
 
+    def test_batch_refuses_a_fractional_point(self):
+        # (-0.5, 0) is outside the cone; read as int64 it was truncated to the apex and read inside
+        spec = ConeSpec((1, 1), ((1, 0), (0, 1)), Fraction(1, 2), (1, 1))
+        with pytest.raises(ConfigError, match="points must hold integers int64 holds, got -0.5"):
+            spec.contains((0, 0), [(-0.5, 0)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0**63], ids=str)
+    def test_batch_refuses_a_non_finite_or_too_large_point(self, bad):
+        with pytest.raises(ConfigError, match="points must hold integers"):
+            DIAG.contains((0, 0), np.asarray([[1.0, 0.0], [bad, 0.0]]))
+
+    def test_batch_refuses_bools(self):
+        with pytest.raises(ConfigError, match=r"points must hold integers int64 holds, got True \(bool\)"):
+            DIAG.contains((0, 0), np.asarray([[True, False]]))
+
+    @pytest.mark.parametrize(
+        "pts",
+        [[("1", "0")], [(Fraction(1, 2), 0)], np.asarray([[1, 0]], dtype=np.uint64)],
+        ids=["str", "fraction", "uint64"],
+    )
+    def test_batch_refuses_other_dtypes(self, pts):
+        with pytest.raises(ConfigError, match="points must hold integers"):
+            DIAG.contains((0, 0), pts)
+
+    @pytest.mark.parametrize("apex", [(0,), (0, 0, 0)], ids=str)
+    def test_batch_refuses_an_apex_of_the_wrong_length(self, apex):
+        with pytest.raises(ConfigError, match=r"apex must have 2 entries \(the dimension\)"):
+            DIAG.contains(apex, [(1, 0)])
+        with pytest.raises(ConfigError, match="points must have 2 coordinates"):
+            DIAG.contains((0, 0), [(1, 0, 0)])
+
+    def test_batch_reads_integral_floats_and_integer_arrays_exactly(self, rng):
+        spec = ConeSpec((1, 1), ((1, 0), (0, 1)), Fraction(1, 2), (1, 1))
+        pts = rng.integers(-6, 7, size=(50, 2))
+        want = [cone_contains(spec, (1, -1), x) for x in pts]
+        for arr in (pts, pts.astype(np.int32), pts.astype(np.float64)):
+            assert spec.contains((1.0, -1), arr).tolist() == want
+
     def test_matches_rational_oracle(self, rng):
         for _ in range(300):
             spec = random_spec(rng)
@@ -255,7 +294,7 @@ class TestDetectRenewals:
         spec = ConeSpec((1,), ((1,),), Fraction(1), (1,))
         t = Trajectory(np.zeros(n, np.int8), 1, 0)
         rec = detect_renewals(t, spec, H)
-        inc = rec.increments()
+        inc = pooled_increments([rec])
         assert inc.shape[0] == rec.n_confirmed - 1
         assert (inc == 1).all()
 

@@ -8,9 +8,9 @@ from rwre_lab import (
     Dirichlet,
     FiniteMixture,
     Homogeneous,
-    PerturbedSRW,
     QuenchedEnvironment,
     TransitionVector,
+    perturbed_srw,
     sample_dirichlet,
 )
 from rwre_lab.env import ELLIPTICITY_FLOOR, site_key_prefix, site_stream_keys
@@ -48,14 +48,14 @@ class TestModels:
             assert np.array_equal(env.transition_at(site).probs, [0.4, 0.1, 0.25, 0.25])
 
     def test_perturbed_srw_vector(self):
-        model = PerturbedSRW(0.1, 1, 2)
+        model = perturbed_srw(0.1, 1, 2)
         assert np.allclose(model.vector.probs, [0.35, 0.15, 0.25, 0.25])
-        model_down = PerturbedSRW(0.05, -2, 2)
+        model_down = perturbed_srw(0.05, -2, 2)
         assert np.allclose(model_down.vector.probs, [0.25, 0.25, 0.2, 0.3])
 
     def test_step_law_constants_built_once(self):
         mix = FiniteMixture((TransitionVector([0.6, 0.4]), TransitionVector([0.8, 0.2])), (0.3, 0.7))
-        srw = PerturbedSRW(0.1, 1, 2)
+        srw = perturbed_srw(0.1, 1, 2)
         for get in (mix.atom_matrix, lambda: srw.vector):
             assert get() is get()
         assert np.array_equal(mix.atom_matrix(), [[0.6, 0.4], [0.8, 0.2]])
@@ -64,9 +64,9 @@ class TestModels:
 
     def test_perturbed_srw_bounds(self):
         with pytest.raises(ConfigError):
-            PerturbedSRW(0.25, 1, 2)  # epsilon = 1/(2d)
+            perturbed_srw(0.25, 1, 2)  # epsilon = 1/(2d)
         with pytest.raises(ConfigError):
-            PerturbedSRW(0.1, 3, 2)
+            perturbed_srw(0.1, 3, 2)
 
     def test_mixture_validation(self):
         a = TransitionVector([0.6, 0.4])

@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rwre_lab import Dirichlet, FiniteMixture, Homogeneous, PerturbedSRW, QuenchedEnvironment, TransitionVector, walk
+from rwre_lab import Dirichlet, FiniteMixture, Homogeneous, QuenchedEnvironment, TransitionVector, perturbed_srw, walk
 from rwre_lab.env import _step_index, site_key_prefix, site_stream_keys, transitions_for
 from rwre_lab.lattice import step_table
 from rwre_lab.rng import TAG_SITE, TAG_STEP, as_u64, derive_key, fold_key, stream_u01
@@ -91,11 +91,11 @@ def tv(*p):
 
 MODELS = {
     "homogeneous-1d": Homogeneous(tv(0.6, 0.4)),
-    "perturbed-srw-1d": PerturbedSRW(0.1, -1, 1),
+    "perturbed-srw-1d": perturbed_srw(0.1, -1, 1),
     "mixture-1d": FiniteMixture((tv(0.7, 0.3), tv(0.35, 0.65)), (0.6, 0.4)),
     "dirichlet-1d": Dirichlet((1.5, 1.0)),
     "homogeneous-2d": Homogeneous(tv(0.4, 0.1, 0.25, 0.25)),
-    "perturbed-srw-2d": PerturbedSRW(0.1, 2, 2),
+    "perturbed-srw-2d": perturbed_srw(0.1, 2, 2),
     "mixture-2d": FiniteMixture((tv(0.4, 0.1, 0.25, 0.25), tv(0.1, 0.4, 0.25, 0.25)), (0.6, 0.4)),
     "dirichlet-2d": Dirichlet((1.5, 1.2, 1.35, 1.35)),
 }
@@ -130,7 +130,7 @@ def constant_law(kind, d):
     if kind == "homogeneous":
         p = np.arange(1.0, 2 * d + 1)
         return Homogeneous(TransitionVector(p / p.sum()))
-    return PerturbedSRW(0.05, -d, d)
+    return perturbed_srw(0.05, -d, d)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -174,7 +174,7 @@ def test_slab_tallies_match_old_kernel(name, shape):
         for lo, hi in chunks(n, chunk)
     ]
     want = tuple(sum(p[k] for p in parts) for k in range(3))
-    tally = run_slab_ensemble(model, 72, n, lp, b, L, horizon)
+    (tally,) = run_slab_ensemble(model, 72, n, lp, b, [L], horizon)
     assert (tally.n_right, tally.n_left, tally.n_censored) == want
     assert tally.n_walks == n
 

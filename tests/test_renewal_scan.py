@@ -181,7 +181,7 @@ def ref_renewal_mean_identity(
         max_lv[i] = s.max()
         is_plus[i] = ref_classify_levels(s.astype(np.float64), thr, dip) > 0
         stays[i] = bool(((pos @ spec.matrix.T) >= 0).all())
-        inc = rec.increments()
+        inc = np.diff(rec.confirmed_positions, axis=0)
         if inc.shape[0]:
             inc_sum[i] = float((inc @ lv).sum())
             inc_cnt[i] = inc.shape[0]
@@ -221,7 +221,7 @@ def ref_renewal_mean_identity(
     if ratios.size < max(10, n_boot // 10):
         return InsufficientData("bootstrap produced too few valid resamples")
     ratio_ci = (float(np.percentile(ratios, 2.5)), float(np.percentile(ratios, 97.5)))
-    proj = np.concatenate([rec.increments() @ lv for rec in records if rec.increments().shape[0]]).astype(np.float64)
+    proj = np.concatenate([np.diff(rec.confirmed_positions, axis=0) @ lv for rec in records]).astype(np.float64)
     lhs_ci = _normal_ci(float(proj.mean()), float(proj.std(ddof=1)), proj.size)
     return RenewalIdentityReport(
         lhs, lhs_ci, p_cone, _binom_ci(int((is_plus & stays).sum()), n_plus), hit, rhs, lhs / rhs,
@@ -373,7 +373,7 @@ def test_random_steps_and_cones_match_old_scan(case):
     P = traj.positions()
     levels = (P @ np.asarray(spec.l))[_fresh(P @ np.asarray(spec.l))].tolist()
     assert_hit_runs(rec, levels)
-    assert rec.stays is bool(spec.contains(0, P).all())
+    assert rec.stays is bool(spec.contains((0,) * spec.dim, P).all())
 
 
 # ---------------------------------------------------------------- face table width

@@ -15,6 +15,7 @@ import pytest
 
 from rwre_lab import ConeSpec, Homogeneous, RenewalRecord, Trajectory, TransitionVector, cli, detect_renewals, walk
 from rwre_lab.cone import _record_dtype
+from rwre_lab.stats import pooled_increments
 from rwre_lab.walk import simulate_ensemble
 
 DRIFT = {"kind": "homogeneous", "probs": [0.4, 0.1, 0.25, 0.25]}
@@ -113,10 +114,12 @@ def test_records_write_the_same_integers_in_either_dtype():
     assert rec.times.dtype == rec.positions.dtype == np.int32 and rec.n_confirmed > 2
     wide = RenewalRecord(rec.times.astype(np.int64), rec.positions.astype(np.int64), 20, rec.censored_tail)
     assert json.dumps(rec.to_json_obj()) == json.dumps(wide.to_json_obj())
-    assert np.array_equal(rec.increments(), wide.increments()) and rec.increments().dtype == np.int32
+    inc = pooled_increments([rec])
+    assert np.array_equal(inc, pooled_increments([wide])) and inc.dtype == np.int32
 
 
 def test_empty_record_increments_keep_the_record_dtype():
     traj = Trajectory(np.ones(5, np.int8), 2, 0)  # straight down -e1: no fresh maximum along +e1
     rec = detect_renewals(traj, ConeSpec((1, 1), ((1, 1), (1, -1)), "1/2", (1, 0)), 3)
-    assert rec.times.size == 0 and rec.increments().shape == (0, 2) and rec.increments().dtype == np.int32
+    inc = pooled_increments([rec])
+    assert rec.times.size == 0 and inc.shape == (0, 2) and inc.dtype == np.int32

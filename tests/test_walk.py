@@ -23,7 +23,6 @@ from rwre_lab.rng import TAG_ENV, TAG_WALKER, derive_key
 from rwre_lab.stats import classify_transience, estimate_speed
 from rwre_lab.walk import (
     Side,
-    SlabTally,
     run_slab_ensemble,
     slab_region,
     step_counts,
@@ -133,6 +132,21 @@ class TestSimulate:
     def test_json_dim_out_of_range(self, dim):
         with pytest.raises(ConfigError, match="dimension must be an integer in 1..4"):
             Trajectory.from_json_obj({"dim": dim, "walker_seed": 1, "steps": []})
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"dim": 2, "walker_seed": 1}, "a trajectory must be a JSON object with the key 'steps'"),
+            ({"walker_seed": 1, "steps": []}, "a trajectory must be a JSON object with the key 'dim'"),
+            ({"dim": 2, "walker_seed": 1, "steps": 5}, "steps must be a list of signed axes, got 5"),
+            ([2, 1, [1, -2]], "a trajectory must be a JSON object with the key 'dim'"),
+        ],
+        ids=["no-steps", "no-dim", "scalar-steps", "list"],
+    )
+    def test_json_malformed_object_refused_by_name(self, obj, message):
+        # each once ended in a KeyError or a TypeError
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            Trajectory.from_json_obj(obj)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_json_steps_match_per_step_encoding(self, d):
@@ -285,7 +299,7 @@ class TestSlabExit:
         # a NaN direction or an infinite face, also one at -b * L past the float range, would censor every walker
         model = Homogeneous(TransitionVector([0.6, 0.4]))
         with pytest.raises(ConfigError, match="finite"):
-            run_slab_ensemble(model, 1, 10, l_prime, b, L, 100)
+            run_slab_ensemble(model, 1, 10, l_prime, b, [L], 100)
         with pytest.raises(ConfigError, match="finite"):
             slab_exit_side(traj_1d([UP]), l_prime, b, L)
 
@@ -297,21 +311,14 @@ class TestSlabExit:
     def test_tally_matches_per_walk_classification(self):
         model = Homogeneous(TransitionVector([0.6, 0.4]))
         n, horizon, L = 300, 400, 3.0
-        tally = run_slab_ensemble(model, 13, n, [1.0], 1.0, L, horizon)
+        (tally,) = run_slab_ensemble(model, 13, n, [1.0], 1.0, [L], horizon)
         trajs = simulate_ensemble(model, 13, n, horizon)
         sides = [slab_exit_side(t, [1.0], 1.0, L).side for t in trajs]
         assert tally.n_right == sum(s is Side.RIGHT for s in sides)
         assert tally.n_left == sum(s is Side.LEFT for s in sides)
         assert tally.n_censored == sum(s is None for s in sides)
 
-    def test_one_width_gives_one_tally(self):
-        model = Homogeneous(TransitionVector([0.6, 0.4]))
-        tally = run_slab_ensemble(model, 13, 50, [1.0], 1.0, 3.0, 400)
-        assert isinstance(tally, SlabTally)
-        (listed,) = run_slab_ensemble(model, 13, 50, [1.0], 1.0, [3.0], 400)
-        assert listed == tally
-
-    @pytest.mark.parametrize("Ls", [[], [3.0, 3.0], [4.0, 2.0], [-1.0, 2.0], [0.0, 2.0], [float("nan")]], ids=str)
+    @pytest.mark.parametrize("Ls", [[], [3.0, 3.0], [4.0, 2.0], [-1.0, 2.0], [0.0, 2.0], [float("nan")], 3.0], ids=str)
     def test_bad_width_sequences_refused(self, Ls):
         model = Homogeneous(TransitionVector([0.6, 0.4]))
         with pytest.raises(ConfigError):
@@ -325,11 +332,11 @@ class TestEnsembleArguments:
 
     def test_slab_negative_walks(self):
         with pytest.raises(ConfigError, match="n_walks"):
-            run_slab_ensemble(self.model, 13, -3, [1.0], 1.0, 3.0, 100)
+            run_slab_ensemble(self.model, 13, -3, [1.0], 1.0, [3.0], 100)
 
     def test_slab_negative_horizon(self):
         with pytest.raises(ConfigError, match="horizon"):
-            run_slab_ensemble(self.model, 13, 10, [1.0], 1.0, 3.0, -5)
+            run_slab_ensemble(self.model, 13, 10, [1.0], 1.0, [3.0], -5)
 
 
 class TestStepIndices:
