@@ -69,7 +69,7 @@ from .stats import (
     estimate_direction,
     final_clustering,
     independence_test,
-    pooled_increments,
+    pooled_increments,  # unused here, but perfbench/tracer.py wraps cli.pooled_increments and fails without it
     raw_direction,
     renewal_mean_identity,
     slab_exit_decay,
@@ -256,7 +256,7 @@ def _renewal_identity(cfg: ExperimentConfig) -> tuple[list[dict], None]:
         *("lhs", "lhs_ci", "p_cone", "p_cone_ci", "hit_level_prob", "rhs", "ratio", "ratio_ci", "window"),
         "n_increments",
     )
-    independence = independence_test(pooled_increments(records))
+    independence = independence_test(records)
     _report(rows, {"record": "independence"}, independence, "lag1", "ci_low", "ci_high", "passed")
     return rows, None
 

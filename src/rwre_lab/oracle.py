@@ -179,6 +179,8 @@ class IntervalRegion:
     hi: int
 
     def __post_init__(self):
+        object.__setattr__(self, "lo", read_integer(self.lo, "lo"))
+        object.__setattr__(self, "hi", read_integer(self.hi, "hi"))
         if self.hi - self.lo < 2:
             raise ConfigError("interval must contain at least one interior site")
 

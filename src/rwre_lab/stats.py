@@ -287,7 +287,7 @@ def estimate_direction(
         raise ConfigError(f"unknown route {route!r}")
     if not records:
         return InsufficientData("no renewal records supplied")
-    samples = pooled_increments(records).astype(np.float64)
+    samples = increment_projections(records, np.eye(records[0].positions.shape[1], dtype=np.int64))
     if not samples.shape[0]:
         return InsufficientData("no walk produced two confirmed renewals")
     return _mean_direction(samples, route)
@@ -335,6 +335,26 @@ def pooled_increments(records: Sequence[RenewalRecord]) -> np.ndarray:
     return out
 
 
+def increment_projections(records: Sequence[RenewalRecord], v) -> np.ndarray:
+    """The projections of the confirmed renewal increments onto the integer vector ``v``, as float64, in walker order.
+
+    Each record's ``confirmed_positions @ v`` is differenced into one
+    preallocated (k,) array, so the pooled increments are never built; a
+    (d, m) matrix ``v`` gives a (k, m) array of the projections onto its
+    columns.  The values are exact integers, so they equal
+    ``(pooled_increments(records) @ v).astype(np.float64)`` below 2**53.
+    """
+    v = np.asarray(v, dtype=np.int64)
+    pos = [r.confirmed_positions for r in records if r.n_confirmed > 1]
+    out = np.empty((sum(p.shape[0] - 1 for p in pos),) + v.shape[1:])
+    k = 0
+    for p in pos:
+        lev = p @ v
+        np.subtract(lev[1:], lev[:-1], out=out[k : k + p.shape[0] - 1])
+        k += p.shape[0] - 1
+    return out
+
+
 @dataclass(eq=False)
 class IndependenceReport:
     lag1: np.ndarray
@@ -344,24 +364,70 @@ class IndependenceReport:
     passed: bool
 
 
-def independence_test(increments: np.ndarray) -> IndependenceReport | InsufficientData:
+# Rows of the centred lag-1 product formed at a time in ``_lag1``'s buffer.
+_LAG1_CHUNK = 1 << 14
+
+
+def _lag1(col: np.ndarray, buf: np.ndarray) -> float | None:
+    """The lag-1 autocorrelation of the float64 column ``col``, computed in ``buf``, one row shorter; None when
+    either lagged half has zero variance.
+
+    It takes ``np.std``'s own steps for each half (sum, divide by the row
+    count, subtract, square in place, sum, divide, sqrt) and forms the
+    product of the centred halves in chunks, all in ``buf``, so its bits are
+    those of ``mean((x - x.mean()) * (y - y.mean())) / (x.std() * y.std())``.
+    """
+    n = np.intp(buf.shape[0])
+    x, y = col[:-1], col[1:]
+    means, sds = [], []
+    for half in (x, y):
+        mean = np.add.reduce(half) / n
+        np.subtract(half, mean, out=buf)
+        np.square(buf, out=buf)
+        means.append(mean)
+        sds.append(np.sqrt(np.add.reduce(buf) / n))
+    if sds[0] == 0.0 or sds[1] == 0.0:
+        return None
+    for a in range(0, buf.shape[0], _LAG1_CHUNK):
+        part = buf[a : a + _LAG1_CHUNK]
+        np.subtract(x[a : a + _LAG1_CHUNK], means[0], out=part)
+        np.multiply(part, y[a : a + _LAG1_CHUNK] - means[1], out=part)
+    return float(np.mean(buf) / (sds[0] * sds[1]))
+
+
+def independence_test(increments: np.ndarray | Sequence[RenewalRecord]) -> IndependenceReport | InsufficientData:
     """Per-coordinate lag-1 autocorrelation with a Fisher-z 95% CI.
 
-    Passes when every coordinate's CI contains 0.
+    Passes when every coordinate's CI contains 0.  ``increments`` is a (k, d)
+    array, or renewal records, whose pooled confirmed increments are read one
+    coordinate at a time by ``increment_projections``, without the pooled
+    array.
     """
-    inc = np.asarray(increments)
-    if inc.ndim != 2 or inc.shape[0] < 100:
+    if isinstance(increments, Sequence) and increments and isinstance(increments[0], RenewalRecord):
+        records = increments
+        rows, d = sum(max(r.n_confirmed - 1, 0) for r in records), records[0].positions.shape[1]
+        unit = np.eye(d, dtype=np.int64)
+
+        def column(k: int) -> np.ndarray:
+            return increment_projections(records, unit[k])
+
+    else:
+        inc = np.asarray(increments)
+        rows, d = inc.shape if inc.ndim == 2 else (0, 0)
+
+        def column(k: int) -> np.ndarray:
+            return inc[:, k].astype(np.float64)
+
+    if rows < 100:
         return InsufficientData("need at least 100 increments")
-    n = inc.shape[0] - 1
-    r = np.empty(inc.shape[1])
-    for k in range(inc.shape[1]):
-        col = inc[:, k].astype(np.float64)
-        x, y = col[:-1], col[1:]
-        sx, sy = x.std(), y.std()
-        if sx == 0.0 or sy == 0.0:
+    n = rows - 1
+    buf = np.empty(n)
+    r = np.empty(d)
+    for k in range(d):
+        lag = _lag1(column(k), buf)
+        if lag is None:
             return InsufficientData(f"coordinate {k} is degenerate (zero variance)")
-        dx = x - x.mean()
-        r[k] = float(np.mean(np.multiply(dx, y - y.mean(), out=dx)) / (sx * sy))
+        r[k] = lag
     z = np.arctanh(np.clip(r, -0.999999, 0.999999))
     half = Z95 / math.sqrt(max(n - 3, 1))
     lo = np.tanh(z - half)
@@ -396,10 +462,9 @@ def orthogonal_oscillation(
     ls = np.asarray(read_integers(l_star, "l_star", li.shape[0]), dtype=np.int64)
     if int(li @ ls) != 0:
         raise ValueError("l_star must be exactly orthogonal to l")
-    inc = pooled_increments(records)
-    if inc.size == 0:
+    y = increment_projections(records, ls)
+    if y.size == 0:
         return InsufficientData("no confirmed renewal increments")
-    y = (inc @ ls).astype(np.float64)
     partial = np.cumsum(y)
     mean, sd, ci = _mean_ci(y)
     signs = np.sign(partial)
@@ -524,7 +589,7 @@ def renewal_mean_identity(
     ratio_ci = (float(np.percentile(ratios, 2.5)), float(np.percentile(ratios, 97.5)))
     return RenewalIdentityReport(
         lhs,
-        _mean_ci((pooled_increments(records) @ lv).astype(np.float64))[2],  # increment-level CI, in walker order
+        _mean_ci(increment_projections(records, lv))[2],  # increment-level CI, in walker order
         p_cone,
         _binom_ci(int((is_plus & stays).sum()), n_plus),
         hit,

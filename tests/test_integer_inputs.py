@@ -15,6 +15,7 @@ from rwre_lab import (
     BoxRegion,
     ConeSpec,
     ConfigError,
+    IntervalRegion,
     QuenchedEnvironment,
     SlabRegion,
     detect_renewals,
@@ -46,6 +47,10 @@ CASES = [
     pytest.param(lambda k: orthogonal_oscillation(records(), (1, 0), (0, k)), 1.5, "l_star", id="oscillation"),
     pytest.param(lambda i: renewal_mean_identity(records(), SPEC, window=(i, 20)), 1.5, "window", id="identity"),
     pytest.param(lambda x: BoxRegion((x, -1), (1, 1)).build(QuenchedEnvironment(MODEL, 1)), -1.5, "lo", id="box"),
+    # an interval's bounds were once taken as given, and each of these failed only later in ``build``
+    pytest.param(lambda hi: IntervalRegion(-2, hi), 2.5, "hi", id="interval-hi"),
+    pytest.param(lambda lo: IntervalRegion(lo, 3), -1.5, "lo", id="interval-lo"),
+    pytest.param(lambda lo: IntervalRegion(lo, 4), True, "lo", id="interval-bool"),
     pytest.param(lambda w: SlabRegion((1.0, 0.0), 1.0, 3.0, w), 2.5, "bound_width", id="slab-fraction"),
     pytest.param(lambda w: SlabRegion((1.0, 0.0), 1.0, 3.0, w), True, "bound_width", id="slab-bool"),
     pytest.param(lambda m: gamblers_ruin(0.6, m, 3), 2.5, "M", id="ruin-M"),
@@ -65,6 +70,7 @@ def test_integral_floats_read_as_their_integers():
     assert detect_renewals(traj, SPEC, 20.0).times.tolist() == detect_renewals(traj, SPEC, 20).times.tolist()
     assert gamblers_ruin(0.6, 5.0, np.float64(3)) == gamblers_ruin(0.6, 5, 3)
     assert type(SlabRegion((1.0, 0.0), 1.0, 3.0, 2.0).bound_width) is int
+    assert IntervalRegion(-2.0, np.float64(2)) == IntervalRegion(-2, 2) and type(IntervalRegion(-2.0, 2).lo) is int
     env = QuenchedEnvironment(MODEL, 1)
     assert np.array_equal(BoxRegion((-1.0, -1), (1, 1)).build(env).sites, BoxRegion((-1, -1), (1, 1)).build(env).sites)
 
