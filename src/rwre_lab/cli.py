@@ -66,11 +66,11 @@ from .stats import (
     PathSummary,
     _binom_se,
     _class_estimates,
-    estimate_direction,
     final_clustering,
     independence_test,
     pooled_increments,  # unused here, but perfbench/tracer.py wraps cli.pooled_increments and fails without it
     raw_direction,
+    renewal_direction,
     renewal_mean_identity,
     slab_exit_decay,
     summarize,
@@ -219,7 +219,7 @@ def _direction(cfg: ExperimentConfig) -> tuple[list[dict], None]:
     )
     for route, est in (
         (ROUTE_RAW, raw_direction(walks, lvl)),
-        (ROUTE_RENEWAL, estimate_direction(records=records, route=ROUTE_RENEWAL)),
+        (ROUTE_RENEWAL, renewal_direction(records)),
     ):
         _report(rows, {"record": f"direction-{route}"}, est, "nu_hat", "dispersion", "n_samples")
     cluster = final_clustering(walks.final, cfg["thresholds.theta_tol"])

@@ -363,6 +363,7 @@ def annealed_exit(
     master_seed: int,
 ) -> AnnealedExit:
     """Exact-in-omega, sampled-in-P estimate of the annealed exit probability."""
+    n_env = read_integer(n_env, "n_env")
     if n_env < 1:
         raise ConfigError("n_env must be at least 1")
     envs = [QuenchedEnvironment(model, int(derive_key(master_seed, TAG_ENV, i))) for i in range(n_env)]

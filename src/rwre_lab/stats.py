@@ -44,11 +44,12 @@ class InsufficientData:
     reason: str
 
 
-def _stable_norm(v: np.ndarray) -> float:
-    """Euclidean norm with an order-independent sum, so coordinate
-    permutations and reflections of the input move the output exactly."""
-    sq = np.sort(np.asarray(v, dtype=np.float64) ** 2)
-    return float(np.sqrt(sq.sum()))
+def _stable_norm(v: np.ndarray) -> np.float64 | np.ndarray:
+    """Euclidean norm along the last axis with an order-independent sum, so
+    coordinate permutations and reflections of the input move the output
+    exactly; a (walks, d) array gives each row's norm."""
+    sq = np.sort(np.asarray(v, dtype=np.float64) ** 2, axis=-1)
+    return np.sqrt(sq.sum(axis=-1))
 
 
 def _angle(u: np.ndarray, v: np.ndarray) -> float:
@@ -267,40 +268,35 @@ ROUTE_RENEWAL = "renewal-lln"
 
 
 def estimate_direction(
-    trajs: Sequence[Trajectory] | None = None,
-    records: Sequence[RenewalRecord] | None = None,
-    route: str = ROUTE_RAW,
-    level_threshold: float | None = None,
+    trajs: Sequence[Trajectory], level_threshold: float | None = None
 ) -> DirectionEstimate | InsufficientData:
-    """Asymptotic-direction estimate via final positions or renewal increments.
+    """Asymptotic-direction estimate by the raw route: the mean of X_N / |X_N| over the walks whose final radius
+    clears the transience threshold (see ``raw_direction``)."""
+    if not trajs:
+        return InsufficientData("no trajectories supplied")
+    return raw_direction(summarize(trajs), level_threshold)
 
-    The raw route averages X_N / |X_N| over walks whose final radius clears
-    the transience threshold; the renewal route averages confirmed renewal
-    increments pooled over walks (only walks contributing at least one full
-    increment, i.e. two confirmed renewals, count).
-    """
-    if route == ROUTE_RAW:
-        if not trajs:
-            return InsufficientData("no trajectories supplied")
-        return raw_direction(summarize(trajs), level_threshold)
-    if route != ROUTE_RENEWAL:
-        raise ConfigError(f"unknown route {route!r}")
+
+def raw_direction(walks: PathSummary, level_threshold: float | None = None) -> DirectionEstimate | InsufficientData:
+    """The raw route of the direction estimate on a nonempty ensemble's summary."""
+    thr = _resolve_thresholds(int(walks.n_steps[0]), level_threshold, None)[0]
+    x = walks.final.astype(np.float64)
+    r = _stable_norm(x)
+    far = r >= thr
+    if not far.any():
+        return InsufficientData("no walk reached the radius threshold")
+    return _mean_direction(x[far] / r[far, None], ROUTE_RAW)
+
+
+def renewal_direction(records: Sequence[RenewalRecord]) -> DirectionEstimate | InsufficientData:
+    """Asymptotic-direction estimate by the renewal route: the mean of the confirmed renewal increments pooled
+    over walks (only walks with at least two confirmed renewals contribute)."""
     if not records:
         return InsufficientData("no renewal records supplied")
     samples = increment_projections(records, np.eye(records[0].positions.shape[1], dtype=np.int64))
     if not samples.shape[0]:
         return InsufficientData("no walk produced two confirmed renewals")
-    return _mean_direction(samples, route)
-
-
-def raw_direction(walks: PathSummary, level_threshold: float | None = None) -> DirectionEstimate | InsufficientData:
-    """The raw route of ``estimate_direction`` on a nonempty ensemble's summary."""
-    thr = _resolve_thresholds(int(walks.n_steps[0]), level_threshold, None)[0]
-    x, r = _final_radii(walks.final)
-    far = r >= thr
-    if not far.any():
-        return InsufficientData("no walk reached the radius threshold")
-    return _mean_direction(x[far] / r[far, None], ROUTE_RAW)
+    return _mean_direction(samples, ROUTE_RENEWAL)
 
 
 def _mean_direction(samples: np.ndarray, route: str) -> DirectionEstimate | InsufficientData:
@@ -315,24 +311,17 @@ def _mean_direction(samples: np.ndarray, route: str) -> DirectionEstimate | Insu
     return DirectionEstimate(nu, float(angles.mean()), samples.shape[0], route)
 
 
-def _final_radii(final: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Final positions as floats, (walks, d), and their radii, each equal to ``_stable_norm`` of its row."""
-    x = final.astype(np.float64)
-    return x, np.sqrt(np.sort(x**2, axis=1).sum(axis=1))
-
-
 def pooled_increments(records: Sequence[RenewalRecord]) -> np.ndarray:
-    """Confirmed renewal increments in walker order, in one (k, d) array of the records' dtype; (0, 0) for none."""
+    """Confirmed renewal increments in walker order, in one (k, d) array of the records' dtype; (0, 0) for none.
+
+    They are ``increment_projections`` onto the identity matrix, cast back; an
+    increment is bounded by its walk's step count, so the round trip is exact.
+    """
     if not records:
         return np.zeros((0, 0), dtype=np.int64)
-    pos = [r.confirmed_positions for r in records if r.n_confirmed > 1]
-    dtype = np.result_type(*(pos or [r.positions for r in records]))
-    out = np.empty((sum(p.shape[0] - 1 for p in pos), records[0].positions.shape[1]), dtype=dtype)
-    k = 0
-    for p in pos:
-        np.subtract(p[1:], p[:-1], out=out[k : k + p.shape[0] - 1])
-        k += p.shape[0] - 1
-    return out
+    pos = [r.positions for r in records if r.n_confirmed > 1] or [r.positions for r in records]
+    eye = np.eye(records[0].positions.shape[1], dtype=np.int64)
+    return increment_projections(records, eye).astype(np.result_type(*pos))
 
 
 def increment_projections(records: Sequence[RenewalRecord], v) -> np.ndarray:
@@ -341,8 +330,7 @@ def increment_projections(records: Sequence[RenewalRecord], v) -> np.ndarray:
     Each record's ``confirmed_positions @ v`` is differenced into one
     preallocated (k,) array, so the pooled increments are never built; a
     (d, m) matrix ``v`` gives a (k, m) array of the projections onto its
-    columns.  The values are exact integers, so they equal
-    ``(pooled_increments(records) @ v).astype(np.float64)`` below 2**53.
+    columns.  The values are exact integers below 2**53 in magnitude.
     """
     v = np.asarray(v, dtype=np.int64)
     pos = [r.confirmed_positions for r in records if r.n_confirmed > 1]
@@ -528,6 +516,9 @@ def renewal_mean_identity(
     each walk's transience class, and no path is built.  The default level
     threshold is that of the first record's step count.
     """
+    n_boot = read_integer(n_boot, "n_boot")
+    if n_boot < 1:
+        raise ConfigError("n_boot must be at least 1")
     if not records:
         return InsufficientData("empty ensemble")
     lv = np.asarray(spec.l, dtype=np.int64)
@@ -625,7 +616,8 @@ def antipodal_clustering(trajs: Sequence[Trajectory], theta_tol: float = 0.3) ->
 
 def final_clustering(final: np.ndarray, theta_tol: float = 0.3) -> ClusterResult:
     """``antipodal_clustering`` of the walks whose final positions are the rows of ``final``."""
-    x, r = _final_radii(final)
+    x = final.astype(np.float64)
+    r = _stable_norm(x)
     moved = r > 0
     if not moved.any():
         return ClusterResult(0, [], None, None, "all walks ended at the origin")

@@ -29,7 +29,7 @@ from .env import (
     transitions_for,
 )
 from .errors import ConfigError
-from .lattice import check_dim, decode_signed_axis, read_integers, signed_axis_table, step_table
+from .lattice import check_dim, decode_signed_axis, read_integer, read_integers, signed_axis_table, step_table
 from .rng import TAG_ENV, TAG_STEP, TAG_WALKER, as_u64, derive_key, stream_u01
 
 
@@ -215,6 +215,7 @@ def simulate(env: QuenchedEnvironment, walker_seed: int, horizon: int) -> Trajec
     Deterministic given (env, walker_seed, horizon); a longer horizon extends
     the path without rewriting its prefix.
     """
+    horizon = read_integer(horizon, "horizon")
     if horizon < 0:
         raise ConfigError("horizon must be nonnegative")
     steps = _simulate_block(
@@ -245,6 +246,8 @@ def simulate_ensemble(
     walker by walker, and walkers ``first`` to ``first + n_walks - 1`` of a
     larger ensemble are the same paths as in the whole of it.
     """
+    n_walks, horizon = read_integer(n_walks, "n_walks"), read_integer(horizon, "horizon")
+    first = read_integer(first, "first")
     if horizon < 0 or n_walks < 0 or first < 0:
         raise ConfigError("n_walks, horizon and first must be nonnegative")
     env_seeds, walk_seeds = ensemble_seeds(master_seed, n_walks, first)
@@ -406,6 +409,7 @@ def run_slab_ensemble(
     ``Ls`` is a strictly increasing sequence of widths, giving one tally per
     width from a single pass over the walkers.
     """
+    n_walks, horizon = read_integer(n_walks, "n_walks"), read_integer(horizon, "horizon")
     if n_walks < 0 or horizon < 0:
         raise ConfigError("n_walks and horizon must be nonnegative")
     if np.ndim(Ls) != 1 or not len(Ls) or any(hi <= lo for lo, hi in zip(Ls, Ls[1:])):

@@ -31,13 +31,12 @@ from rwre_lab.errors import ConfigError
 from rwre_lab.oracle import IntervalRegion
 from rwre_lab.stats import (
     InsufficientData,
-    ROUTE_RAW,
-    ROUTE_RENEWAL,
     TransiencePattern,
     estimate_direction,
     estimate_speed,
     independence_test,
     pooled_increments,
+    renewal_direction,
     renewal_mean_identity,
     slab_exit_decay,
     zero_one_scan,
@@ -147,8 +146,8 @@ def test_criterion_02_solomon_speed():
 
 def test_criterion_03_two_route_direction(crit3):
     start = time.monotonic()
-    raw = estimate_direction(trajs=crit3.trajs, route=ROUTE_RAW)
-    ren = estimate_direction(records=crit3.records, route=ROUTE_RENEWAL)
+    raw = estimate_direction(crit3.trajs)
+    ren = renewal_direction(crit3.records)
     target = (1.0, 0.0)
     a_raw = angle_between(raw.nu_hat, target)
     a_ren = angle_between(ren.nu_hat, target)

@@ -5,6 +5,9 @@ positions into one float64 array, and ``independence_test`` reads a records
 ensemble one coordinate at a time through it.  The oracles below are the
 pooled-array forms these replace: they must agree bit for bit, and the
 renewal-identity run's statistics must not build the pooled array again.
+``ref_pooled_increments`` is the second differencing loop that
+``pooled_increments`` was before it became ``increment_projections`` onto the
+identity matrix; it must give the same dtype, shape and values.
 """
 
 import json
@@ -14,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rwre_lab import RenewalRecord, cli
+from rwre_lab import ConeSpec, Homogeneous, RenewalRecord, TransitionVector, cli, detect_renewals
 from rwre_lab.stats import (
     Z95,
     IndependenceReport,
@@ -24,11 +27,26 @@ from rwre_lab.stats import (
     independence_test,
     pooled_increments,
 )
+from rwre_lab.walk import simulate_ensemble
+
+
+def ref_pooled_increments(records) -> np.ndarray:
+    """Confirmed renewal increments in walker order, in one (k, d) array of the records' dtype; (0, 0) for none."""
+    if not records:
+        return np.zeros((0, 0), dtype=np.int64)
+    pos = [r.confirmed_positions for r in records if r.n_confirmed > 1]
+    dtype = np.result_type(*(pos or [r.positions for r in records]))
+    out = np.empty((sum(p.shape[0] - 1 for p in pos), records[0].positions.shape[1]), dtype=dtype)
+    k = 0
+    for p in pos:
+        np.subtract(p[1:], p[:-1], out=out[k : k + p.shape[0] - 1])
+        k += p.shape[0] - 1
+    return out
 
 
 def ref_projection(records, v) -> np.ndarray:
     """The projections of the pooled increments onto ``v``, as the identity's lhs CI read them."""
-    return (pooled_increments(records) @ np.asarray(v, dtype=np.int64)).astype(np.float64)
+    return (ref_pooled_increments(records) @ np.asarray(v, dtype=np.int64)).astype(np.float64)
 
 
 def ref_independence_test(increments):
@@ -85,7 +103,7 @@ def split_into_records(inc: np.ndarray, rng, dtype=np.int32) -> list[RenewalReco
         if i % 4 == 0:
             records.append(RenewalRecord(times[:1], pos[:1], 10, False))
             records.append(RenewalRecord(times[:2], pos[:2], 10, True))
-    assert np.array_equal(pooled_increments(records), inc)
+    assert np.array_equal(ref_pooled_increments(records), inc)
     return records
 
 
@@ -134,8 +152,51 @@ def test_matrix_projection_is_the_float_pooled_array():
     inc = increments(rng, 2000)
     records = split_into_records(inc, rng)
     got = increment_projections(records, np.eye(2, dtype=np.int64))
-    want = pooled_increments(records).astype(np.float64)
+    want = ref_pooled_increments(records).astype(np.float64)
     assert got.shape == want.shape and got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pooled_increments_match_the_differencing_loop(d, dtype):
+    rng = np.random.default_rng(10 * d)
+    records = split_into_records(increments(rng, 3000, d), rng, dtype=dtype)
+    assert_same_array(pooled_increments(records), ref_pooled_increments(records))
+    for k in range(len(records) + 1):  # every prefix, the empty one and those of fewer than two renewals included
+        assert_same_array(pooled_increments(records[:k]), ref_pooled_increments(records[:k]))
+
+
+def test_pooled_increments_of_simulated_walks_match_the_differencing_loop():
+    spec = ConeSpec((1, 1), ((1, 1), (1, -1)), "1/2", (1, 0))
+    trajs = simulate_ensemble(Homogeneous(TransitionVector([0.4, 0.1, 0.25, 0.25])), 17, 60, 3000)
+    records = [detect_renewals(t, spec, 50) for t in trajs]
+    want = ref_pooled_increments(records)
+    assert want.dtype == np.int32 and want.shape[0] > 1000
+    assert_same_array(pooled_increments(records), want)
+    wide = [RenewalRecord(r.times.astype(np.int64), r.positions.astype(np.int64), 50, r.censored_tail) for r in records]
+    assert_same_array(pooled_increments(wide), ref_pooled_increments(wide))
+    assert_same_array(pooled_increments(wide), want.astype(np.int64))
+
+
+def test_pooled_increments_without_two_confirmed_renewals_keep_their_shape_and_dtype():
+    lone = RenewalRecord(np.zeros(1, np.int32), np.zeros((1, 3), np.int32), 10, False)
+    censored = RenewalRecord(np.arange(2, dtype=np.int64), np.ones((2, 3), np.int64), 10, True)
+    empty = RenewalRecord(np.zeros(0, np.int32), np.zeros((0, 3), np.int32), 10, False)
+    pair = RenewalRecord(np.arange(2, dtype=np.int32), np.asarray([[0, 0, 0], [2, -1, 1]], np.int32), 10, False)
+    cases = {
+        "none": ([], (0, 0), np.int64),
+        "lone": ([lone, empty], (0, 3), np.int32),
+        "mixed dtypes": ([lone, censored, empty], (0, 3), np.int64),
+        "one pair among wider records": ([censored, pair, lone], (1, 3), np.int32),
+    }
+    for name, (records, shape, dtype) in cases.items():
+        got = pooled_increments(records)
+        assert got.shape == shape and got.dtype == dtype, name
+        assert_same_array(got, ref_pooled_increments(records))
 
 
 @pytest.mark.parametrize("form", ["array", "records"])
@@ -151,7 +212,7 @@ def test_too_few_increments_in_records_is_insufficient():
     inc = increments(rng, 99)
     want = InsufficientData("need at least 100 increments")
     assert independence_test(split_into_records(inc, rng)) == ref_independence_test(inc) == want
-    assert independence_test([]) == ref_independence_test(pooled_increments([])) == want
+    assert independence_test([]) == ref_independence_test(ref_pooled_increments([])) == want
     lone = [RenewalRecord(np.zeros(1, np.int32), np.zeros((1, 2), np.int32), 10, False)]
     assert independence_test(lone) == want
     assert increment_projections(lone, (1, 0)).shape == increment_projections([], (1, 0)).shape == (0,)

@@ -18,14 +18,17 @@ from rwre_lab import (
     IntervalRegion,
     QuenchedEnvironment,
     SlabRegion,
+    annealed_exit,
     detect_renewals,
     gamblers_ruin,
     lambda_scan,
     perturbed_srw,
+    run_slab_ensemble,
+    simulate,
 )
 from rwre_lab.cli import _INTEGER
 from rwre_lab.lattice import read_integer
-from rwre_lab.stats import orthogonal_oscillation, renewal_mean_identity, zero_one_scan
+from rwre_lab.stats import orthogonal_oscillation, renewal_mean_identity, slab_exit_decay, zero_one_scan
 from rwre_lab.walk import simulate_ensemble
 
 MODEL = perturbed_srw(0.1, 1, 2)
@@ -56,6 +59,19 @@ CASES = [
     pytest.param(lambda m: gamblers_ruin(0.6, m, 3), 2.5, "M", id="ruin-M"),
     pytest.param(lambda n: gamblers_ruin(0.6, 3, n), 2.5, "N_right", id="ruin-N_right"),
     pytest.param(lambda n: zero_one_scan(MODEL, 3, n, 2, 10), 4.5, "n_angles", id="zero-one-scan"),
+    # counts were once truncated (2.5 walks ran 3 walkers and tallied 2.5), kept as a bool, or a bare TypeError
+    pytest.param(lambda n: run_slab_ensemble(MODEL, 1, n, [1, 0], 1.0, [3.0], 50), 2.5, "n_walks", id="slab-walks"),
+    pytest.param(lambda n: run_slab_ensemble(MODEL, 1, n, [1, 0], 1.0, [3.0], 50), True, "n_walks", id="walks-bool"),
+    pytest.param(lambda h: run_slab_ensemble(MODEL, 1, 4, [1, 0], 1.0, [3.0], h), 50.5, "horizon", id="slab-horizon"),
+    pytest.param(lambda n: slab_exit_decay(MODEL, 1, [1, 0], 1.0, [3.0], n, 50), 2.5, "n_walks", id="slab-decay"),
+    pytest.param(lambda n: simulate_ensemble(MODEL, 3, n, 10), 2.5, "n_walks", id="ensemble-walks"),
+    pytest.param(lambda h: simulate_ensemble(MODEL, 3, 2, h), 10.5, "horizon", id="ensemble-horizon"),
+    pytest.param(lambda f: simulate_ensemble(MODEL, 3, 2, 10, f), 1.5, "first", id="ensemble-first"),
+    pytest.param(lambda h: simulate(QuenchedEnvironment(MODEL, 1), 5, h), 10.5, "horizon", id="simulate-horizon"),
+    pytest.param(
+        lambda n: annealed_exit(MODEL, IntervalRegion(-2, 2), (0,), "Right", n, 3), 2.5, "n_env", id="annealed-n_env"
+    ),
+    pytest.param(lambda n: renewal_mean_identity(records(), SPEC, n_boot=n), 100.5, "n_boot", id="identity-n_boot"),
 ]
 
 
@@ -65,12 +81,22 @@ def test_entry_point_refuses_a_non_integer_by_name(call, bad, name):
         call(bad)
 
 
+@pytest.mark.parametrize("n_boot", [0, -1])
+def test_identity_refuses_fewer_than_one_resample(n_boot):
+    with pytest.raises(ConfigError, match="^n_boot must be at least 1$"):
+        renewal_mean_identity(records(), SPEC, n_boot=n_boot)
+
+
 def test_integral_floats_read_as_their_integers():
     traj = one_walk(300)
     assert detect_renewals(traj, SPEC, 20.0).times.tolist() == detect_renewals(traj, SPEC, 20).times.tolist()
     assert gamblers_ruin(0.6, 5.0, np.float64(3)) == gamblers_ruin(0.6, 5, 3)
     assert type(SlabRegion((1.0, 0.0), 1.0, 3.0, 2.0).bound_width) is int
     assert IntervalRegion(-2.0, np.float64(2)) == IntervalRegion(-2, 2) and type(IntervalRegion(-2.0, 2).lo) is int
+    (tally,) = run_slab_ensemble(MODEL, 1, 3.0, [1, 0], 1.0, [3.0], 50.0)
+    assert type(tally.n_walks) is int and tally == run_slab_ensemble(MODEL, 1, 3, [1, 0], 1.0, [3.0], 50)[0]
+    walks = simulate_ensemble(MODEL, 3, 2.0, 10.0, 1.0)
+    assert [w.steps.tolist() for w in walks] == [w.steps.tolist() for w in simulate_ensemble(MODEL, 3, 3, 10)[1:]]
     env = QuenchedEnvironment(MODEL, 1)
     assert np.array_equal(BoxRegion((-1.0, -1), (1, 1)).build(env).sites, BoxRegion((-1, -1), (1, 1)).build(env).sites)
 

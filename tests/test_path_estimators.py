@@ -9,8 +9,13 @@ replaced with one array expression.
 they were when each read every walk in its own loop, ``ref_final_position``
 built the whole path to take its last point, and ``ref_lhs_ci`` is the
 renewal identity's increment CI built from a second pass over the records.
-They are kept as oracles: the one class pass and the one final-position rule
-must reproduce their results exactly, float for float.
+``ref_estimate_direction`` is the direction estimate as it was when one
+function chose the raw or the renewal route by a ``route`` argument, and
+``ref_final_radii`` the second copy of the sorted-squares norm it read the
+final radii with.
+They are kept as oracles: the one class pass, the one final-position rule,
+the one route function each and the one norm rule must reproduce their
+results exactly, float for float.
 """
 
 import dataclasses
@@ -19,10 +24,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rwre_lab import ConeSpec, Dirichlet, FiniteMixture, Homogeneous, Trajectory, TransitionVector, detect_renewals
+from rwre_lab import (
+    ConeSpec,
+    Dirichlet,
+    FiniteMixture,
+    Homogeneous,
+    RenewalRecord,
+    Trajectory,
+    TransitionVector,
+    detect_renewals,
+)
 from rwre_lab.errors import ConfigError
 from rwre_lab.stats import (
     ROUTE_RAW,
+    ROUTE_RENEWAL,
     ClusterResult,
     DirectionEstimate,
     InsufficientData,
@@ -34,6 +49,7 @@ from rwre_lab.stats import (
     _angle,
     _classes,
     _level_rows,
+    _mean_direction,
     _normal_ci,
     _resolve_thresholds,
     _shares,
@@ -43,8 +59,12 @@ from rwre_lab.stats import (
     classify_transience,
     estimate_direction,
     estimate_speed,
+    increment_projections,
     pooled_increments,
+    raw_direction,
+    renewal_direction,
     renewal_mean_identity,
+    summarize,
     zero_one_scan,
 )
 from rwre_lab.walk import simulate_ensemble
@@ -149,6 +169,34 @@ def ref_raw_direction(trajs, level_threshold=None):
     unit = samples / np.linalg.norm(samples, axis=1, keepdims=True)
     angles = np.arccos(np.clip(unit @ nu, -1.0, 1.0))
     return DirectionEstimate(nu, float(angles.mean()), samples.shape[0], ROUTE_RAW)
+
+
+def ref_estimate_direction(trajs=None, records=None, route=ROUTE_RAW, level_threshold=None):
+    """Asymptotic-direction estimate via final positions or renewal increments.
+
+    The raw route averages X_N / |X_N| over walks whose final radius clears
+    the transience threshold; the renewal route averages confirmed renewal
+    increments pooled over walks (only walks contributing at least one full
+    increment, i.e. two confirmed renewals, count).
+    """
+    if route == ROUTE_RAW:
+        if not trajs:
+            return InsufficientData("no trajectories supplied")
+        return raw_direction(summarize(trajs), level_threshold)
+    if route != ROUTE_RENEWAL:
+        raise ConfigError(f"unknown route {route!r}")
+    if not records:
+        return InsufficientData("no renewal records supplied")
+    samples = increment_projections(records, np.eye(records[0].positions.shape[1], dtype=np.int64))
+    if not samples.shape[0]:
+        return InsufficientData("no walk produced two confirmed renewals")
+    return _mean_direction(samples, route)
+
+
+def ref_final_radii(final):
+    """Final positions as floats, (walks, d), and their radii, each equal to ``_stable_norm`` of its row."""
+    x = final.astype(np.float64)
+    return x, np.sqrt(np.sort(x**2, axis=1).sum(axis=1))
 
 
 def ref_antipodal_clustering(trajs, theta_tol=0.3, antipodal_tol=0.05):
@@ -278,6 +326,16 @@ def assert_same(got, want, path="result"):
         assert got == want, path
 
 
+def assert_same_direction(got, want):
+    """Bit for bit: the same type, ``nu_hat``'s dtype and bytes, and equal dispersion, count and route."""
+    assert type(got) is type(want)
+    if isinstance(want, InsufficientData):
+        assert got == want
+        return
+    assert got.nu_hat.dtype == want.nu_hat.dtype and got.nu_hat.tobytes() == want.nu_hat.tobytes()
+    assert (got.dispersion, got.n_samples, got.route) == (want.dispersion, want.n_samples, want.route)
+
+
 def _drift(d):
     p = np.full(2 * d, 1.0)
     p[0] += 1.5
@@ -352,9 +410,85 @@ def test_speed_divides_each_walk_by_its_own_length(kind, d):
 @pytest.mark.parametrize("kind, d", MODELS)
 def test_raw_direction_and_clusters_match_per_walk_loops(kind, d, thr):
     trajs = ensemble(kind, d)
-    assert_same(estimate_direction(trajs=trajs, route=ROUTE_RAW, level_threshold=thr), ref_raw_direction(trajs, thr))
+    assert_same(estimate_direction(trajs, level_threshold=thr), ref_raw_direction(trajs, thr))
+    assert_same_direction(estimate_direction(trajs, thr), ref_estimate_direction(trajs, None, ROUTE_RAW, thr))
     for theta_tol in (0.3, 3.2):
         assert_same(antipodal_clustering(trajs, theta_tol), ref_antipodal_clustering(trajs, theta_tol))
+
+
+SPECS = {
+    1: ConeSpec((1,), ((1,),), Fraction(1), (1,)),
+    2: ConeSpec((1, 1), ((1, 1), (1, -1)), Fraction(1, 2), (1, 0)),
+}
+
+
+def widened(records):
+    """The records with int64 times and positions, as a walk of 2**31 - 1 steps or more stores them."""
+    wide = np.int64
+    return [dataclasses.replace(r, times=r.times.astype(wide), positions=r.positions.astype(wide)) for r in records]
+
+
+def hand_records(rng, d, dtype=np.int64, n=30):
+    """Records of random confirmed positions, each a fresh maximum along e1; some end in a censored candidate and
+    some hold fewer than two."""
+    out = []
+    for i in range(n):
+        k = int(rng.integers(0, 12))
+        steps = rng.integers(-2, 3, size=(k, d))
+        steps[:, 0] = rng.integers(1, 4, size=k)
+        pos = (rng.integers(-20, 20, size=(1, d)) + np.cumsum(steps, axis=0)).astype(dtype)
+        out.append(RenewalRecord(np.arange(k, dtype=dtype) * 4, pos, 10, bool(k) and i % 3 == 0))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["homogeneous", "mixture", "dirichlet"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_renewal_route_matches_the_route_switch(kind, d):
+    records = [detect_renewals(t, SPECS[d], 20) for t in ensemble(kind, d)]
+    assert {r.positions.dtype for r in records} == {np.dtype(np.int32)}
+    assert sum(r.n_confirmed > 1 for r in records) > 10
+    want = ref_estimate_direction(None, records, ROUTE_RENEWAL)
+    assert isinstance(want, DirectionEstimate)
+    assert_same_direction(renewal_direction(records), want)
+    assert_same_direction(renewal_direction(widened(records)), want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_renewal_route_on_hand_built_int64_records_matches_the_route_switch(d):
+    records = hand_records(np.random.default_rng(d), d)
+    want = ref_estimate_direction(None, records, ROUTE_RENEWAL)
+    assert isinstance(want, DirectionEstimate) and want.n_samples > 50
+    assert_same_direction(renewal_direction(records), want)
+
+
+def test_renewal_route_without_two_confirmed_renewals_keeps_its_result():
+    few = [r for r in hand_records(np.random.default_rng(4), 2, n=60) if r.n_confirmed < 2]
+    assert len(few) > 3 and {r.n_confirmed for r in few} == {0, 1}
+    for records, reason in ((few, "no walk produced two confirmed renewals"), ([], "no renewal records supplied")):
+        assert renewal_direction(records) == ref_estimate_direction(None, records, ROUTE_RENEWAL)
+        assert renewal_direction(records) == InsufficientData(reason)
+
+
+def test_renewal_direction_reads_the_records_with_no_route_given():
+    # the route switch defaulted to the raw route, so records alone read as "no trajectories supplied"
+    records = hand_records(np.random.default_rng(8), 2)
+    assert ref_estimate_direction(records=records) == InsufficientData("no trajectories supplied")
+    est = renewal_direction(records)
+    assert isinstance(est, DirectionEstimate) and est.route == ROUTE_RENEWAL
+    assert est.n_samples == sum(max(r.n_confirmed - 1, 0) for r in records)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_final_radii_are_the_stable_norm_of_each_row(d):
+    rng = np.random.default_rng(d)
+    scales = 10.0 ** rng.integers(-3, 4, size=(5000, 1))
+    finals = [rng.normal(size=(5000, d)) * scales, rng.integers(-50, 50, (5000, d))]
+    finals += [summarize(ensemble(kind, d)).final for kind in ("homogeneous", "dirichlet") if d < 4]
+    for final in finals:
+        x, r = ref_final_radii(final)
+        got = _stable_norm(final.astype(np.float64))
+        assert got.dtype == r.dtype == np.float64 and got.tobytes() == r.tobytes()
+        assert np.array([_stable_norm(row) for row in x]).tobytes() == r.tobytes()
 
 
 def test_walks_at_the_origin_are_left_out_of_both_direction_estimates():
@@ -363,9 +497,9 @@ def test_walks_at_the_origin_are_left_out_of_both_direction_estimates():
     home = [Trajectory(np.asarray([j, j ^ 1], np.int8), 2, 0) for j in range(4)]
     trajs = [t for pair in zip(away, home) for t in pair]
     for thr in (0.5, 1.0, 1.5):
-        got = estimate_direction(trajs=trajs, route=ROUTE_RAW, level_threshold=thr)
+        got = estimate_direction(trajs, level_threshold=thr)
         assert_same(got, ref_raw_direction(trajs, thr))
-    assert estimate_direction(trajs=trajs, route=ROUTE_RAW, level_threshold=1.0).n_samples == 4
+    assert estimate_direction(trajs, level_threshold=1.0).n_samples == 4
     for theta_tol in (0.3, 3.2):
         assert_same(antipodal_clustering(trajs, theta_tol), ref_antipodal_clustering(trajs, theta_tol))
     assert_same(antipodal_clustering(home), ref_antipodal_clustering(home))
@@ -376,7 +510,7 @@ def test_empty_ensemble_keeps_its_result():
         classify_transience([], (1, 0))
     with pytest.raises(ValueError, match="estimate_speed needs a nonempty ensemble"):
         estimate_speed([], (1, 0))
-    assert_same(estimate_direction(trajs=[], route=ROUTE_RAW), ref_raw_direction([]))
+    assert_same(estimate_direction([]), ref_raw_direction([]))
     assert_same(antipodal_clustering([]), ref_antipodal_clustering([]))
     model = model_of("homogeneous", 2)
     assert_same(zero_one_scan(model, 5, 8, 0, 100), ref_zero_one_scan(model, 5, 8, 0, 100))

@@ -8,8 +8,6 @@ from rwre_lab.cone import RenewalRecord
 from rwre_lab.errors import ConfigError
 from rwre_lab.stats import (
     InsufficientData,
-    ROUTE_RAW,
-    ROUTE_RENEWAL,
     TransiencePattern,
     Verdict,
     antipodal_clustering,
@@ -18,6 +16,7 @@ from rwre_lab.stats import (
     estimate_speed,
     independence_test,
     orthogonal_oscillation,
+    renewal_direction,
     renewal_mean_identity,
     slab_exit_decay,
     zero_one_scan,
@@ -117,25 +116,25 @@ class TestEstimateSpeed:
 class TestEstimateDirection:
     def test_straight_lines_exact(self):
         trajs = [straight_traj(0, 200, 2) for _ in range(5)]
-        est = estimate_direction(trajs=trajs, route=ROUTE_RAW)
+        est = estimate_direction(trajs)
         assert np.array_equal(est.nu_hat, [1.0, 0.0])
         assert est.dispersion == 0.0
 
     def test_mirror_negates_exactly(self, drift2d):
         trajs = simulate_ensemble(drift2d, 41, 150, 2000)
-        est = estimate_direction(trajs=trajs, route=ROUTE_RAW)
-        est_m = estimate_direction(trajs=[mirror(t) for t in trajs], route=ROUTE_RAW)
+        est = estimate_direction(trajs)
+        est_m = estimate_direction([mirror(t) for t in trajs])
         assert np.array_equal(est_m.nu_hat, -est.nu_hat)
 
     def test_axis_swap_equivariance_exact(self, drift2d):
         trajs = simulate_ensemble(drift2d, 42, 150, 2000)
-        est = estimate_direction(trajs=trajs, route=ROUTE_RAW)
-        est_s = estimate_direction(trajs=[swap_axes(t) for t in trajs], route=ROUTE_RAW)
+        est = estimate_direction(trajs)
+        est_s = estimate_direction([swap_axes(t) for t in trajs])
         assert np.array_equal(est_s.nu_hat, est.nu_hat[::-1])
 
     def test_renewal_route_on_synthetic_records(self, rng):
         records = synthetic_records(rng)
-        est = estimate_direction(records=records, route=ROUTE_RENEWAL)
+        est = renewal_direction(records)
         assert abs(np.arctan2(est.nu_hat[1], est.nu_hat[0])) < 0.05
         assert est.n_samples == 30 * 80
 
@@ -144,17 +143,17 @@ class TestEstimateDirection:
         # walks ending at the origin passed the radius filter r >= thr and were divided by r = 0
         trajs = [straight_traj(0, 3, 2), Trajectory(np.asarray([0, 1], np.int8), 2, 0)]
         with pytest.raises(ConfigError, match="level_threshold"):
-            estimate_direction(trajs=trajs, route=ROUTE_RAW, level_threshold=thr)
+            estimate_direction(trajs, level_threshold=thr)
 
     def test_negative_dip_allowance_raises(self):
         with pytest.raises(ConfigError, match="dip_allowance"):
             classify_transience([straight_traj(0, 3, 2)], (1, 0), dip_allowance=-1.0)
 
     def test_insufficient_data_paths(self):
-        assert isinstance(estimate_direction(trajs=[], route=ROUTE_RAW), InsufficientData)
+        assert isinstance(estimate_direction([]), InsufficientData)
         empty = record_from_positions([1], [[1, 0]])
         assert isinstance(
-            estimate_direction(records=[empty], route=ROUTE_RENEWAL), InsufficientData
+            renewal_direction([empty]), InsufficientData
         )
 
 
