@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import os
@@ -32,6 +31,16 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple, TextIO
+
+# hashlib loads OpenSSL's libcrypto, about 3.6 MB of a short run's peak RSS; the interpreter's own module takes the
+# same digest (CPython's random.py tries its lean _sha512 first for the same reason)
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -48,7 +57,7 @@ from .env import (
     perturbed_srw,
 )
 from .errors import ConfigError, NumericError
-from .lattice import read_integer
+from .lattice import read_integer, read_rational
 from .oracle import (
     BoxRegion,
     IntervalRegion,
@@ -385,13 +394,6 @@ def _read_float(x: Any, _d: int) -> float:
     return value
 
 
-def _read_rational(x: Any, _d: int) -> Fraction:
-    """A rational string like '1/2', or a JSON number read by its decimal text (0.1 is 1/10)."""
-    if isinstance(x, bool) or not isinstance(x, (str, int, float)):
-        raise TypeError("expected a rational such as '1/2' or a number")
-    return Fraction(str(x))
-
-
 def _read_classes(x: Any, _d: int) -> str | list[str]:
     if isinstance(x, str) or (isinstance(x, list) and x and all(isinstance(v, str) for v in x)):
         return x
@@ -431,7 +433,7 @@ _INT = _checked(_INTEGER, lambda v: -(2**63) <= v < 2**63, "an integer that fits
 _SEED = _in_range(_INTEGER, 0, 2**64 - 1)  # master_seed and --seed
 _COUNT = _in_range(_INT, 0)
 _FLOAT = _Type("float", _read_float)
-_RATIONAL = _Type("rational", _read_rational)
+_RATIONAL = _Type("rational", lambda x, _d: read_rational(x, "value"))
 _WEIGHT = _checked(_RATIONAL, lambda w: 0 < w <= 1, "a rational in (0, 1]")
 _POSITIVE = _checked(_FLOAT, lambda v: v > 0, "a number > 0")
 _NONNEGATIVE = _checked(_FLOAT, lambda v: v >= 0, "a number >= 0")
@@ -646,7 +648,7 @@ def load_config(path: Path) -> ExperimentConfig:
         model = _MODELS[fields["model.kind"]](fields)
     if model.dim != fields["dimension"]:
         raise ConfigError(f"config: model dimension {model.dim} does not match 'dimension' {fields['dimension']}")
-    return ExperimentConfig(fields, model, raw, hashlib.sha256(data).hexdigest(), _cones(fields))
+    return ExperimentConfig(fields, model, raw, sha256(data).hexdigest(), _cones(fields))
 
 
 def _cones(fields: dict[str, Any]) -> dict[Fraction, ConeSpec]:

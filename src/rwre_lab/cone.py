@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import integer_array, read_integer, read_integers
+from .lattice import integer_array, read_integer, read_integers, read_rational
 from .walk import Trajectory, simulate_ensemble
 
 
@@ -82,7 +82,7 @@ class ConeSpec:
         except TypeError:
             raise ConfigError(f"basis must be a list of integer vectors, got {self.basis!r}") from None
         l = read_integers(self.l, "l")
-        lam = Fraction(self.lam)
+        lam = read_rational(self.lam, "lambda")
         d = len(sigma)
         if d == 0 or any(s not in (-1, 1) for s in sigma):
             raise ConfigError("sigma must be a nonempty tuple of +-1 signs")

@@ -8,7 +8,9 @@ signed-axis form ``+(a+1)`` / ``-(a+1)``.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 
 import numpy as np
 
@@ -74,6 +76,20 @@ def read_integer(x, name: str) -> int:
     """``x`` as an int by the one integer rule of the config and the library: an integral number is its integer
     (10.0 is 10), and a bool, a fractional or non-finite number or anything else is refused naming ``name``."""
     return _integer(x, f"{name} must be an integer")
+
+
+def read_rational(x, name: str) -> Fraction:
+    """``x`` as a Fraction by the one rational rule of the config and the library: a rational number is itself, and a
+    string ('1/2', '0.25') or a float is read by its decimal text (0.1 is 1/10, not the double nearest it); a bool,
+    None, a non-finite number or anything else is refused naming ``name``."""
+    if isinstance(x, Rational) and not isinstance(x, bool):
+        return Fraction(int(x.numerator), int(x.denominator))
+    if isinstance(x, (str, float, np.floating)):
+        try:
+            return Fraction(str(x))  # 'nan' and 'inf' are no Fraction literals
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ConfigError(f"{name} must be a rational such as '1/2' or a finite number, got {x!r}")
 
 
 def integer_array(x, name: str) -> np.ndarray:

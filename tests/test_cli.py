@@ -217,6 +217,16 @@ CONE_BUILD_CASES = [
     for name, cone in (("cone_l_gcd_2", {"l": [2, 0]}), ("cone_dual_misses_l", {"basis": [[1, 0], [0, 1]]}))
     for lam_id, lam in (("fixed", "1/2"), ("scan", "scan"))
 ]
+# One small run of each experiment kind, for what its process imports.
+FOOTPRINT_RUNS = {
+    "simulate": simulate_config(),
+    "direction": cone_run("direction", horizon=200),
+    "renewal": cone_run("renewal"),
+    "renewal-identity": cone_run("renewal-identity", n_walks=20, horizon=200),
+    "slab": slab_config(),
+    "zero-one-scan": with_block(simulate_config(experiment="zero-one-scan"), "zero_one", n_angles=8),
+    "oracle-compare": oracle_config(),
+}
 
 
 class TestRun:
@@ -656,6 +666,25 @@ class TestRun:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.split() == ["0", "[]"]
+
+    @pytest.mark.parametrize("experiment", sorted(FOOTPRINT_RUNS))
+    def test_run_loads_numpy_random_and_openssl_only_for_the_bootstrap(self, tmp_path, experiment):
+        # hashlib loads OpenSSL's libcrypto, about 3.6 MB of a short run's peak RSS, and numpy.random imports it;
+        # the config hash takes the interpreter's own SHA-256, and only the identity's bootstrap draws from numpy
+        cfg = write_config(tmp_path, "run.json", FOOTPRINT_RUNS[experiment])
+        code = (
+            "import sys\n"
+            "from rwre_lab.cli import main\n"
+            f"rc = main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+            "print(rc, sorted({m.split('.')[0] for m in sys.modules} & {'scipy', '_hashlib'}),"
+            " 'numpy.random' in sys.modules)\n"
+        )
+        src = str(Path(rwre_lab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        bootstrap = experiment == "renewal-identity"
+        assert proc.stdout.split() == ["0", "['_hashlib']" if bootstrap else "[]", str(bootstrap)]
 
     def test_seed_reads_past_int64(self, tmp_path):
         # master_seed and --seed take the whole unsigned 64-bit range, unlike every other integer

@@ -1,11 +1,14 @@
-"""Library entry points read their integer arguments by ``lattice.read_integer``.
+"""Library entry points read their integer arguments by ``lattice.read_integer``, and rationals by
+``lattice.read_rational``.
 
 An integral number is its integer (10.0 is 10); a bool, a fraction or anything
 else is refused with a ``ConfigError`` that names the argument.  Each refused
 case below was once truncated (2.5 read as 2, True as 1) or ended in a bare
-``TypeError``.
+``TypeError``.  A rational is read by its decimal text (0.1 is 1/10), as the
+config always read it; a cone once took ``Fraction(lam)`` of whatever it got.
 """
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +29,7 @@ from rwre_lab import (
     run_slab_ensemble,
     simulate,
 )
-from rwre_lab.cli import _INTEGER
+from rwre_lab.cli import _INTEGER, _RATIONAL
 from rwre_lab.lattice import read_integer
 from rwre_lab.stats import orthogonal_oscillation, renewal_mean_identity, slab_exit_decay, zero_one_scan
 from rwre_lab.walk import simulate_ensemble
@@ -110,3 +113,40 @@ def test_config_and_library_share_one_integer_reader(x):
             _INTEGER.read(x, 2)
     else:
         assert _INTEGER.read(x, 2) == want and type(want) is int
+
+
+# (value, the rational it reads as, or None when it is refused); each refused value once built a cone (True as
+# lambda 1) or ended in a ValueError, OverflowError or TypeError that did not name lambda
+RATIONALS = [
+    (0.1, Fraction(1, 10)),  # Fraction(0.1) is 3602879701896397/36028797018963968
+    ("1/2", Fraction(1, 2)),
+    ("0.25", Fraction(1, 4)),
+    (Fraction(1, 3), Fraction(1, 3)),
+    (1, Fraction(1)),
+    (np.int64(1), Fraction(1)),
+    (np.float64(0.5), Fraction(1, 2)),
+    (True, None),
+    (False, None),
+    (None, None),
+    (float("nan"), None),
+    (float("inf"), None),
+    ("abc", None),
+    ("1/0", None),
+    ([1, 2], None),
+]
+
+
+@pytest.mark.parametrize("x, want", RATIONALS, ids=repr)
+def test_cone_and_config_share_one_rational_reader(x, want):
+    def cone(lam):
+        return ConeSpec((1, 1), ((1, 1), (1, -1)), lam, (1, 0))
+
+    if want is None:
+        refusal = f" must be a rational such as '1/2' or a finite number, got {re.escape(repr(x))}$"
+        with pytest.raises(ConfigError, match="^lambda" + refusal):
+            cone(x)
+        with pytest.raises(ConfigError, match="^value" + refusal):
+            _RATIONAL.read(x, 2)
+    else:
+        for lam in (cone(x).lam, _RATIONAL.read(x, 2)):
+            assert lam == want and type(lam) is Fraction and type(lam.numerator) is int
