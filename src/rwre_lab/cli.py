@@ -57,7 +57,7 @@ from .env import (
     perturbed_srw,
 )
 from .errors import ConfigError, NumericError
-from .lattice import read_integer, read_rational
+from .lattice import read_float, read_integer, read_rational
 from .oracle import (
     BoxRegion,
     IntervalRegion,
@@ -385,15 +385,6 @@ class _Type(NamedTuple):
     read: Callable[[Any, int], Any]
 
 
-def _read_float(x: Any, _d: int) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise TypeError("expected a number")
-    value = float(x)
-    if not np.isfinite(value):
-        raise ValueError("expected a finite number")
-    return value
-
-
 def _read_classes(x: Any, _d: int) -> str | list[str]:
     if isinstance(x, str) or (isinstance(x, list) and x and all(isinstance(v, str) for v in x)):
         return x
@@ -432,7 +423,7 @@ _INTEGER = _Type("int", lambda x, _d: read_integer(x, "value"))  # any size; onl
 _INT = _checked(_INTEGER, lambda v: -(2**63) <= v < 2**63, "an integer that fits int64")
 _SEED = _in_range(_INTEGER, 0, 2**64 - 1)  # master_seed and --seed
 _COUNT = _in_range(_INT, 0)
-_FLOAT = _Type("float", _read_float)
+_FLOAT = _Type("float", lambda x, _d: read_float(x, "value"))
 _RATIONAL = _Type("rational", lambda x, _d: read_rational(x, "value"))
 _WEIGHT = _checked(_RATIONAL, lambda w: 0 < w <= 1, "a rational in (0, 1]")
 _POSITIVE = _checked(_FLOAT, lambda v: v > 0, "a number > 0")

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import integer_array, read_integer, read_integers, read_rational
+from .lattice import integer_array, read_direction, read_float, read_integer, read_integers, read_rational
 from .walk import Trajectory, simulate_ensemble
 
 
@@ -81,17 +81,13 @@ class ConeSpec:
             basis = tuple(read_integers(row, "basis") for row in self.basis)
         except TypeError:
             raise ConfigError(f"basis must be a list of integer vectors, got {self.basis!r}") from None
-        l = read_integers(self.l, "l")
-        lam = read_rational(self.lam, "lambda")
         d = len(sigma)
         if d == 0 or any(s not in (-1, 1) for s in sigma):
             raise ConfigError("sigma must be a nonempty tuple of +-1 signs")
         if len(basis) != d or any(len(row) != d for row in basis):
             raise ConfigError("basis must be d integer vectors of length d")
-        if len(l) != d or all(x == 0 for x in l):
-            raise ConfigError("l must be a nonzero integer vector of length d")
-        if math.gcd(*[abs(x) for x in l]) != 1:
-            raise ConfigError("the coordinates of l must have gcd 1")
+        l = read_direction(self.l, "l", d)
+        lam = read_rational(self.lam, "lambda")
         if not 0 < lam <= 1:
             raise ConfigError("lambda must be a rational in (0, 1]")
         # the signed basis is singular exactly when the basis is
@@ -173,12 +169,7 @@ def _level_facts(s: np.ndarray) -> tuple:
 
 def fresh_maxima(traj: Trajectory, l) -> np.ndarray:
     """Times n with X_n . l strictly above every earlier value (and above 0)."""
-    lv = np.asarray(read_integers(l, "l", traj.dim), dtype=np.int64)
-    if not lv.any():
-        raise ConfigError("direction l must be a nonzero integer vector")
-    if math.gcd(*[abs(int(x)) for x in lv]) != 1:
-        raise ConfigError("the coordinates of l must have gcd 1")
-    return _fresh(traj.positions() @ lv)
+    return _fresh(traj.positions() @ np.asarray(read_direction(l, "l", traj.dim), dtype=np.int64))
 
 
 @dataclass(eq=False)
@@ -285,9 +276,7 @@ def _first_exit(F: np.ndarray, cands: np.ndarray, H: int) -> np.ndarray:
 
 def _levels(traj: Trajectory, spec: ConeSpec, confirm_horizon: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """The checked window H, the positions P, the levels P @ l and the fresh maxima of one walk."""
-    H = read_integer(confirm_horizon, "confirm_horizon")
-    if H < 1:
-        raise ConfigError("confirm_horizon must be at least 1")
+    H = read_integer(confirm_horizon, "confirm_horizon", 1)
     if spec.dim != traj.dim:
         raise ConfigError("cone dimension does not match trajectory dimension")
     spec.check_steps(len(traj))
@@ -381,6 +370,7 @@ def lambda_scan(
     ``renewal_rate``.  One ensemble is simulated and reused for every cone;
     only the face table and the recursion are per cone.
     """
+    rate_floor = read_float(rate_floor, "rate_floor", 0)
     cones = list(cones)
     if not cones:
         raise ConfigError("lambda_scan needs at least one cone")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .lattice import check_dim, check_site, direction_index, read_integer
+from .lattice import check_dim, check_site, direction_index, read_float, read_integer
 from .rng import (
     TAG_SITE,
     U64,
@@ -116,6 +116,17 @@ class FiniteMixture:
         return self._atom_matrix
 
 
+def _concentrations(alphas) -> tuple[float, ...]:
+    """The Dirichlet concentrations ``alphas``: a nonempty vector of positive numbers, each read by ``read_float``."""
+    try:
+        values = tuple(read_float(a, "a Dirichlet concentration") for a in alphas)
+    except TypeError:
+        raise ConfigError(f"Dirichlet concentrations must be a vector of numbers, got {alphas!r}") from None
+    if not values or min(values) <= 0.0:
+        raise ConfigError(f"Dirichlet concentrations must be positive, got {list(values)}")
+    return values
+
+
 @dataclass(frozen=True)
 class Dirichlet:
     """Site vectors drawn from a Dirichlet law on the 2d-simplex."""
@@ -123,13 +134,10 @@ class Dirichlet:
     alphas: tuple[float, ...]
 
     def __post_init__(self):
-        alphas = tuple(float(a) for a in self.alphas)
-        if len(alphas) % 2 != 0 or not alphas:
+        object.__setattr__(self, "alphas", _concentrations(self.alphas))
+        if len(self.alphas) % 2 != 0:
             raise ConfigError("Dirichlet needs 2d concentration parameters")
-        check_dim(len(alphas) // 2)
-        if not all(0.0 < a < np.inf for a in alphas):
-            raise ConfigError(f"Dirichlet concentrations must be positive and finite, got {list(alphas)}")
-        object.__setattr__(self, "alphas", alphas)
+        check_dim(len(self.alphas) // 2)
 
     @property
     def dim(self) -> int:
@@ -198,11 +206,7 @@ def sample_dirichlet(alphas, keys) -> np.ndarray:
     rejected and redrawn in the next round, so outputs are always usable as
     elliptic transition vectors.
     """
-    alphas = np.asarray(alphas, dtype=np.float64)
-    if alphas.ndim != 1 or alphas.size == 0:
-        raise ConfigError("alphas must be a nonempty vector")
-    if not np.all((alphas > 0.0) & (alphas < np.inf)):
-        raise ConfigError(f"Dirichlet concentrations must be positive and finite, got {alphas.tolist()}")
+    alphas = np.asarray(_concentrations(alphas), dtype=np.float64)
     keys = np.atleast_1d(as_u64(np.asarray(keys)))
     n, k = keys.shape[0], alphas.size
     boost = alphas < 1.0

@@ -8,6 +8,8 @@ signed-axis form ``+(a+1)`` / ``-(a+1)``.
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
@@ -72,19 +74,41 @@ def _integer(x, refusal: str) -> int:
     return int(x)
 
 
-def read_integer(x, name: str) -> int:
+def _at_least(value, name: str, least):
+    if least is not None and not value >= least:
+        raise ConfigError(f"{name} must be at least {least}")
+    return value
+
+
+def read_integer(x, name: str, least: int | None = None) -> int:
     """``x`` as an int by the one integer rule of the config and the library: an integral number is its integer
-    (10.0 is 10), and a bool, a fractional or non-finite number or anything else is refused naming ``name``."""
-    return _integer(x, f"{name} must be an integer")
+    (10.0 is 10); a bool, a fraction, NaN, anything else or a value below ``least`` is refused naming ``name``."""
+    return _at_least(_integer(x, f"{name} must be an integer"), name, least)
+
+
+def read_float(x, name: str, least: float | None = None) -> float:
+    """``x`` as a float by the one float rule of the config and the library: a finite int or float is its value; a
+    bool, a string, a number a float cannot hold, anything else or a value below ``least`` is refused by name."""
+    number = isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    if number and -sys.float_info.max <= x <= sys.float_info.max:  # NaN, infinities and ints past the range fail
+        return _at_least(float(x), name, least)
+    raise ConfigError(f"{name} must be a finite number, got {x!r}")
 
 
 def read_rational(x, name: str) -> Fraction:
     """``x`` as a Fraction by the one rational rule of the config and the library: a rational number is itself, and a
     string ('1/2', '0.25') or a float is read by its decimal text (0.1 is 1/10, not the double nearest it); a bool,
-    None, a non-finite number or anything else is refused naming ``name``."""
+    None, NaN, an infinity, an exponent past ``sys.get_int_max_str_digits()`` or anything else is refused by name."""
     if isinstance(x, Rational) and not isinstance(x, bool):
         return Fraction(int(x.numerator), int(x.denominator))
     if isinstance(x, (str, float, np.floating)):
+        try:
+            exponent = abs(int(str(x).lower().partition("e")[2] or 0))
+        except ValueError:
+            exponent = 0  # no exponent Fraction reads either
+        limit = sys.get_int_max_str_digits()  # Fraction builds 10**exponent whole; 0 lifts the limit
+        if limit and exponent > limit:
+            raise ConfigError(f"{name} must have a decimal exponent of at most {limit} in size, got {x!r}")
         try:
             return Fraction(str(x))  # 'nan' and 'inf' are no Fraction literals
         except (ValueError, ZeroDivisionError):
@@ -113,6 +137,14 @@ def read_integers(x, name: str, d: int | None = None) -> tuple[int, ...]:
     if d is not None and len(entries) != d:
         raise ConfigError(f"{name} must have {d} entries (the dimension), got {len(entries)}")
     return tuple(_integer(v, f"{name} must hold integers") for v in entries)
+
+
+def read_direction(l, name: str, d: int | None = None) -> tuple[int, ...]:
+    """The direction ``l`` by one rule: integer entries by ``read_integers`` (``d`` of them when given), gcd 1."""
+    v = read_integers(l, name, d)
+    if math.gcd(*v) != 1:
+        raise ConfigError(f"{name} must be a nonzero integer vector with gcd 1, got {v}")
+    return v
 
 
 def check_site(x, d: int) -> np.ndarray:

@@ -247,9 +247,7 @@ class SlabRegion:
 
     def __post_init__(self):
         _check_slab(self.l_prime, self.b, self.L)
-        object.__setattr__(self, "bound_width", read_integer(self.bound_width, "bound_width"))
-        if self.bound_width < 1:
-            raise ConfigError("bound_width must be at least 1")
+        object.__setattr__(self, "bound_width", read_integer(self.bound_width, "bound_width", 1))
 
     def mc_slab(self) -> tuple[tuple[float, ...], float, float]:
         """The slab (l_prime, b, L) standing in for this region in Monte Carlo: itself."""
@@ -285,9 +283,7 @@ def gamblers_ruin(p: float, M: int, N_right: int) -> float:
     """Chance the homogeneous 1D walk hits +N_right before -M, starting at 0."""
     if not 0.0 < p < 1.0:
         raise ConfigError("p must lie strictly between 0 and 1")
-    M, N_right = read_integer(M, "M"), read_integer(N_right, "N_right")
-    if M < 1 or N_right < 1:
-        raise ConfigError("both barriers must be at least one step away")
+    M, N_right = read_integer(M, "M", 1), read_integer(N_right, "N_right", 1)
     if p == 0.5:
         return M / (M + N_right)
     rho = (1.0 - p) / p
@@ -363,9 +359,7 @@ def annealed_exit(
     master_seed: int,
 ) -> AnnealedExit:
     """Exact-in-omega, sampled-in-P estimate of the annealed exit probability."""
-    n_env = read_integer(n_env, "n_env")
-    if n_env < 1:
-        raise ConfigError("n_env must be at least 1")
+    n_env = read_integer(n_env, "n_env", 1)
     envs = [QuenchedEnvironment(model, int(derive_key(master_seed, TAG_ENV, i))) for i in range(n_env)]
     problem = region.build(envs[0], start)  # built once: the geometry reads only the environment's dimension
     vals = np.empty(n_env)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cone import ConeSpec, RenewalRecord, _level_facts
 from .errors import ConfigError
-from .lattice import read_integer, read_integers
+from .lattice import read_float, read_integer, read_integers
 from .walk import Trajectory, _check_l, run_slab_ensemble, simulate_ensemble
 
 Z95 = 1.959963984540054
@@ -97,13 +97,10 @@ def _verdict(p_plus: float, p_minus: float) -> Verdict:
 
 def _resolve_thresholds(horizon: int, level_threshold, dip_allowance) -> tuple[float, float]:
     """The level threshold (2 sqrt(horizon) by default) and the dip allowance (half the threshold by default)."""
-    thr = 2.0 * math.sqrt(max(horizon, 1)) if level_threshold is None else float(level_threshold)
-    dip = thr / 2.0 if dip_allowance is None else float(dip_allowance)
+    thr = 2 * math.sqrt(max(horizon, 1)) if level_threshold is None else read_float(level_threshold, "level_threshold")
     if not thr > 0:
         raise ConfigError(f"level_threshold must be > 0, got {thr}")
-    if not dip >= 0:
-        raise ConfigError(f"dip_allowance must be >= 0, got {dip}")
-    return thr, dip
+    return thr, thr / 2 if dip_allowance is None else read_float(dip_allowance, "dip_allowance", 0)
 
 
 def _level_rows(trajs: Sequence[Trajectory], dirs: np.ndarray) -> np.ndarray:
@@ -516,9 +513,7 @@ def renewal_mean_identity(
     each walk's transience class, and no path is built.  The default level
     threshold is that of the first record's step count.
     """
-    n_boot = read_integer(n_boot, "n_boot")
-    if n_boot < 1:
-        raise ConfigError("n_boot must be at least 1")
+    n_boot = read_integer(n_boot, "n_boot", 1)
     if not records:
         return InsufficientData("empty ensemble")
     lv = np.asarray(spec.l, dtype=np.int64)
@@ -616,6 +611,7 @@ def antipodal_clustering(trajs: Sequence[Trajectory], theta_tol: float = 0.3) ->
 
 def final_clustering(final: np.ndarray, theta_tol: float = 0.3) -> ClusterResult:
     """``antipodal_clustering`` of the walks whose final positions are the rows of ``final``."""
+    theta_tol = read_float(theta_tol, "theta_tol", 0)
     x = final.astype(np.float64)
     r = _stable_norm(x)
     moved = r > 0
@@ -728,11 +724,8 @@ def zero_one_scan(
     """
     if model.dim != 2:
         raise ConfigError("the angular scan is two-dimensional")
-    n_angles = read_integer(n_angles, "n_angles")
-    if n_angles < 4:
-        raise ConfigError("need at least 4 angles")
-    if not orth_band >= 0:
-        raise ConfigError(f"orth_band must be >= 0, got {orth_band}")
+    n_angles = read_integer(n_angles, "n_angles", 4)
+    orth_band = read_float(orth_band, "orth_band", 0)
     trajs = simulate_ensemble(model, master_seed, n_walks, horizon)
     angles = np.arange(n_angles) * (2.0 * np.pi / n_angles)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)

@@ -215,9 +215,7 @@ def simulate(env: QuenchedEnvironment, walker_seed: int, horizon: int) -> Trajec
     Deterministic given (env, walker_seed, horizon); a longer horizon extends
     the path without rewriting its prefix.
     """
-    horizon = read_integer(horizon, "horizon")
-    if horizon < 0:
-        raise ConfigError("horizon must be nonnegative")
+    horizon = read_integer(horizon, "horizon", 0)
     steps = _simulate_block(
         env.model,
         np.atleast_1d(as_u64(env.master_seed)),
@@ -246,10 +244,8 @@ def simulate_ensemble(
     walker by walker, and walkers ``first`` to ``first + n_walks - 1`` of a
     larger ensemble are the same paths as in the whole of it.
     """
-    n_walks, horizon = read_integer(n_walks, "n_walks"), read_integer(horizon, "horizon")
-    first = read_integer(first, "first")
-    if horizon < 0 or n_walks < 0 or first < 0:
-        raise ConfigError("n_walks, horizon and first must be nonnegative")
+    n_walks, horizon = read_integer(n_walks, "n_walks", 0), read_integer(horizon, "horizon", 0)
+    first = read_integer(first, "first", 0)
     env_seeds, walk_seeds = ensemble_seeds(master_seed, n_walks, first)
     block = _simulate_block(model, env_seeds, walk_seeds, horizon)
     return [Trajectory(block[i], model.dim, int(walk_seeds[i])) for i in range(n_walks)]
@@ -409,9 +405,7 @@ def run_slab_ensemble(
     ``Ls`` is a strictly increasing sequence of widths, giving one tally per
     width from a single pass over the walkers.
     """
-    n_walks, horizon = read_integer(n_walks, "n_walks"), read_integer(horizon, "horizon")
-    if n_walks < 0 or horizon < 0:
-        raise ConfigError("n_walks and horizon must be nonnegative")
+    n_walks, horizon = read_integer(n_walks, "n_walks", 0), read_integer(horizon, "horizon", 0)
     if np.ndim(Ls) != 1 or not len(Ls) or any(hi <= lo for lo, hi in zip(Ls, Ls[1:])):
         raise ConfigError("slab widths L must be a nonempty, strictly increasing sequence")
     for width in Ls:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -765,6 +766,14 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and str(path) in err and "digits" in err
         assert not (tmp_path / "o").exists()
+
+    def test_rational_exponent_past_digit_limit_exits_2_quickly(self, tmp_path, capsys):
+        # Fraction builds 10**exponent whole, so this once spent seconds before the (0, 1] check refused it
+        cfg = write_config(tmp_path, "bad.json", direction_config(**{"lambda": "1e10000000"}))
+        start = time.perf_counter()
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert time.perf_counter() - start < 1.0
+        assert "'cone.lambda'" in capsys.readouterr().err and not (tmp_path / "o").exists()
 
     def test_oracle_compare_slab(self, tmp_path):
         cfg = write_config(

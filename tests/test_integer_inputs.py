@@ -1,14 +1,19 @@
-"""Library entry points read their integer arguments by ``lattice.read_integer``, and rationals by
-``lattice.read_rational``.
+"""Library entry points read their integer arguments by ``lattice.read_integer``, rationals by
+``lattice.read_rational``, floats by ``lattice.read_float``, integer directions by ``lattice.read_direction``
+and Dirichlet concentrations by one reader in ``env``.
 
 An integral number is its integer (10.0 is 10); a bool, a fraction or anything
 else is refused with a ``ConfigError`` that names the argument.  Each refused
 case below was once truncated (2.5 read as 2, True as 1) or ended in a bare
-``TypeError``.  A rational is read by its decimal text (0.1 is 1/10), as the
-config always read it; a cone once took ``Fraction(lam)`` of whatever it got.
+``TypeError``.  A count is read with its lower bound, and one below it is
+refused in the same words whichever function takes it.  A rational is read by
+its decimal text (0.1 is 1/10), as the config always read it; a cone once took
+``Fraction(lam)`` of whatever it got.
 """
 
+import math
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -18,20 +23,31 @@ from rwre_lab import (
     BoxRegion,
     ConeSpec,
     ConfigError,
+    Dirichlet,
     IntervalRegion,
     QuenchedEnvironment,
     SlabRegion,
     annealed_exit,
     detect_renewals,
+    fresh_maxima,
     gamblers_ruin,
     lambda_scan,
     perturbed_srw,
     run_slab_ensemble,
+    sample_dirichlet,
     simulate,
 )
-from rwre_lab.cli import _INTEGER, _RATIONAL
-from rwre_lab.lattice import read_integer
-from rwre_lab.stats import orthogonal_oscillation, renewal_mean_identity, slab_exit_decay, zero_one_scan
+from rwre_lab.cli import _FLOAT, _INTEGER, _RATIONAL
+from rwre_lab.lattice import read_float, read_integer, read_rational
+from rwre_lab.rng import derive_key
+from rwre_lab.stats import (
+    classify_transience,
+    final_clustering,
+    orthogonal_oscillation,
+    renewal_mean_identity,
+    slab_exit_decay,
+    zero_one_scan,
+)
 from rwre_lab.walk import simulate_ensemble
 
 MODEL = perturbed_srw(0.1, 1, 2)
@@ -88,6 +104,175 @@ def test_entry_point_refuses_a_non_integer_by_name(call, bad, name):
 def test_identity_refuses_fewer_than_one_resample(n_boot):
     with pytest.raises(ConfigError, match="^n_boot must be at least 1$"):
         renewal_mean_identity(records(), SPEC, n_boot=n_boot)
+
+
+def steps(walks):
+    return [w.steps.tolist() for w in walks]
+
+
+# (call, the count's lower bound, its name): each count is refused one below its bound in one wording, and read
+# at its bound, as an int and as an integral float, to the same result
+BOUNDS = [
+    pytest.param(lambda h: simulate(QuenchedEnvironment(MODEL, 1), 5, h).steps.tolist(), 0, "horizon", id="simulate"),
+    pytest.param(lambda n: steps(simulate_ensemble(MODEL, 3, n, 10)), 0, "n_walks", id="ensemble-walks"),
+    pytest.param(lambda h: steps(simulate_ensemble(MODEL, 3, 2, h)), 0, "horizon", id="ensemble-horizon"),
+    pytest.param(lambda f: steps(simulate_ensemble(MODEL, 3, 2, 10, f)), 0, "first", id="ensemble-first"),
+    pytest.param(lambda n: run_slab_ensemble(MODEL, 1, n, [1, 0], 1.0, [3.0], 50), 0, "n_walks", id="slab-walks"),
+    pytest.param(lambda h: run_slab_ensemble(MODEL, 1, 4, [1, 0], 1.0, [3.0], h), 0, "horizon", id="slab-horizon"),
+    pytest.param(lambda h: detect_renewals(one_walk(50), SPEC, h).times.tolist(), 1, "confirm_horizon", id="renewals"),
+    pytest.param(lambda n: repr(renewal_mean_identity(records(), SPEC, n_boot=n)), 1, "n_boot", id="identity-n_boot"),
+    pytest.param(lambda n: repr(zero_one_scan(MODEL, 3, n, 2, 10)), 4, "n_angles", id="zero-one-scan"),
+    pytest.param(lambda w: SlabRegion((1.0, 0.0), 1.0, 3.0, w), 1, "bound_width", id="slab-region"),
+    pytest.param(lambda m: gamblers_ruin(0.6, m, 3), 1, "M", id="ruin-M"),
+    pytest.param(lambda n: gamblers_ruin(0.6, 3, n), 1, "N_right", id="ruin-N_right"),
+    pytest.param(
+        lambda n: annealed_exit(perturbed_srw(0.1, 1, 1), IntervalRegion(-2, 2), (0,), "Right", n, 3).mean,
+        1,
+        "n_env",
+        id="n_env",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, least, name", BOUNDS)
+def test_count_is_read_with_its_bound(call, least, name):
+    for below in (least - 1, float(least - 1)):
+        with pytest.raises(ConfigError, match=f"^{name} must be at least {least}$"):
+            call(below)
+    assert call(least) == call(float(least))
+
+
+def cone(l):
+    return ConeSpec((1, 1), ((1, 1), (1, -1)), "1/2", l)
+
+
+# (l, refusal): ConeSpec and fresh_maxima read an integer direction by the one rule of lattice.read_direction
+DIRECTIONS = [
+    ((0, 0), r"^l must be a nonzero integer vector with gcd 1, got \(0, 0\)$"),
+    ((2, 0), r"^l must be a nonzero integer vector with gcd 1, got \(2, 0\)$"),
+    ((2, -4), r"^l must be a nonzero integer vector with gcd 1, got \(2, -4\)$"),
+    ((1.5, 0), "^l must hold integers, got 1.5$"),
+    ((True, 0), "^l must hold integers, got True$"),
+    ((1, 0, 0), r"^l must have 2 entries \(the dimension\), got 3$"),
+    (1, "^l must be a vector of integers, got 1$"),
+]
+
+
+@pytest.mark.parametrize("l, refusal", DIRECTIONS, ids=repr)
+def test_cone_and_fresh_maxima_share_one_direction_rule(l, refusal):
+    traj = one_walk(50)
+    with pytest.raises(ConfigError, match=refusal):
+        cone(l)
+    with pytest.raises(ConfigError, match=refusal):
+        fresh_maxima(traj, l)
+
+
+def test_integral_directions_read_as_their_integers():
+    traj = one_walk(200)
+    for l in ((1.0, 0), np.array([1, 0]), np.array([1.0, 0.0])):
+        assert cone(l).l == (1, 0) and all(type(x) is int for x in cone(l).l)
+        assert fresh_maxima(traj, l).tolist() == fresh_maxima(traj, (1, 0)).tolist()
+
+
+# (alphas, refusal): Dirichlet and sample_dirichlet read concentrations by one rule; "1.5" and True were once read
+# by Dirichlet as 1.5 and 1.0, and sample_dirichlet ended a nested or non-numeric vector in a bare ValueError
+CONCENTRATIONS = [
+    ((), r"^Dirichlet concentrations must be positive, got \[\]$"),
+    ((1.0, 0.0), r"^Dirichlet concentrations must be positive, got \[1.0, 0.0\]$"),
+    ((1.0, -1.0), r"^Dirichlet concentrations must be positive, got \[1.0, -1.0\]$"),
+    ((math.inf, 1.0), "^a Dirichlet concentration must be a finite number, got inf$"),
+    ((1.0, math.nan), "^a Dirichlet concentration must be a finite number, got nan$"),
+    ((True, 1.0), "^a Dirichlet concentration must be a finite number, got True$"),
+    (("1.5", 1.0), "^a Dirichlet concentration must be a finite number, got '1.5'$"),
+    (((1.0, 1.0),), r"^a Dirichlet concentration must be a finite number, got \(1.0, 1.0\)$"),
+    (7, "^Dirichlet concentrations must be a vector of numbers, got 7$"),
+]
+
+
+@pytest.mark.parametrize("alphas, refusal", CONCENTRATIONS, ids=repr)
+def test_dirichlet_and_its_sampler_share_one_concentration_rule(alphas, refusal):
+    with pytest.raises(ConfigError, match=refusal):
+        Dirichlet(alphas)
+    with pytest.raises(ConfigError, match=refusal):
+        sample_dirichlet(alphas, derive_key(5, np.arange(3)))
+
+
+def test_integral_concentrations_read_as_their_floats():
+    keys = derive_key(5, np.arange(3))
+    for alphas in ((2, 1), np.array([2, 1]), (np.float64(2.0), 1.0)):
+        assert Dirichlet(alphas).alphas == (2.0, 1.0) and all(type(a) is float for a in Dirichlet(alphas).alphas)
+        assert np.array_equal(sample_dirichlet(alphas, keys), sample_dirichlet((2.0, 1.0), keys))
+
+
+FINAL = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])  # two antipodal clusters under theta_tol nan, max deviation pi/2
+DRIFT_SPEC = ConeSpec((1, 1), ((1, 1), (1, -1)), "1/2", (1, 0))
+
+# (call, bad value, refusal): each float threshold is read by lattice.read_float; a negative rate floor once chose
+# lambda 1 whatever the rate, and a bool or a numeric string was read as its float
+FLOAT_CASES = [
+    pytest.param(
+        lambda t: final_clustering(FINAL, t), math.nan, "theta_tol must be a finite number, got nan", id="tol-nan"
+    ),
+    pytest.param(lambda t: final_clustering(FINAL, t), -0.1, "theta_tol must be at least 0", id="tol-negative"),
+    pytest.param(
+        lambda t: final_clustering(FINAL, t), "0.3", "theta_tol must be a finite number, got '0.3'", id="tol-str"
+    ),
+    pytest.param(
+        lambda r: lambda_scan(MODEL, 3, [DRIFT_SPEC], 2, 50, 5, r), -1, "rate_floor must be at least 0", id="floor"
+    ),
+    pytest.param(
+        lambda r: lambda_scan(MODEL, 3, [DRIFT_SPEC], 2, 50, 5, r),
+        math.inf,
+        "rate_floor must be a finite number, got inf",
+        id="floor-inf",
+    ),
+    pytest.param(
+        lambda t: classify_transience([one_walk(20)], (1, 0), level_threshold=t),
+        True,
+        "level_threshold must be a finite number, got True",
+        id="threshold-bool",
+    ),
+    pytest.param(
+        lambda t: classify_transience([one_walk(20)], (1, 0), level_threshold=t),
+        "3",
+        "level_threshold must be a finite number, got '3'",
+        id="threshold-str",
+    ),
+    pytest.param(
+        lambda d: classify_transience([one_walk(20)], (1, 0), dip_allowance=d),
+        True,
+        "dip_allowance must be a finite number, got True",
+        id="dip-bool",
+    ),
+    pytest.param(
+        lambda b: zero_one_scan(MODEL, 3, 4, 2, 10, orth_band=b), -0.5, "orth_band must be at least 0", id="band"
+    ),
+]
+
+
+@pytest.mark.parametrize("call, bad, refusal", FLOAT_CASES)
+def test_float_threshold_refused_by_name(call, bad, refusal):
+    with pytest.raises(ConfigError, match=f"^{re.escape(refusal)}$"):
+        call(bad)
+
+
+def test_float_thresholds_read_numbers_of_any_type():
+    assert repr(final_clustering(FINAL, 0)) == repr(final_clustering(FINAL, np.float64(0.0)))
+    scan = lambda_scan(MODEL, 3, [DRIFT_SPEC], 2, 50, 5, 0)
+    assert repr(scan) == repr(lambda_scan(MODEL, 3, [DRIFT_SPEC], 2, 50, 5, np.int64(0)))
+    trajs = [one_walk(20)]
+    assert classify_transience(trajs, (1, 0), 3, 1) == classify_transience(trajs, (1, 0), 3.0, np.float64(1.0))
+
+
+@pytest.mark.parametrize("x", [0.5, 3, -2.0, np.float64(2.5), 10**400, True, "3", None, math.nan, math.inf], ids=repr)
+def test_config_and_library_share_one_float_reader(x):
+    try:
+        want = read_float(x, "value")
+    except ConfigError as exc:
+        with pytest.raises(ConfigError, match=re.escape(str(exc))):
+            _FLOAT.read(x, 2)
+    else:
+        assert _FLOAT.read(x, 2) == want and type(want) is float
 
 
 def test_integral_floats_read_as_their_integers():
@@ -150,3 +335,17 @@ def test_cone_and_config_share_one_rational_reader(x, want):
     else:
         for lam in (cone(x).lam, _RATIONAL.read(x, 2)):
             assert lam == want and type(lam) is Fraction and type(lam.numerator) is int
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "-1E-10000000", "0.5e+10000000"])
+def test_rational_exponent_past_the_digit_limit_is_refused_quickly(text):
+    # Fraction builds 10**exponent whole: "1e10000000" once took seconds before a range check refused it
+    start = time.perf_counter()
+    refusal = f"lambda must have a decimal exponent of at most 4300 in size, got '{text}'"
+    with pytest.raises(ConfigError, match=f"^{re.escape(refusal)}$"):
+        read_rational(text, "lambda")
+    assert time.perf_counter() - start < 0.5
+
+
+def test_rational_exponent_at_the_digit_limit_is_read():
+    assert read_rational("1e4300", "lambda") == 10**4300 and read_rational("1e-4300", "lambda") == Fraction(1, 10**4300)
