@@ -142,7 +142,7 @@ def test_count_is_read_with_its_bound(call, least, name):
     assert call(least) == call(float(least))
 
 
-def cone(l):
+def cone_along(l):
     return ConeSpec((1, 1), ((1, 1), (1, -1)), "1/2", l)
 
 
@@ -162,7 +162,7 @@ DIRECTIONS = [
 def test_cone_and_fresh_maxima_share_one_direction_rule(l, refusal):
     traj = one_walk(50)
     with pytest.raises(ConfigError, match=refusal):
-        cone(l)
+        cone_along(l)
     with pytest.raises(ConfigError, match=refusal):
         fresh_maxima(traj, l)
 
@@ -170,7 +170,7 @@ def test_cone_and_fresh_maxima_share_one_direction_rule(l, refusal):
 def test_integral_directions_read_as_their_integers():
     traj = one_walk(200)
     for l in ((1.0, 0), np.array([1, 0]), np.array([1.0, 0.0])):
-        assert cone(l).l == (1, 0) and all(type(x) is int for x in cone(l).l)
+        assert cone_along(l).l == (1, 0) and all(type(x) is int for x in cone_along(l).l)
         assert fresh_maxima(traj, l).tolist() == fresh_maxima(traj, (1, 0)).tolist()
 
 
@@ -205,7 +205,6 @@ def test_integral_concentrations_read_as_their_floats():
 
 
 FINAL = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])  # two antipodal clusters under theta_tol nan, max deviation pi/2
-DRIFT_SPEC = ConeSpec((1, 1), ((1, 1), (1, -1)), "1/2", (1, 0))
 
 # (call, bad value, refusal): each float threshold is read by lattice.read_float; a negative rate floor once chose
 # lambda 1 whatever the rate, and a bool or a numeric string was read as its float
@@ -218,10 +217,10 @@ FLOAT_CASES = [
         lambda t: final_clustering(FINAL, t), "0.3", "theta_tol must be a finite number, got '0.3'", id="tol-str"
     ),
     pytest.param(
-        lambda r: lambda_scan(MODEL, 3, [DRIFT_SPEC], 2, 50, 5, r), -1, "rate_floor must be at least 0", id="floor"
+        lambda r: lambda_scan(MODEL, 3, [SPEC], 2, 50, 5, r), -1, "rate_floor must be at least 0", id="floor"
     ),
     pytest.param(
-        lambda r: lambda_scan(MODEL, 3, [DRIFT_SPEC], 2, 50, 5, r),
+        lambda r: lambda_scan(MODEL, 3, [SPEC], 2, 50, 5, r),
         math.inf,
         "rate_floor must be a finite number, got inf",
         id="floor-inf",
@@ -258,8 +257,8 @@ def test_float_threshold_refused_by_name(call, bad, refusal):
 
 def test_float_thresholds_read_numbers_of_any_type():
     assert repr(final_clustering(FINAL, 0)) == repr(final_clustering(FINAL, np.float64(0.0)))
-    scan = lambda_scan(MODEL, 3, [DRIFT_SPEC], 2, 50, 5, 0)
-    assert repr(scan) == repr(lambda_scan(MODEL, 3, [DRIFT_SPEC], 2, 50, 5, np.int64(0)))
+    scan = lambda_scan(MODEL, 3, [SPEC], 2, 50, 5, 0)
+    assert repr(scan) == repr(lambda_scan(MODEL, 3, [SPEC], 2, 50, 5, np.int64(0)))
     trajs = [one_walk(20)]
     assert classify_transience(trajs, (1, 0), 3, 1) == classify_transience(trajs, (1, 0), 3.0, np.float64(1.0))
 
