@@ -8,15 +8,18 @@ candidate when the path stays inside the shifted cone for a probationary
 window; windows cut short by the end of the trajectory are flagged as
 censored rather than silently confirmed.
 
-One rule answers every question the recursion asks of a candidate c: when
-does the path first leave the cone rooted at X_c?  ``_first_exit`` answers it
-for all candidates at once from a sparse table of range minima over each face
-functional, at O(N log min(H, N)) time per face and a transient
-L x (N + 2^L) int32 values per face (int64 when the faces can outgrow
-int32, and refused when they or the levels could reach the int64 maximum),
-L = min(H, N + 1).bit_length().  Each walk's positions, levels, fresh maxima
-and face table are built once, and its record keeps the level facts the
-renewal mean identity reads.
+Each face functional gets a sparse table of range minima, L levels of
+N + 2^L int32 values (int64 when the faces can outgrow int32, and refused
+when they or the levels could reach the int64 maximum),
+L = min(H, N + 1).bit_length(), built in O(N L) time per face with two
+levels held at a time (all L while exits are sought).  Two lookups in its
+top level confirm or fail every candidate at once.  One rule,
+``_first_exit``, says when the path first leaves the cone rooted at a failed
+candidate, and the scan asks it only where such an exit could land on a
+confirmed candidate; since the cone is closed under addition, no exit can
+jump past one.  Each walk's positions, levels, fresh maxima and face table
+are built once, and its record keeps the level facts the renewal mean
+identity reads.
 """
 
 from __future__ import annotations
@@ -248,61 +251,92 @@ def _faces(P: np.ndarray, spec: ConeSpec) -> np.ndarray:
     return (P @ spec.matrix.T).astype(_record_dtype((P.shape[0] - 1) * spec.face_norm), copy=False)
 
 
-def _first_exit(F: np.ndarray, cands: np.ndarray, H: int) -> np.ndarray:
-    """For each candidate c, the first m > c with F[m, k] < F[c, k] for some face k.
+def _min_levels(F: np.ndarray, H: int):
+    """Yield the levels of each face's sparse table of range minima: level j holds min(F[i : i + 2**j, k]) at [k, i].
 
-    When no such m is within c + H, the value returned is past c + H.  Each
-    face gets a sparse table of range minima, ``table[j][k, i]`` the minimum
-    of ``F[i : i + 2**j, k]`` for levels j = 0..L-1 with
-    L = min(H, len(F)).bit_length(), which is descended greedily from its top
-    level for all candidates at once.  The table keeps F's dtype (see
-    ``_faces``: int32 when N * max_k ||row_k||_1 < 2**31 - 1) and is padded
-    past the end of the path with that dtype's maximum, so no exit is found
-    there.
+    The levels are j = 0..L-1 with L = min(H, len(F)).bit_length().  They keep
+    F's dtype (see ``_faces``: int32 when N * max_k ||row_k||_1 < 2**31 - 1)
+    and are padded past the end of the path with that dtype's maximum, so no
+    face falls there.  Each level is built from the one before it, so a caller
+    that wants only the top level holds two at a time.
     """
     L = min(H, F.shape[0]).bit_length()
     pad = np.full((F.shape[1], (1 << L) - 1), np.iinfo(F.dtype).max, dtype=F.dtype)
-    table = [np.concatenate([F.T, pad], axis=1)]
+    level = np.concatenate([F.T, pad], axis=1)
+    yield level
     for j in range(1, L):
         half = 1 << (j - 1)
-        table.append(np.minimum(table[-1][:, :-half], table[-1][:, half:]))
+        level = np.minimum(level[:, :-half], level[:, half:])
+        yield level
+
+
+def _first_exit(F: np.ndarray, cands: np.ndarray, H: int) -> np.ndarray:
+    """For each candidate c, the first m > c with F[m, k] < F[c, k] for some face k.
+
+    When no such m is within c + H, the value returned is past c + H.  The
+    table of ``_min_levels`` is descended greedily from its top level for all
+    candidates at once.
+    """
+    table = list(_min_levels(F, H))
     base = F[cands].T
     pos = cands + 1
-    for j in range(L - 1, -1, -1):
+    for j in range(len(table) - 1, -1, -1):
         stays = (table[j].take(pos, axis=1) >= base).all(axis=0)
         pos += stays << j
     return pos
 
 
-def _levels(traj: Trajectory, spec: ConeSpec, confirm_horizon: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """The checked window H, the positions P, the levels P @ l and the fresh maxima of one walk."""
-    H = read_integer(confirm_horizon, "confirm_horizon", 1)
+def _levels(traj: Trajectory, spec: ConeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positions P, the levels P @ l and the fresh maxima of one walk."""
     if spec.dim != traj.dim:
         raise ConfigError("cone dimension does not match trajectory dimension")
     spec.check_steps(len(traj))
     P = traj.positions()
     s = P @ np.asarray(spec.l, dtype=np.int64)
-    return H, P, s, _fresh(s)
+    return P, s, _fresh(s)
 
 
 def _scan(fresh: np.ndarray, F: np.ndarray, H: int) -> tuple[np.ndarray, bool]:
-    """The recursion of ``detect_renewals`` on face table ``F``: kept candidates, and whether the last is censored."""
+    """The recursion of ``detect_renewals`` on face table ``F``: kept candidates, and whether the last is censored.
+
+    Candidate c is ok when no face falls below F[c] in (c, c + w],
+    w = min(H, N + 1): the two top-level entries of ``_min_levels`` that cover
+    the window say so for every candidate at once.  The recursion keeps every
+    ok candidate it visits, and it visits every one but those a failed
+    candidate's exit lands on.  A failed c' < c exits at some
+    r' <= min(c' + w, N), and it cannot jump past an ok c, since X_c lies in
+    X_c' + C and the cone is closed under addition: r' in (c, min(c + w, N)]
+    would put X_r' in X_c + C, inside X_c' + C.  An exit lands on c only when
+    the step into c lowers some face, so only those ok candidates ("suspects")
+    need the recursion: it runs, with ``_first_exit``, over the failed
+    candidates between a suspect and the ok candidate before it, after which
+    it always resumes.  A window cut off by the end of the path ends it.
+    """
     N = F.shape[0] - 1
-    nf = fresh.size
-    exit_at = _first_exit(F, fresh, H) if nf else fresh
     w = min(H, N + 1)  # a window reaching past the end of the path is cut off there
-    ok = exit_at > np.minimum(fresh + w, N)
-    censored = ok & (fresh + w > N)
-    succ = np.where(ok, np.arange(1, nf + 1), np.searchsorted(fresh, exit_at, side="right"))
-    succ[censored] = nf  # a window cut off by the end of the path ends the recursion
-    ok_l, succ_l = ok.tolist(), succ.tolist()
-    kept = []
-    j = 0
-    while j < nf:
-        if ok_l[j]:
-            kept.append(j)
-        j = succ_l[j]
-    return fresh[kept], bool(kept) and bool(censored[kept[-1]])
+    for top in _min_levels(F, H):  # only the top level is kept
+        pass
+    span = 1 << (w.bit_length() - 1)  # the top level's window: span <= w < 2 * span
+    base, below = (np.ascontiguousarray(F.take(t, axis=0).T) for t in (fresh, fresh - 1))  # faces at c and c - 1
+    low = np.minimum(top.take(fresh + 1, axis=1), top.take(fresh + w + 1 - span, axis=1))
+    ok = (low >= base).all(axis=0)
+    suspect = ok & (base < below).any(axis=0)
+    keep = ok.copy()
+    if suspect.any():
+        oks = np.flatnonzero(ok)
+        before = np.cumsum(ok) - ok  # the ok candidates before each one
+        chased = ~ok & np.append(suspect[oks], False)[before]  # failed, and the next ok candidate is a suspect
+        succ = np.zeros_like(fresh)
+        succ[chased] = np.searchsorted(fresh, _first_exit(F, fresh[chased], H), side="right")
+        succ_l = succ.tolist()
+        for c in np.flatnonzero(suspect).tolist():
+            j = int(oks[before[c] - 1]) + 1 if before[c] else 0  # the recursion resumes after each ok candidate
+            while j < c:
+                j = succ_l[j]
+            keep[c] = j == c
+    kept = fresh[keep]
+    cut = int(np.searchsorted(kept, N - w, side="right"))  # the first kept candidate whose window is cut off
+    return kept[: cut + 1], cut < kept.size
 
 
 def detect_renewals(traj: Trajectory, spec: ConeSpec, confirm_horizon: int) -> RenewalRecord:
@@ -314,10 +348,12 @@ def detect_renewals(traj: Trajectory, spec: ConeSpec, confirm_horizon: int) -> R
     recursion goes on to the next fresh maximum (the shifted path's first
     positive level); on failure at exit time r it skips to the first time the
     level exceeds the running maximum up to r, which is the first fresh
-    maximum after r.  Both successors are precomputed for every candidate, so
-    the recursion is a pointer chase.
+    maximum after r.  ``_scan`` confirms every candidate at once from its
+    window's range minima and follows the recursion only where an exit can
+    land on a confirmed candidate.
     """
-    H, P, s, fresh = _levels(traj, spec, confirm_horizon)
+    H = read_integer(confirm_horizon, "confirm_horizon", 1)
+    P, s, fresh = _levels(traj, spec)
     F = _faces(P, spec)
     times, censored = _scan(fresh, F, H)
     dtype = _record_dtype(len(traj))
@@ -371,6 +407,8 @@ def lambda_scan(
     only the face table and the recursion are per cone.
     """
     rate_floor = read_float(rate_floor, "rate_floor", 0)
+    H = read_integer(confirm_horizon, "confirm_horizon", 1)
+    horizon = read_integer(horizon, "horizon", 0)
     cones = list(cones)
     if not cones:
         raise ConfigError("lambda_scan needs at least one cone")
@@ -381,7 +419,7 @@ def lambda_scan(
         spec.check_steps(horizon)
     confirmed = [0] * len(specs)
     for t in simulate_ensemble(model, master_seed, n_walks, horizon):
-        H, P, _, fresh = _levels(t, specs[0], confirm_horizon)
+        P, _, fresh = _levels(t, specs[0])
         for k, spec in enumerate(specs):
             times, censored = _scan(fresh, _faces(P, spec), H)
             confirmed[k] += times.size - censored

@@ -154,6 +154,7 @@ def perturbed_srw(epsilon: float, drift_dir: int, dim: int) -> Homogeneous:
     drift_dir = read_integer(drift_dir, "drift_dir")
     if drift_dir == 0 or abs(drift_dir) > dim:
         raise ConfigError(f"drift_dir {drift_dir!r} out of range for d={dim}")
+    epsilon = read_float(epsilon, "epsilon")
     if not 0.0 < epsilon < 1.0 / (2 * dim):
         raise ConfigError("epsilon must lie in (0, 1/(2d))")
     base = np.full(2 * dim, 1.0 / (2 * dim))

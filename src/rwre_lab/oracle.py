@@ -23,7 +23,7 @@ import numpy as np
 
 from .env import Dirichlet, EnvironmentModel, FiniteMixture, QuenchedEnvironment, constant_vector
 from .errors import ConfigError, NumericError
-from .lattice import check_site, read_integer, read_integers, step_table
+from .lattice import check_site, read_float, read_integer, read_integers, step_table
 from .rng import TAG_ENV, derive_key
 from .stats import _mean_ci
 from .walk import _check_slab, _slab_exits
@@ -246,7 +246,9 @@ class SlabRegion:
     bound_width: int
 
     def __post_init__(self):
-        _check_slab(self.l_prime, self.b, self.L)
+        _, b, L = _check_slab(self.l_prime, self.b, self.L)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "L", L)
         object.__setattr__(self, "bound_width", read_integer(self.bound_width, "bound_width", 1))
 
     def mc_slab(self) -> tuple[tuple[float, ...], float, float]:
@@ -255,7 +257,7 @@ class SlabRegion:
 
     def build(self, env: QuenchedEnvironment, start=None) -> FiniteRegionProblem:
         d = env.dim
-        lp = _check_slab(self.l_prime, self.b, self.L, d)
+        lp, _, _ = _check_slab(self.l_prime, self.b, self.L, d)
         w = self.bound_width
         # the slab's sites can only be counted on the grid, so the grid's size is what is bounded
         if (2 * w + 1) ** d > MAX_REGION_SITES:
@@ -281,6 +283,7 @@ RegionDescriptor = IntervalRegion | BoxRegion | SlabRegion
 
 def gamblers_ruin(p: float, M: int, N_right: int) -> float:
     """Chance the homogeneous 1D walk hits +N_right before -M, starting at 0."""
+    p = read_float(p, "p")
     if not 0.0 < p < 1.0:
         raise ConfigError("p must lie strictly between 0 and 1")
     M, N_right = read_integer(M, "M", 1), read_integer(N_right, "N_right", 1)

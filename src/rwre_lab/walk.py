@@ -29,7 +29,15 @@ from .env import (
     transitions_for,
 )
 from .errors import ConfigError
-from .lattice import check_dim, decode_signed_axis, read_integer, read_integers, signed_axis_table, step_table
+from .lattice import (
+    check_dim,
+    decode_signed_axis,
+    read_float,
+    read_integer,
+    read_integers,
+    signed_axis_table,
+    step_table,
+)
 from .rng import TAG_ENV, TAG_STEP, TAG_WALKER, as_u64, derive_key, stream_u01
 
 
@@ -140,15 +148,17 @@ def _check_l(l, d: int | None = None) -> np.ndarray:
     return arr
 
 
-def _check_slab(l_prime, b: float, L: float, d: int | None = None) -> np.ndarray:
-    """l_prime as a float vector, once it is checked finite and nonzero with ``d`` entries.
+def _check_slab(l_prime, b: float, L: float, d: int | None = None) -> tuple[np.ndarray, float, float]:
+    """(l_prime, b, L) as a float vector and two floats, once l_prime is checked finite and nonzero with ``d`` entries.
 
-    b, L and b * L must be positive and finite, not NaN: no walker reaches a NaN or infinite face.
+    b and L are read by ``read_float``; they and b * L must be positive and finite, not NaN: no walker reaches a NaN or
+    infinite face.
     """
     lp = _check_l(np.asarray(l_prime, dtype=np.float64), d)
-    if not (0 < b < np.inf and 0 < L < np.inf and float(b) * float(L) < np.inf):
+    b, L = read_float(b, "b"), read_float(L, "L")
+    if not (0 < b and 0 < L and b * L < np.inf):
         raise ConfigError(f"slab parameters b, L and b * L must be positive and finite, got b = {b}, L = {L}")
-    return lp
+    return lp, b, L
 
 
 def _slab_exits(proj: np.ndarray, b: float, L: float) -> tuple[np.ndarray, np.ndarray]:
@@ -295,7 +305,7 @@ def region_exit_time(traj: Trajectory, region: Callable[[np.ndarray], np.ndarray
 
 def slab_region(l_prime, b: float, L: float) -> Callable[[np.ndarray], np.ndarray]:
     """Open slab {x : -bL < x . l' < L}; the predicate refuses sites whose dimension is not l''s length."""
-    lp = _check_slab(l_prime, b, L)
+    lp, b, L = _check_slab(l_prime, b, L)
 
     def inside(pts: np.ndarray) -> np.ndarray:
         if pts.shape[-1] != lp.shape[0]:
@@ -313,7 +323,8 @@ def shifted_cone_region(spec, apex) -> Callable[[np.ndarray], np.ndarray]:
 
 def slab_exit_side(traj: Trajectory, l_prime, b: float, L: float) -> SlabExit:
     """Which side of the slab the path exits first; boundary sites count as exits."""
-    right, left = _slab_exits(traj.positions() @ _check_slab(l_prime, b, L, traj.dim), b, L)
+    lp, b, L = _check_slab(l_prime, b, L, traj.dim)
+    right, left = _slab_exits(traj.positions() @ lp, b, L)
     t = StopResult.first(right | left).time
     if t is None:
         return SlabExit(None, None)
@@ -406,10 +417,13 @@ def run_slab_ensemble(
     width from a single pass over the walkers.
     """
     n_walks, horizon = read_integer(n_walks, "n_walks", 0), read_integer(horizon, "horizon", 0)
-    if np.ndim(Ls) != 1 or not len(Ls) or any(hi <= lo for lo, hi in zip(Ls, Ls[1:])):
+    if np.ndim(Ls) != 1 or not len(Ls):
         raise ConfigError("slab widths L must be a nonempty, strictly increasing sequence")
-    for width in Ls:
-        lp = _check_slab(l_prime, b, width, model.dim)
+    slabs = [_check_slab(l_prime, b, width, model.dim) for width in Ls]
+    lp, b, _ = slabs[0]
+    Ls = [L for _, _, L in slabs]
+    if any(hi <= lo for lo, hi in zip(Ls, Ls[1:])):
+        raise ConfigError("slab widths L must be a nonempty, strictly increasing sequence")
     counts = _slab_block(model, *ensemble_seeds(master_seed, n_walks), lp, b, Ls, horizon)
     return [SlabTally(*map(int, row), n_walks) for row in counts]
 

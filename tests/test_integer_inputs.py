@@ -36,6 +36,7 @@ from rwre_lab import (
     run_slab_ensemble,
     sample_dirichlet,
     simulate,
+    slab_exit_side,
 )
 from rwre_lab.cli import _FLOAT, _INTEGER, _RATIONAL
 from rwre_lab.lattice import read_float, read_integer, read_rational
@@ -48,7 +49,7 @@ from rwre_lab.stats import (
     slab_exit_decay,
     zero_one_scan,
 )
-from rwre_lab.walk import simulate_ensemble
+from rwre_lab.walk import simulate_ensemble, slab_region
 
 MODEL = perturbed_srw(0.1, 1, 2)
 SPEC = ConeSpec((1, 1), ((1, 1), (1, -1)), Fraction(1, 2), (1, 0))
@@ -97,6 +98,26 @@ CASES = [
 @pytest.mark.parametrize("call, bad, name", CASES)
 def test_entry_point_refuses_a_non_integer_by_name(call, bad, name):
     with pytest.raises(ConfigError, match=f"^{name} must (be an integer|hold integers), got {bad!r}$"):
+        call(bad)
+
+
+def scan_no_walks(confirm_horizon=5, horizon=50):
+    return lambda_scan(MODEL, 3, [SPEC], 0, horizon, confirm_horizon, 0.5)
+
+
+# lambda_scan reads its windows before any walk, so no walk is needed to refuse them; with no walks it once
+# returned a rate-0 row for a window of 0 or "x"
+SCAN_WINDOWS = [
+    (lambda h: scan_no_walks(confirm_horizon=h), 0, "confirm_horizon must be at least 1"),
+    (lambda h: scan_no_walks(confirm_horizon=h), "x", "confirm_horizon must be an integer, got 'x'"),
+    (lambda n: scan_no_walks(horizon=n), -1, "horizon must be at least 0"),
+    (lambda n: scan_no_walks(horizon=n), 2.5, "horizon must be an integer, got 2.5"),
+]
+
+
+@pytest.mark.parametrize("call, bad, refusal", SCAN_WINDOWS)
+def test_lambda_scan_refuses_its_windows_with_no_walks(call, bad, refusal):
+    with pytest.raises(ConfigError, match=f"^{re.escape(refusal)}$"):
         call(bad)
 
 
@@ -206,8 +227,14 @@ def test_integral_concentrations_read_as_their_floats():
 
 FINAL = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])  # two antipodal clusters under theta_tol nan, max deviation pi/2
 
-# (call, bad value, refusal): each float threshold is read by lattice.read_float; a negative rate floor once chose
-# lambda 1 whatever the rate, and a bool or a numeric string was read as its float
+
+def slab_tallies(b=1.0, L=3.0):
+    return run_slab_ensemble(MODEL, 1, 4, [1, 0], b, [2.0, L], 50)
+
+
+# (call, bad value, refusal): each float threshold and parameter is read by lattice.read_float; a negative rate
+# floor once chose lambda 1 whatever the rate, a bool or a numeric string was read as its float, and a string
+# epsilon, p, b or L ended in a bare TypeError
 FLOAT_CASES = [
     pytest.param(
         lambda t: final_clustering(FINAL, t), math.nan, "theta_tol must be a finite number, got nan", id="tol-nan"
@@ -246,6 +273,20 @@ FLOAT_CASES = [
     pytest.param(
         lambda b: zero_one_scan(MODEL, 3, 4, 2, 10, orth_band=b), -0.5, "orth_band must be at least 0", id="band"
     ),
+    pytest.param(lambda e: perturbed_srw(e, 1, 2), "0.1", "epsilon must be a finite number, got '0.1'", id="epsilon"),
+    pytest.param(lambda p: gamblers_ruin(p, 3, 3), "0.6", "p must be a finite number, got '0.6'", id="ruin-p"),
+    pytest.param(lambda b: slab_tallies(b=b), "1", "b must be a finite number, got '1'", id="b"),
+    pytest.param(lambda L: slab_tallies(L=L), "3", "L must be a finite number, got '3'", id="L"),
+    pytest.param(lambda b: slab_region([1, 0], b, 3.0), True, "b must be a finite number, got True", id="region-b"),
+    pytest.param(
+        lambda L: slab_exit_side(one_walk(5), [1, 0], 1.0, L), None, "L must be a finite number, got None", id="side-L"
+    ),
+    pytest.param(
+        lambda b: SlabRegion((1.0, 0.0), b, 3.0, 2), True, "b must be a finite number, got True", id="slab-region-b"
+    ),
+    pytest.param(
+        lambda L: SlabRegion((1.0, 0.0), 1.0, L, 2), "3", "L must be a finite number, got '3'", id="slab-region-L"
+    ),
 ]
 
 
@@ -253,6 +294,15 @@ FLOAT_CASES = [
 def test_float_threshold_refused_by_name(call, bad, refusal):
     with pytest.raises(ConfigError, match=f"^{re.escape(refusal)}$"):
         call(bad)
+
+
+def test_float_parameters_read_numbers_of_any_type():
+    assert perturbed_srw(np.float64(0.1), 1, 2) == perturbed_srw(0.1, 1, 2)
+    assert gamblers_ruin(np.float64(0.5), 3, 3) == gamblers_ruin(0.5, 3, 3) == 0.5
+    region = SlabRegion((1.0, 0.0), 1, np.float64(3), 2)
+    assert region == SlabRegion((1.0, 0.0), 1.0, 3.0, 2) and type(region.b) is float and type(region.L) is float
+    tallies = run_slab_ensemble(MODEL, 1, 4, [1, 0], np.int64(1), [2, np.float64(3)], 50)
+    assert tallies == run_slab_ensemble(MODEL, 1, 4, [1, 0], 1.0, [2.0, 3.0], 50)
 
 
 def test_float_thresholds_read_numbers_of_any_type():

@@ -7,9 +7,10 @@ and ``ref_renewal_mean_identity`` are the level-hit rule and the identity
 estimator that kept every walk's full level array and classed each walk by
 it (``ref_classify_levels``).  ``ref_lambda_scan`` is
 the interpolation-weight scan that ran ``detect_renewals`` once per walk and
-grid value, and ``ref_first_exit`` the first-exit rule on int64 face tables
-alone.  They are kept as oracles: the scan must reproduce their records,
-reports, rows and exits exactly.
+grid value, ``ref_first_exit`` the first-exit rule on int64 face tables
+alone, and ``ref_scan`` the recursion that found every candidate's first exit
+and chased the successors they gave.  They are kept as oracles: the scan must
+reproduce their records, reports, rows, exits and kept candidates exactly.
 """
 
 from bisect import bisect_right
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwre_lab import ConeSpec, Homogeneous, Trajectory, TransitionVector, detect_renewals
+from rwre_lab import cone
 from rwre_lab.cone import (
     DEFAULT_LAMBDA_GRID,
     LambdaScanResult,
@@ -29,6 +31,7 @@ from rwre_lab.cone import (
     _faces,
     _first_exit,
     _fresh,
+    _scan,
     lambda_scan,
     renewal_rate,
 )
@@ -153,6 +156,26 @@ def ref_first_exit(F, cands, H):
     return pos
 
 
+def ref_scan(fresh: np.ndarray, F: np.ndarray, H: int) -> tuple[np.ndarray, bool]:
+    """The recursion of ``detect_renewals`` on face table ``F``: kept candidates, and whether the last is censored."""
+    N = F.shape[0] - 1
+    nf = fresh.size
+    exit_at = _first_exit(F, fresh, H) if nf else fresh
+    w = min(H, N + 1)  # a window reaching past the end of the path is cut off there
+    ok = exit_at > np.minimum(fresh + w, N)
+    censored = ok & (fresh + w > N)
+    succ = np.where(ok, np.arange(1, nf + 1), np.searchsorted(fresh, exit_at, side="right"))
+    succ[censored] = nf  # a window cut off by the end of the path ends the recursion
+    ok_l, succ_l = ok.tolist(), succ.tolist()
+    kept = []
+    j = 0
+    while j < nf:
+        if ok_l[j]:
+            kept.append(j)
+        j = succ_l[j]
+    return fresh[kept], bool(kept) and bool(censored[kept[-1]])
+
+
 def ref_level_hits(s, i_min, i_max):
     run = np.maximum.accumulate(s)
     levels = np.arange(i_min, i_max + 1, dtype=np.int64)
@@ -272,6 +295,19 @@ def assert_same_record(got: RenewalRecord, want: RenewalRecord) -> None:
     assert got.censored_tail is want.censored_tail
 
 
+def scan_inputs(traj: Trajectory, spec: ConeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The fresh maxima and the face table that ``detect_renewals`` hands to ``_scan``."""
+    P = traj.positions()
+    return _fresh(P @ np.asarray(spec.l)), _faces(P, spec)
+
+
+def assert_same_scan(traj: Trajectory, spec: ConeSpec, H: int) -> None:
+    """``_scan`` keeps the candidates the pointer chase of ``ref_scan`` kept, and flags the same censored tail."""
+    fresh, F = scan_inputs(traj, spec)
+    (times, censored), (want_times, want_censored) = _scan(fresh, F, H), ref_scan(fresh, F, H)
+    assert np.array_equal(times, want_times) and censored is want_censored
+
+
 # Per dimension, cones whose direction passes the check.  The d = 2 skew cone
 # has faces that fall on a step that raises the level, so a candidate can
 # leave its cone at a fresh maximum.
@@ -322,6 +358,7 @@ def test_records_match_old_scan(d, lam):
             traj = Trajectory(steps, d, 0)
             for H in horizons(len(traj)):
                 assert_same_record(detect_renewals(traj, spec, H), ref_detect_renewals(traj, spec, H))
+                assert_same_scan(traj, spec, H)
 
 
 def test_special_paths_cover_their_cases():
@@ -345,6 +382,7 @@ def test_skew_cone_exits_at_fresh_maxima():
     assert leaves.any()
     for H in (1, 2, 3, 4, 5, 8, 16, len(traj) + 1):
         assert_same_record(detect_renewals(traj, spec, H), ref_detect_renewals(traj, spec, H))
+        assert_same_scan(traj, spec, H)
 
 
 @st.composite
@@ -370,10 +408,59 @@ def test_random_steps_and_cones_match_old_scan(case):
     traj, spec, H = case
     rec = detect_renewals(traj, spec, H)
     assert_same_record(rec, ref_detect_renewals(traj, spec, H))
+    assert_same_scan(traj, spec, H)
     P = traj.positions()
     levels = (P @ np.asarray(spec.l))[_fresh(P @ np.asarray(spec.l))].tolist()
     assert_hit_runs(rec, levels)
     assert rec.stays is bool(spec.contains((0,) * spec.dim, P).all())
+
+
+# the upward cone x_2 >= |x_1| with l = (1, 2): a step along +e1 raises the level and lowers the first face
+UPWARD = ConeSpec((1, 1), ((-1, 1), (1, 1)), Fraction(1), (1, 2))
+
+
+def test_an_exit_that_lands_on_a_confirmed_candidate_skips_it():
+    """The recursion skips a confirmed candidate that a failed one exits at, as the pointer chase did."""
+    # +e1 +e1 +e2 +e2: the candidate at time 1 leaves its cone at time 2, itself a candidate that stays in its
+    # cone through time 3 when H = 1; the chase goes on to time 3
+    traj = Trajectory(np.asarray([0, 0, 2, 2], np.int8), 2, 0)
+    fresh, F = scan_inputs(traj, UPWARD)
+    assert fresh.tolist() == [1, 2, 3, 4]
+    ok = _first_exit(F, fresh, 1) > fresh + 1
+    assert ok.tolist() == [False, True, True, True]
+    times, censored = _scan(fresh, F, 1)
+    assert times.tolist() == [3, 4] and censored
+    assert_same_scan(traj, UPWARD, 1)
+    # longer walks skip many confirmed candidates, censored or not, and the scan still keeps what the chase kept
+    rng = np.random.default_rng(5)
+    skipped = 0
+    for _ in range(40):
+        traj = Trajectory(rng.choice(4, size=400, p=drift_probs((0, 1), 1.0)).astype(np.int8), 2, 0)
+        fresh, F = scan_inputs(traj, UPWARD)
+        for H in (1, 3, 20):
+            N = len(traj)
+            ok = _first_exit(F, fresh, H) > np.minimum(fresh + H, N)
+            times, _ = ref_scan(fresh, F, H)
+            skipped += np.count_nonzero(ok & (fresh <= N - H)) - np.count_nonzero(times <= N - H)
+            assert_same_scan(traj, UPWARD, H)
+    assert skipped > 0
+
+
+def test_the_workload_cone_asks_for_no_exit(monkeypatch):
+    """The benchmark's renewal cone asks for no exit: its one level-raising step, +e1, raises every face."""
+
+    def refuse(*args):
+        raise AssertionError("_first_exit was called")
+
+    monkeypatch.setattr(cone, "_first_exit", refuse)
+    with pytest.raises(AssertionError, match="_first_exit was called"):  # the scan reaches the patched rule
+        detect_renewals(Trajectory(np.asarray([0, 0, 2, 2], np.int8), 2, 0), UPWARD, 1)
+    model = Homogeneous(TransitionVector([0.4, 0.1, 0.25, 0.25]))
+    cones = [ConeSpec((1, 1), ((1, 1), (1, -1)), lam, (1, 0)) for lam in DEFAULT_LAMBDA_GRID]
+    for t in simulate_ensemble(model, 20260808, 10, 3000):
+        assert all(detect_renewals(t, spec, 300).n_confirmed > 0 for spec in cones)
+    result = lambda_scan(model, 20260808, cones, 10, 3000, 300, 0.5)
+    assert all(row.confirmed > 0 for row in result.rows)
 
 
 # ---------------------------------------------------------------- face table width
