@@ -18,7 +18,7 @@ from .env import (
     sample_dirichlet,
 )
 from .errors import ConfigError, NumericError
-from .cone import ConeSpec, RenewalRecord, cone_contains, detect_renewals, fresh_maxima, lambda_scan
+from .cone import ConeSpec, RenewalRecord, cone_contains, detect_renewals, lambda_scan
 from .oracle import (
     BoxRegion,
     FiniteRegionProblem,
@@ -31,11 +31,7 @@ from .oracle import (
     solomon_1d,
 )
 from .walk import (
-    StopResult,
     Trajectory,
-    backtrack_time,
-    first_passage,
-    region_exit_time,
     run_slab_ensemble,
     simulate,
     simulate_ensemble,
@@ -54,18 +50,13 @@ __all__ = [
     "QuenchedEnvironment",
     "sample_dirichlet",
     "Trajectory",
-    "StopResult",
     "simulate",
     "simulate_ensemble",
     "run_slab_ensemble",
-    "first_passage",
-    "backtrack_time",
-    "region_exit_time",
     "slab_exit_side",
     "ConeSpec",
     "RenewalRecord",
     "cone_contains",
-    "fresh_maxima",
     "detect_renewals",
     "lambda_scan",
     "FiniteRegionProblem",

@@ -24,7 +24,6 @@ identity reads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -75,7 +74,6 @@ class ConeSpec:
     l: tuple[int, ...]
     check_direction: bool = True
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    _dual: list = field(init=False, repr=False, compare=False)  # inverse of the signed basis
     face_norm: int = field(init=False, repr=False, compare=False)  # max_k ||row_k||_1 of ``matrix``
 
     def __post_init__(self):
@@ -116,7 +114,6 @@ class ConeSpec:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "_dual", dual)
         object.__setattr__(self, "face_norm", max(sum(map(abs, row)) for row in rows))
         self.check_steps(1)  # a cone no step can use; its face rows may not fit int64
         mat = np.asarray(rows, dtype=np.int64)
@@ -126,18 +123,6 @@ class ConeSpec:
     @property
     def dim(self) -> int:
         return len(self.sigma)
-
-    def extreme_rays(self) -> list[tuple[int, ...]]:
-        """Integer extreme rays of the signed-basis cone (lambda = 1 geometry)."""
-        d = self.dim
-        rays = []
-        for j in range(d):
-            col = [self._dual[i][j] for i in range(d)]
-            scale = math.lcm(*[f.denominator for f in col])
-            ray = [int(f * scale) for f in col]
-            g = math.gcd(*[abs(x) for x in ray]) or 1
-            rays.append(tuple(x // g for x in ray))
-        return rays
 
     def check_steps(self, n_steps: int) -> None:
         """Refuse N steps when N * ||l||_1 (levels) or N * max_k ||row_k||_1 (faces) reaches the int64 maximum."""
@@ -168,11 +153,6 @@ def _level_facts(s: np.ndarray) -> tuple:
     """The step count N of levels s[0..N], the final level s[N], and the max and min of the last half s[(N+1)//2:]."""
     tail = s[s.shape[0] // 2 :]
     return s.shape[0] - 1, s[-1], tail.max(), tail.min()
-
-
-def fresh_maxima(traj: Trajectory, l) -> np.ndarray:
-    """Times n with X_n . l strictly above every earlier value (and above 0)."""
-    return _fresh(traj.positions() @ np.asarray(read_direction(l, "l", traj.dim), dtype=np.int64))
 
 
 @dataclass(eq=False)
@@ -213,10 +193,6 @@ class RenewalRecord:
     @property
     def n_confirmed(self) -> int:
         return self.times.shape[0] - (1 if self.censored_tail else 0)
-
-    @property
-    def confirmed_times(self) -> np.ndarray:
-        return self.times[: self.n_confirmed]
 
     @property
     def confirmed_positions(self) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .lattice import check_dim, check_site, direction_index, read_float, read_integer
+from .lattice import check_dim, direction_index, integer_array, read_float, read_integer
 from .rng import (
     TAG_SITE,
     U64,
@@ -312,9 +312,8 @@ class QuenchedEnvironment:
         return self.model.dim
 
     def transitions_at(self, coords) -> np.ndarray:
-        """Vectorized lookup: (n, d) sites -> (n, 2d) probabilities."""
-        return transitions_for(self.model, site_key_prefix(as_u64(self.master_seed)), coords)
-
-    def transition_at(self, x) -> TransitionVector:
-        site = check_site(x, self.dim)
-        return TransitionVector(self.transitions_at(site[None, :])[0])
+        """Vectorized lookup: (n, d) sites, read by ``integer_array``, -> (n, 2d) probabilities."""
+        sites = integer_array(coords, "sites")
+        if sites.ndim != 2 or sites.shape[1] != self.dim:
+            raise ConfigError(f"sites must be an (n, {self.dim}) array, got shape {sites.shape}")
+        return transitions_for(self.model, site_key_prefix(as_u64(self.master_seed)), sites)

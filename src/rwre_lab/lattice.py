@@ -57,15 +57,6 @@ def signed_axis_table(d: int) -> np.ndarray:
     return table
 
 
-def decode_signed_axis(s: int, d: int) -> int:
-    """Direction index of a signed axis; bools, floats and strings are refused, not rounded."""
-    if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-        raise ConfigError(f"signed axis {s!r} is not an integer")
-    if s == 0 or abs(s) > d:
-        raise ConfigError(f"signed axis {s!r} out of range for dimension {d}")
-    return direction_index(abs(int(s)) - 1, 1 if s > 0 else -1)
-
-
 def _integer(x, refusal: str) -> int:
     if isinstance(x, (float, np.floating)) and float(x).is_integer():
         return int(x)
@@ -89,7 +80,9 @@ def read_integer(x, name: str, least: int | None = None) -> int:
 def read_float(x, name: str, least: float | None = None) -> float:
     """``x`` as a float by the one float rule of the config and the library: a finite int or float is its value; a
     bool, a string, a number a float cannot hold, anything else or a value below ``least`` is refused by name."""
-    number = isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    if isinstance(x, np.floating):
+        x = float(x)  # a float16 or float32 compared with the float64 maximum would overflow casting it
+    number = isinstance(x, (int, float, np.integer)) and not isinstance(x, bool)
     if number and -sys.float_info.max <= x <= sys.float_info.max:  # NaN, infinities and ints past the range fail
         return _at_least(float(x), name, least)
     raise ConfigError(f"{name} must be a finite number, got {x!r}")
@@ -120,6 +113,10 @@ def integer_array(x, name: str) -> np.ndarray:
     """The array ``x`` read whole by the rule of ``read_integer``: an integer array int64 holds is returned as it
     is, a float array of integral entries inside the int64 range becomes int64, and any other entry is refused."""
     arr = np.asarray(x)
+    if arr.dtype.kind in "iuf" and not isinstance(x, np.ndarray):  # numpy reads the bools of a list as numbers
+        bools = [v for v in np.asarray(x, dtype=object).flat if isinstance(v, (bool, np.bool_))]
+        if bools:
+            raise ConfigError(f"{name} must hold integers int64 holds, got {bools[0]!r}")
     if arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64):
         return arr
     bad = arr[(np.trunc(arr) != arr) | ~(np.abs(arr) < 2.0**63)] if arr.dtype.kind == "f" else arr

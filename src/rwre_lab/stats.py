@@ -175,7 +175,7 @@ def summarize(trajs: Sequence[Trajectory], l=None) -> PathSummary:
     n_steps = np.array([len(t) for t in trajs], dtype=np.int64)
     if l is None:
         return PathSummary(final, n_steps)
-    lv = np.asarray(_check_l(l, d), dtype=np.float64)
+    lv = _check_l(l, d)
     return PathSummary(final, n_steps, lv, _level_rows(trajs, lv[None, :])[:, 0])
 
 

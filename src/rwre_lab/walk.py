@@ -1,4 +1,4 @@
-"""Quenched trajectory simulation and path stopping times.
+"""Quenched trajectory simulation and slab exits.
 
 An ensemble's walkers advance in lockstep as one numpy block.  The step taken
 by walker ``i`` at time ``t`` depends only on (master seed, i, t) and on the
@@ -7,7 +7,7 @@ walker ``i``'s path depends only on (master seed, i): no other walker, and no
 grouping of walkers, can change it.  One step kernel, ``_step``, serves both
 the full-path and the slab-exit simulations; a full path under a law every
 site shares skips it and draws a tile of times at once by the same rule.
-Stopping times on finite paths return an explicit not-by-horizon marker
+A walk that leaves no slab within its horizon gets an explicit ``None`` exit
 instead of a large sentinel; downstream estimators must treat that as
 censoring.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,10 +31,8 @@ from .env import (
 from .errors import ConfigError
 from .lattice import (
     check_dim,
-    decode_signed_axis,
     read_float,
     read_integer,
-    read_integers,
     signed_axis_table,
     step_table,
 )
@@ -88,44 +86,6 @@ class Trajectory:
             "steps": signed_axis_table(self.dim)[self.steps].tolist(),
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Trajectory":
-        for key in ("dim", "walker_seed", "steps"):
-            if not isinstance(obj, dict) or key not in obj:
-                raise ConfigError(f"a trajectory must be a JSON object with the key {key!r}")
-        for key in ("dim", "walker_seed"):  # bools, floats and strings are refused, not rounded
-            if isinstance(obj[key], bool) or not isinstance(obj[key], (int, np.integer)):
-                raise ConfigError(f"{key} {obj[key]!r} is not an integer")
-        if not isinstance(obj["steps"], (list, tuple)):
-            raise ConfigError(f"steps must be a list of signed axes, got {obj['steps']!r}")
-        d = check_dim(int(obj["dim"]))
-        steps = [decode_signed_axis(s, d) for s in obj["steps"]]
-        return cls(np.asarray(steps, dtype=np.int8), d, int(obj["walker_seed"]))
-
-
-@dataclass(frozen=True)
-class StopResult:
-    """Outcome of a stopping time on a finite path: hit at ``time`` or censored."""
-
-    time: int | None
-
-    @property
-    def hit(self) -> bool:
-        return self.time is not None
-
-    @classmethod
-    def at(cls, time: int) -> "StopResult":
-        return cls(int(time))
-
-    @classmethod
-    def not_by_horizon(cls) -> "StopResult":
-        return cls(None)
-
-    @classmethod
-    def first(cls, mask: np.ndarray) -> "StopResult":
-        """The first index where ``mask`` holds, else not-by-horizon."""
-        return cls.at(np.argmax(mask)) if mask.any() else cls.not_by_horizon()
-
 
 class Side(Enum):
     RIGHT = "right"
@@ -139,22 +99,26 @@ class SlabExit:
 
 
 def _check_l(l, d: int | None = None) -> np.ndarray:
-    """``l`` as an array, once it is checked a finite nonzero vector, with ``d`` entries when ``d`` is given."""
-    arr = np.asarray(l)
-    if arr.ndim != 1 or not np.any(arr != 0) or not np.all(np.isfinite(arr)):
-        raise ConfigError("direction l must be a finite nonzero vector")
+    """``l`` as a float64 vector, each entry read by ``read_float``, once it is checked nonzero, with ``d`` entries
+    when ``d`` is given."""
+    try:
+        arr = np.array([read_float(x, "direction l") for x in l], dtype=np.float64)
+    except (TypeError, ConfigError):  # not a vector, or an entry read_float refuses
+        arr = None
+    if arr is None or not arr.any():
+        raise ConfigError(f"direction l must be a finite nonzero vector of numbers, got {l!r}")
     if d is not None and arr.shape[0] != d:
         raise ConfigError(f"direction l must have {d} entries (the dimension), got {arr.shape[0]}")
     return arr
 
 
 def _check_slab(l_prime, b: float, L: float, d: int | None = None) -> tuple[np.ndarray, float, float]:
-    """(l_prime, b, L) as a float vector and two floats, once l_prime is checked finite and nonzero with ``d`` entries.
+    """(l_prime, b, L) as a float vector and two floats, once l_prime is checked by ``_check_l`` with ``d`` entries.
 
     b and L are read by ``read_float``; they and b * L must be positive and finite, not NaN: no walker reaches a NaN or
     infinite face.
     """
-    lp = _check_l(np.asarray(l_prime, dtype=np.float64), d)
+    lp = _check_l(l_prime, d)
     b, L = read_float(b, "b"), read_float(L, "L")
     if not (0 < b and 0 < L and b * L < np.inf):
         raise ConfigError(f"slab parameters b, L and b * L must be positive and finite, got b = {b}, L = {L}")
@@ -277,57 +241,14 @@ def block_walkers(horizon: int) -> int:
     return max(1, _BLOCK_STEPS // max(1, horizon))
 
 
-def first_passage(traj: Trajectory, l, s: float) -> StopResult:
-    """Least n with X_n . l > s (strict), else not-by-horizon."""
-    return StopResult.first(traj.positions() @ _check_l(l, traj.dim) > s)
-
-
-def backtrack_time(traj: Trajectory, l) -> StopResult:
-    """Least n >= 1 with X_n . l < X_0 . l, else not-by-horizon."""
-    lv = traj.positions() @ _check_l(l, traj.dim)
-    return StopResult.first(lv < lv[0])
-
-
-def region_exit_time(traj: Trajectory, region: Callable[[np.ndarray], np.ndarray]) -> StopResult:
-    """Least n with X_n outside the region, else not-by-horizon.
-
-    ``region`` is a vectorized membership predicate: it receives an (m, d)
-    int array of sites and returns a boolean mask of the same length.
-    """
-    pos = traj.positions()
-    inside = np.asarray(region(pos), dtype=bool)
-    if inside.shape != (pos.shape[0],):
-        raise ConfigError("region predicate must return one boolean per site")
-    if not inside[0]:
-        raise ValueError("region must contain the starting site")
-    return StopResult.first(~inside)
-
-
-def slab_region(l_prime, b: float, L: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Open slab {x : -bL < x . l' < L}; the predicate refuses sites whose dimension is not l''s length."""
-    lp, b, L = _check_slab(l_prime, b, L)
-
-    def inside(pts: np.ndarray) -> np.ndarray:
-        if pts.shape[-1] != lp.shape[0]:
-            raise ConfigError(f"slab direction l' has {lp.shape[0]} entries, but the sites have {pts.shape[-1]}")
-        return ~np.logical_or(*_slab_exits(pts @ lp, b, L))
-
-    return inside
-
-
-def shifted_cone_region(spec, apex) -> Callable[[np.ndarray], np.ndarray]:
-    """Region apex + cone, exact integer arithmetic via the cone's matrix."""
-    a = np.asarray(read_integers(apex, "apex", spec.dim), dtype=np.int64)
-    return lambda pts: spec.contains(a, pts)
-
-
 def slab_exit_side(traj: Trajectory, l_prime, b: float, L: float) -> SlabExit:
     """Which side of the slab the path exits first; boundary sites count as exits."""
     lp, b, L = _check_slab(l_prime, b, L, traj.dim)
     right, left = _slab_exits(traj.positions() @ lp, b, L)
-    t = StopResult.first(right | left).time
-    if t is None:
+    exits = right | left
+    if not exits.any():
         return SlabExit(None, None)
+    t = int(np.argmax(exits))
     return SlabExit(Side.RIGHT if right[t] else Side.LEFT, t)
 
 

@@ -3,8 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rwre_lab import ConfigError, ConeSpec, Trajectory, cone_contains, detect_renewals, fresh_maxima
-from rwre_lab.cone import DEFAULT_LAMBDA_GRID, lambda_scan
+from rwre_lab import ConfigError, ConeSpec, Trajectory, cone_contains, detect_renewals
+from rwre_lab.cone import DEFAULT_LAMBDA_GRID, _fresh, _levels, lambda_scan
 from rwre_lab.stats import pooled_increments
 
 DIAG = ConeSpec((1, 1), ((1, 1), (1, -1)), Fraction(1), (1, 0))
@@ -98,7 +98,6 @@ class TestConeSpec:
             ConeSpec((1, 1), ((1, 0), (0, 1)), Fraction(1, 5), (2**62, 1))
 
     def test_diagonal_basis_is_valid(self):
-        assert DIAG.extreme_rays() == [(1, 1), (1, -1)]
         assert DIAG.matrix.tolist() == [[1, 1], [1, -1]]
 
     def test_lambda_string_accepted(self):
@@ -162,6 +161,8 @@ class TestConeContains:
         spec = ConeSpec((1, 1), ((1, 0), (0, 1)), Fraction(1, 2), (1, 1))
         with pytest.raises(ConfigError, match="points must hold integers int64 holds, got -0.5"):
             spec.contains((0, 0), [(-0.5, 0)])
+        with pytest.raises(ConfigError, match="apex must hold integers, got 0.5"):
+            spec.contains((0.5, 0), [(1, 0)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0**63], ids=str)
     def test_batch_refuses_a_non_finite_or_too_large_point(self, bad):
@@ -205,35 +206,30 @@ class TestConeContains:
 
 # ---------------------------------------------------------------- fresh maxima
 
+def fresh_along(traj, l):
+    """The fresh maxima a renewal run reads along l: ``_levels`` of a cone with direction l."""
+    d = len(l)
+    basis = tuple(tuple(int(i == k) for i in range(d)) for k in range(d))
+    return _levels(traj, ConeSpec((1,) * d, basis, Fraction(1, 2), l, check_direction=False))[2]
+
+
 class TestFreshMaxima:
     def test_monotone_path(self):
         t = Trajectory(np.zeros(12, np.int8), 2, 0)
-        assert fresh_maxima(t, (1, 0)).tolist() == list(range(1, 13))
+        assert fresh_along(t, (1, 0)).tolist() == list(range(1, 13))
 
     def test_hand_case(self):
         # +e1, -e1, +e1, +e1: levels 1,0,1,2 -> fresh at 1 and 4
         t = Trajectory(np.asarray([0, 1, 0, 0], np.int8), 1, 0)
-        assert fresh_maxima(t, (1,)).tolist() == [1, 4]
+        assert fresh_along(t, (1,)).tolist() == [1, 4]
 
     def test_matches_quadratic_oracle(self, rng):
         for _ in range(25):
             steps = rng.integers(0, 4, size=rng.integers(1, 150)).astype(np.int8)
             t = Trajectory(steps, 2, 0)
             l = (1, 0) if rng.integers(2) else (0, 1)
-            assert fresh_maxima(t, l).tolist() == fresh_maxima_oracle(t, l)
-
-    def test_requires_primitive_l(self):
-        t = Trajectory(np.zeros(3, np.int8), 2, 0)
-        with pytest.raises(ConfigError):
-            fresh_maxima(t, (2, 0))
-
-    def test_refuses_a_fractional_or_wrong_length_l(self):
-        t = Trajectory(np.zeros(3, np.int8), 2, 0)
-        with pytest.raises(ConfigError, match="l must hold integers, got 1.5"):
-            fresh_maxima(t, (1.5, 0))  # once read as (1, 0)
-        with pytest.raises(ConfigError, match=r"l must have 2 entries \(the dimension\), got 3"):
-            fresh_maxima(t, (1, 0, 0))
-        assert fresh_maxima(t, (1.0, 0)).tolist() == [1, 2, 3]
+            want = fresh_maxima_oracle(t, l)
+            assert fresh_along(t, l).tolist() == _fresh(t.positions() @ np.asarray(l)).tolist() == want
 
 
 # ---------------------------------------------------------------- renewal detection
@@ -242,7 +238,7 @@ def recheck_record(traj, spec, H, rec):
     """Post-hoc oracle: fresh maximum plus windowed containment, via cone_contains."""
     pos = traj.positions()
     lv = pos @ np.asarray(spec.l)
-    for tau in rec.confirmed_times:
+    for tau in rec.times[: rec.n_confirmed]:
         assert (lv[:tau] < lv[tau]).all(), "confirmed renewal is not a fresh maximum"
         for m in range(tau, min(len(traj), tau + H) + 1):
             assert cone_contains(spec, pos[tau], pos[m]), "path leaves the cone in the window"
@@ -255,7 +251,7 @@ class TestDetectRenewals:
         spec = ConeSpec((1, 1), ((1, 0), (0, 1)), Fraction(1, 2), (1, 0), check_direction=False)
         t = Trajectory(np.zeros(n, np.int8), 2, 0)
         rec = detect_renewals(t, spec, H)
-        assert rec.confirmed_times.tolist() == list(range(1, n - H + 1))
+        assert rec.times[: rec.n_confirmed].tolist() == list(range(1, n - H + 1))
         assert rec.censored_tail
         assert rec.times[-1] == n - H + 1
 

@@ -44,8 +44,7 @@ class TestTransitionVector:
 class TestModels:
     def test_homogeneous_ignores_site(self):
         env = QuenchedEnvironment(Homogeneous(TransitionVector([0.4, 0.1, 0.25, 0.25])), 1)
-        for site in [(0, 0), (5, -3), (1000, 999)]:
-            assert np.array_equal(env.transition_at(site).probs, [0.4, 0.1, 0.25, 0.25])
+        assert np.array_equal(env.transitions_at([(0, 0), (5, -3), (1000, 999)]), [[0.4, 0.1, 0.25, 0.25]] * 3)
 
     def test_perturbed_srw_vector(self):
         model = perturbed_srw(0.1, 1, 2)
@@ -90,15 +89,20 @@ class TestModels:
 
     def test_dimension_mismatch_raises(self):
         env = QuenchedEnvironment(Homogeneous(TransitionVector([0.5, 0.5])), 3)
-        with pytest.raises(ConfigError):
-            env.transition_at((1, 2))
+        with pytest.raises(ConfigError, match=r"sites must be an \(n, 1\) array, got shape \(1, 2\)"):
+            env.transitions_at([(1, 2)])
 
     def test_fractional_site_refused(self):
-        # (0.5,) was once truncated to the site (0,)
-        env = QuenchedEnvironment(Homogeneous(TransitionVector([0.5, 0.5])), 3)
-        with pytest.raises(ConfigError, match="site must hold integers, got 0.5"):
-            env.transition_at((0.5,))
-        assert np.array_equal(env.transition_at((2.0,)).probs, [0.5, 0.5])
+        # [[0.5, 0]] was once truncated to the site (0, 0), and [[True, 0]] read as (1, 0)
+        for model in (Homogeneous(TransitionVector([0.4, 0.1, 0.25, 0.25])), Dirichlet((1.0,) * 4)):
+            env = QuenchedEnvironment(model, 3)
+            for bad, shown in (([[0.5, 0]], "0.5"), ([[True, 0]], "True"), ([[1, 0], [0, np.nan]], "nan")):
+                with pytest.raises(ConfigError, match=f"sites must hold integers int64 holds, got {shown}"):
+                    env.transitions_at(bad)
+            for bad in ([1, 0], [[[1, 0]]]):
+                with pytest.raises(ConfigError, match=r"sites must be an \(n, 2\) array"):
+                    env.transitions_at(bad)
+            assert np.array_equal(env.transitions_at([[2.0, -1.0]]), env.transitions_at([[2, -1]]))
 
 
 class TestDeterminism:
@@ -109,7 +113,7 @@ class TestDeterminism:
         script = (
             "from rwre_lab import Dirichlet, QuenchedEnvironment;"
             "print(repr(QuenchedEnvironment(Dirichlet((1.3, 0.6, 2.0, 0.9)), 271828)"
-            ".transition_at((17, -4)).probs.tolist()))"
+            ".transitions_at([(17, -4)]).tolist()))"
         )
         outs = {
             subprocess.run(
@@ -119,18 +123,18 @@ class TestDeterminism:
         }
         here = repr(
             QuenchedEnvironment(Dirichlet((1.3, 0.6, 2.0, 0.9)), 271828)
-            .transition_at((17, -4))
-            .probs.tolist()
+            .transitions_at([(17, -4)])
+            .tolist()
         )
         assert outs == {here + "\n"}
 
     def test_dirichlet_site_is_pure(self):
         env = QuenchedEnvironment(Dirichlet((1.0, 1.0)), 12345)
-        first = env.transition_at((0,)).probs
-        second = env.transition_at((0,)).probs
+        first = env.transitions_at([(0,)])
+        second = env.transitions_at([(0,)])
         assert np.array_equal(first, second)
         # a fresh object with the same seed reproduces the value bitwise
-        again = QuenchedEnvironment(Dirichlet((1.0, 1.0)), 12345).transition_at((0,)).probs
+        again = QuenchedEnvironment(Dirichlet((1.0, 1.0)), 12345).transitions_at([(0,)])
         assert np.array_equal(first, again)
 
     def test_batched_lookup_matches_scalar(self):
@@ -138,11 +142,11 @@ class TestDeterminism:
         sites = np.array([[0, 0], [3, -2], [-9, 14]])
         batch = env.transitions_at(sites)
         for row, site in zip(batch, sites):
-            assert np.array_equal(row, env.transition_at(site).probs)
+            assert np.array_equal(row, env.transitions_at(site[None, :])[0])
 
     def test_distinct_seeds_differ(self):
-        a = QuenchedEnvironment(Dirichlet((1.0, 1.0)), 1).transition_at((0,)).probs
-        b = QuenchedEnvironment(Dirichlet((1.0, 1.0)), 2).transition_at((0,)).probs
+        a = QuenchedEnvironment(Dirichlet((1.0, 1.0)), 1).transitions_at([(0,)])
+        b = QuenchedEnvironment(Dirichlet((1.0, 1.0)), 2).transitions_at([(0,)])
         assert not np.array_equal(a, b)
 
 

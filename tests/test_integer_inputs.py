@@ -29,7 +29,6 @@ from rwre_lab import (
     SlabRegion,
     annealed_exit,
     detect_renewals,
-    fresh_maxima,
     gamblers_ruin,
     lambda_scan,
     perturbed_srw,
@@ -39,6 +38,7 @@ from rwre_lab import (
     slab_exit_side,
 )
 from rwre_lab.cli import _FLOAT, _INTEGER, _RATIONAL
+from rwre_lab.cone import _levels
 from rwre_lab.lattice import read_float, read_integer, read_rational
 from rwre_lab.rng import derive_key
 from rwre_lab.stats import (
@@ -49,7 +49,7 @@ from rwre_lab.stats import (
     slab_exit_decay,
     zero_one_scan,
 )
-from rwre_lab.walk import simulate_ensemble, slab_region
+from rwre_lab.walk import simulate_ensemble
 
 MODEL = perturbed_srw(0.1, 1, 2)
 SPEC = ConeSpec((1, 1), ((1, 1), (1, -1)), Fraction(1, 2), (1, 0))
@@ -167,7 +167,8 @@ def cone_along(l):
     return ConeSpec((1, 1), ((1, 1), (1, -1)), "1/2", l)
 
 
-# (l, refusal): ConeSpec and fresh_maxima read an integer direction by the one rule of lattice.read_direction
+# (l, refusal): ConeSpec reads an integer direction by the one rule of lattice.read_direction, and a run reads its
+# fresh maxima along the cone's l (cone._levels)
 DIRECTIONS = [
     ((0, 0), r"^l must be a nonzero integer vector with gcd 1, got \(0, 0\)$"),
     ((2, 0), r"^l must be a nonzero integer vector with gcd 1, got \(2, 0\)$"),
@@ -181,18 +182,15 @@ DIRECTIONS = [
 
 @pytest.mark.parametrize("l, refusal", DIRECTIONS, ids=repr)
 def test_cone_and_fresh_maxima_share_one_direction_rule(l, refusal):
-    traj = one_walk(50)
     with pytest.raises(ConfigError, match=refusal):
         cone_along(l)
-    with pytest.raises(ConfigError, match=refusal):
-        fresh_maxima(traj, l)
 
 
 def test_integral_directions_read_as_their_integers():
     traj = one_walk(200)
     for l in ((1.0, 0), np.array([1, 0]), np.array([1.0, 0.0])):
         assert cone_along(l).l == (1, 0) and all(type(x) is int for x in cone_along(l).l)
-        assert fresh_maxima(traj, l).tolist() == fresh_maxima(traj, (1, 0)).tolist()
+        assert _levels(traj, cone_along(l))[2].tolist() == _levels(traj, cone_along((1, 0)))[2].tolist()
 
 
 # (alphas, refusal): Dirichlet and sample_dirichlet read concentrations by one rule; "1.5" and True were once read
@@ -277,7 +275,7 @@ FLOAT_CASES = [
     pytest.param(lambda p: gamblers_ruin(p, 3, 3), "0.6", "p must be a finite number, got '0.6'", id="ruin-p"),
     pytest.param(lambda b: slab_tallies(b=b), "1", "b must be a finite number, got '1'", id="b"),
     pytest.param(lambda L: slab_tallies(L=L), "3", "L must be a finite number, got '3'", id="L"),
-    pytest.param(lambda b: slab_region([1, 0], b, 3.0), True, "b must be a finite number, got True", id="region-b"),
+    pytest.param(lambda b: SlabRegion([1, 0], b, 3.0, 2), True, "b must be a finite number, got True", id="region-b"),
     pytest.param(
         lambda L: slab_exit_side(one_walk(5), [1, 0], 1.0, L), None, "L must be a finite number, got None", id="side-L"
     ),
@@ -336,6 +334,48 @@ def test_integral_floats_read_as_their_integers():
     assert [w.steps.tolist() for w in walks] == [w.steps.tolist() for w in simulate_ensemble(MODEL, 3, 3, 10)[1:]]
     env = QuenchedEnvironment(MODEL, 1)
     assert np.array_equal(BoxRegion((-1.0, -1), (1, 1)).build(env).sites, BoxRegion((-1, -1), (1, 1)).build(env).sites)
+
+
+# (numpy scalar, read_float, read_integer, read_rational), None where the rule refuses it by name: a float16 or
+# float32 once overflowed casting the float64 maximum, and a numpy bool is no number, as a Python bool is none
+NUMPY_SCALARS = [
+    (np.float16(0.5), 0.5, None, Fraction(1, 2)),
+    (np.float32(0.1), float(np.float32(0.1)), None, Fraction(1, 10)),
+    (np.float64(0.5), 0.5, None, Fraction(1, 2)),
+    (np.float16(-2), -2.0, -2, Fraction(-2)),
+    (np.float32(3), 3.0, 3, Fraction(3)),
+    (np.float64(3), 3.0, 3, Fraction(3)),
+    (np.int8(-3), -3.0, -3, Fraction(-3)),
+    (np.int16(3), 3.0, 3, Fraction(3)),
+    (np.int32(3), 3.0, 3, Fraction(3)),
+    (np.int64(-(2**63)), -(2.0**63), -(2**63), Fraction(-(2**63))),
+    (np.uint8(255), 255.0, 255, Fraction(255)),
+    (np.uint16(3), 3.0, 3, Fraction(3)),
+    (np.uint32(3), 3.0, 3, Fraction(3)),
+    (np.uint64(2**64 - 1), 2.0**64, 2**64 - 1, Fraction(2**64 - 1)),
+    (np.bool_(True), None, None, None),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "x, as_float, as_integer, as_rational", [pytest.param(*r, id=f"{type(r[0]).__name__}({r[0]})") for r in NUMPY_SCALARS]
+)
+def test_numpy_scalars_read_by_each_rule(x, as_float, as_integer, as_rational):
+    for read, want in ((read_float, as_float), (read_integer, as_integer), (read_rational, as_rational)):
+        if want is None:
+            with pytest.raises(ConfigError, match=f"^x must be .*, got {re.escape(repr(x))}$"):
+                read(x, "x")
+        else:
+            got = read(x, "x")
+            assert got == want and type(got) is type(want)
+
+
+def test_ints_past_the_float_range_refused_by_name():
+    for x in (10**400, -(2**1024)):
+        with pytest.raises(ConfigError, match=f"^x must be a finite number, got {x}$"):
+            read_float(x, "x")
+    assert read_float(2**1023, "x") == 2.0**1023
 
 
 @pytest.mark.parametrize("x", [10, 10.0, 2**70, -3.0, 2.5, True, "3", None], ids=repr)

@@ -8,27 +8,25 @@ from rwre_lab import (
     ConfigError,
     Homogeneous,
     QuenchedEnvironment,
-    StopResult,
+    SlabRegion,
     Trajectory,
     TransitionVector,
-    backtrack_time,
-    first_passage,
-    region_exit_time,
     simulate,
     simulate_ensemble,
     slab_exit_side,
 )
-from rwre_lab.lattice import check_dim, encode_signed_axis
+from rwre_lab.lattice import check_dim, encode_signed_axis, signed_axis_table
 from rwre_lab.rng import TAG_ENV, TAG_WALKER, derive_key
 from rwre_lab.stats import classify_transience, estimate_speed
 from rwre_lab.walk import (
     Side,
+    SlabExit,
     run_slab_ensemble,
-    slab_region,
     step_counts,
 )
 
 UP, DOWN = 0, 1  # +e1 / -e1 direction indices
+DRIFT_2D = Homogeneous(TransitionVector([0.4, 0.1, 0.25, 0.25]))
 
 
 def traj_1d(steps):
@@ -37,29 +35,14 @@ def traj_1d(steps):
 
 # ---------------------------------------------------------------- oracles
 
-def scan_first_passage(traj, l, s):
+def scan_slab_exit(traj, lp, b, L):
+    """The first (side, time) at which the path leaves the open slab -bL < x . l' < L, one site at a time."""
     pos = traj.positions()
     for n in range(pos.shape[0]):
-        if pos[n] @ np.asarray(l) > s:
-            return n
-    return None
-
-
-def scan_backtrack(traj, l):
-    pos = traj.positions()
-    lv = pos @ np.asarray(l)
-    for n in range(1, pos.shape[0]):
-        if lv[n] < lv[0]:
-            return n
-    return None
-
-
-def scan_region_exit(traj, member):
-    pos = traj.positions()
-    for n in range(pos.shape[0]):
-        if not member(pos[n]):
-            return n
-    return None
+        h = pos[n] @ lp
+        if not -b * L < h < L:
+            return SlabExit(Side.RIGHT if h >= L else Side.LEFT, n)
+    return SlabExit(None, None)
 
 
 # ---------------------------------------------------------------- simulate
@@ -111,42 +94,11 @@ class TestSimulate:
     def test_json_roundtrip(self, drift2d):
         env = QuenchedEnvironment(drift2d, 4)
         t = simulate(env, 12, 37)
-        back = Trajectory.from_json_obj(t.to_json_obj())
+        obj = t.to_json_obj()
+        steps = [list(signed_axis_table(obj["dim"])).index(s) for s in obj["steps"]]  # the signed axes decoded
+        back = Trajectory(np.asarray(steps, np.int8), obj["dim"], obj["walker_seed"])
         assert np.array_equal(back.steps, t.steps)
         assert back.walker_seed == t.walker_seed
-
-    @pytest.mark.parametrize("bad", [0.5, 2.9, True, "1"], ids=repr)
-    def test_json_steps_must_be_integers(self, bad):
-        with pytest.raises(ConfigError, match=re.escape(f"signed axis {bad!r} is not an integer")):
-            Trajectory.from_json_obj({"dim": 2, "walker_seed": 1, "steps": [bad, 1]})
-
-    @pytest.mark.parametrize("bad", [2.9, 2.0, True, "2"], ids=repr)
-    @pytest.mark.parametrize("field", ["dim", "walker_seed"])
-    def test_json_dim_and_seed_must_be_integers(self, field, bad):
-        obj = {"dim": 2, "walker_seed": 1, "steps": [1, -2]}
-        obj[field] = bad
-        with pytest.raises(ConfigError, match=re.escape(f"{field} {bad!r} is not an integer")):
-            Trajectory.from_json_obj(obj)
-
-    @pytest.mark.parametrize("dim", [0, 5, -1])
-    def test_json_dim_out_of_range(self, dim):
-        with pytest.raises(ConfigError, match="dimension must be an integer in 1..4"):
-            Trajectory.from_json_obj({"dim": dim, "walker_seed": 1, "steps": []})
-
-    @pytest.mark.parametrize(
-        "obj, message",
-        [
-            ({"dim": 2, "walker_seed": 1}, "a trajectory must be a JSON object with the key 'steps'"),
-            ({"walker_seed": 1, "steps": []}, "a trajectory must be a JSON object with the key 'dim'"),
-            ({"dim": 2, "walker_seed": 1, "steps": 5}, "steps must be a list of signed axes, got 5"),
-            ([2, 1, [1, -2]], "a trajectory must be a JSON object with the key 'dim'"),
-        ],
-        ids=["no-steps", "no-dim", "scalar-steps", "list"],
-    )
-    def test_json_malformed_object_refused_by_name(self, obj, message):
-        # each once ended in a KeyError or a TypeError
-        with pytest.raises(ConfigError, match=re.escape(message)):
-            Trajectory.from_json_obj(obj)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_json_steps_match_per_step_encoding(self, d):
@@ -169,68 +121,20 @@ class TestSimulate:
             Trajectory(np.zeros(3, np.int8), dim, 0)
 
 
-# ---------------------------------------------------------------- stopping times
-
-class TestFirstPassage:
-    def test_first_step_crosses(self):
-        assert first_passage(traj_1d([UP]), [1], 0) == StopResult.at(1)
-
-    def test_dip_then_cross(self):
-        # positions -1, 0, 1; first n with X_n > 0 is 3
-        assert first_passage(traj_1d([DOWN, UP, UP]), [1], 0) == StopResult.at(3)
-
-    def test_zero_l_rejected(self):
-        with pytest.raises(ConfigError):
-            first_passage(traj_1d([UP]), [0], 0)
-
-    def test_matches_scan_oracle(self, rng):
-        for _ in range(40):
-            steps = rng.integers(0, 4, size=rng.integers(1, 120)).astype(np.int8)
-            t = Trajectory(steps, 2, 0)
-            l = rng.integers(-3, 4, size=2)
-            if not l.any():
-                l[0] = 1
-            s = float(rng.integers(-5, 6))
-            assert first_passage(t, l, s).time == scan_first_passage(t, l, s)
-
-
-class TestBacktrack:
-    def test_monotone_path_never_backtracks(self):
-        assert backtrack_time(traj_1d([UP] * 10), [1]) == StopResult.not_by_horizon()
-
-    def test_immediate(self):
-        assert backtrack_time(traj_1d([DOWN]), [1]) == StopResult.at(1)
-
-    def test_matches_scan_oracle(self, rng):
-        for _ in range(40):
-            steps = rng.integers(0, 4, size=rng.integers(1, 120)).astype(np.int8)
-            t = Trajectory(steps, 2, 0)
-            l = rng.integers(-3, 4, size=2)
-            if not l.any():
-                l[1] = 2
-            assert backtrack_time(t, l).time == scan_backtrack(t, l)
-
+# ---------------------------------------------------------------- slab exits
 
 class TestRegionExit:
-    def test_everything_region(self):
-        t = traj_1d([UP, DOWN, UP])
-        assert region_exit_time(t, lambda pts: np.ones(len(pts), bool)).hit is False
+    """The slab is the one region a run leaves: ``slab_exit_side`` against a loop over the path's sites."""
 
     def test_slab_boundary_counts_as_exit(self):
         # slab -2 < x < 2: X_2 = 2 is outside the open slab
         t = Trajectory(np.asarray([0, 0], dtype=np.int8), 1, 0)
-        assert region_exit_time(t, slab_region([1.0], 1.0, 2.0)) == StopResult.at(2)
+        assert slab_exit_side(t, [1.0], 1.0, 2.0) == SlabExit(Side.RIGHT, 2)
 
     def test_slab_of_another_dimension_rejected(self):
-        # the predicate is built before it sees a site, so it checks the sites' dimension on each call
         t = Trajectory(np.asarray([0, 2, 0], dtype=np.int8), 2, 0)
-        with pytest.raises(ConfigError, match="l' has 3 entries, but the sites have 2"):
-            region_exit_time(t, slab_region([1.0, 0.0, 0.0], 1.0, 3.0))
-
-    def test_start_outside_rejected(self):
-        t = traj_1d([UP])
-        with pytest.raises(ValueError):
-            region_exit_time(t, lambda pts: (pts[:, 0] > 5))
+        with pytest.raises(ConfigError, match=r"direction l must have 2 entries \(the dimension\), got 3"):
+            slab_exit_side(t, [1.0, 0.0, 0.0], 1.0, 3.0)
 
     def test_matches_scan_oracle(self, rng):
         for _ in range(30):
@@ -239,35 +143,7 @@ class TestRegionExit:
             b = float(rng.uniform(0.5, 2.0))
             L = float(rng.integers(1, 6))
             lp = rng.normal(size=2)
-            region = slab_region(lp, b, L)
-            got = region_exit_time(t, region).time
-            want = scan_region_exit(t, lambda x: -b * L < x @ lp < L)
-            assert got == want
-
-    def test_shifted_cone_region(self):
-        from fractions import Fraction
-
-        from rwre_lab import ConeSpec, cone_contains
-        from rwre_lab.walk import shifted_cone_region
-
-        spec = ConeSpec((1, 1), ((1, 1), (1, -1)), Fraction(1), (1, 0))
-        # +e1, +e2, -e1: (1,1) sits on the wedge boundary (inside); (0,1) is out
-        t = Trajectory(np.asarray([0, 2, 1], np.int8), 2, 0)
-        got = region_exit_time(t, shifted_cone_region(spec, (0, 0)))
-        want = scan_region_exit(t, lambda x: cone_contains(spec, (0, 0), x))
-        assert got.time == want == 3
-
-    def test_shifted_cone_region_refuses_an_apex_of_the_wrong_dimension(self):
-        from fractions import Fraction
-
-        from rwre_lab import ConeSpec
-        from rwre_lab.walk import shifted_cone_region
-
-        spec = ConeSpec((1, 1), ((1, 1), (1, -1)), Fraction(1), (1, 0))
-        with pytest.raises(ConfigError, match=r"apex must have 2 entries \(the dimension\), got 3"):
-            shifted_cone_region(spec, (0, 0, 0))
-        with pytest.raises(ConfigError, match="apex must hold integers, got 0.5"):
-            shifted_cone_region(spec, (0.5, 0))
+            assert slab_exit_side(t, lp, b, L) == scan_slab_exit(t, lp, b, L)
 
 
 class TestSlabExit:
@@ -305,8 +181,11 @@ class TestSlabExit:
 
     @pytest.mark.parametrize("l", [[float("nan")], [float("inf")], [1.0, float("-inf")]], ids=str)
     def test_non_finite_direction_refused(self, l):
+        t = Trajectory(np.zeros(1, np.int8), len(l), 0)
         with pytest.raises(ConfigError, match="finite"):
-            first_passage(traj_1d([UP]), l, 0.0)
+            slab_exit_side(t, l, 1.0, 3.0)
+        with pytest.raises(ConfigError, match="finite"):
+            classify_transience([t], l)
 
     def test_tally_matches_per_walk_classification(self):
         model = Homogeneous(TransitionVector([0.6, 0.4]))
@@ -372,14 +251,41 @@ class TestDirectionLength:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda t: first_passage(t, [1, 0, 0], 2),
-            lambda t: backtrack_time(t, [1]),
+            lambda t: run_slab_ensemble(DRIFT_2D, 1, 1, [1, 0, 0], 1.0, [3.0], 10),
+            lambda t: SlabRegion([1.0], 1.0, 3.0, 2).build(QuenchedEnvironment(DRIFT_2D, 1)),
             lambda t: estimate_speed([t], (1, 0, 0)),
             lambda t: classify_transience([t], (1, 0, 0)),
             lambda t: slab_exit_side(t, [1.0, 0.0, 0.0], 1.0, 3.0),
         ],
-        ids=["first_passage", "backtrack_time", "estimate_speed", "classify_transience", "slab_exit_side"],
+        ids=["run_slab_ensemble", "SlabRegion", "estimate_speed", "classify_transience", "slab_exit_side"],
     )
     def test_wrong_length_refused_by_name(self, call):
         with pytest.raises(ConfigError, match="direction l must have 2 entries"):
             call(self.traj)
+
+
+class TestDirectionFloatRule:
+    """Every entry of a direction l or l' is read by ``read_float``: a string or a bool was once read as its number,
+    and other entries ended in a bare ValueError or TypeError."""
+
+    traj = simulate(QuenchedEnvironment(DRIFT_2D, 5), 7, 60)
+    calls = [
+        lambda l: run_slab_ensemble(DRIFT_2D, 1, 5, l, 1.0, [3.0], 100),
+        lambda l: slab_exit_side(TestDirectionFloatRule.traj, l, 1.0, 3.0),
+        lambda l: SlabRegion(l, 1.0, 3.0, 2).build(QuenchedEnvironment(DRIFT_2D, 1)).sites.tolist(),
+        lambda l: classify_transience([TestDirectionFloatRule.traj], l),
+    ]
+    ids = ["run_slab_ensemble", "slab_exit_side", "SlabRegion", "classify_transience"]
+
+    @pytest.mark.parametrize("call", calls, ids=ids)
+    @pytest.mark.parametrize("l", [["1", "0"], [True, False], ["x", 0], [None, 1.0], 1.0, [[1.0, 0.0]]], ids=repr)
+    def test_refused_by_name(self, call, l):
+        refusal = f"direction l must be a finite nonzero vector of numbers, got {l!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(refusal)}$"):
+            call(l)
+
+    @pytest.mark.parametrize("call", calls, ids=ids)
+    def test_numbers_of_any_type_read_as_the_same_floats(self, call):
+        want = repr(call([1.0, 0.0]))
+        for l in ((1, 0), np.array([1, 0], np.int8), np.array([1.0, 0.0], np.float32), [np.float16(1), np.uint64(0)]):
+            assert repr(call(l)) == want
