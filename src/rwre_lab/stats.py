@@ -303,7 +303,7 @@ def _mean_direction(samples: np.ndarray, route: str) -> DirectionEstimate | Insu
     if norm == 0.0:
         return InsufficientData("mean displacement is zero")
     nu = mean / norm
-    unit = samples / np.linalg.norm(samples, axis=1, keepdims=True)
+    unit = samples / _stable_norm(samples)[:, None]
     angles = np.arccos(np.clip(unit @ nu, -1.0, 1.0))
     return DirectionEstimate(nu, float(angles.mean()), samples.shape[0], route)
 

@@ -166,7 +166,7 @@ def ref_raw_direction(trajs, level_threshold=None):
     if norm == 0.0:
         return InsufficientData("mean displacement is zero")
     nu = mean / norm
-    unit = samples / np.linalg.norm(samples, axis=1, keepdims=True)
+    unit = samples / _stable_norm(samples)[:, None]
     angles = np.arccos(np.clip(unit @ nu, -1.0, 1.0))
     return DirectionEstimate(nu, float(angles.mean()), samples.shape[0], ROUTE_RAW)
 
