@@ -74,7 +74,8 @@ from .stats import (
     ROUTE_RENEWAL,
     PathSummary,
     _binom_se,
-    _class_estimates,
+    classify_transience,
+    estimate_speed,
     final_clustering,
     independence_test,
     pooled_increments,  # unused here, but perfbench/tracer.py wraps cli.pooled_increments and fails without it
@@ -214,7 +215,7 @@ def _direction(cfg: ExperimentConfig) -> tuple[list[dict], None]:
     l, lvl, dip = cfg["l"], cfg["thresholds.level_threshold"], cfg["thresholds.dip_allowance"]
     _, rows, records, parts = _renewals(cfg, lambda block: summarize(block, l))
     walks = PathSummary.join(parts)
-    verdict, speed = _class_estimates(walks, lvl, dip)
+    verdict, speed = classify_transience(walks, lvl, dip), estimate_speed(walks, lvl, dip)
     rows.append(
         {
             "record": "transience",

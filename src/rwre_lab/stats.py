@@ -18,7 +18,7 @@ import numpy as np
 
 from .cone import ConeSpec, RenewalRecord, _level_facts
 from .errors import ConfigError
-from .lattice import read_float, read_integer, read_integers
+from .lattice import read_float, read_integer
 from .walk import Trajectory, _check_l, run_slab_ensemble, simulate_ensemble
 
 Z95 = 1.959963984540054
@@ -168,10 +168,10 @@ def summarize(trajs: Sequence[Trajectory], l=None) -> PathSummary:
     """The ``PathSummary`` of ``trajs``, with the level facts along ``l`` when it is given.
 
     The final positions come from the step counts; only the level facts build
-    the paths.
+    the paths.  With no walk, ``l`` is checked without a length.
     """
-    d = trajs[0].dim if trajs else 0
-    final = np.array([t.final_position() for t in trajs], dtype=np.int64).reshape(len(trajs), d)
+    d = trajs[0].dim if trajs else None
+    final = np.array([t.final_position() for t in trajs], dtype=np.int64).reshape(len(trajs), d or 0)
     n_steps = np.array([len(t) for t in trajs], dtype=np.int64)
     if l is None:
         return PathSummary(final, n_steps)
@@ -190,16 +190,26 @@ class TransienceVerdict:
     n_walks: int
 
 
+def _summary_classes(walks: PathSummary, name: str, level_threshold, dip_allowance) -> tuple[float, float, np.ndarray]:
+    """The level threshold, the dip allowance and each walk's transience class along ``walks.l``; a refusal names the
+    estimator ``name``."""
+    if not walks.n_steps.size:
+        raise ValueError(f"{name} needs a nonempty ensemble")
+    if walks.levels is None:
+        raise ValueError(f"{name} needs a summary along a direction: summarize(trajs, l)")
+    thr, dip = _resolve_thresholds(int(walks.n_steps[0]), level_threshold, dip_allowance)
+    return thr, dip, _classes(walks.levels, thr, dip)
+
+
 def classify_transience(
-    trajs: Sequence[Trajectory],
-    l,
-    level_threshold: float | None = None,
-    dip_allowance: float | None = None,
+    walks: PathSummary, level_threshold: float | None = None, dip_allowance: float | None = None
 ) -> TransienceVerdict:
-    """Classify an ensemble as transient toward +l, toward -l, or undecided."""
-    if not trajs:
-        raise ValueError("classify_transience needs a nonempty ensemble")
-    return _class_estimates(summarize(trajs, l), level_threshold, dip_allowance)[0]
+    """Classify an ensemble, from its summary along ``walks.l``, as transient toward +l, toward -l, or undecided."""
+    thr, dip, cls = _summary_classes(walks, "classify_transience", level_threshold, dip_allowance)
+    p_plus, p_minus = map(float, _shares(cls))
+    return TransienceVerdict(
+        tuple(float(x) for x in walks.l), _verdict(p_plus, p_minus), p_plus, p_minus, thr, dip, cls.shape[0]
+    )
 
 
 @dataclass(frozen=True)
@@ -214,42 +224,23 @@ class SpeedEstimate:
 
 
 def estimate_speed(
-    trajs: Sequence[Trajectory],
-    l,
-    level_threshold: float | None = None,
-    dip_allowance: float | None = None,
+    walks: PathSummary, level_threshold: float | None = None, dip_allowance: float | None = None
 ) -> SpeedEstimate:
-    """Mean of X_N . l / N with a normal CI, split by transience class."""
-    if not trajs:
-        raise ValueError("estimate_speed needs a nonempty ensemble")
-    return _class_estimates(summarize(trajs, l), level_threshold, dip_allowance)[1]
-
-
-def _class_estimates(
-    walks: PathSummary, level_threshold: float | None, dip_allowance: float | None
-) -> tuple[TransienceVerdict, SpeedEstimate]:
-    """``classify_transience`` and ``estimate_speed`` along ``walks.l`` of a nonempty ensemble, from its summary."""
-    thr, dip = _resolve_thresholds(int(walks.n_steps[0]), level_threshold, dip_allowance)
-    cls = _classes(walks.levels, thr, dip)
-    n = cls.shape[0]
-    p_plus, p_minus = map(float, _shares(cls))
-    verdict = TransienceVerdict(
-        tuple(float(x) for x in walks.l), _verdict(p_plus, p_minus), p_plus, p_minus, thr, dip, n
-    )
+    """Mean of X_N . l / N with a normal CI, split by transience class, from the ensemble's summary along l."""
+    cls = _summary_classes(walks, "estimate_speed", level_threshold, dip_allowance)[2]
     vals = walks.levels[:, 0] / np.maximum(walks.n_steps, 1)
     mean, _, ci = _mean_ci(vals)
     plus = vals[cls > 0]
     minus = vals[cls < 0]
-    speed = SpeedEstimate(
+    return SpeedEstimate(
         mean,
         ci,
-        n,
+        cls.shape[0],
         float(plus.mean()) if plus.size else None,
         int(plus.size),
         float(minus.mean()) if minus.size else None,
         int(minus.size),
     )
-    return verdict, speed
 
 
 @dataclass(eq=False)
@@ -264,18 +255,11 @@ ROUTE_RAW = "raw-limit"
 ROUTE_RENEWAL = "renewal-lln"
 
 
-def estimate_direction(
-    trajs: Sequence[Trajectory], level_threshold: float | None = None
-) -> DirectionEstimate | InsufficientData:
-    """Asymptotic-direction estimate by the raw route: the mean of X_N / |X_N| over the walks whose final radius
-    clears the transience threshold (see ``raw_direction``)."""
-    if not trajs:
-        return InsufficientData("no trajectories supplied")
-    return raw_direction(summarize(trajs), level_threshold)
-
-
 def raw_direction(walks: PathSummary, level_threshold: float | None = None) -> DirectionEstimate | InsufficientData:
-    """The raw route of the direction estimate on a nonempty ensemble's summary."""
+    """Asymptotic-direction estimate by the raw route, from the ensemble's summary: the mean of X_N / |X_N| over the
+    walks whose final radius clears the transience threshold."""
+    if not walks.n_steps.size:
+        return InsufficientData("no trajectories supplied")
     thr = _resolve_thresholds(int(walks.n_steps[0]), level_threshold, None)[0]
     x = walks.final.astype(np.float64)
     r = _stable_norm(x)
@@ -422,52 +406,6 @@ def independence_test(increments: np.ndarray | Sequence[RenewalRecord]) -> Indep
 
 
 @dataclass(eq=False)
-class OscillationReport:
-    mean: float
-    mean_ci: tuple[float, float]
-    n: int
-    sign_changes: int
-    running_min: float
-    running_max: float
-    increment_std: float
-    degenerate: bool
-
-
-def orthogonal_oscillation(
-    records: Sequence[RenewalRecord], l, l_star
-) -> OscillationReport | InsufficientData:
-    """Partial-sum statistics of renewal increments projected orthogonally to l.
-
-    The projected increments should be centered, and their partial sums should
-    oscillate: sign changes accumulate and the running extrema grow in both
-    directions.  A path locked to the direction l produces all-zero
-    projections; that degenerate case is flagged, not averaged away.
-    """
-    li = np.asarray(read_integers(l, "l"), dtype=np.int64)
-    ls = np.asarray(read_integers(l_star, "l_star", li.shape[0]), dtype=np.int64)
-    if int(li @ ls) != 0:
-        raise ValueError("l_star must be exactly orthogonal to l")
-    y = increment_projections(records, ls)
-    if y.size == 0:
-        return InsufficientData("no confirmed renewal increments")
-    partial = np.cumsum(y)
-    mean, sd, ci = _mean_ci(y)
-    signs = np.sign(partial)
-    nz = signs[signs != 0]
-    changes = int(np.count_nonzero(np.diff(nz))) if nz.size else 0
-    return OscillationReport(
-        mean,
-        ci,
-        int(y.size),
-        changes,
-        float(partial.min()),
-        float(partial.max()),
-        sd,
-        bool(np.all(y == 0.0)),
-    )
-
-
-@dataclass(eq=False)
 class RenewalIdentityReport:
     """Two-sided check of the mean renewal advance against its probability form.
 
@@ -604,13 +542,9 @@ class ClusterResult:
 ANTIPODAL_TOL = 0.05
 
 
-def antipodal_clustering(trajs: Sequence[Trajectory], theta_tol: float = 0.3) -> ClusterResult:
-    """Split final directions by the leading principal axis and test tightness."""
-    return final_clustering(summarize(trajs).final, theta_tol)
-
-
 def final_clustering(final: np.ndarray, theta_tol: float = 0.3) -> ClusterResult:
-    """``antipodal_clustering`` of the walks whose final positions are the rows of ``final``."""
+    """Split the final directions, the rows of ``final`` over their norms, by the leading principal axis and test
+    tightness."""
     theta_tol = read_float(theta_tol, "theta_tol", 0)
     x = final.astype(np.float64)
     r = _stable_norm(x)

@@ -32,13 +32,14 @@ from rwre_lab.oracle import IntervalRegion
 from rwre_lab.stats import (
     InsufficientData,
     TransiencePattern,
-    estimate_direction,
     estimate_speed,
     independence_test,
     pooled_increments,
+    raw_direction,
     renewal_direction,
     renewal_mean_identity,
     slab_exit_decay,
+    summarize,
     zero_one_scan,
 )
 from rwre_lab.walk import run_slab_ensemble, simulate_ensemble
@@ -129,7 +130,7 @@ def test_criterion_02_solomon_speed():
     )
     oracle = solomon_1d(model)
     trajs = simulate_ensemble(model, SEED, 1000, 10_000)
-    est = estimate_speed(trajs, (1,))
+    est = estimate_speed(summarize(trajs, (1,)))
     elapsed = time.monotonic() - start
     ok = (
         abs(oracle.speed - 13 / 35) < 1e-12
@@ -146,7 +147,7 @@ def test_criterion_02_solomon_speed():
 
 def test_criterion_03_two_route_direction(crit3):
     start = time.monotonic()
-    raw = estimate_direction(crit3.trajs)
+    raw = raw_direction(summarize(crit3.trajs))
     ren = renewal_direction(crit3.records)
     target = (1.0, 0.0)
     a_raw = angle_between(raw.nu_hat, target)

@@ -44,9 +44,9 @@ from rwre_lab.rng import derive_key
 from rwre_lab.stats import (
     classify_transience,
     final_clustering,
-    orthogonal_oscillation,
     renewal_mean_identity,
     slab_exit_decay,
+    summarize,
     zero_one_scan,
 )
 from rwre_lab.walk import simulate_ensemble
@@ -67,7 +67,6 @@ CASES = [
     pytest.param(lambda h: detect_renewals(one_walk(50), SPEC, h), 2.5, "confirm_horizon", id="renewals-fraction"),
     pytest.param(lambda h: detect_renewals(one_walk(50), SPEC, h), True, "confirm_horizon", id="renewals-bool"),
     pytest.param(lambda h: lambda_scan(MODEL, 3, [SPEC], 2, 50, h, 0.5), 2.5, "confirm_horizon", id="lambda-scan"),
-    pytest.param(lambda k: orthogonal_oscillation(records(), (1, 0), (0, k)), 1.5, "l_star", id="oscillation"),
     pytest.param(lambda i: renewal_mean_identity(records(), SPEC, window=(i, 20)), 1.5, "window", id="identity"),
     pytest.param(lambda x: BoxRegion((x, -1), (1, 1)).build(QuenchedEnvironment(MODEL, 1)), -1.5, "lo", id="box"),
     # an interval's bounds were once taken as given, and each of these failed only later in ``build``
@@ -251,19 +250,19 @@ FLOAT_CASES = [
         id="floor-inf",
     ),
     pytest.param(
-        lambda t: classify_transience([one_walk(20)], (1, 0), level_threshold=t),
+        lambda t: classify_transience(summarize([one_walk(20)], (1, 0)), level_threshold=t),
         True,
         "level_threshold must be a finite number, got True",
         id="threshold-bool",
     ),
     pytest.param(
-        lambda t: classify_transience([one_walk(20)], (1, 0), level_threshold=t),
+        lambda t: classify_transience(summarize([one_walk(20)], (1, 0)), level_threshold=t),
         "3",
         "level_threshold must be a finite number, got '3'",
         id="threshold-str",
     ),
     pytest.param(
-        lambda d: classify_transience([one_walk(20)], (1, 0), dip_allowance=d),
+        lambda d: classify_transience(summarize([one_walk(20)], (1, 0)), dip_allowance=d),
         True,
         "dip_allowance must be a finite number, got True",
         id="dip-bool",
@@ -307,8 +306,8 @@ def test_float_thresholds_read_numbers_of_any_type():
     assert repr(final_clustering(FINAL, 0)) == repr(final_clustering(FINAL, np.float64(0.0)))
     scan = lambda_scan(MODEL, 3, [SPEC], 2, 50, 5, 0)
     assert repr(scan) == repr(lambda_scan(MODEL, 3, [SPEC], 2, 50, 5, np.int64(0)))
-    trajs = [one_walk(20)]
-    assert classify_transience(trajs, (1, 0), 3, 1) == classify_transience(trajs, (1, 0), 3.0, np.float64(1.0))
+    walks = summarize([one_walk(20)], (1, 0))
+    assert classify_transience(walks, 3, 1) == classify_transience(walks, 3.0, np.float64(1.0))
 
 
 @pytest.mark.parametrize("x", [0.5, 3, -2.0, np.float64(2.5), 10**400, True, "3", None, math.nan, math.inf], ids=repr)

@@ -55,10 +55,9 @@ from rwre_lab.stats import (
     _shares,
     _stable_norm,
     _verdict,
-    antipodal_clustering,
     classify_transience,
-    estimate_direction,
     estimate_speed,
+    final_clustering,
     increment_projections,
     pooled_increments,
     raw_direction,
@@ -148,7 +147,7 @@ def ref_estimate_speed(trajs, l, level_threshold=None, dip_allowance=None):
 
 
 def ref_raw_direction(trajs, level_threshold=None):
-    """``estimate_direction``'s raw route."""
+    """The raw route of the direction estimate."""
     if not trajs:
         return InsufficientData("no trajectories supplied")
     thr = _resolve_thresholds(len(trajs[0]), level_threshold, None)[0]
@@ -389,8 +388,9 @@ def test_final_position_is_the_path_end(kind, d):
 def test_transience_and_speed_match_per_walk_loops(kind, d, thr, dip):
     trajs = ensemble(kind, d)
     for l in directions(d):
-        assert_same(classify_transience(trajs, l, thr, dip), ref_classify_transience(trajs, l, thr, dip))
-        assert_same(estimate_speed(trajs, l, thr, dip), ref_estimate_speed(trajs, l, thr, dip))
+        walks = summarize(trajs, l)
+        assert_same(classify_transience(walks, thr, dip), ref_classify_transience(trajs, l, thr, dip))
+        assert_same(estimate_speed(walks, thr, dip), ref_estimate_speed(trajs, l, thr, dip))
 
 
 @pytest.mark.parametrize("kind, d", MODELS)
@@ -402,18 +402,20 @@ def test_speed_divides_each_walk_by_its_own_length(kind, d):
     trajs.append(Trajectory(np.zeros(0, np.int8), d, 0))
     assert len({len(t) for t in trajs}) > 10
     for l in directions(d):
+        walks = summarize(trajs, l)
         for thr, dip in THRESHOLDS:
-            assert_same(estimate_speed(trajs, l, thr, dip), ref_estimate_speed(trajs, l, thr, dip))
+            assert_same(estimate_speed(walks, thr, dip), ref_estimate_speed(trajs, l, thr, dip))
 
 
 @pytest.mark.parametrize("thr", [None, 1.0, 8.0, 25.0, 1e9])
 @pytest.mark.parametrize("kind, d", MODELS)
 def test_raw_direction_and_clusters_match_per_walk_loops(kind, d, thr):
     trajs = ensemble(kind, d)
-    assert_same(estimate_direction(trajs, level_threshold=thr), ref_raw_direction(trajs, thr))
-    assert_same_direction(estimate_direction(trajs, thr), ref_estimate_direction(trajs, None, ROUTE_RAW, thr))
+    walks = summarize(trajs)
+    assert_same(raw_direction(walks, level_threshold=thr), ref_raw_direction(trajs, thr))
+    assert_same_direction(raw_direction(walks, thr), ref_estimate_direction(trajs, None, ROUTE_RAW, thr))
     for theta_tol in (0.3, 3.2):
-        assert_same(antipodal_clustering(trajs, theta_tol), ref_antipodal_clustering(trajs, theta_tol))
+        assert_same(final_clustering(walks.final, theta_tol), ref_antipodal_clustering(trajs, theta_tol))
 
 
 SPECS = {
@@ -496,22 +498,25 @@ def test_walks_at_the_origin_are_left_out_of_both_direction_estimates():
     away = [Trajectory(np.asarray([j], np.int8), 2, 0) for j in (0, 0, 1, 2)]
     home = [Trajectory(np.asarray([j, j ^ 1], np.int8), 2, 0) for j in range(4)]
     trajs = [t for pair in zip(away, home) for t in pair]
+    walks = summarize(trajs)
     for thr in (0.5, 1.0, 1.5):
-        got = estimate_direction(trajs, level_threshold=thr)
-        assert_same(got, ref_raw_direction(trajs, thr))
-    assert estimate_direction(trajs, level_threshold=1.0).n_samples == 4
+        assert_same(raw_direction(walks, level_threshold=thr), ref_raw_direction(trajs, thr))
+    assert raw_direction(walks, level_threshold=1.0).n_samples == 4
     for theta_tol in (0.3, 3.2):
-        assert_same(antipodal_clustering(trajs, theta_tol), ref_antipodal_clustering(trajs, theta_tol))
-    assert_same(antipodal_clustering(home), ref_antipodal_clustering(home))
+        assert_same(final_clustering(walks.final, theta_tol), ref_antipodal_clustering(trajs, theta_tol))
+    assert_same(final_clustering(summarize(home).final), ref_antipodal_clustering(home))
 
 
 def test_empty_ensemble_keeps_its_result():
-    with pytest.raises(ValueError, match="classify_transience needs a nonempty ensemble"):
-        classify_transience([], (1, 0))
-    with pytest.raises(ValueError, match="estimate_speed needs a nonempty ensemble"):
-        estimate_speed([], (1, 0))
-    assert_same(estimate_direction([]), ref_raw_direction([]))
-    assert_same(antipodal_clustering([]), ref_antipodal_clustering([]))
+    # the summary of no walk checks l without a length; raw_direction read its step count and raised an IndexError
+    for l in ((1, 0), (1, 0, 0)):
+        for estimator in (classify_transience, estimate_speed):
+            with pytest.raises(ValueError, match=f"^{estimator.__name__} needs a nonempty ensemble$"):
+                estimator(summarize([], l))
+    with pytest.raises(ConfigError, match="finite nonzero"):
+        summarize([], (0, 0))
+    assert_same(raw_direction(summarize([])), ref_raw_direction([]))
+    assert_same(final_clustering(summarize([]).final), ref_antipodal_clustering([]))
     model = model_of("homogeneous", 2)
     assert_same(zero_one_scan(model, 5, 8, 0, 100), ref_zero_one_scan(model, 5, 8, 0, 100))
 

@@ -1,8 +1,9 @@
 """Every import in ``src/rwre_lab`` is used, and every public name serves a run or checks one.
 
 The checks read the source with the standard library's ``ast``, so they need no linter.  A public name (one in
-``rwre_lab.__all__``) pays for itself when code in ``src/`` uses it outside its own definition, when the acceptance
-suite imports it, or when a named test uses it as the oracle of a run.
+``rwre_lab.__all__``, or a module-level function or class of ``src/rwre_lab`` whose name has no leading underscore)
+pays for itself when code in ``src/`` uses it outside its own definition, when the acceptance suite imports it, or when
+a named test uses it as the oracle of a run.
 """
 
 import ast
@@ -84,6 +85,16 @@ def users_in_src(trees: dict[str, ast.Module], name: str) -> set[str]:
     return users
 
 
+def public_definitions(trees: dict[str, ast.Module]) -> list[tuple[str, str]]:
+    """(module, name) of each module-level function and class of ``src/rwre_lab`` whose name has no leading underscore."""
+    return [
+        (mod, node.name)
+        for mod, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
 def acceptance_imports() -> set[str]:
     return set(imported(ast.parse((TESTS / "test_acceptance.py").read_text(encoding="utf-8"))))
 
@@ -109,6 +120,16 @@ def test_every_export_serves_a_run_or_checks_one():
         if not users_in_src(trees, n) and n not in acceptance and n not in ORACLES
     ]
     assert idle == [], f"public names no run, acceptance test or named oracle test uses: {idle}"
+
+
+def test_every_public_definition_serves_a_run_or_checks_one():
+    trees, acceptance = modules(), acceptance_imports()
+    idle = [
+        f"{mod}.{name}"
+        for mod, name in public_definitions(trees)
+        if not users_in_src(trees, name) and name not in acceptance and name not in ORACLES
+    ]
+    assert idle == [], f"public functions and classes no run, acceptance test or named oracle test uses: {idle}"
 
 
 @pytest.mark.parametrize("name, test", sorted(ORACLES.items()))

@@ -10,15 +10,15 @@ from rwre_lab.stats import (
     InsufficientData,
     TransiencePattern,
     Verdict,
-    antipodal_clustering,
     classify_transience,
-    estimate_direction,
     estimate_speed,
+    final_clustering,
     independence_test,
-    orthogonal_oscillation,
+    raw_direction,
     renewal_direction,
     renewal_mean_identity,
     slab_exit_decay,
+    summarize,
     zero_one_scan,
 )
 from rwre_lab.walk import simulate_ensemble
@@ -63,73 +63,79 @@ def synthetic_records(rng, n_records=30, n_renewals=80):
 class TestClassifyTransience:
     def test_drifted_model_is_transient_plus(self, drift2d):
         trajs = simulate_ensemble(drift2d, 21, 300, 3000)
-        v = classify_transience(trajs, (1, 0))
+        v = classify_transience(summarize(trajs, (1, 0)))
         assert v.verdict is Verdict.TRANSIENT_PLUS
         assert v.p_hat_plus >= 0.99
 
     def test_orthogonal_direction_undecided(self, drift2d):
         trajs = simulate_ensemble(drift2d, 21, 300, 3000)
-        v = classify_transience(trajs, (0, 1))
+        v = classify_transience(summarize(trajs, (0, 1)))
         assert v.verdict is Verdict.UNDECIDED
 
     def test_symmetric_model_undecided(self, srw2d):
         trajs = simulate_ensemble(srw2d, 22, 200, 2000)
-        v = classify_transience(trajs, (1, 0))
+        v = classify_transience(summarize(trajs, (1, 0)))
         assert v.verdict is Verdict.UNDECIDED
         assert v.p_hat_plus + v.p_hat_minus <= 1.0
 
     def test_mirror_swaps_exactly(self, drift2d):
         trajs = simulate_ensemble(drift2d, 23, 120, 1500)
-        v = classify_transience(trajs, (1, 0))
-        vm = classify_transience([mirror(t) for t in trajs], (1, 0))
+        v = classify_transience(summarize(trajs, (1, 0)))
+        vm = classify_transience(summarize([mirror(t) for t in trajs], (1, 0)))
         assert vm.p_hat_plus == v.p_hat_minus
         assert vm.p_hat_minus == v.p_hat_plus
         assert vm.verdict is Verdict.TRANSIENT_MINUS
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError):
-            classify_transience([], (1, 0))
+            classify_transience(summarize([], (1, 0)))
 
     @pytest.mark.parametrize("estimator", [classify_transience, estimate_speed])
     @pytest.mark.parametrize("l", [(0, 0), (np.nan, 1)], ids=["zero", "nan"])
     def test_direction_must_be_finite_and_nonzero(self, drift2d, estimator, l):
-        # both ran: a zero direction classified every walk undecided and gave speed 0
+        # both ran: a zero direction classified every walk undecided and gave speed 0; the summary refuses it
         trajs = simulate_ensemble(drift2d, 24, 5, 50)
         with pytest.raises(ConfigError, match="finite nonzero"):
-            estimator(trajs, l)
+            estimator(summarize(trajs, l))
+
+    @pytest.mark.parametrize("estimator", [classify_transience, estimate_speed])
+    def test_summary_without_direction_refused_by_name(self, estimator):
+        walks = summarize([straight_traj(0, 3, 2)])
+        with pytest.raises(ValueError, match=f"^{estimator.__name__} needs a summary along a direction"):
+            estimator(walks)
 
 
 class TestEstimateSpeed:
     def test_drift_1d(self):
         model = Homogeneous(TransitionVector([0.7, 0.3]))
         trajs = simulate_ensemble(model, 31, 400, 4000)
-        est = estimate_speed(trajs, (1,))
+        est = estimate_speed(summarize(trajs, (1,)))
         assert 0.38 <= est.mean <= 0.42
         assert est.n_plus == 400 and est.n_minus == 0
 
     def test_symmetric_ci_contains_zero(self, srw2d):
         trajs = simulate_ensemble(srw2d, 32, 300, 2000)
-        est = estimate_speed(trajs, (1, 0))
+        est = estimate_speed(summarize(trajs, (1, 0)))
         assert est.ci[0] <= 0.0 <= est.ci[1]
 
 
 class TestEstimateDirection:
     def test_straight_lines_exact(self):
         trajs = [straight_traj(0, 200, 2) for _ in range(5)]
-        est = estimate_direction(trajs)
+        est = raw_direction(summarize(trajs))
         assert np.array_equal(est.nu_hat, [1.0, 0.0])
         assert est.dispersion == 0.0
 
     def test_mirror_negates_exactly(self, drift2d):
         trajs = simulate_ensemble(drift2d, 41, 150, 2000)
-        est = estimate_direction(trajs)
-        est_m = estimate_direction([mirror(t) for t in trajs])
+        est = raw_direction(summarize(trajs))
+        est_m = raw_direction(summarize([mirror(t) for t in trajs]))
         assert np.array_equal(est_m.nu_hat, -est.nu_hat)
 
     def test_axis_swap_equivariance_exact(self, drift2d):
         trajs = simulate_ensemble(drift2d, 42, 150, 2000)
-        est = estimate_direction(trajs)
-        est_s = estimate_direction([swap_axes(t) for t in trajs])
+        est = raw_direction(summarize(trajs))
+        est_s = raw_direction(summarize([swap_axes(t) for t in trajs]))
         assert np.array_equal(est_s.nu_hat, est.nu_hat[::-1])
 
     def test_renewal_route_on_synthetic_records(self, rng):
@@ -143,14 +149,14 @@ class TestEstimateDirection:
         # walks ending at the origin passed the radius filter r >= thr and were divided by r = 0
         trajs = [straight_traj(0, 3, 2), Trajectory(np.asarray([0, 1], np.int8), 2, 0)]
         with pytest.raises(ConfigError, match="level_threshold"):
-            estimate_direction(trajs, level_threshold=thr)
+            raw_direction(summarize(trajs), level_threshold=thr)
 
     def test_negative_dip_allowance_raises(self):
         with pytest.raises(ConfigError, match="dip_allowance"):
-            classify_transience([straight_traj(0, 3, 2)], (1, 0), dip_allowance=-1.0)
+            classify_transience(summarize([straight_traj(0, 3, 2)], (1, 0)), dip_allowance=-1.0)
 
     def test_insufficient_data_paths(self):
-        assert isinstance(estimate_direction([]), InsufficientData)
+        assert isinstance(raw_direction(summarize([])), InsufficientData)
         empty = record_from_positions([1], [[1, 0]])
         assert isinstance(
             renewal_direction([empty]), InsufficientData
@@ -176,28 +182,6 @@ class TestIndependence:
     def test_constant_coordinate_is_insufficient(self, rng):
         inc = np.stack([rng.integers(-3, 4, size=200), np.full(200, 2)], axis=1)
         assert independence_test(inc) == InsufficientData("coordinate 1 is degenerate (zero variance)")
-
-
-class TestOscillation:
-    def test_requires_orthogonality(self, rng):
-        with pytest.raises(ValueError):
-            orthogonal_oscillation(synthetic_records(rng), (1, 0), (1, 1))
-
-    def test_centered_oscillating_sums(self, rng):
-        records = synthetic_records(rng, n_records=50, n_renewals=200)
-        rep = orthogonal_oscillation(records, (1, 0), (0, 1))
-        assert rep.mean_ci[0] <= 0.0 <= rep.mean_ci[1]
-        assert rep.sign_changes > 0
-        assert rep.running_min < -2 * rep.increment_std
-        assert rep.running_max > 2 * rep.increment_std
-        assert not rep.degenerate
-
-    def test_straight_path_degenerate(self):
-        pos = np.stack([np.arange(11), np.zeros(11, np.int64)], axis=1)
-        rec = record_from_positions(np.arange(11) * 3 + 1, pos)
-        rep = orthogonal_oscillation([rec], (1, 0), (0, 1))
-        assert rep.degenerate
-        assert rep.sign_changes == 0
 
 
 class TestRenewalIdentity:
@@ -229,19 +213,19 @@ class TestAntipodalClustering:
     def test_two_constructed_clusters(self):
         plus = [straight_traj(0, 50, 2) for _ in range(10)]
         minus = [straight_traj(1, 50, 2) for _ in range(10)]
-        res = antipodal_clustering(plus + minus)
+        res = final_clustering(summarize(plus + minus).final)
         assert res.n_clusters == 2
         assert res.antipodal_dev == pytest.approx(0.0, abs=1e-12)
 
     def test_drifted_single_cluster(self, drift2d):
         trajs = simulate_ensemble(drift2d, 61, 200, 3000)
-        res = antipodal_clustering(trajs)
+        res = final_clustering(summarize(trajs).final)
         assert res.n_clusters == 1
         assert abs(np.arctan2(res.centers[0][1], res.centers[0][0])) < 0.1
 
     def test_diffuse_directions_rejected(self, srw2d):
         trajs = simulate_ensemble(srw2d, 62, 200, 2000)
-        res = antipodal_clustering(trajs)
+        res = final_clustering(summarize(trajs).final)
         assert res.n_clusters == 0
         assert res.reason is not None
 

@@ -17,7 +17,7 @@ from rwre_lab import (
 )
 from rwre_lab.lattice import check_dim, encode_signed_axis, signed_axis_table
 from rwre_lab.rng import TAG_ENV, TAG_WALKER, derive_key
-from rwre_lab.stats import classify_transience, estimate_speed
+from rwre_lab.stats import classify_transience, summarize
 from rwre_lab.walk import (
     Side,
     SlabExit,
@@ -185,7 +185,7 @@ class TestSlabExit:
         with pytest.raises(ConfigError, match="finite"):
             slab_exit_side(t, l, 1.0, 3.0)
         with pytest.raises(ConfigError, match="finite"):
-            classify_transience([t], l)
+            classify_transience(summarize([t], l))
 
     def test_tally_matches_per_walk_classification(self):
         model = Homogeneous(TransitionVector([0.6, 0.4]))
@@ -253,11 +253,10 @@ class TestDirectionLength:
         [
             lambda t: run_slab_ensemble(DRIFT_2D, 1, 1, [1, 0, 0], 1.0, [3.0], 10),
             lambda t: SlabRegion([1.0], 1.0, 3.0, 2).build(QuenchedEnvironment(DRIFT_2D, 1)),
-            lambda t: estimate_speed([t], (1, 0, 0)),
-            lambda t: classify_transience([t], (1, 0, 0)),
+            lambda t: classify_transience(summarize([t], (1, 0, 0))),
             lambda t: slab_exit_side(t, [1.0, 0.0, 0.0], 1.0, 3.0),
         ],
-        ids=["run_slab_ensemble", "SlabRegion", "estimate_speed", "classify_transience", "slab_exit_side"],
+        ids=["run_slab_ensemble", "SlabRegion", "classify_transience", "slab_exit_side"],
     )
     def test_wrong_length_refused_by_name(self, call):
         with pytest.raises(ConfigError, match="direction l must have 2 entries"):
@@ -273,7 +272,7 @@ class TestDirectionFloatRule:
         lambda l: run_slab_ensemble(DRIFT_2D, 1, 5, l, 1.0, [3.0], 100),
         lambda l: slab_exit_side(TestDirectionFloatRule.traj, l, 1.0, 3.0),
         lambda l: SlabRegion(l, 1.0, 3.0, 2).build(QuenchedEnvironment(DRIFT_2D, 1)).sites.tolist(),
-        lambda l: classify_transience([TestDirectionFloatRule.traj], l),
+        lambda l: classify_transience(summarize([TestDirectionFloatRule.traj], l)),
     ]
     ids = ["run_slab_ensemble", "slab_exit_side", "SlabRegion", "classify_transience"]
 
