@@ -18,8 +18,9 @@ top level confirm or fail every candidate at once.  One rule,
 candidate, and the scan asks it only where such an exit could land on a
 confirmed candidate; since the cone is closed under addition, no exit can
 jump past one.  Each walk's positions, levels, fresh maxima and face table
-are built once, and its record keeps the level facts the renewal mean
-identity reads.
+are built once; the levels and each face are integer sums of the position
+columns (see ``_face_table``), and its record keeps the level facts the
+renewal mean identity reads.
 """
 
 from __future__ import annotations
@@ -216,22 +217,40 @@ def _record_dtype(bound: int) -> np.dtype:
     return np.dtype(np.int32 if bound < np.iinfo(np.int32).max else np.int64)
 
 
-def _faces(P: np.ndarray, spec: ConeSpec) -> np.ndarray:
-    """The face table F = P @ M.T of one walk's positions, int32 when it fits.
+def _column_sum(out: np.ndarray, rows, coeffs) -> np.ndarray:
+    """Add sum_a coeffs[a] * rows[a] to ``out`` in its dtype, skipping zero coefficients, and return it."""
+    for x, c in zip(rows, coeffs):
+        if c:
+            out += x if c == 1 else c * x
+    return out
 
-    After N steps every |F[n, k]| is at most N * ||row_k||_1, so the table is
-    int32 when N * max_k ||row_k||_1 < 2**31 - 1, which leaves the int32
-    maximum above every entry to pad with.  Otherwise it is int64, which
+
+def _face_table(P: np.ndarray, spec: ConeSpec) -> np.ndarray:
+    """The face-major table F[k, n] = M[k] . X_n of one walk's positions P, int32 when it fits.
+
+    Face k is the sum of P's axis rows times row k, with the rows cast to the
+    table's dtype once (mixed int64 and int32 operands take numpy's slow
+    buffered loop).  After N steps each |F[k, n]| and each partial sum is at
+    most N * ||row_k||_1, so the table is int32 when
+    N * max_k ||row_k||_1 < 2**31 - 1, which leaves the int32 maximum above
+    every entry to pad with.  Otherwise it is int64, which
     ``ConeSpec.check_steps`` has made sure holds every entry below its maximum.
     """
-    return (P @ spec.matrix.T).astype(_record_dtype((P.shape[0] - 1) * spec.face_norm), copy=False)
+    N = P.shape[0] - 1
+    dtype = _record_dtype(N * spec.face_norm)
+    F = np.zeros((spec.matrix.shape[0], N + 1), dtype=dtype)
+    if N:  # with no step every face is 0, and an int32 table need not hold the coefficients
+        X = np.ascontiguousarray(P.T, dtype=dtype)
+        for f, row in zip(F, spec.matrix.tolist()):
+            _column_sum(f, X, row)
+    return F
 
 
 def _min_levels(F: np.ndarray, H: int):
     """Yield the levels of each face's sparse table of range minima: level j holds min(F[i : i + 2**j, k]) at [k, i].
 
     The levels are j = 0..L-1 with L = min(H, len(F)).bit_length().  They keep
-    F's dtype (see ``_faces``: int32 when N * max_k ||row_k||_1 < 2**31 - 1)
+    F's dtype (see ``_face_table``: int32 when N * max_k ||row_k||_1 < 2**31 - 1)
     and are padded past the end of the path with that dtype's maximum, so no
     face falls there.  Each level is built from the one before it, so a caller
     that wants only the top level holds two at a time.
@@ -254,7 +273,7 @@ def _first_exit(F: np.ndarray, cands: np.ndarray, H: int) -> np.ndarray:
     candidates at once.
     """
     table = list(_min_levels(F, H))
-    base = F[cands].T
+    base = F.T.take(cands, axis=1)
     pos = cands + 1
     for j in range(len(table) - 1, -1, -1):
         stays = (table[j].take(pos, axis=1) >= base).all(axis=0)
@@ -263,12 +282,12 @@ def _first_exit(F: np.ndarray, cands: np.ndarray, H: int) -> np.ndarray:
 
 
 def _levels(traj: Trajectory, spec: ConeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The positions P, the levels P @ l and the fresh maxima of one walk."""
+    """The positions P, the int64 levels P @ l (a sum of P's columns) and the fresh maxima of one walk."""
     if spec.dim != traj.dim:
         raise ConfigError("cone dimension does not match trajectory dimension")
     spec.check_steps(len(traj))
     P = traj.positions()
-    s = P @ np.asarray(spec.l, dtype=np.int64)
+    s = _column_sum(np.zeros(P.shape[0], dtype=np.int64), P.T, spec.l)
     return P, s, _fresh(s)
 
 
@@ -287,13 +306,14 @@ def _scan(fresh: np.ndarray, F: np.ndarray, H: int) -> tuple[np.ndarray, bool]:
     need the recursion: it runs, with ``_first_exit``, over the failed
     candidates between a suspect and the ok candidate before it, after which
     it always resumes.  A window cut off by the end of the path ends it.
+    ``F`` is read through its face rows ``F.T``, contiguous for ``_face_table(P, spec).T``.
     """
     N = F.shape[0] - 1
     w = min(H, N + 1)  # a window reaching past the end of the path is cut off there
     for top in _min_levels(F, H):  # only the top level is kept
         pass
     span = 1 << (w.bit_length() - 1)  # the top level's window: span <= w < 2 * span
-    base, below = (np.ascontiguousarray(F.take(t, axis=0).T) for t in (fresh, fresh - 1))  # faces at c and c - 1
+    base, below = (F.T.take(t, axis=1) for t in (fresh, fresh - 1))  # faces at c and c - 1
     low = np.minimum(top.take(fresh + 1, axis=1), top.take(fresh + w + 1 - span, axis=1))
     ok = (low >= base).all(axis=0)
     suspect = ok & (base < below).any(axis=0)
@@ -330,7 +350,7 @@ def detect_renewals(traj: Trajectory, spec: ConeSpec, confirm_horizon: int) -> R
     """
     H = read_integer(confirm_horizon, "confirm_horizon", 1)
     P, s, fresh = _levels(traj, spec)
-    F = _faces(P, spec)
+    F = _face_table(P, spec).T
     times, censored = _scan(fresh, F, H)
     dtype = _record_dtype(len(traj))
     hit = s[fresh]  # increasing; a run of consecutive levels starts and ends where the step to its neighbour is not 1
@@ -397,7 +417,7 @@ def lambda_scan(
     for t in simulate_ensemble(model, master_seed, n_walks, horizon):
         P, _, fresh = _levels(t, specs[0])
         for k, spec in enumerate(specs):
-            times, censored = _scan(fresh, _faces(P, spec), H)
+            times, censored = _scan(fresh, _face_table(P, spec).T, H)
             confirmed[k] += times.size - censored
     rows = [LambdaScanRow(c.lam, renewal_rate(n, n_walks, horizon), n) for c, n in zip(specs, confirmed)]
     chosen = next((row.lam for row in rows if row.rate_per_1k > rate_floor), None)

@@ -69,10 +69,17 @@ class Trajectory:
         return self.steps.shape[0]
 
     def positions(self) -> np.ndarray:
-        """(N+1, d) int64 positions X_0 = 0, ..., X_N."""
+        """(N+1, d) int64 positions X_0 = 0, ..., X_N, C-contiguous.
+
+        Axis a is the cumsum of the int8 increments +1 at direction 2a and -1
+        at 2a + 1.  The C order is kept because float callers
+        (``stats._level_rows``) round products of ``positions().astype(float)``
+        by their layout, so another order would move their levels' last bits.
+        """
         out = np.zeros((len(self) + 1, self.dim), dtype=np.int64)
-        if len(self):
-            np.cumsum(step_table(self.dim)[self.steps], axis=0, out=out[1:])
+        for a in range(self.dim):
+            up, down = (self.steps == i for i in (2 * a, 2 * a + 1))
+            np.cumsum(up.view(np.int8) - down.view(np.int8), dtype=np.int64, out=out[1:, a])
         return out
 
     def final_position(self) -> np.ndarray:

@@ -179,9 +179,7 @@ def ref_estimate_direction(trajs=None, records=None, route=ROUTE_RAW, level_thre
     increment, i.e. two confirmed renewals, count).
     """
     if route == ROUTE_RAW:
-        if not trajs:
-            return InsufficientData("no trajectories supplied")
-        return raw_direction(summarize(trajs), level_threshold)
+        return ref_raw_direction(trajs, level_threshold)
     if route != ROUTE_RENEWAL:
         raise ConfigError(f"unknown route {route!r}")
     if not records:

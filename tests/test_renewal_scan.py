@@ -11,6 +11,11 @@ grid value, ``ref_first_exit`` the first-exit rule on int64 face tables
 alone, and ``ref_scan`` the recursion that found every candidate's first exit
 and chased the successors they gave.  They are kept as oracles: the scan must
 reproduce their records, reports, rows, exits and kept candidates exactly.
+``ref_positions`` is the path rule that gathered the int64 step table by the
+steps and summed it down the path, and ``ref_faces`` the row-major int64 face
+table P @ M.T, cast to int32 when it fits; ``Trajectory.positions`` and
+``cone._face_table`` must give the same integers in the same dtype, and these
+oracles' paths and faces are built by the old rules.
 """
 
 from bisect import bisect_right
@@ -28,14 +33,16 @@ from rwre_lab.cone import (
     LambdaScanResult,
     LambdaScanRow,
     RenewalRecord,
-    _faces,
+    _face_table,
     _first_exit,
     _fresh,
+    _record_dtype,
     _scan,
     lambda_scan,
     renewal_rate,
 )
 from rwre_lab.errors import ConfigError
+from rwre_lab.lattice import step_table
 from rwre_lab.stats import (
     InsufficientData,
     RenewalIdentityReport,
@@ -49,6 +56,17 @@ from rwre_lab.walk import simulate_ensemble
 from test_path_estimators import _level_class, ref_classify_levels
 
 # ---------------------------------------------------------------- oracles
+
+
+def ref_positions(traj):
+    out = np.zeros((len(traj) + 1, traj.dim), dtype=np.int64)
+    if len(traj):
+        np.cumsum(step_table(traj.dim)[traj.steps], axis=0, out=out[1:])
+    return out
+
+
+def ref_faces(P, spec):
+    return (P @ spec.matrix.T).astype(_record_dtype((P.shape[0] - 1) * spec.face_norm), copy=False)
 
 
 def _trailing_window_min(a, w):
@@ -97,7 +115,7 @@ def ref_detect_renewals(traj, spec, confirm_horizon):
     if confirm_horizon < 1:
         raise ConfigError("confirm_horizon must be at least 1")
     H = int(confirm_horizon)
-    P = traj.positions()
+    P = ref_positions(traj)
     N = len(traj)
     s = P @ np.asarray(spec.l, dtype=np.int64)
     F = P @ spec.matrix.T
@@ -198,7 +216,7 @@ def ref_renewal_mean_identity(
     max_lv = np.zeros(n, dtype=np.int64)
     all_s = []
     for i, (t, rec) in enumerate(zip(trajs, records)):
-        pos = t.positions()
+        pos = ref_positions(t)
         s = pos @ lv
         all_s.append(s)
         max_lv[i] = s.max()
@@ -297,8 +315,8 @@ def assert_same_record(got: RenewalRecord, want: RenewalRecord) -> None:
 
 def scan_inputs(traj: Trajectory, spec: ConeSpec) -> tuple[np.ndarray, np.ndarray]:
     """The fresh maxima and the face table that ``detect_renewals`` hands to ``_scan``."""
-    P = traj.positions()
-    return _fresh(P @ np.asarray(spec.l)), _faces(P, spec)
+    P = ref_positions(traj)
+    return _fresh(P @ np.asarray(spec.l)), ref_faces(P, spec)
 
 
 def assert_same_scan(traj: Trajectory, spec: ConeSpec, H: int) -> None:
@@ -356,6 +374,7 @@ def test_records_match_old_scan(d, lam):
         spec = ConeSpec(sigma, basis, lam, l)
         for steps in paths(d, l, 100 * d + ci):
             traj = Trajectory(steps, d, 0)
+            assert_same_face_table(traj, spec)
             for H in horizons(len(traj)):
                 assert_same_record(detect_renewals(traj, spec, H), ref_detect_renewals(traj, spec, H))
                 assert_same_scan(traj, spec, H)
@@ -376,8 +395,8 @@ def test_skew_cone_exits_at_fresh_maxima():
     spec = ConeSpec((1, 1), ((3, -2), (-2, 3)), Fraction(1), (1, 1))
     steps = np.asarray([2, 2, 0, 2, 0, 0, 2, 2, 0, 0, 0, 2, 2, 2] * 4, np.int8)
     traj = Trajectory(steps, 2, 0)
-    F = traj.positions() @ spec.matrix.T
-    s = traj.positions() @ np.asarray(spec.l)
+    F = ref_positions(traj) @ spec.matrix.T
+    s = ref_positions(traj) @ np.asarray(spec.l)
     leaves = (F[1:] < F[:-1]).any(axis=1) & (s[1:] > np.maximum.accumulate(s)[:-1])
     assert leaves.any()
     for H in (1, 2, 3, 4, 5, 8, 16, len(traj) + 1):
@@ -409,7 +428,7 @@ def test_random_steps_and_cones_match_old_scan(case):
     rec = detect_renewals(traj, spec, H)
     assert_same_record(rec, ref_detect_renewals(traj, spec, H))
     assert_same_scan(traj, spec, H)
-    P = traj.positions()
+    P = ref_positions(traj)
     levels = (P @ np.asarray(spec.l))[_fresh(P @ np.asarray(spec.l))].tolist()
     assert_hit_runs(rec, levels)
     assert rec.stays is bool(spec.contains((0,) * spec.dim, P).all())
@@ -466,12 +485,18 @@ def test_the_workload_cone_asks_for_no_exit(monkeypatch):
 # ---------------------------------------------------------------- face table width
 
 
-def assert_same_exits(traj, spec, H):
+def assert_same_face_table(traj, spec):
+    """``_face_table`` of the walk's path, transposed, is ``ref_faces`` in values and dtype; returns it."""
     P = traj.positions()
-    F, F64 = _faces(P, spec), P @ spec.matrix.T
-    assert np.array_equal(F, F64)
+    F, want = _face_table(P, spec).T, ref_faces(ref_positions(traj), spec)
+    assert F.dtype == want.dtype and np.array_equal(F, want)
+    return F
+
+
+def assert_same_exits(traj, spec, H):
+    F = assert_same_face_table(traj, spec)
     cands = np.arange(len(traj) + 1)
-    assert np.array_equal(_first_exit(F, cands, H), ref_first_exit(F64, cands, H))
+    assert np.array_equal(_first_exit(F, cands, H), ref_first_exit(ref_positions(traj) @ spec.matrix.T, cands, H))
     return F.dtype
 
 
@@ -497,6 +522,28 @@ def test_face_tables_are_int32_only_below_the_bound(lam, last_int32):
                 assert_same_record(detect_renewals(traj, spec, H), ref_detect_renewals(traj, spec, H))
 
 
+@st.composite
+def walks(draw):
+    """A walk in d = 1..4 of 0 steps, 1 step or a drawn number of them, starting with a run along one direction."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 400)))
+    run = [draw(st.integers(0, 2 * d - 1))] * draw(st.integers(0, n))
+    rest = draw(st.lists(st.integers(0, 2 * d - 1), min_size=n - len(run), max_size=n - len(run)))
+    return Trajectory(np.asarray(run + rest, np.int8), d, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walks())
+def test_positions_and_face_tables_match_the_step_table_rules(traj):
+    """``positions`` is ``ref_positions`` in values, dtype, shape and C order; ``_face_table`` is ``ref_faces``."""
+    P, want = traj.positions(), ref_positions(traj)
+    assert P.dtype == np.int64 and P.shape == want.shape == (len(traj) + 1, traj.dim)
+    assert P.flags.c_contiguous and np.array_equal(P, want)
+    for sigma, basis, l in CONES.get(traj.dim, []):
+        for lam in DEFAULT_LAMBDA_GRID:
+            assert_same_face_table(traj, ConeSpec(sigma, basis, lam, l))
+
+
 @settings(max_examples=200, deadline=None)
 @given(scan_cases())
 def test_random_face_tables_match_int64_exits(case):
@@ -510,10 +557,10 @@ def test_no_fresh_maxima(big):
     sigma, basis, l = BIG_CONE if big else CONES[2][0]
     spec = ConeSpec(sigma, basis, Fraction(1), l)
     traj = Trajectory(np.asarray([1, 3] * 20, np.int8), 2, 0)
-    P = traj.positions()
+    P = ref_positions(traj)
     assert _fresh(P @ np.asarray(spec.l)).size == 0
     none = np.zeros(0, dtype=np.int64)
-    F = _faces(P, spec)
+    F = ref_faces(P, spec)
     assert F.dtype == (np.int64 if big else np.int32)
     for H in horizons(len(traj)):
         assert _first_exit(F, none, H).size == 0
@@ -536,6 +583,8 @@ def test_cones_that_could_pass_int64_are_refused(name, drift2d):
     # one step along +e1 reaches level l_1, 2**62 on the "levels" cone, one run of one level;
     # steps along -e1 take every level below 0
     up, one, two = (Trajectory(np.full(n, step, np.int8), 2, 0) for n, step in ((1, 0), (1, 1), (2, 1)))
+    for traj in (Trajectory(np.zeros(0, np.int8), 2, 0), up, one):  # no step leaves an int32 table of zeros
+        assert assert_same_face_table(traj, spec).dtype == (np.int64 if name == "faces" and len(traj) else np.int32)
     for traj, levels in ((up, [spec.l[0]]), (one, [])):
         rec = detect_renewals(traj, spec, 1)
         assert_same_record(rec, ref_detect_renewals(traj, spec, 1))
@@ -653,7 +702,7 @@ def test_record_class_matches_level_array_rule(N):
     seen = set()
     for t in class_walks(N):
         rec = detect_renewals(t, spec, 10)
-        s = (t.positions() @ np.asarray(spec.l)).astype(np.float64)
+        s = (ref_positions(t) @ np.asarray(spec.l)).astype(np.float64)
         assert rec.n_steps == N
         for level_threshold, dip_allowance in ((None, None), (1.0, 0.0), (N**0.5, 0.0)):
             thr, dip = _resolve_thresholds(rec.n_steps, level_threshold, dip_allowance)
