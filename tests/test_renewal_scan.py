@@ -14,8 +14,8 @@ reproduce their records, reports, rows, exits and kept candidates exactly.
 ``ref_positions`` is the path rule that gathered the int64 step table by the
 steps and summed it down the path, and ``ref_faces`` the row-major int64 face
 table P @ M.T, cast to int32 when it fits; ``Trajectory.positions`` and
-``cone._face_table`` must give the same integers in the same dtype, and these
-oracles' paths and faces are built by the old rules.
+``cone._face_table`` must give the same integers in the same dtype, and the
+oracles here build their paths and faces with them.
 """
 
 from bisect import bisect_right
@@ -314,7 +314,7 @@ def assert_same_record(got: RenewalRecord, want: RenewalRecord) -> None:
 
 
 def scan_inputs(traj: Trajectory, spec: ConeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The fresh maxima and the face table that ``detect_renewals`` hands to ``_scan``."""
+    """The fresh maxima and the face table that ``detect_renewals`` hands to ``_scan``, by the old rules."""
     P = ref_positions(traj)
     return _fresh(P @ np.asarray(spec.l)), ref_faces(P, spec)
 
