@@ -26,7 +26,6 @@ from .oracle import (
     SlabRegion,
     annealed_exit,
     exact_quenched_exit,
-    exit_distribution,
     gamblers_ruin,
     solomon_1d,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "BoxRegion",
     "SlabRegion",
     "exact_quenched_exit",
-    "exit_distribution",
     "annealed_exit",
     "gamblers_ruin",
     "solomon_1d",

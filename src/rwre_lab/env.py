@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .lattice import check_dim, direction_index, integer_array, read_float, read_integer
+from .lattice import check_dim, direction_index, integer_array, read_float, read_integer, read_seed
 from .rng import (
     TAG_SITE,
     U64,
@@ -48,11 +48,12 @@ class TransitionVector:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=np.float64)
-        if arr.ndim != 1 or arr.size % 2 != 0 or arr.size == 0:
-            raise ConfigError(f"transition vector needs 2d entries, got shape {arr.shape}")
-        check_dim(arr.size // 2)
-        if not np.all((arr > 0.0) & (arr < np.inf)):  # NaN fails both
+        shape = np.shape(self.probs)
+        if len(shape) != 1 or shape[0] % 2 != 0 or shape[0] == 0:
+            raise ConfigError(f"transition vector needs 2d entries, got shape {shape}")
+        check_dim(shape[0] // 2)
+        arr = np.array([read_float(p, "a transition probability") for p in self.probs])
+        if not np.all(arr > 0.0):
             raise ConfigError(f"transition probabilities must be strictly positive and finite, got {arr.tolist()}")
         total = float(arr.sum())
         if abs(total - 1.0) > _SUM_TOL:
@@ -96,9 +97,9 @@ class FiniteMixture:
         d = atoms[0].dim
         if any(a.dim != d for a in atoms):
             raise ConfigError("mixture atoms disagree on dimension")
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (len(atoms),):
+        if np.shape(self.weights) != (len(atoms),):
             raise ConfigError("one weight per atom required")
+        w = np.array([read_float(x, "a mixture weight") for x in self.weights])
         if not np.all(w > 0.0):
             raise ConfigError("mixture weights must be positive")
         if abs(float(w.sum()) - 1.0) > 1e-9:
@@ -306,6 +307,9 @@ class QuenchedEnvironment:
 
     model: EnvironmentModel
     master_seed: int
+
+    def __post_init__(self):
+        self.master_seed = read_seed(self.master_seed, "master_seed")
 
     @property
     def dim(self) -> int:

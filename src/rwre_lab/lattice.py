@@ -77,6 +77,14 @@ def read_integer(x, name: str, least: int | None = None) -> int:
     return _at_least(_integer(x, f"{name} must be an integer"), name, least)
 
 
+def read_seed(x, name: str) -> int:
+    """``x`` as a 64-bit seed: an int by ``read_integer``, from 0 to 2**64 - 1, so no two seeds share a stream."""
+    seed = read_integer(x, name, 0)
+    if seed >= 2**64:
+        raise ConfigError(f"{name} must be below 2**64, got {seed}")
+    return seed
+
+
 def read_float(x, name: str, least: float | None = None) -> float:
     """``x`` as a float by the one float rule of the config and the library: a finite int or float is its value; a
     bool, a string, a number a float cannot hold, anything else or a value below ``least`` is refused by name."""

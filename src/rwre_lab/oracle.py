@@ -23,7 +23,7 @@ import numpy as np
 
 from .env import Dirichlet, EnvironmentModel, FiniteMixture, QuenchedEnvironment, constant_vector
 from .errors import ConfigError, NumericError
-from .lattice import check_site, read_float, read_integer, read_integers, step_table
+from .lattice import check_site, read_float, read_integer, read_integers, read_seed, step_table
 from .rng import TAG_ENV, derive_key
 from .stats import _mean_ci
 from .walk import _check_slab, _slab_exits
@@ -88,14 +88,24 @@ class FiniteRegionProblem:
         return set(self._labels)
 
 
-def _exit_probabilities(problem: FiniteRegionProblem, targets: list[set[str]]) -> np.ndarray:
-    """h(start) for each set of target classes, from one layer elimination.
+def target_classes(classes: set[str], target_class: str | set[str]) -> set[str]:
+    """The target class or classes as a set, once each is checked to be one of a region's boundary ``classes``."""
+    targets = {target_class} if isinstance(target_class, str) else set(target_class)
+    unknown = targets - classes
+    if unknown:
+        raise ConfigError(f"unknown boundary classes {sorted(unknown)}")
+    return targets
+
+
+def exact_quenched_exit(problem: FiniteRegionProblem, target_class: str | set[str]) -> float:
+    """Probability the quenched walk leaves through the target class first: h(start), by one layer elimination.
 
     The elimination also solves for the exit through any class, whose exact
     answer is 1 at every site.  ``NumericError`` is raised when that answer
-    at the start is off 1, or a returned h is outside [0, 1], by more than
+    at the start is off 1, or h(start) is outside [0, 1], by more than
     ``SOLVE_TOL``: the Schur pivots have then lost their accuracy.
     """
+    code = [problem._labels.index(t) for t in target_classes(problem.classes, target_class)]
     sites = problem.sites
     m, d = sites.shape
     layers = [np.unique(sites[:, k], return_inverse=True, return_counts=True)[1:] for k in range(d)]
@@ -108,8 +118,7 @@ def _exit_probabilities(problem: FiniteRegionProblem, targets: list[set[str]]) -
     for r in rows:
         local[r] = np.arange(r.size)
     W = problem.env.transitions_at(sites)
-    codes = [[problem._labels.index(t) for t in ts] for ts in targets]
-    B = np.stack([(W * np.isin(problem._exit, c)).sum(axis=1) for c in codes], axis=1)
+    B = (W * np.isin(problem._exit, code)).sum(axis=1, keepdims=True)
     exits = (W * (problem._exit >= 0)).sum(axis=1)  # the right-hand side of the exit through any class
     in_layer = np.array([e for e in range(2 * d) if e // 2 != a], dtype=np.intp)
 
@@ -122,7 +131,7 @@ def _exit_probabilities(problem: FiniteRegionProblem, targets: list[set[str]]) -
         return out
 
     def own(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Layer k's diagonal block of I - P_int and its right-hand sides, of the targets and of any class."""
+        """Layer k's diagonal block of I - P_int and its right-hand sides, of the target and of any class."""
         return np.eye(counts[k]) - block(k, k, in_layer), B[rows[k]], exits[rows[k]]
 
     def fold(j: int, S: np.ndarray, c: np.ndarray, u: np.ndarray, k: int, Sk: np.ndarray, ck: np.ndarray, uk):
@@ -142,33 +151,13 @@ def _exit_probabilities(problem: FiniteRegionProblem, targets: list[set[str]]) -
                 Sj, cj, uj = fold(j, Sj, cj, uj, k, *own(k))
             S, c, u = fold(path[-1], Sj, cj, uj, s, S, c, u)
     i = local[problem._start]
-    h, h_any = np.linalg.solve(S, c)[i], float(np.linalg.solve(S, u)[i])
-    if not (abs(h_any - 1.0) <= SOLVE_TOL and np.all((-SOLVE_TOL <= h) & (h <= 1.0 + SOLVE_TOL))):
+    h, h_any = float(np.linalg.solve(S, c)[i, 0]), float(np.linalg.solve(S, u)[i])
+    if not (abs(h_any - 1.0) <= SOLVE_TOL and -SOLVE_TOL <= h <= 1.0 + SOLVE_TOL):
         raise NumericError(
             f"the exact solve failed its {SOLVE_TOL:g} self-check: at the start site "
-            f"all classes sum to {h_any!r} and the targets read {h.tolist()}"
+            f"all classes sum to {h_any!r} and the target reads {h!r}"
         )
     return h
-
-
-def target_classes(classes: set[str], target_class: str | set[str]) -> set[str]:
-    """The target class or classes as a set, once each is checked to be one of a region's boundary ``classes``."""
-    targets = {target_class} if isinstance(target_class, str) else set(target_class)
-    unknown = targets - classes
-    if unknown:
-        raise ConfigError(f"unknown boundary classes {sorted(unknown)}")
-    return targets
-
-
-def exact_quenched_exit(problem: FiniteRegionProblem, target_class: str | set[str]) -> float:
-    """Probability the quenched walk leaves through the target class first."""
-    return float(_exit_probabilities(problem, [target_classes(problem.classes, target_class)])[0])
-
-
-def exit_distribution(problem: FiniteRegionProblem) -> dict[str, float]:
-    """Exit probability of every boundary class; values sum to 1 within 1e-9."""
-    labels = sorted(problem.classes)
-    return dict(zip(labels, _exit_probabilities(problem, [{label} for label in labels]).tolist()))
 
 
 @dataclass(frozen=True)
@@ -362,7 +351,7 @@ def annealed_exit(
     master_seed: int,
 ) -> AnnealedExit:
     """Exact-in-omega, sampled-in-P estimate of the annealed exit probability."""
-    n_env = read_integer(n_env, "n_env", 1)
+    n_env, master_seed = read_integer(n_env, "n_env", 1), read_seed(master_seed, "master_seed")
     envs = [QuenchedEnvironment(model, int(derive_key(master_seed, TAG_ENV, i))) for i in range(n_env)]
     problem = region.build(envs[0], start)  # built once: the geometry reads only the environment's dimension
     vals = np.empty(n_env)

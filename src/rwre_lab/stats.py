@@ -109,11 +109,12 @@ def _level_rows(trajs: Sequence[Trajectory], dirs: np.ndarray) -> np.ndarray:
     A (walks, rows, 3) float64 array of ``cone._level_facts`` of the float
     levels.  Every path is built once.  Each direction gets its own
     ``pos @ d`` product, because one product against all rows rounds levels
-    differently.
+    differently; the product reads a C-ordered copy of the path, since its
+    rounding follows the layout.
     """
     out = np.zeros((len(trajs), len(dirs), 3))
     for i, t in enumerate(trajs):
-        pos = t.positions().astype(np.float64)
+        pos = t.positions().astype(np.float64, order="C")
         for a, d in enumerate(dirs):
             out[i, a] = _level_facts(pos @ d)[1:]
     return out
@@ -612,11 +613,9 @@ def slab_exit_decay(
     noise.  The slope of log p against L is the diagnostic for exponential
     (gamma = 1) decay; zero-hit widths are reported but excluded from the fit.
     """
-    Ls = [float(x) for x in L_list]
-    tallies = run_slab_ensemble(model, master_seed, n_walks, l_prime, b, Ls, horizon)
+    tallies = run_slab_ensemble(model, master_seed, n_walks, l_prime, b, L_list, horizon)
     points = [
-        DecayPoint(L, t.p_left, _binom_ci(t.n_left, t.n_exits), t.n_left, t.n_exits, t.n_censored)
-        for L, t in zip(Ls, tallies)
+        DecayPoint(t.L, t.p_left, _binom_ci(t.n_left, t.n_exits), t.n_left, t.n_exits, t.n_censored) for t in tallies
     ]
     fit = [(pt.L, pt.p_left) for pt in points if pt.n_left > 0 and np.isfinite(pt.p_left)]
     slope = None

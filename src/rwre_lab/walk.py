@@ -33,6 +33,7 @@ from .lattice import (
     check_dim,
     read_float,
     read_integer,
+    read_seed,
     signed_axis_table,
     step_table,
 )
@@ -72,9 +73,7 @@ class Trajectory:
         """(N+1, d) int64 positions X_0 = 0, ..., X_N, C-contiguous.
 
         Axis a is the cumsum of the int8 increments +1 at direction 2a and -1
-        at 2a + 1.  The C order is kept because float callers
-        (``stats._level_rows``) round products of ``positions().astype(float)``
-        by their layout, so another order would move their levels' last bits.
+        at 2a + 1.
         """
         out = np.zeros((len(self) + 1, self.dim), dtype=np.int64)
         for a in range(self.dim):
@@ -196,18 +195,19 @@ def simulate(env: QuenchedEnvironment, walker_seed: int, horizon: int) -> Trajec
     Deterministic given (env, walker_seed, horizon); a longer horizon extends
     the path without rewriting its prefix.
     """
-    horizon = read_integer(horizon, "horizon", 0)
+    horizon, walker_seed = read_integer(horizon, "horizon", 0), read_seed(walker_seed, "walker_seed")
     steps = _simulate_block(
         env.model,
         np.atleast_1d(as_u64(env.master_seed)),
         np.atleast_1d(as_u64(walker_seed)),
         horizon,
     )
-    return Trajectory(steps[0], env.dim, int(walker_seed))
+    return Trajectory(steps[0], env.dim, walker_seed)
 
 
 def ensemble_seeds(master_seed: int, n_walks: int, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Per-walker (environment seed, walker seed) arrays of walkers ``first`` on, derived from the master."""
+    master_seed = read_seed(master_seed, "master_seed")
     ids = np.arange(first, first + n_walks, dtype=np.int64)
     return derive_key(master_seed, TAG_ENV, ids), derive_key(master_seed, TAG_WALKER, ids)
 
@@ -261,8 +261,9 @@ def slab_exit_side(traj: Trajectory, l_prime, b: float, L: float) -> SlabExit:
 
 @dataclass(frozen=True)
 class SlabTally:
-    """Exit-side counts for a slab ensemble; censored walks never exited."""
+    """Exit-side counts for a slab ensemble at the width ``L``; censored walks never exited."""
 
+    L: float
     n_right: int
     n_left: int
     n_walks: int
@@ -353,7 +354,7 @@ def run_slab_ensemble(
     if any(hi <= lo for lo, hi in zip(Ls, Ls[1:])):
         raise ConfigError("slab widths L must be a nonempty, strictly increasing sequence")
     counts = _slab_block(model, *ensemble_seeds(master_seed, n_walks), lp, b, Ls, horizon)
-    return [SlabTally(*map(int, row), n_walks) for row in counts]
+    return [SlabTally(L, *map(int, row), n_walks) for L, row in zip(Ls, counts)]
 
 
 def step_counts(traj: Trajectory) -> np.ndarray:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -40,6 +41,23 @@ class TestTransitionVector:
             with pytest.raises(ConfigError, match="finite"):
                 TransitionVector([bad, 1.0])
 
+    @pytest.mark.parametrize(
+        "probs", [["0.25"] * 4, [True, 1, 1, 1], [b"1", 1.0], [None, 1.0], [np.True_, 1.0]], ids=repr
+    )
+    def test_entries_read_by_the_float_rule(self, probs):
+        # np.asarray(probs, float64) once took strings, bools and bytes as numbers and None as NaN
+        with pytest.raises(ConfigError, match="a transition probability must be a finite number"):
+            TransitionVector(probs)
+
+    @pytest.mark.parametrize("probs, shape", [([[0.5, 0.5]], "(1, 2)"), (0.5, "()"), ([], "(0,)")], ids=repr)
+    def test_shape_refused_before_the_entries(self, probs, shape):
+        with pytest.raises(ConfigError, match=re.escape(f"transition vector needs 2d entries, got shape {shape}")):
+            TransitionVector(probs)
+
+    def test_numbers_of_any_type_read_as_the_same_floats(self):
+        got = TransitionVector([1, np.float32(0.5), np.int64(1), 0.5]).probs
+        assert got.dtype == np.float64 and np.array_equal(got, TransitionVector([1.0, 0.5, 1.0, 0.5]).probs)
+
 
 class TestModels:
     def test_homogeneous_ignores_site(self):
@@ -75,6 +93,19 @@ class TestModels:
         with pytest.raises(ConfigError):
             FiniteMixture((a, b), (1.5, -0.5))
         FiniteMixture((a, b), (0.5, 0.5))
+
+    @pytest.mark.parametrize("weights", [["0.5", "0.5"], [True, 0.5], [0.5, b"0.5"]], ids=repr)
+    def test_mixture_weights_read_by_the_float_rule(self, weights):
+        a, b = TransitionVector([0.6, 0.4]), TransitionVector([0.8, 0.2])
+        with pytest.raises(ConfigError, match="a mixture weight must be a finite number"):
+            FiniteMixture((a, b), weights)
+
+    def test_mixture_weight_count_refused_before_the_entries(self):
+        a, b = TransitionVector([0.6, 0.4]), TransitionVector([0.8, 0.2])
+        for weights in (0.5, ["1"], [0.5, 0.25, 0.25]):
+            with pytest.raises(ConfigError, match="one weight per atom required"):
+                FiniteMixture((a, b), weights)
+        assert FiniteMixture((a, b), (np.float32(0.5), 1 / 2)).weights == (0.5, 0.5)
 
     def test_dirichlet_validation(self):
         with pytest.raises(ConfigError):

@@ -37,9 +37,9 @@ from rwre_lab import (
     simulate,
     slab_exit_side,
 )
-from rwre_lab.cli import _FLOAT, _INTEGER, _RATIONAL
+from rwre_lab.cli import _FLOAT, _INTEGER, _RATIONAL, _SEED
 from rwre_lab.cone import _levels
-from rwre_lab.lattice import read_float, read_integer, read_rational
+from rwre_lab.lattice import read_float, read_integer, read_rational, read_seed
 from rwre_lab.rng import derive_key
 from rwre_lab.stats import (
     classify_transience,
@@ -160,6 +160,46 @@ def test_count_is_read_with_its_bound(call, least, name):
         with pytest.raises(ConfigError, match=f"^{name} must be at least {least}$"):
             call(below)
     assert call(least) == call(float(least))
+
+
+# (call, the seed's name): a library seed is read by lattice.read_seed, an integer from 0 to 2**64 - 1; 3.7, "3" and
+# 2**64 + 3 once gave seed 3's streams and True seed 1's, through rng.as_u64's int(x) & (2**64 - 1)
+SEEDS = [
+    pytest.param(lambda s: steps(simulate_ensemble(MODEL, s, 3, 20)), "master_seed", id="ensemble"),
+    pytest.param(lambda s: run_slab_ensemble(MODEL, s, 8, [1, 0], 1.0, [2.0], 50), "master_seed", id="slab"),
+    pytest.param(lambda s: slab_exit_decay(MODEL, s, [1, 0], 1.0, [2.0], 8, 50).points, "master_seed", id="decay"),
+    pytest.param(lambda s: QuenchedEnvironment(MODEL, s).transitions_at([(0, 0)]).tolist(), "master_seed", id="env"),
+    pytest.param(
+        lambda s: annealed_exit(Dirichlet((1.0, 1.0)), IntervalRegion(-2, 2), (0,), "Right", 2, s),
+        "master_seed",
+        id="annealed",
+    ),
+    pytest.param(lambda s: simulate(QuenchedEnvironment(MODEL, 1), s, 20).steps.tolist(), "walker_seed", id="walker"),
+]
+
+
+@pytest.mark.parametrize("call, name", SEEDS)
+def test_seed_is_read_by_the_integer_rule(call, name):
+    for bad in (3.7, "3", True, None):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+            call(bad)
+    with pytest.raises(ConfigError, match=f"^{name} must be at least 0$"):
+        call(-1)
+    with pytest.raises(ConfigError, match=f"^{name} must be below 2\\*\\*64, got {2**64 + 3}$"):
+        call(2**64 + 3)
+    assert call(3) == call(3.0) == call(np.uint64(3)) == call(np.int8(3))
+    assert call(2**64 - 1) == call(np.uint64(2**64 - 1))
+
+
+@pytest.mark.parametrize("x", [0, 3, 3.0, 2**64 - 1, 2**64, -1, 3.7, "3", True], ids=repr)
+def test_config_and_library_share_one_seed_rule(x):
+    try:
+        want = read_seed(x, "master_seed")
+    except ConfigError:
+        with pytest.raises((ConfigError, ValueError)):  # the config names the field around a range's ValueError
+            _SEED.read(x, 2)
+    else:
+        assert _SEED.read(x, 2) == want and type(want) is int
 
 
 def cone_along(l):

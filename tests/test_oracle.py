@@ -20,7 +20,6 @@ from rwre_lab import (
     TransitionVector,
     annealed_exit,
     exact_quenched_exit,
-    exit_distribution,
     gamblers_ruin,
     solomon_1d,
 )
@@ -48,6 +47,11 @@ def ref_annealed_exit(model, region, start, target_class, n_env, master_seed) ->
     mean = float(vals.mean())
     sd = float(vals.std(ddof=1)) if n_env > 1 else 0.0
     return AnnealedExit(mean, _normal_ci(mean, sd, n_env), n_env, sd)
+
+
+def class_exits(problem) -> dict[str, float]:
+    """The exact exit probability of every boundary class, one solve per class; the values sum to 1."""
+    return {label: exact_quenched_exit(problem, label) for label in sorted(problem.classes)}
 
 
 def dense_exit(problem, targets: set[str]) -> float:
@@ -168,7 +172,7 @@ class TestExactQuenchedExit:
     def test_class_probabilities_sum_to_one(self):
         env = QuenchedEnvironment(Dirichlet((1.0, 0.7, 1.3, 0.9)), 42)
         problem = SlabRegion((1.0, 0.0), 1.0, 3.0, 6).build(env)
-        dist = exit_distribution(problem)
+        dist = class_exits(problem)
         assert set(dist) == {"Left", "Right", "Side"}
         assert abs(sum(dist.values()) - 1.0) < 1e-9
 
@@ -180,7 +184,7 @@ class TestExactQuenchedExit:
             (box.build(env2, (0, 0)), "high0"),
             # start in the first and the last layer, whichever axis is layered
             *[(box.build(env2, s), {"low1", "high0"}) for s in [(-4, 1), (4, -2), (1, -4), (-2, 4)]],
-            # 6,889 sites, past the 6,561 at which a Jacobi sweep drifted 1.36e-9 from dense
+            # 6,889 sites in 83 layers of 83: the longest chain of layer eliminations here, where rounding could pile up
             (BoxRegion((-41, -41), (41, 41)).build(env2, (3, -5)), "high0"),
             (BoxRegion((-4, -4, -4), (4, 4, 4)).build(env3), {"high2", "low0"}),
             (IntervalRegion(-5, 7).build(QuenchedEnvironment(Dirichlet((1.0, 1.0)), 3), (2,)), "Right"),
@@ -194,7 +198,7 @@ class TestExactQuenchedExit:
         env = QuenchedEnvironment(Dirichlet((1.0, 1.0, 1.0, 1.0)), 7)
         problem = BoxRegion((-41, -41), (41, 41)).build(env, (3, -5))
         assert problem.sites.shape[0] == 6889
-        assert abs(sum(exit_distribution(problem).values()) - 1.0) < 1e-9
+        assert abs(sum(class_exits(problem).values()) - 1.0) < 1e-9
 
     def test_gap_decouples_the_far_side(self):
         assert exact_quenched_exit(gapped_region((2, 1)), "Right") == 0.0
@@ -268,7 +272,7 @@ class TestSelfCheck:
         for alpha, n, seed in itertools.product((0.3, 0.5, 1.0, 2.0), (50, 200, 400), range(4)):
             env = QuenchedEnvironment(Dirichlet((alpha, alpha)), seed)
             try:
-                got = exit_distribution(IntervalRegion(-n, n).build(env, (0,)))["Left"]
+                got = exact_quenched_exit(IntervalRegion(-n, n).build(env, (0,)), "Left")
             except NumericError:
                 refused += 1
                 continue
@@ -297,7 +301,7 @@ class TestSelfCheck:
     )
     def test_no_refusal_in_2d_and_3d(self, region, alphas, seed):
         d = len(region.lo) if isinstance(region, BoxRegion) else len(region.l_prime)
-        dist = exit_distribution(region.build(QuenchedEnvironment(Dirichlet(alphas[: 2 * d]), seed)))
+        dist = class_exits(region.build(QuenchedEnvironment(Dirichlet(alphas[: 2 * d]), seed)))
         values = np.asarray(list(dist.values()))
         assert np.all((0.0 <= values) & (values <= 1.0))
         assert abs(values.sum() - 1.0) <= 1e-9

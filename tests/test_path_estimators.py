@@ -558,6 +558,17 @@ def test_walk_classes_read_each_direction_column(kind, d):
             assert np.array_equal(final[:, a], [s[-1] for s in levels])
 
 
+@pytest.mark.parametrize("kind, d", MODELS)
+def test_level_rows_do_not_follow_the_path_layout(kind, d, monkeypatch):
+    # float products of an F-ordered path round differently; _level_rows once moved last bits with the layout
+    trajs = ensemble(kind, d)
+    dirs = np.asarray(directions(d), dtype=np.float64)
+    want = _level_rows(trajs, dirs)
+    positions = Trajectory.positions
+    monkeypatch.setattr(Trajectory, "positions", lambda self: np.asfortranarray(positions(self)))
+    assert _level_rows(trajs, dirs).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_identity_lhs_ci_matches_pooled_increments(d):
     l = (1,) + (0,) * (d - 1)

@@ -25,7 +25,6 @@ UNUSED_IMPORTS_KEPT = {
 ORACLES = {
     "simulate": "test_kernel.py",  # the lockstep ensemble kernels against one walk at a time
     "slab_exit_side": "test_walk.py",  # test_tally_matches_per_walk_classification: run_slab_ensemble's tallies
-    "exit_distribution": "test_oracle.py",  # the oracle's exit laws sum to 1
 }
 
 

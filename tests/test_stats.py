@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -242,6 +243,22 @@ class TestSlabDecay:
         model = Homogeneous(TransitionVector([0.55, 0.45]))
         with pytest.raises(Exception):
             slab_exit_decay(model, 71, [1.0], 1.0, [6, 3], 100, 1000)
+
+    @pytest.mark.parametrize(
+        "L_list, message",
+        [
+            (["5"], "L must be a finite number, got '5'"),
+            ([True, 3], "L must be a finite number, got True"),
+            ([b"7"], "L must be a finite number, got b'7'"),
+            (5, "slab widths L must be a nonempty, strictly increasing sequence"),
+        ],
+        ids=["string", "bool", "bytes", "scalar"],
+    )
+    def test_widths_read_by_the_float_rule(self, L_list, message):
+        # the widths are read once, by run_slab_ensemble; float() once read "5", True and b"7" as widths
+        model = Homogeneous(TransitionVector([0.55, 0.45]))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            slab_exit_decay(model, 71, [1.0], 1.0, L_list, 10, 100)
 
 
 class TestZeroOneScan:
